@@ -7,7 +7,9 @@ bodies (timings live next to the body, not inside it).  Sampling uses the
 splitmix64 streams from ``rng``, one child stream per suite, so the suite
 list can change without shifting another suite's samples.
 
-Exit status is 0 exactly when every executed case passed.
+Exit status is 0 exactly when every executed case passed, 1 when a case
+failed, and 2 when the input is rejected; a rejection writes one JSON line
+``{"error": kind, "message": ...}`` to stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ class SuiteConfig:
             raise ConfigError("n must be between 1 and 3")
         if not 1 <= self.beta <= 2:
             raise ConfigError("beta must be 1 or 2")
+        if self.shells < 2:
+            raise ConfigError("shells must be at least 2")
+        if self.samples < 1:
+            raise ConfigError("samples must be at least 1")
+        if self.family_prec < 1 or self.family_degree < 1:
+            raise ConfigError("family precision and degree must be at least 1")
         for name in self.suites:
             if name not in CATALOG:
                 raise ConfigError(f"unknown suite: {name}")
@@ -553,7 +561,11 @@ def _config_from_args(args) -> SuiteConfig:
                  "family_prec", "family_degree"):
         env = os.environ.get(ENV_PREFIX + name.upper())
         if env is not None:
-            setattr(cfg, name, int(env))
+            try:
+                setattr(cfg, name, int(env))
+            except ValueError:
+                raise ConfigError(f"{ENV_PREFIX}{name.upper()} must be an "
+                                  f"integer, got {env!r}") from None
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -617,8 +629,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "enumerate":
-        if not 1 <= args.n <= 3:
-            return _structured_error("config", "n must be between 1 and 3")
+        try:
+            SuiteConfig(n=args.n, p=args.p).validate()
+        except ConfigError as exc:
+            return _structured_error("config", str(exc))
         sat = refine.SatakeParameter.generic(args.p, args.n)
         refs = refine.all_refinements(sat)
         spin = [r.sigma for r in refs if refine.is_spin(r)]
@@ -629,8 +643,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "zeta":
-        if args.p not in (2, 3, 5):
-            return _structured_error("config", f"prime {args.p} not supported")
+        try:
+            SuiteConfig(p=args.p, beta=args.beta, shells=args.shells).validate()
+        except ConfigError as exc:
+            return _structured_error("config", str(exc))
         sat = refine.SatakeParameter.generic(args.p, 1)
         chars = shalikazeta.TwistCharacter.enumerate_conductor(args.p, args.beta)
         if args.kind == "parahoric":

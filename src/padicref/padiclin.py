@@ -15,6 +15,16 @@ three factorizations the local proofs run on:
 * ``open_cell_factorize``: g = bbar * u * diag(h1, h2) on the open
   H-orbit, where u = [[1, w_n], [0, 1]]; certified by re-multiplication.
 
+``bruhat_cell_valuations`` is the light path of the first: it returns only
+the cell and the diagonal valuations of b, and runs on Python ints.  It
+multiplies g by the lcm D of its denominators, a central scalar, so the
+cell is unchanged and every diagonal valuation moves by vp(D); its column
+operations scale by p-adic units, i.e. multiply on the right by GL(Z_p),
+which changes neither; and the cell of K^{-1} in GL(Z_p) is read from its
+reduction mod p.  The full decomposition stays on ``Fraction`` values and
+certifies itself by re-multiplication; it is the reference the light path
+is tested against.
+
 Haar measure normalizations are fixed once and for all here:
 vol(GL_n(Z_p)) = 1 for compact-group integrals, vol(M_n(Z_p)) = 1
 additively, and vol(Iw_n) = #B_n(F_p) / #GL_n(F_p).
@@ -34,20 +44,25 @@ class LinAlgError(Exception):
     pass
 
 
+def _split_int(x: int, p: int):
+    """(v, u) with x = p^v * u and u prime to p, for a nonzero int x."""
+    v = 0
+    while not x % p:
+        x //= p
+        v += 1
+    return v, x
+
+
 def vp(x, p: int):
     """p-adic valuation of a rational; vp(0) = +inf."""
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if not x:
         return INF
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    v = _split_int(x.numerator, p)[0]
+    if v or x.denominator == 1:
+        return v
+    return -_split_int(x.denominator, p)[0]
 
 
 def unit_part(x, p: int) -> Fraction:
@@ -395,78 +410,106 @@ def bruhat_cell(g: PadicMatrix) -> tuple:
 
 def bruhat_cell_valuations(p: int, rows):
     """(cell, diagonal valuations of the Borel part), without assembling
-    the factors.
+    the factors.  Entries are ints or Fractions.
 
-    Runs the same two-phase elimination as iwahori_bruhat_decompose but
-    keeps only the pivot data: the phase-1 pivots carry the diagonal
-    valuations of b (the phase-2 Borel factor is integral with unit
-    diagonal, so it contributes nothing), and the phase-2 pivot pattern is
-    the cell.  Agreement with the full decomposition is a tested
-    invariant; this path exists because principal-series evaluation is the
-    innermost loop of the integration oracles.
+    Runs the same two-phase elimination as iwahori_bruhat_decompose, on
+    Python ints, and keeps only the pivot data.  Every step leaves the
+    cell and the valuations unchanged:
+
+    * the rows are multiplied by D, the lcm of the denominators; D * g =
+      (D * 1) * g with D * 1 central in B(Q_p), so the cell stays and
+      every diagonal valuation moves by vp(D), which is subtracted at the
+      end;
+    * phase 1 clears row i with the pivot p^v * a (a prime to p) by
+      col_j <- a * col_j - (m[i][j] / p^v) * col_i, an exact integer
+      operation that multiplies on the right by a matrix of GL(Z_p)
+      (determinant a), so the phase-1 pivots still carry the diagonal
+      valuations of b (the phase-2 Borel factor is integral with unit
+      diagonal, so it contributes nothing);
+    * K^{-1} lies in GL(Z_p), and its cell in B(Z_p) \\ GL(Z_p) / Iw is
+      its Bruhat cell over F_p, so K^{-1} is tracked mod p only and
+      phase 2 reads the pivot pattern mod p.
+
+    Agreement with the full decomposition is a tested invariant; this
+    path exists because principal-series evaluation is the innermost
+    loop of the integration oracles.
     """
     n = len(rows)
-    m = [list(r) for r in rows]
-    kinv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
+    den = 1
+    for row in rows:
+        for x in row:
+            if x.denominator != 1:
+                den = math.lcm(den, x.denominator)
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    kinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     vals = [0] * n
+    shift = _split_int(den, p)[0]
+    # phase 1, bottom-up: D * g * K upper triangular, K^{-1} mod p alongside
     for i in range(n - 1, -1, -1):
+        row = m[i]
         best = None
         for j in range(i + 1):
-            x = m[i][j]
-            if x:
-                v = vp(x, p)
+            if row[j]:
+                v, unit = _split_int(row[j], p)
                 if best is None or v < best[0]:
-                    best = (v, j)
+                    best = (v, unit, j)
         if best is None:
             raise LinAlgError("singular matrix in Bruhat decomposition")
-        vals[i] = best[0]
-        jp = best[1]
+        v, a, jp = best
+        vals[i] = v - shift
         if jp != i:
-            for r in range(n):
+            for r in range(i + 1):
                 m[r][jp], m[r][i] = m[r][i], m[r][jp]
             kinv[jp], kinv[i] = kinv[i], kinv[jp]
-        piv = m[i][i]
+        pv = p ** v
+        ainv = pow(a, -1, p)
+        krow_i = kinv[i]
         for j in range(i):
-            c = m[i][j] / piv
-            if c:
-                for r in range(i + 1):
-                    if m[r][i]:
-                        m[r][j] -= c * m[r][i]
-                krow_j, krow_i = kinv[j], kinv[i]
+            if not row[j]:
+                continue
+            c = row[j] // pv
+            row[j] = 0
+            for r in range(i):
+                mr = m[r]
+                if mr[i]:
+                    mr[j] = a * mr[j] - c * mr[i]
+                elif a != 1:
+                    mr[j] *= a
+            # the column operation is K <- K * E; mirror it on K^{-1} mod p,
+            # K^{-1} <- E^{-1} * K^{-1}: row_j /= a, then row_i += c * row_j
+            krow_j = kinv[j]
+            if ainv != 1:
+                krow_j = kinv[j] = [x * ainv % p for x in krow_j]
+            cm = c % p
+            if cm:
                 for t in range(n):
                     if krow_j[t]:
-                        krow_i[t] += c * krow_j[t]
-    # phase 2: pivot pattern of kinv = K^{-1} in GL(Z_p)
-    mm = kinv
+                        krow_i[t] = (krow_i[t] + cm * krow_j[t]) % p
+    # phase 2: pivot pattern of K^{-1} mod p.  Only the rows above a pivot
+    # need clearing: the column operations of the full path touch nothing
+    # but the pivot row, which is never read again.
     assigned = [False] * n
-    sigma = [None] * n
+    sigma = [0] * n
     for j in range(n):
-        i0 = None
-        for i in range(n):
-            if not assigned[i] and mm[i][j] and vp(mm[i][j], p) == 0:
-                i0 = i
-        if i0 is None:
+        i0 = n - 1
+        while i0 >= 0 and (assigned[i0] or not kinv[i0][j]):
+            i0 -= 1
+        if i0 < 0:
             raise LinAlgError("no unit pivot; matrix not in GL(Z_p)?")
         sigma[j] = i0
         assigned[i0] = True
-        piv = mm[i0][j]
-        if piv != 1:
-            mm[i0] = [x / piv for x in mm[i0]]
+        row0 = kinv[i0]
+        pinv = None
         for i in range(i0):
-            if not assigned[i] and mm[i][j]:
-                c = mm[i][j]
-                row_i, row_0 = mm[i], mm[i0]
-                for t in range(n):
-                    if row_0[t]:
-                        row_i[t] -= c * row_0[t]
-        row0 = mm[i0]
-        for j2 in range(j + 1, n):
-            c = row0[j2]
-            if c:
-                for r in range(n):
-                    if mm[r][j]:
-                        mm[r][j2] -= c * mm[r][j]
+            row_i = kinv[i]
+            if assigned[i] or not row_i[j]:
+                continue
+            if pinv is None:
+                pinv = pow(row0[j], -1, p)
+            c = row_i[j] * pinv
+            for t in range(j + 1, n):
+                if row0[t]:
+                    row_i[t] = (row_i[t] - c * row0[t]) % p
     return tuple(sigma), tuple(vals)
 
 

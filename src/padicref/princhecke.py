@@ -16,6 +16,7 @@ vector is reassembled from its values at the (2n)! Weyl representatives.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .padiclin import (PadicMatrix, bruhat_cell_valuations,
                        iwahori_bruhat_decompose, vp)
@@ -26,6 +27,17 @@ from .symring import SymElem
 
 class PrincipalSeriesError(Exception):
     pass
+
+
+@lru_cache(maxsize=None)
+def _zero(p: int) -> SymElem:
+    """The zero of the coefficient ring at p, built once and shared.
+
+    Nothing mutates a SymElem after construction, so one instance can
+    stand for every zero value; the integration oracles meet one at almost
+    every point they evaluate.
+    """
+    return SymElem.rational(p, 0)
 
 
 class PSVector:
@@ -63,14 +75,14 @@ class PSVector:
         return cls.cell_vector(satake, sigma, w)
 
     def coefficient(self, w: tuple) -> SymElem:
-        return self.coeffs.get(tuple(w), SymElem.rational(self.p, 0))
+        return self.coeffs.get(tuple(w), _zero(self.p))
 
     def __add__(self, other: "PSVector") -> "PSVector":
         if self.sigma != other.sigma:
             raise PrincipalSeriesError("vectors live in different inductions")
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            out[w] = out.get(w, SymElem.rational(self.p, 0)) + c
+            out[w] = out.get(w, _zero(self.p)) + c
         return PSVector(self.satake, self.sigma, out)
 
     def scale(self, c: SymElem) -> "PSVector":
@@ -111,7 +123,7 @@ def ps_evaluate_rows(f: PSVector, rows) -> SymElem:
     cell, vals = bruhat_cell_valuations(f.p, rows)
     c = f.coeffs.get(cell)
     if c is None:
-        return SymElem.rational(f.p, 0)
+        return _zero(f.p)
     return torus_character_value(f.satake, f.sigma, vals) * c
 
 
@@ -153,7 +165,7 @@ def hecke_apply(f: PSVector, r: int) -> PSVector:
     p = f.p
     cosets = hecke_coset_matrices(p, m, r)
     coeffs = {}
-    zero = SymElem.rational(p, 0)
+    zero = _zero(p)
     for rho in all_perms(m):
         rho_inv = inverse_perm(rho)
         total = zero

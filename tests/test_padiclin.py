@@ -19,6 +19,13 @@ class TestValuation:
         assert vp(Fraction(2, 27), 3) == -3
         assert vp(0, 3) is INF
 
+    def test_input_types(self):
+        assert vp(-40, 2) == 3
+        assert vp(Fraction(0), 5) is INF
+        assert vp(Fraction(9, 4), 2) == -2
+        assert vp(Fraction(7, 25), 5) == -2
+        assert vp("18/7", 3) == 2
+
     def test_unit_part(self):
         from padicref.padiclin import unit_part
         assert unit_part(Fraction(18, 5), 3) == Fraction(2, 5)
@@ -69,19 +76,39 @@ class TestBruhat:
             assert bruhat_cell(g * right) == w
 
     def test_light_path_matches_full(self):
+        # Fractions with p-power denominators, plain int rows, and
+        # denominators with a unit factor 7, at sizes 2..6 and p = 2, 3, 5
         rng = make_rng("bruhat-light")
-        for _ in range(300):
-            p = 2 if rng.randrange(2) else 3
-            size = 2 if rng.randrange(3) else 4
-            rows = [[rng.padic_rational(p, -2, 2) if rng.randrange(4) else 0
-                     for _ in range(size)] for _ in range(size)]
+        seen = set()
+        for _ in range(400):
+            p = rng.choice((2, 3, 5))
+            size = rng.choice((2, 2, 3, 4, 5, 6))
+            kind = rng.choice(("p-power", "int", "unit-7"))
+
+            def entry():
+                if not rng.randrange(4):
+                    return 0
+                if kind == "int":
+                    return rng.randrange(p ** 3) - p
+                x = rng.padic_rational(p, -2, 2)
+                return x / 7 if kind == "unit-7" and rng.randrange(2) else x
+
+            rows = [[entry() for _ in range(size)] for _ in range(size)]
             m = PadicMatrix(p, rows)
             if m.det() == 0:
                 continue
             dec = iwahori_bruhat_decompose(m)
-            cell, vals = bruhat_cell_valuations(p, m.rows)
+            cell, vals = bruhat_cell_valuations(p, rows)
             assert cell == dec.w
             assert list(vals) == [int(v) for v in dec.b.diagonal_valuations()]
+            seen.add((p, size, kind))
+        assert len(seen) == 3 * 5 * 3
+
+    def test_light_path_singular_input(self):
+        with pytest.raises(LinAlgError):
+            bruhat_cell_valuations(3, [[1, 1], [1, 1]])
+        with pytest.raises(LinAlgError):
+            bruhat_cell_valuations(2, [[Fraction(1, 2), 1], [1, 2]])
 
 
 class TestOppositeParahoric:

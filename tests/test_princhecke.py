@@ -4,8 +4,8 @@ from conftest import make_rng, random_iwahori
 from padicref.padiclin import PadicMatrix
 from padicref.perms import all_perms, identity_perm, longest_perm
 from padicref.princhecke import (PSVector, eigenvector_check, hecke_apply,
-                                 hecke_coset_matrices, ps_evaluate, t_p_r,
-                                 torus_character_value)
+                                 hecke_coset_matrices, ps_evaluate,
+                                 ps_evaluate_rows, t_p_r, torus_character_value)
 from padicref.refine import Refinement, SatakeParameter, hecke_eigenvalue, tau_element
 from padicref.symring import SymElem
 
@@ -22,6 +22,22 @@ class TestEvaluation:
         assert ps_evaluate(f, PadicMatrix.identity(3, 2)).is_zero()
         g = PadicMatrix(3, [[1, 2], [3, 1]])  # identity cell
         assert ps_evaluate(f, g).is_zero()
+
+    def test_off_support_zero_survives_use(self):
+        # the off-support value is one shared zero; using it in sums and
+        # in PSVector.__add__ must leave it zero
+        sat = SatakeParameter.generic(3, 1)
+        f = PSVector.big_cell_vector(sat, identity_perm(2))
+        zero = ps_evaluate_rows(f, ((1, 2), (3, 1)))
+        assert zero == SymElem.rational(3, 0)
+        assert ps_evaluate_rows(f, PadicMatrix.identity(3, 2).rows) is zero
+        one = SymElem.rational(3, 1)
+        assert zero + one == one and one + zero == one
+        assert zero + zero == zero and zero * one == zero
+        g = PSVector.cell_vector(sat, identity_perm(2), (0, 1))
+        assert (f + g).coefficient((0, 1)) == one
+        assert f.coefficient((0, 1)) is zero
+        assert zero.is_zero() and zero == SymElem.rational(3, 0)
 
     def test_twisted_torus_value(self):
         # f^sigma at t' w_{2n} (with t' = w t_{p,r} w) gives exactly the
