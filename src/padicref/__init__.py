@@ -5,8 +5,8 @@ linear algebra and matrix factorizations (padiclin), root data and Weyl
 transfer for GL(2n)/GSpin(2n+1) (rootspin), classification of
 p-refinements (refine), principal-series Hecke operators (princhecke),
 Shalika-model values and twisted zeta integrals (shalikazeta), branching
-vectors and their p-adic interpolation (branchfam), and a verification CLI
-(cli).
+vectors and their p-adic interpolation (branchfam), seeded matrix samplers
+(sampling), and a verification CLI (cli).
 """
 
 __version__ = "0.1.0"

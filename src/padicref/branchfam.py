@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .famring import (FamilyRing, FamSeries, FamringError, teichmuller,
-                      wild_base, wild_exponent)
+from .famring import (FamilyRing, FamSeries, teichmuller, wild_base,
+                      wild_exponent)
 from .padiclin import (LinAlgError, PadicMatrix, lu_unit_lower,
-                       open_cell_factorize, vp)
+                       open_cell_factorize)
 from .rootspin import GLWeight
 
 
@@ -140,10 +140,6 @@ def v_basis_values(g: PadicMatrix):
 # congruence subsets of the Iwahori
 
 
-def open_orbit_u(p: int, n: int) -> PadicMatrix:
-    return PadicMatrix.open_orbit_rep(p, n)
-
-
 def in_n_beta(g: PadicMatrix, beta: int) -> bool:
     """g in N(p^beta Z_p) * u: unipotent upper congruent to u mod p^beta."""
     n2 = g.size
@@ -168,8 +164,6 @@ def iwahori_coordinates(g: PadicMatrix):
 
 def in_iw_beta(g: PadicMatrix, beta: int) -> bool:
     """g in Iw^beta = Nbar(p Z_p) T(Z_p) N^beta(Z_p)."""
-    if not g.in_iwahori():
-        return False
     try:
         _, _, n = iwahori_coordinates(g)
     except (BranchError, LinAlgError):
@@ -287,18 +281,30 @@ class FamilyWeight:
         return x.numerator * pow(x.denominator, -1, m) % m
 
 
-def w_lambda(g: PadicMatrix, lam: PureWeight) -> Fraction:
-    """The algebraic product character w_lam on Iw^1 (exact rational)."""
-    nbar, t, nmat = iwahori_coordinates(g)
+def _iw1_coordinates(g: PadicMatrix):
+    """(torus diagonal, v_(0), [v_(1..n-1)], v_(n)1, v_(n)2) for g in Iw^1.
+
+    g = nbar * t * n is factored once: the diagonal is that of t, and the
+    v values are v_basis_values at n.  Returns None off Iw^1; raises
+    BranchError if the open-cell factorization of n fails inside Iw^1.
+    """
+    try:
+        _, t, nmat = iwahori_coordinates(g)
+    except (BranchError, LinAlgError):
+        return None
     if not in_n_beta(nmat, 1):
-        raise BranchError("element is not in Iw^1")
-    n = lam.n
+        return None
     base = v_basis_values(nmat)
     if base is None:
         raise BranchError("open-cell factorization failed inside Iw^1")
-    v0, mids, vn1, vn2 = base
+    return (t.diagonal_entries(), *base)
+
+
+def _w_lambda_at(coords, lam: PureWeight) -> Fraction:
+    diag, v0, mids, vn1, vn2 = coords
+    n = lam.n
     value = Fraction(1)
-    for i, d in enumerate(t.diagonal_entries()):
+    for i, d in enumerate(diag):
         e = lam.entry(i)
         if e:
             value *= Fraction(d) ** e
@@ -310,24 +316,33 @@ def w_lambda(g: PadicMatrix, lam: PureWeight) -> Fraction:
     return value
 
 
-def w_family(g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
-    """The interpolated character w_chi on Iw^1, valued in the family ring."""
-    nbar, t, nmat = iwahori_coordinates(g)
-    if not in_n_beta(nmat, 1):
-        raise BranchError("element is not in Iw^1")
+def _w_family_at(coords, omega: FamilyWeight) -> FamSeries:
+    diag, v0, mids, vn1, vn2 = coords
     n = omega.n
-    base = v_basis_values(nmat)
-    if base is None:
-        raise BranchError("open-cell factorization failed inside Iw^1")
-    v0, mids, vn1, vn2 = base
-    out = omega.torus_value(t.diagonal_entries())
     chi = omega.coordinate_value
+    out = omega.torus_value(diag)
     out = out * chi(n + 1, v0)
     for i in range(1, n):
         out = out * chi(i, mids[i - 1]) * chi(i + 1, mids[i - 1]).inverse()
     out = out * chi(n + 1, vn1).inverse()
     out = out * chi(n, vn2)
     return out
+
+
+def w_lambda(g: PadicMatrix, lam: PureWeight) -> Fraction:
+    """The algebraic product character w_lam on Iw^1 (exact rational)."""
+    coords = _iw1_coordinates(g)
+    if coords is None:
+        raise BranchError("element is not in Iw^1")
+    return _w_lambda_at(coords, lam)
+
+
+def w_family(g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
+    """The interpolated character w_chi on Iw^1, valued in the family ring."""
+    coords = _iw1_coordinates(g)
+    if coords is None:
+        raise BranchError("element is not in Iw^1")
+    return _w_family_at(coords, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +352,9 @@ def w_family(g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
 class LocPoly:
     """A locally polynomial test function on Z_p^x with rational values.
 
-    On the unit class (residue mod p^level) each piece is either
-    c * z^j ("pow") or an honest polynomial sum c_k z^k ("poly"); level 0
-    means a single piece everywhere.  Classes without a piece give 0.
+    pieces maps a unit class (residue mod p^level) to (j, c), the function
+    c * z^j on that class; level 0 means a single class, 0.  Classes
+    without a piece give 0.
     """
 
     __slots__ = ("p", "level", "pieces")
@@ -351,17 +366,12 @@ class LocPoly:
 
     @classmethod
     def monomial(cls, p: int, j: int) -> "LocPoly":
-        return cls(p, 0, {0: ("pow", (j, Fraction(1)))})
+        return cls(p, 0, {0: (j, Fraction(1))})
 
     @classmethod
     def indicator_times_power(cls, p: int, level: int, residue: int, j: int,
                               scale=1) -> "LocPoly":
-        return cls(p, level, {residue % p ** level: ("pow", (j, Fraction(scale)))})
-
-    @classmethod
-    def piecewise(cls, p: int, level: int, coeff_map: dict) -> "LocPoly":
-        return cls(p, level, {r % p ** level: ("poly", [Fraction(c) for c in cs])
-                              for r, cs in coeff_map.items()})
+        return cls(p, level, {residue % p ** level: (j, Fraction(scale))})
 
     def _residue(self, z: Fraction) -> int:
         mod = self.p ** self.level
@@ -370,55 +380,21 @@ class LocPoly:
 
     def __call__(self, z) -> Fraction:
         z = Fraction(z)
-        piece = self.pieces.get(self._residue(z) if self.level else 0)
+        piece = self.pieces.get(self._residue(z))
         if piece is None:
             return Fraction(0)
-        kind, data = piece
-        if kind == "pow":
-            j, c = data
-            return c * z ** j
-        return sum((Fraction(c) * z ** k for k, c in enumerate(data)),
-                   Fraction(0))
+        j, c = piece
+        return c * z ** j
 
     def translated(self, factor) -> "LocPoly":
         """z -> f(factor * z), for factor a p-adic unit."""
         factor = Fraction(factor)
-        if self.level == 0:
-            out = {}
-            for r, (kind, data) in self.pieces.items():
-                if kind == "pow":
-                    j, c = data
-                    out[r] = ("pow", (j, c * factor ** j))
-                else:
-                    out[r] = ("poly", [Fraction(c) * factor ** k
-                                       for k, c in enumerate(data)])
-            return LocPoly(self.p, 0, out)
         mod = self.p ** self.level
-        fnum = factor.numerator % mod
-        fden = factor.denominator % mod
-        f_res = fnum * pow(fden, -1, mod) % mod
-        f_inv = pow(f_res, -1, mod)
-        out = {}
-        for r, (kind, data) in self.pieces.items():
-            # the new function is supported where factor * z falls in class r
-            new_r = r * f_inv % mod
-            if kind == "pow":
-                j, c = data
-                out[new_r] = ("pow", (j, c * factor ** j))
-            else:
-                out[new_r] = ("poly", [Fraction(c) * factor ** k
-                                       for k, c in enumerate(data)])
-        return LocPoly(self.p, self.level, out)
-
-    def scaled(self, c) -> "LocPoly":
-        c = Fraction(c)
-        out = {}
-        for r, (kind, data) in self.pieces.items():
-            if kind == "pow":
-                out[r] = ("pow", (data[0], data[1] * c))
-            else:
-                out[r] = ("poly", [c * x for x in data])
-        return LocPoly(self.p, self.level, out)
+        f_inv = pow(self._residue(factor), -1, mod)
+        # the new function is supported where factor * z falls in class r
+        return LocPoly(self.p, self.level,
+                       {r * f_inv % mod: (j, c * factor ** j)
+                        for r, (j, c) in self.pieces.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +412,24 @@ class FiniteDistribution:
             if not g.in_iwahori():
                 raise BranchError("Dirac base point must lie in the Iwahori")
 
-    def supported_on(self, beta: int) -> bool:
-        return all(in_iw_beta(g, beta) for _, g in self.terms)
-
-
-def _ratio_at(g: PadicMatrix) -> Fraction:
-    """v_(n),2 / v_(n),1 at the N-part of g (an element of 1 + p Z_p)."""
-    _, _, nmat = iwahori_coordinates(g)
-    base = v_basis_values(nmat)
-    if base is None:
-        raise BranchError("open-cell factorization failed inside Iw^1")
-    _, _, vn1, vn2 = base
-    return vn2 / vn1
-
 
 def v_family(f: LocPoly, g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
     """v_Omega(f) at g: w_chi(g) * f(v_(n),2 / v_(n),1) on Iw^1, else 0."""
-    if not in_iw_beta(g, 1):
+    coords = _iw1_coordinates(g)
+    if coords is None:
         return omega.ring.zero()
-    w = w_family(g, omega)
-    val = f(_ratio_at(g))
+    val = f(coords[4] / coords[3])
     if val == 0:
         return omega.ring.zero()
-    return w * omega.ring.from_rational(val)
+    return _w_family_at(coords, omega) * omega.ring.from_rational(val)
 
 
 def v_lambda_fun(f: LocPoly, g: PadicMatrix, lam: PureWeight) -> Fraction:
     """The same construction at the single weight lam (exact rational)."""
-    if not in_iw_beta(g, 1):
+    coords = _iw1_coordinates(g)
+    if coords is None:
         return Fraction(0)
-    return w_lambda(g, lam) * f(_ratio_at(g))
+    return _w_lambda_at(coords, lam) * f(coords[4] / coords[3])
 
 
 def kappa_family(mu: FiniteDistribution, f: LocPoly,
@@ -489,8 +453,3 @@ def kappa_lambda_j(mu: FiniteDistribution, lam: PureWeight, j: int) -> Fraction:
 def r_lambda_pair(mu: FiniteDistribution, vector) -> Fraction:
     """Pair a distribution against an explicit branching vector (callable)."""
     return sum((Fraction(c) * vector(g) for c, g in mu.terms), Fraction(0))
-
-
-def moment(mu: FiniteDistribution, omega: FamilyWeight, f: LocPoly) -> FamSeries:
-    """The pushforward kappa_Omega(mu) integrated against f."""
-    return kappa_family(mu, f, omega)

@@ -22,10 +22,12 @@ import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from . import branchfam, famring, padiclin, princhecke, refine, rootspin, shalikazeta
+from . import branchfam, padiclin, princhecke, refine, rootspin, shalikazeta
 from .padiclin import PadicMatrix
 from .perms import all_perms, longest_perm
 from .rng import SplitMix64
+from .sampling import (random_glzp, random_iw_beta, random_iwahori,
+                       random_n_beta, random_upper_zp)
 from .symring import SymElem
 
 SCHEMA_VERSION = 1
@@ -64,6 +66,13 @@ class SuiteConfig:
         for name in self.suites:
             if name not in CATALOG:
                 raise ConfigError(f"unknown suite: {name}")
+        if "interp-diagram" in self.suites:
+            v = _specialization_valuation(self.p, self.family_prec,
+                                          self.family_degree)
+            need = -(-self.family_prec // v)  # degree * v >= prec
+            if self.family_degree < need:
+                raise ConfigError(f"interp-diagram needs family degree >= {need} "
+                                  f"at family precision {self.family_prec}")
 
     def as_dict(self):
         d = asdict(self)
@@ -151,35 +160,6 @@ def suite_hecke_eigen(cfg: SuiteConfig, rng: SplitMix64):
     return cases
 
 
-def _random_glzp(rng, p, n, digits=3):
-    while True:
-        m = PadicMatrix(p, [[rng.randrange(p ** digits) for _ in range(n)]
-                            for _ in range(n)])
-        if m.in_glzp():
-            return m
-
-
-def _random_iwahori(rng, p, n, digits=3):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rng.unit(p)
-        for j in range(n):
-            if j > i:
-                rows[i][j] = rng.randrange(p ** digits)
-            elif j < i:
-                rows[i][j] = p * rng.randrange(p ** (digits - 1))
-    return PadicMatrix(p, rows)
-
-
-def _random_upper_zp(rng, p, n, digits=3):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rng.unit(p)
-        for j in range(i + 1, n):
-            rows[i][j] = rng.randrange(p ** digits)
-    return PadicMatrix(p, rows)
-
-
 def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
@@ -190,7 +170,7 @@ def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
             count = max(20, cfg.samples // 4)
             for _ in range(count):
                 delta = rng.choice(all_perms(n))
-                k = _random_glzp(rng, p, n)
+                k = random_glzp(rng, p, n)
                 x = PadicMatrix(p, [[rng.padic_rational(p, -2, 2)
                                      if rng.randrange(3) else 0
                                      for _ in range(n)] for _ in range(n)])
@@ -209,7 +189,7 @@ def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
             wn = PadicMatrix.longest_weyl(p, n)
             thetas = [SymElem.gen(p, f"X{i + 1}") for i in range(2 * n)]
             for _ in range(max(10, count // 8)):
-                k = _random_upper_zp(rng, p, n) * wn * _random_iwahori(rng, p, n)
+                k = random_upper_zp(rng, p, n) * wn * random_iwahori(rng, p, n)
                 arb = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
                                       for _ in range(n)])
                 x = k * wn * shalikazeta.z_matrix(p, n, 2 * beta) * arb
@@ -266,27 +246,6 @@ def suite_zeta_parahoric(cfg: SuiteConfig, rng: SplitMix64):
     return cases
 
 
-def _random_n_beta(rng, p, n, beta):
-    wn = PadicMatrix.longest_weyl(p, n)
-    a = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
-                         for j in range(n)] for i in range(n)])
-    b = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
-                         for j in range(n)] for i in range(n)])
-    y = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)])
-    top = PadicMatrix(p, [[wn.rows[i][j] + p ** beta * y.rows[i][j]
-                           for j in range(n)] for i in range(n)])
-    zero = PadicMatrix(p, [[0] * n for _ in range(n)])
-    return PadicMatrix.from_blocks(a, top * b, zero, b)
-
-
-def _random_iw_beta(rng, p, n2, beta):
-    n = n2 // 2
-    nbar = PadicMatrix(p, [[1 if i == j else (p * rng.randrange(p ** 2) if j < i else 0)
-                            for j in range(n2)] for i in range(n2)])
-    t = PadicMatrix.diagonal(p, [rng.unit(p) for _ in range(n2)])
-    return nbar * t * _random_n_beta(rng, p, n, beta)
-
-
 def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
@@ -298,7 +257,7 @@ def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
             ok = True
             witness = None
             for _ in range(max(20, cfg.samples // 4)):
-                g = _random_n_beta(rng, p, n, beta)
+                g = random_n_beta(rng, p, n, beta)
                 for j in branchfam.crit_range(lam):
                     val = branchfam.v_lambda_j(g, lam, j)
                     if val == 0 or (val != 1 and padiclin.vp(val - 1, p) < beta):
@@ -312,7 +271,7 @@ def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
         interp = True
         witness = None
         for _ in range(max(10, cfg.samples // 10)):
-            g = _random_iw_beta(rng, p, 2 * n, 1)
+            g = random_iw_beta(rng, p, 2 * n, 1)
             for j in branchfam.crit_range(lam):
                 f = branchfam.LocPoly.monomial(p, j)
                 if branchfam.v_lambda_fun(f, g, lam) != branchfam.v_lambda_j(g, lam, j):
@@ -328,7 +287,8 @@ def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
 
 def _family_test_data(p, n, prec, degree):
     # p-divisible entries keep the truncation error below the target
-    # precision: the specialization error is O(p^(degree * (1 + v_p(lam))))
+    # precision: the specialization error is O(p^(degree * (1 + v_p(lam))));
+    # SuiteConfig.validate rejects a degree that does not reach p^prec
     base = 2 if p == 2 else p
     entries = {1: [2 * base, -2 * base],
                2: [2 * base, base, -base, -2 * base]}[n]
@@ -340,6 +300,15 @@ def _family_test_data(p, n, prec, degree):
     return lam, omega
 
 
+def _specialization_valuation(p, prec, degree):
+    """Least v_p of the nonzero points T_i = b^e - 1 at which
+    interp-diagram specializes; truncating at the degree D leaves an error
+    of O(p^(D * v))."""
+    data = [_family_test_data(p, n, prec, degree) for n in (1, 2)]
+    return min(padiclin.vp(x, p) for lam, omega in data
+               for x in omega.specialization_values(lam) if x)
+
+
 def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
@@ -347,26 +316,26 @@ def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
         lam, omega = _family_test_data(p, n, cfg.family_prec, cfg.family_degree)
         count = max(5, cfg.samples // 40)
         sq1 = sq2 = True
-        witness = None
+        witness1 = witness2 = None
         for _ in range(count):
             mu = branchfam.FiniteDistribution(
-                [(rng.randint(-3, 3), _random_iw_beta(rng, p, 2 * n, 1))
+                [(rng.randint(-3, 3), random_iw_beta(rng, p, 2 * n, 1))
                  for _ in range(2)])
             js = list(branchfam.crit_range(lam))
             for j in (js[0], js[len(js) // 2], js[-1]):
                 f = branchfam.LocPoly.monomial(p, j)
                 if branchfam.kappa_lambda(mu, f, lam) != branchfam.kappa_lambda_j(mu, lam, j):
                     sq2 = False
-                    witness = f"n={n} j={j} second square"
+                    witness2 = f"n={n} j={j} second square"
                 fam = branchfam.kappa_family(mu, f, omega)
                 if omega.specialize(fam, lam) != omega.reduce(branchfam.kappa_lambda(mu, f, lam)):
                     sq1 = False
-                    witness = f"n={n} j={j} first square"
+                    witness1 = f"n={n} j={j} first square"
         cases.append(_case(f"square-spec-n{n}",
                            f"n={n} p={p} prec=(p^{cfg.family_prec},{cfg.family_degree})",
-                           "paper", sq1, witness))
+                           "paper", sq1, witness1))
         cases.append(_case(f"square-eval-n{n}", f"n={n} p={p}", "paper", sq2,
-                           witness))
+                           witness2))
     return cases
 
 
@@ -517,10 +486,6 @@ class Report:
         }
         self.body["ok"] = self.body["failed"] == 0
         self.elapsed = None
-
-    def body_bytes(self) -> bytes:
-        return json.dumps(self.body, sort_keys=True,
-                          separators=(",", ":")).encode() + b"\n"
 
     def document(self) -> dict:
         return {"body": self.body, "meta": {"elapsed_seconds": self.elapsed}}

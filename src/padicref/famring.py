@@ -16,7 +16,6 @@ rational partial sums and reduced at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 
 class FamringError(Exception):
@@ -266,10 +265,6 @@ class FamSeries:
                     term = term * pow(values[i], k, mod) % mod
             total = (total + term) % mod
         return total
-
-    def reduce_target(self) -> "FamSeries":
-        m = self.ring.target_modulus
-        return FamSeries(self.ring, {e: c % m for e, c in self.coeffs.items()})
 
     def eq_target(self, other) -> bool:
         """Equality modulo the target precision p^M."""

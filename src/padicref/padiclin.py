@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .perms import compose, identity_perm, inverse_perm, longest_perm
+from .perms import compose, longest_perm
 
 INF = math.inf
 
@@ -232,13 +232,6 @@ class PadicMatrix:
         return all(vp(self.rows[i][j], self.p) >= 1
                    for i in range(self.size) for j in range(i))
 
-    def in_iwahori_depth(self, beta: int) -> bool:
-        """Upper triangular modulo p^beta, inside GL(Z_p)."""
-        if not self.in_glzp():
-            return False
-        return all(vp(self.rows[i][j], self.p) >= beta
-                   for i in range(self.size) for j in range(i))
-
     def is_upper_triangular(self) -> bool:
         return all(self.rows[i][j] == 0 for i in range(self.size) for j in range(i))
 
@@ -402,10 +395,6 @@ def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     if b * wmat * i_factor != g:
         raise LinAlgError("Bruhat decomposition failed to recompose")
     return BruhatDecomposition(b, w, i_factor)
-
-
-def bruhat_cell(g: PadicMatrix) -> tuple:
-    return iwahori_bruhat_decompose(g).w
 
 
 def bruhat_cell_valuations(p: int, rows):

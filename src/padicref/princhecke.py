@@ -18,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .padiclin import (PadicMatrix, bruhat_cell_valuations,
-                       iwahori_bruhat_decompose, vp)
+from .padiclin import PadicMatrix, bruhat_cell_valuations
 from .perms import all_perms, block_perm, inverse_perm, longest_perm
 from .refine import Refinement, SatakeParameter, hecke_eigenvalue
 from .symring import SymElem

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .perms import all_perms, block_perm, compose, identity_perm, longest_perm
-from .rootspin import GLWeight, jvee_cochar, jvee_weyl, wg0_members
+from .perms import all_perms, block_perm, compose, longest_perm
+from .rootspin import GLWeight, jvee_cochar, jvee_weyl
 from .symring import SymElem
 
 
@@ -326,10 +326,6 @@ def noncritical_slope(ref: Refinement, lam: GLWeight, valuations: dict) -> bool:
         if not v < lam.entries[r - 1] - lam.entries[r] + 1:
             return False
     return True
-
-
-def spin_refinements(satake: SatakeParameter):
-    return [ref for ref in all_refinements(satake) if is_spin(ref)]
 
 
 def spin_census(p: int, n: int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .perms import all_perms, compose, identity_perm, inverse_perm, transposition
+from .perms import all_perms, identity_perm
 from .symring import SymElem
 
 
@@ -338,7 +338,3 @@ def delta_b(p: int, valuations, half: bool = False) -> SymElem:
     if half:
         exponent = exponent / 2
     return SymElem.p_power(p, exponent)
-
-
-def delta_b_matrix(t, half: bool = False) -> SymElem:
-    return delta_b(t.p, t.diagonal_valuations(), half=half)

@@ -1,0 +1,61 @@
+"""Seeded samplers of p-adic matrices for the suites and the tests.
+
+Each sampler draws from a ``rng.SplitMix64`` stream in a fixed order, so a
+seed fixes the matrices and, through them, the report body.
+"""
+
+from __future__ import annotations
+
+from .padiclin import PadicMatrix
+
+
+def random_glzp(rng, p, n, digits=3):
+    while True:
+        m = PadicMatrix(p, [[rng.randrange(p ** digits) for _ in range(n)]
+                            for _ in range(n)])
+        if m.in_glzp():
+            return m
+
+
+def random_iwahori(rng, p, n, digits=3):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.unit(p)
+        for j in range(n):
+            if j > i:
+                rows[i][j] = rng.randrange(p ** digits)
+            elif j < i:
+                rows[i][j] = p * rng.randrange(p ** (digits - 1))
+    return PadicMatrix(p, rows)
+
+
+def random_upper_zp(rng, p, n, digits=3):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.unit(p)
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randrange(p ** digits)
+    return PadicMatrix(p, rows)
+
+
+def random_n_beta(rng, p, n, beta):
+    """An element of N^beta(Z_p) inside GL_{2n}."""
+    wn = PadicMatrix.longest_weyl(p, n)
+    a = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
+                         for j in range(n)] for i in range(n)])
+    b = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
+                         for j in range(n)] for i in range(n)])
+    y = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)])
+    top = PadicMatrix(p, [[wn.rows[i][j] + p ** beta * y.rows[i][j]
+                           for j in range(n)] for i in range(n)])
+    zero = PadicMatrix(p, [[0] * n for _ in range(n)])
+    return PadicMatrix.from_blocks(a, top * b, zero, b)
+
+
+def random_iw_beta(rng, p, n2, beta):
+    """An element of Iw^beta = Nbar(pZ_p) T(Z_p) N^beta(Z_p)."""
+    n = n2 // 2
+    nbar = PadicMatrix(p, [[1 if i == j else (p * rng.randrange(p ** 2) if j < i else 0)
+                            for j in range(n2)] for i in range(n2)])
+    t = PadicMatrix.diagonal(p, [rng.unit(p) for _ in range(n2)])
+    return nbar * t * random_n_beta(rng, p, n, beta)

@@ -24,13 +24,14 @@ All zeta values are functions of p^s through the formal generator S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .padiclin import (INF, PadicMatrix, iwahori_bruhat_decompose, vol_big_cell,
                        vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
-from .princhecke import PSVector, ps_evaluate
+from .princhecke import PSVector
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
                      tau_element, u_p_eigenvalue)
 from .rootspin import delta_b
@@ -128,8 +129,9 @@ class TwistCharacter:
         for k in range(1, order):
             if beta >= 2 and k % p == 0:
                 continue  # factors through level beta - 1
-            d = order // _gcd(k, order)
-            vals = {a: CycNum.root_of_unity(d, (k // _gcd(k, order)) * logs[a] % d)
+            common = math.gcd(k, order)
+            d = order // common
+            vals = {a: CycNum.root_of_unity(d, (k // common) * logs[a] % d)
                     for a in units}
             out.append(cls(p, beta, vals, label=f"chi{p}^{beta}[{k}]"))
         return out
@@ -164,11 +166,6 @@ class TwistCharacter:
 
     def __repr__(self):
         return f"TwistCharacter({self.label or (self.p, self.beta)})"
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def _two_adic_log(a: int, beta: int):
@@ -422,22 +419,20 @@ def zeta_iwahori_closed(w_base: SymElem, chi: TwistCharacter, beta: int,
 
 
 def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
-                          beta_prime: int, delta_f: int = 0) -> ZetaResult:
+                          beta_prime: int) -> ZetaResult:
     """Parahoric-level zeta value for the new-vector normalisation:
 
-        q^(beta n (s - n/2) + delta n (s - n/2 - 1)) * chi(det(-w_n)) * Q
+        q^(beta n (s - n/2)) * chi(det(-w_n)) * Q
 
     where beta = max(1, beta_prime) and Q has a ramified and an
-    unramified row.  Base field Q_p means delta_f = 0; the delta_f
-    exponents are kept for reference but only 0 is exercised.
+    unramified row.
     """
     p, n = satake.p, satake.n
     if chi.beta != beta_prime:
         raise ZetaError("conductor exponent mismatch")
     beta = max(1, beta_prime)
-    s_pow = SymElem.gen(p, "S", beta * n + delta_f * n)
-    s_pow = s_pow * SymElem.p_power(p, Fraction(-beta * n * n - delta_f * n * n, 2))
-    s_pow = s_pow * SymElem.p_power(p, Fraction(-delta_f * n))
+    s_pow = SymElem.gen(p, "S", beta * n)
+    s_pow = s_pow * SymElem.p_power(p, Fraction(-beta * n * n, 2))
     value = s_pow * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
     if chi.is_ramified:
         q_factor = SymElem.rational(
@@ -455,7 +450,7 @@ def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
 
 def zeta_parahoric_reciprocal(satake: SatakeParameter, chi: TwistCharacter,
                               beta_prime: int) -> SymElem:
-    """1 / zeta_parahoric_closed, assembled in factored form (delta_f = 0).
+    """1 / zeta_parahoric_closed, assembled in factored form.
 
     Needed because the unramified row has a non-monomial numerator, which
     SymElem cannot invert directly; the reciprocal swaps the two Euler
@@ -585,7 +580,7 @@ def _certify_tail(values: dict, v: int, s_inv: SymElem, shells: int):
 
 def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
                           shells: int) -> ZetaResult:
-    """Shell-sum evaluation of the parahoric integral at n = 1, delta_f = 0.
+    """Shell-sum evaluation of the parahoric integral at n = 1.
 
     After the support reduction shared with the closed-form derivation
     (whose Fourier-vanishing steps are re-verified by psi_orthogonality),

@@ -19,6 +19,7 @@ Two layers:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -112,11 +113,6 @@ def _reduce_mod_cyclotomic(coeffs, m):
     return r[:deg]
 
 
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
 class CycNum:
     """An element of Q(zeta_order), canonically reduced."""
 
@@ -158,7 +154,7 @@ class CycNum:
             a = CycNum.from_rational(a)
         if not isinstance(b, CycNum):
             b = CycNum.from_rational(b)
-        m = _lcm(a.order, b.order)
+        m = math.lcm(a.order, b.order)
         return a.promoted(m), b.promoted(m), m
 
     # -- predicates
@@ -193,13 +189,7 @@ class CycNum:
 
     def __mul__(self, other):
         a, b, m = CycNum._pair(self, other)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return CycNum(m, out)
+        return CycNum(m, _poly_mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -669,11 +659,6 @@ def _subst_poly(poly: _Poly, vals: dict, p: int) -> _Poly:
         # substitution values were fractions; fold their factors back in
         raise NonUnitDivision("substitution produced nested fractions")
     return out.num
-
-
-def sym_eval(e: SymElem, assignment: dict) -> SymElem:
-    """Substitution homomorphism (module-level convenience wrapper)."""
-    return e.substitute(assignment)
 
 
 def geometric_tail(first_term: SymElem, ratio: SymElem) -> SymElem:

@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng, random_iw_beta, random_iwh1, random_n_beta
+from conftest import make_rng, random_iwh1
 from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 LocPoly, PureWeight, alpha_weight, crit_range,
                                 in_iw_beta, in_iwh_beta, in_n_beta,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
-                                kappa_lambda_j, moment, r_lambda_pair,
+                                kappa_lambda_j, r_lambda_pair,
                                 v_basis_values, v_family, v_lambda_fun,
                                 v_lambda_j, w_family, w_lambda)
 from padicref.famring import FamilyRing, padic_log, teichmuller, wild_exponent
 from padicref.padiclin import PadicMatrix, vp
+from padicref.sampling import random_iw_beta, random_n_beta
 
 
 class TestCritRange:
@@ -152,8 +153,24 @@ class TestWCharacter:
 
     def test_outside_iw1_rejected(self):
         lam = PureWeight([1, 0])
-        with pytest.raises(BranchError):
-            w_lambda(PadicMatrix.identity(3, 2), lam)
+        # in Iw but not Iw^1; not in Iw
+        for g in (PadicMatrix.identity(3, 2), PadicMatrix.diagonal(3, [3, 1])):
+            with pytest.raises(BranchError):
+                w_lambda(g, lam)
+
+
+class TestLocPoly:
+    def test_translated_level_zero(self):
+        # one piece everywhere: z -> (u z)^j
+        for p in (2, 3, 5):
+            for j in (-2, 0, 3):
+                for u in (Fraction(1), Fraction(-1), Fraction(7, 11),
+                          Fraction(p + 1)):
+                    f = LocPoly.monomial(p, j).translated(u)
+                    assert f.level == 0 and list(f.pieces) == [0]
+                    for z in (Fraction(1), Fraction(13, 4 * p + 1),
+                              Fraction(-2 * p - 1)):
+                        assert f(z) == u ** j * z ** j
 
 
 class TestFamilyRing:
@@ -297,9 +314,9 @@ class TestDistributionMaps:
             mu = FiniteDistribution([(1, g)])
             off_class = 1 + p  # not congruent to 1 mod p^2
             f_off = LocPoly.indicator_times_power(p, beta, off_class, 1)
-            assert moment(mu, omega, f_off).eq_target(omega.ring.zero())
+            assert kappa_family(mu, f_off, omega).eq_target(omega.ring.zero())
             f_on = LocPoly.indicator_times_power(p, beta, 1, 0)
-            assert moment(mu, omega, f_on).eq_target(w_family(g, omega))
+            assert kappa_family(mu, f_on, omega).eq_target(w_family(g, omega))
 
     def test_dirac_outside_iwahori_rejected(self):
         with pytest.raises(BranchError):
@@ -307,7 +324,10 @@ class TestDistributionMaps:
 
     def test_off_iw1_vanishes(self):
         lam, omega = family_fixture(3, 1)
-        g = PadicMatrix.identity(3, 2)  # in Iw but not Iw^1
         f = LocPoly.monomial(3, 0)
-        assert v_family(f, g, omega).eq_target(omega.ring.zero())
-        assert v_lambda_fun(f, g, lam) == 0
+        # in Iw but not Iw^1; not in Iw
+        for g in (PadicMatrix.identity(3, 2), PadicMatrix.diagonal(3, [3, 1])):
+            assert v_family(f, g, omega).eq_target(omega.ring.zero())
+            assert v_lambda_fun(f, g, lam) == 0
+            with pytest.raises(BranchError):
+                w_family(g, omega)

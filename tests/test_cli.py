@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from padicref import cli
 from padicref.cli import main
 
 
@@ -23,8 +24,9 @@ class TestRejectedInput:
         (["enumerate", "--p", "4"], {}),
         (["run", "--samples", "-5"], {}),
         (["zeta", "--beta", "3"], {}),
+        (["run", "--suites", "interp-diagram", "--family-degree", "3"], {}),
     ], ids=["family-degree-0", "env-p-not-int", "enumerate-non-prime",
-            "negative-samples", "zeta-beta-3"])
+            "negative-samples", "zeta-beta-3", "interp-degree-uncertified"])
     def test_config_error_exit_two(self, argv, env, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -59,6 +61,14 @@ class TestAcceptedInput:
         assert first[0] == second[0] == 0
         assert _body(first[1]) == _body(second[1])
 
+    def test_interp_diagram_at_the_certified_degree(self, capsys):
+        # p = 3: the family points have v_p >= 2, so degree 3 reaches p^6
+        code, out, _ = _run(["run", "--suites", "interp-diagram",
+                             "--family-prec", "6", "--family-degree", "3"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["body"]["ok"]
+
     def test_suite_samples_do_not_depend_on_the_suite_list(self, capsys):
         alone = _run(["run", "--suites", "cell-support", "--samples", "8",
                       "--seed", "7"], capsys)
@@ -66,3 +76,17 @@ class TestAcceptedInput:
                       "--samples", "8", "--seed", "7"], capsys)
         suites = {s["name"]: s for s in json.loads(mixed[1])["body"]["suites"]}
         assert json.loads(alone[1])["body"]["suites"] == [suites["cell-support"]]
+
+
+class TestFailedCase:
+    def test_failed_case_exit_one(self, monkeypatch, capsys):
+        def failing(cfg, rng):
+            return [cli._case("forced", "none", "paper", False, "left != right")]
+
+        monkeypatch.setitem(cli.CATALOG["spin-enum"], "fn", failing)
+        code, out, err = _run(["run", "--suites", "spin-enum"], capsys)
+        assert code == 1 and err == ""
+        body = json.loads(out)["body"]
+        assert body["ok"] is False
+        assert body["failed"] == 1 and body["passed"] == 0
+        assert body["suites"][0]["cases"][0]["witness"] == "left != right"

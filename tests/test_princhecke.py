@@ -1,12 +1,13 @@
 import pytest
 
-from conftest import make_rng, random_iwahori
+from conftest import make_rng
 from padicref.padiclin import PadicMatrix
 from padicref.perms import all_perms, identity_perm, longest_perm
 from padicref.princhecke import (PSVector, eigenvector_check, hecke_apply,
                                  hecke_coset_matrices, ps_evaluate,
                                  ps_evaluate_rows, t_p_r, torus_character_value)
 from padicref.refine import Refinement, SatakeParameter, hecke_eigenvalue, tau_element
+from padicref.sampling import random_iwahori
 from padicref.symring import SymElem
 
 

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng, random_glzp, random_iwahori, random_upper_zp
+from conftest import make_rng
 from padicref.padiclin import PadicMatrix, vp
 from padicref.perms import all_perms, identity_perm, longest_perm
 from padicref.princhecke import PSVector
 from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
                              is_spin, normalize_satake, tau_element)
+from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   TwistCharacter, ZetaError, ag_intertwine_value,
                                   borel_part_character, chi_det_minus_wn,
