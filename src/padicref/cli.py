@@ -8,8 +8,9 @@ splitmix64 streams from ``rng``, one child stream per suite, so the suite
 list can change without shifting another suite's samples.
 
 Exit status is 0 exactly when every executed case passed, 1 when a case
-failed, and 2 when the input is rejected; a rejection writes one JSON line
-``{"error": kind, "message": ...}`` to stderr and no traceback.
+failed, and 2 when the input is rejected or the report cannot be written;
+then one JSON line ``{"error": kind, "message": ...}`` goes to stderr,
+with no traceback.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class SuiteConfig:
             raise ConfigError("samples must be at least 1")
         if self.family_prec < 1 or self.family_degree < 1:
             raise ConfigError("family precision and degree must be at least 1")
+        if not self.suites:
+            raise ConfigError("no suites selected")
         for name in self.suites:
             if name not in CATALOG:
                 raise ConfigError(f"unknown suite: {name}")
@@ -653,7 +656,10 @@ def main(argv=None) -> int:
         return _structured_error("config", str(exc))
     except shalikazeta.TruncationError as exc:
         return _structured_error("truncation", str(exc))
-    _emit(report.document(), args.out)
+    try:
+        _emit(report.document(), args.out)
+    except OSError as exc:
+        return _structured_error("output", str(exc))
     return 0 if report.ok else 1
 
 

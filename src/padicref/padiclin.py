@@ -15,15 +15,12 @@ three factorizations the local proofs run on:
 * ``open_cell_factorize``: g = bbar * u * diag(h1, h2) on the open
   H-orbit, where u = [[1, w_n], [0, 1]]; certified by re-multiplication.
 
-``bruhat_cell_valuations`` is the light path of the first: it returns only
-the cell and the diagonal valuations of b, and runs on Python ints.  It
-multiplies g by the lcm D of its denominators, a central scalar, so the
-cell is unchanged and every diagonal valuation moves by vp(D); its column
-operations scale by p-adic units, i.e. multiply on the right by GL(Z_p),
-which changes neither; and the cell of K^{-1} in GL(Z_p) is read from its
-reduction mod p.  The full decomposition stays on ``Fraction`` values and
-certifies itself by re-multiplication; it is the reference the light path
-is tested against.
+``bruhat_cell_valuations`` is the one Bruhat elimination: it returns the
+cell and the diagonal valuations of b, computed on Python ints.  The full
+decomposition is this core plus one UL factorization and a certificate
+checked with multiplication, det and vp alone; the cell and vp(diag b)
+are invariants of the double coset B(Q_p) g Iw, so every certified
+decomposition is an independent proof of the core's answer.
 
 Haar measure normalizations are fixed once and for all here:
 vol(GL_n(Z_p)) = 1 for compact-group integrals, vol(M_n(Z_p)) = 1
@@ -303,97 +300,34 @@ class BruhatDecomposition:
 def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     """g = b * w * i exactly; raises LinAlgError on singular input.
 
-    Phase 1 (Iwasawa): right GL(Z_p) column operations with bottom-up
-    minimal-valuation pivots bring g to upper triangular form, so
-    g * K is upper triangular and k = K^{-1} lies in GL(Z_p).
-    Phase 2: left B(Z_p) row operations and right Iwahori column
-    operations reduce k to a permutation-shaped matrix; the pivot of each
-    column is the bottom-most unit among unassigned rows.  The result is
-    re-multiplied and the factor shapes are checked before returning.
+    The cell w and the diagonal valuations of b come from
+    bruhat_cell_valuations.  Since Iw = (Iw ∩ w^{-1} B w)(Iw ∩ w^{-1} Nbar w),
+    B w Iw = B w (Iw ∩ w^{-1} Nbar w): g * w^{-1} = b * ybar with ybar unit
+    lower triangular and i = w^{-1} * ybar * w.  B ∩ Nbar = 1, so b and
+    ybar are unique, and one UL factorization of the transpose
+    (g * w^{-1})^T = ybar^T * b^T finds them.
+
+    The result is certified before it is returned: b upper triangular, i
+    in Iw, the valuations of diag(b) equal to the core's, and b * w * i
+    equal to g.  The certificate uses only multiplication, det and vp, and
+    w and the valuations of diag(b) are invariants of the double coset
+    B(Q_p) g Iw, so a certified triple proves the core's answer; a wrong
+    answer from the core raises LinAlgError.
     """
     p, n = g.p, g.size
-    m = [list(row) for row in g.rows]
-    kmat = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-    def colop(dst, src, c):
-        # col_dst -= c * col_src
-        for r in range(n):
-            if m[r][src]:
-                m[r][dst] -= c * m[r][src]
-        for r in range(n):
-            if kmat[r][src]:
-                kmat[r][dst] -= c * kmat[r][src]
-
-    def colswap(a, b):
-        for r in range(n):
-            m[r][a], m[r][b] = m[r][b], m[r][a]
-            kmat[r][a], kmat[r][b] = kmat[r][b], kmat[r][a]
-
-    # phase 1: bottom-up
-    for i in range(n - 1, -1, -1):
-        best = None
-        for j in range(i + 1):
-            v = vp(m[i][j], p)
-            if v is not INF and (best is None or v < best[0]):
-                best = (v, j)
-        if best is None:
-            raise LinAlgError("singular matrix in Bruhat decomposition")
-        _, jpiv = best
-        if jpiv != i:
-            colswap(jpiv, i)
-        pivot = m[i][i]
-        for j in range(i):
-            if m[i][j]:
-                colop(j, i, m[i][j] / pivot)
-
-    K = PadicMatrix(p, kmat)
-    b0 = PadicMatrix(p, m)          # b0 = g * K, upper triangular
-    k = K.inverse()                  # in GL(Z_p)
-
-    # phase 2 on k
-    mm = [list(row) for row in k.rows]
-    rmat = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    assigned_row = [False] * n
-    sigma = [None] * n  # column -> pivot row
-
-    for j in range(n):
-        cands = [i for i in range(n) if not assigned_row[i] and vp(mm[i][j], p) == 0]
-        if not cands:
-            raise LinAlgError("no unit pivot; matrix not in GL(Z_p)?")
-        i0 = max(cands)
-        sigma[j] = i0
-        assigned_row[i0] = True
-        piv = mm[i0][j]
-        mm[i0] = [x / piv for x in mm[i0]]
-        # clear the column above / at unassigned rows via left row operations
-        for i in range(n):
-            if not assigned_row[i] and i < i0 and mm[i][j]:
-                c = mm[i][j]
-                mm[i] = [a - c * b for a, b in zip(mm[i], mm[i0])]
-        # clear the pivot row rightwards via right Iwahori column operations
-        for j2 in range(j + 1, n):
-            c = mm[i0][j2]
-            if c:
-                for r in range(n):
-                    if mm[r][j]:
-                        mm[r][j2] -= c * mm[r][j]
-                for r in range(n):
-                    if rmat[r][j]:
-                        rmat[r][j2] -= c * rmat[r][j]
-
-    w = tuple(sigma)  # column j has pivot in row w[j]
-    mprime = PadicMatrix(p, mm)
-    R = PadicMatrix(p, rmat)
-    iprime = PadicMatrix(p, [mm[w[j]] for j in range(n)])  # w^{-1} * mprime
-    wmat = PadicMatrix.permutation(p, w)
-    b1 = k * R * iprime.inverse() * wmat.inverse()
-    i_factor = iprime * R.inverse()
-    b = b0 * b1
-
-    if not (b.is_upper_triangular() and i_factor.in_iwahori()):
-        raise LinAlgError("Bruhat decomposition produced malformed factors")
-    if b * wmat * i_factor != g:
-        raise LinAlgError("Bruhat decomposition failed to recompose")
+    w, vals = bruhat_cell_valuations(p, g.rows)
+    # (g * w^{-1})^T = w * g^T: its row w[k] is column k of g
+    gwt = [None] * n
+    for k in range(n):
+        gwt[w[k]] = [row[k] for row in g.rows]
+    ybar_t, b_t = ul_factorize(PadicMatrix(p, gwt))
+    b = b_t.transpose()
+    i_factor = PadicMatrix(p, [[ybar_t.rows[w[c]][w[r]] for c in range(n)]
+                               for r in range(n)])
+    if not (b.is_upper_triangular() and i_factor.in_iwahori()
+            and b.diagonal_valuations() == list(vals)
+            and b * PadicMatrix.permutation(p, w) * i_factor == g):
+        raise LinAlgError("Bruhat decomposition failed its certificate")
     return BruhatDecomposition(b, w, i_factor)
 
 
@@ -401,27 +335,28 @@ def bruhat_cell_valuations(p: int, rows):
     """(cell, diagonal valuations of the Borel part), without assembling
     the factors.  Entries are ints or Fractions.
 
-    Runs the same two-phase elimination as iwahori_bruhat_decompose, on
-    Python ints, and keeps only the pivot data.  Every step leaves the
-    cell and the valuations unchanged:
+    A two-phase elimination on Python ints that keeps only the pivot
+    data.  Every step leaves the cell and the valuations unchanged:
 
     * the rows are multiplied by D, the lcm of the denominators; D * g =
       (D * 1) * g with D * 1 central in B(Q_p), so the cell stays and
       every diagonal valuation moves by vp(D), which is subtracted at the
       end;
-    * phase 1 clears row i with the pivot p^v * a (a prime to p) by
+    * phase 1 (Iwasawa, bottom-up minimal-valuation pivots) clears row i
+      with the pivot p^v * a (a prime to p) by
       col_j <- a * col_j - (m[i][j] / p^v) * col_i, an exact integer
       operation that multiplies on the right by a matrix of GL(Z_p)
-      (determinant a), so the phase-1 pivots still carry the diagonal
-      valuations of b (the phase-2 Borel factor is integral with unit
-      diagonal, so it contributes nothing);
+      (determinant a), so D * g * K is upper triangular and its pivots
+      carry the diagonal valuations of b (the phase-2 Borel factor is
+      integral with unit diagonal, so it contributes nothing);
     * K^{-1} lies in GL(Z_p), and its cell in B(Z_p) \\ GL(Z_p) / Iw is
       its Bruhat cell over F_p, so K^{-1} is tracked mod p only and
-      phase 2 reads the pivot pattern mod p.
+      phase 2 reads the pivot pattern mod p (the pivot of each column is
+      the bottom-most unit among unassigned rows).
 
-    Agreement with the full decomposition is a tested invariant; this
-    path exists because principal-series evaluation is the innermost
-    loop of the integration oracles.
+    iwahori_bruhat_decompose certifies this answer on every call; it is
+    the innermost loop of the integration oracles, through
+    principal-series evaluation.
     """
     n = len(rows)
     den = 1
@@ -514,8 +449,9 @@ def opposite_parahoric_cell(g: PadicMatrix, r: int):
     if not (1 <= r <= n - 1):
         raise LinAlgError("parabolic index out of range")
     wlong = longest_perm(n)
-    dec = iwahori_bruhat_decompose(g * PadicMatrix.permutation(g.p, wlong))
-    w = compose(dec.w, wlong)  # cell of g for (B, Bbar)
+    cell, _ = bruhat_cell_valuations(
+        g.p, (g * PadicMatrix.permutation(g.p, wlong)).rows)
+    w = compose(cell, wlong)  # cell of g for (B, Bbar)
     return tuple(sorted(w[j] for j in range(r)))
 
 

@@ -15,12 +15,12 @@ vector is reassembled from its values at the (2n)! Weyl representatives.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .padiclin import PadicMatrix, bruhat_cell_valuations
 from .perms import all_perms, block_perm, inverse_perm, longest_perm
 from .refine import Refinement, SatakeParameter, hecke_eigenvalue
+from .rootspin import delta_b
 from .symring import SymElem
 
 
@@ -103,10 +103,7 @@ class PSVector:
 def torus_character_value(satake: SatakeParameter, sigma: tuple,
                           valuations) -> SymElem:
     """(delta_B^(1/2) theta^sigma)(t) from the valuation vector of t."""
-    p = satake.p
-    m = len(valuations)
-    half_exp = -sum(Fraction(v) * (m + 1 - 2 * (k + 1)) for k, v in enumerate(valuations))
-    out = SymElem.monomial(p, 1, {"Y": int(half_exp)})
+    out = delta_b(satake.p, valuations, half=True)
     for k, v in enumerate(valuations):
         if v:
             out = out * satake.theta[sigma[k]] ** int(v)

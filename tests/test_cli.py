@@ -25,8 +25,11 @@ class TestRejectedInput:
         (["run", "--samples", "-5"], {}),
         (["zeta", "--beta", "3"], {}),
         (["run", "--suites", "interp-diagram", "--family-degree", "3"], {}),
+        (["run", "--suites", ","], {}),
+        (["run"], {"PADICREF_SUITES": ","}),
     ], ids=["family-degree-0", "env-p-not-int", "enumerate-non-prime",
-            "negative-samples", "zeta-beta-3", "interp-degree-uncertified"])
+            "negative-samples", "zeta-beta-3", "interp-degree-uncertified",
+            "empty-suite-list", "env-empty-suite-list"])
     def test_config_error_exit_two(self, argv, env, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -38,6 +41,19 @@ class TestRejectedInput:
         doc = json.loads(lines[0])
         assert doc["error"] == "config"
         assert doc["message"]
+
+    def test_unwritable_out_path_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = _run(["run", "--suites", "spin-enum", "--out",
+                               str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "output"
+        assert doc["message"]
+        assert not path.parent.exists()
 
 
 class TestAcceptedInput:

@@ -1,12 +1,21 @@
-"""Every import in the package is used by the module that makes it."""
+"""Every import in the package is used by the module that makes it, and
+every top-level definition is named somewhere outside itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "padicref"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "padicref"
 MODULES = sorted(SRC.glob("*.py"))
+# where a definition of the package may be named: the package, its tests
+# and the benchmark (which patches functions by dotted string names)
+REFERRERS = sorted({*MODULES, *(ROOT / "tests").glob("*.py"),
+                    *(ROOT / "perfbench").glob("*.py")})
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
 def unused_imports(source: str) -> list:
@@ -44,3 +53,62 @@ def test_guard_sees_module_and_function_scopes():
     source = ("import os\nfrom math import gcd, lcm\n"
               "def f():\n    from math import comb\n    return gcd(1, 2)\n")
     assert unused_imports(source) == [(1, "os"), (2, "lcm"), (4, "comb")]
+
+
+def _names(tree) -> Counter:
+    """Identifiers a syntax tree names: loaded or stored names, attributes,
+    imported names, and the parts of strings that are dotted identifiers."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def dead_definitions(modules: dict, referrers: dict) -> list:
+    """(module, name) for each top-level function or class of ``modules``
+    that no source in ``referrers`` names outside the definition itself.
+
+    Both arguments map a label to source text; ``referrers`` includes the
+    modules themselves.
+    """
+    trees = {label: ast.parse(text) for label, text in referrers.items()}
+    for label, text in modules.items():
+        trees.setdefault(label, ast.parse(text))
+    named = Counter()
+    for tree in trees.values():
+        named.update(_names(tree))
+    out = []
+    for label in modules:
+        for node in trees[label].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if named[node.name] == _names(node)[node.name]:
+                    out.append((label, node.name))
+    return sorted(out)
+
+
+def test_no_dead_definitions():
+    def read(paths):
+        return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+                for path in paths}
+
+    assert dead_definitions(read(MODULES), read(REFERRERS)) == []
+
+
+def test_dead_definition_guard():
+    module = ("def used():\n    return 1\n"
+              "def dead():\n    return used()\n"
+              "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
+              "class Lonely:\n    def make(self):\n        return Lonely()\n"
+              "def traced():\n    return 2\n")
+    other = "TARGETS = ('mod.traced',)\n"
+    assert dead_definitions({"mod": module}, {"mod": module, "other": other}) \
+        == [("mod", "Lonely"), ("mod", "dead"), ("mod", "recursive")]

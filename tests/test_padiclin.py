@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (make_rng, random_lower_triangular_q,
                       random_upper_triangular_q)
+from padicref import padiclin
 from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                bruhat_cell_valuations, iwahori_bruhat_decompose,
                                iwahori_factorize_unit, open_cell_factorize,
@@ -12,6 +13,23 @@ from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
 from padicref.perms import all_perms, block_perm, compose, longest_perm
 from padicref.sampling import (random_glzp, random_iw_beta, random_iwahori,
                                random_n_beta, random_upper_zp)
+
+
+def _planted(rng, p, size, kind):
+    """(w, vp(diag b), rows of b * w * i) for random b upper triangular, w
+    and i in Iw; kind "int" gives int rows, "unit-7" puts a factor 7 into
+    some denominators of b."""
+    lo = 0 if kind == "int" else -2
+    b = random_upper_triangular_q(rng, p, size, lo, 2)
+    if kind == "unit-7":
+        b = PadicMatrix(p, [[x / 7 if rng.randrange(2) else x for x in row]
+                            for row in b.rows])
+    w = rng.choice(all_perms(size))
+    g = b * PadicMatrix.permutation(p, w) * random_iwahori(rng, p, size)
+    rows = g.rows
+    if kind == "int":
+        rows = [[int(x) for x in row] for row in rows]
+    return w, tuple(vp(x, p) for x in b.diagonal_entries()), rows
 
 
 class TestValuation:
@@ -77,8 +95,21 @@ class TestBruhat:
             assert iwahori_bruhat_decompose(g * right).w == w
 
     def test_light_path_matches_full(self):
-        # Fractions with p-power denominators, plain int rows, and
-        # denominators with a unit factor 7, at sizes 2..6 and p = 2, 3, 5
+        # Planted inputs g = b * w * i (b upper triangular, i in Iw): the
+        # core must return w and vp(diag b), which needs no elimination to
+        # know, and the full path must agree.  Then 400 random inputs,
+        # where every invertible one must get a certified decomposition.
+        # Both cover p-power Fractions, plain int rows and denominators
+        # with a unit factor 7, at sizes 2..6 and p = 2, 3, 5.
+        planted = make_rng("bruhat-planted")
+        for p in (2, 3, 5):
+            for size in range(2, 7):
+                for kind in ("p-power", "int", "unit-7"):
+                    w, vals, rows = _planted(planted, p, size, kind)
+                    assert bruhat_cell_valuations(p, rows) == (w, vals)
+                    dec = iwahori_bruhat_decompose(PadicMatrix(p, rows))
+                    assert dec.w == w
+                    assert dec.b.diagonal_valuations() == list(vals)
         rng = make_rng("bruhat-light")
         seen = set()
         for _ in range(400):
@@ -104,6 +135,29 @@ class TestBruhat:
             assert list(vals) == [int(v) for v in dec.b.diagonal_valuations()]
             seen.add((p, size, kind))
         assert len(seen) == 3 * 5 * 3
+
+    def test_certificate_rejects_a_wrong_core(self, monkeypatch):
+        # a wrong cell or a wrong valuation vector from the core must not
+        # come back as a decomposition
+        rng = make_rng("bruhat-certificate")
+        for p, size in ((2, 2), (3, 3), (5, 3), (3, 4)):
+            w, vals, rows = _planted(rng, p, size, "p-power")
+            g = PadicMatrix(p, rows)
+            for wrong in all_perms(size):
+                if wrong == w:
+                    continue
+                monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
+                                    lambda p, rows, wrong=wrong: (wrong, vals))
+                with pytest.raises(LinAlgError):
+                    iwahori_bruhat_decompose(g)
+            for k in range(size):
+                shifted = vals[:k] + (vals[k] + 1,) + vals[k + 1:]
+                monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
+                                    lambda p, rows, shifted=shifted: (w, shifted))
+                with pytest.raises(LinAlgError):
+                    iwahori_bruhat_decompose(g)
+            monkeypatch.undo()
+            assert iwahori_bruhat_decompose(g).w == w
 
     def test_light_path_singular_input(self):
         with pytest.raises(LinAlgError):
