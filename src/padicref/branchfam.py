@@ -93,47 +93,38 @@ def v_lambda_j(g: PadicMatrix, lam: PureWeight, j: int) -> Fraction:
     fac = open_cell_factorize(g)
     if fac is None:
         return Fraction(0)
+    return _open_cell_value(fac, lam, j)
+
+
+def _open_cell_value(fac, lam: PureWeight, j: int) -> Fraction:
+    """lam(bbar) * det(h1)^(-j) * det(h2)^(sw + j) on the factorization fac."""
     value = Fraction(1)
     for i, d in enumerate(fac.bbar.diagonal_entries()):
         e = lam.entry(i)
         if e:
             value *= Fraction(d) ** e
-    sw = int(lam.sw)
-    det1, det2 = fac.h1.det(), fac.h2.det()
-    return value * Fraction(det1) ** (-j) * Fraction(det2) ** (sw + j)
+    for h, e in ((fac.h1, -j), (fac.h2, int(lam.sw) + j)):
+        if e:
+            value *= Fraction(h.det()) ** e
+    return value
 
 
 def v_basis_values(g: PadicMatrix):
     """(v_(0), [v_(1), ..., v_(n-1)], v_(n)1, v_(n)2) at g.
 
-    v_(0) is det; the others are v_{alpha_i, 0} and v_{alpha_n, -1},
-    v_{alpha_n, 0}.  Returns None off the open cell.
+    These are v_{alpha_0, -1} = det, v_{alpha_i, 0} for 0 < i < n, and
+    v_{alpha_n, -1}, v_{alpha_n, 0}, all on one open-cell factorization.
+    Returns None off the open cell.
     """
     n = g.size // 2
     fac = open_cell_factorize(g)
     if fac is None:
         return None
-    det1, det2 = Fraction(fac.h1.det()), Fraction(fac.h2.det())
-    diag = [Fraction(d) for d in fac.bbar.diagonal_entries()]
-    mids = []
-    for i in range(1, n):
-        lam = alpha_weight(n, i)
-        value = Fraction(1)
-        for k, d in enumerate(diag):
-            e = int(lam.entries[k])
-            if e:
-                value *= d ** e
-        mids.append(value)
-    base_n = Fraction(1)
-    for k in range(n):
-        base_n *= diag[k]
-    v_n1 = base_n * det1          # j = -1: det(h1)^1
-    v_n2 = base_n * det2          # j = 0:  det(h2)^1
-    v_0 = Fraction(1)
-    for d in diag:
-        v_0 *= d
-    v_0 *= det1 * det2
-    return v_0, mids, v_n1, v_n2
+    alpha = [PureWeight(alpha_weight(n, i)) for i in range(n + 1)]
+    return (_open_cell_value(fac, alpha[0], -1),
+            [_open_cell_value(fac, alpha[i], 0) for i in range(1, n)],
+            _open_cell_value(fac, alpha[n], -1),
+            _open_cell_value(fac, alpha[n], 0))
 
 
 # ---------------------------------------------------------------------------

@@ -327,11 +327,12 @@ def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
             js = list(branchfam.crit_range(lam))
             for j in (js[0], js[len(js) // 2], js[-1]):
                 f = branchfam.LocPoly.monomial(p, j)
-                if branchfam.kappa_lambda(mu, f, lam) != branchfam.kappa_lambda_j(mu, lam, j):
+                kappa = branchfam.kappa_lambda(mu, f, lam)
+                if kappa != branchfam.kappa_lambda_j(mu, lam, j):
                     sq2 = False
                     witness2 = f"n={n} j={j} second square"
                 fam = branchfam.kappa_family(mu, f, omega)
-                if omega.specialize(fam, lam) != omega.reduce(branchfam.kappa_lambda(mu, f, lam)):
+                if omega.specialize(fam, lam) != omega.reduce(kappa):
                     sq1 = False
                     witness1 = f"n={n} j={j} first square"
         cases.append(_case(f"square-spec-n{n}",

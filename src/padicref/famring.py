@@ -18,6 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+GUARD_DIGITS = 6  # MM - target precision
+
+
 class FamringError(Exception):
     pass
 
@@ -99,12 +102,10 @@ def wild_exponent(x: int, p: int, prec: int) -> int:
 class FamilyRing:
     """Truncated power series ring over Z/p^MM in nvars variables."""
 
-    def __init__(self, p: int, prec_exp: int, degree: int, nvars: int,
-                 guard: int = 6):
+    def __init__(self, p: int, prec_exp: int, degree: int, nvars: int):
         self.p = p
         self.target_exp = prec_exp
-        self.guard = guard
-        self.work_exp = prec_exp + guard
+        self.work_exp = prec_exp + GUARD_DIGITS
         self.modulus = p ** self.work_exp
         self.target_modulus = p ** prec_exp
         self.degree = degree

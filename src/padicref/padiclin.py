@@ -335,24 +335,22 @@ def bruhat_cell_valuations(p: int, rows):
     """(cell, diagonal valuations of the Borel part), without assembling
     the factors.  Entries are ints or Fractions.
 
-    A two-phase elimination on Python ints that keeps only the pivot
-    data.  Every step leaves the cell and the valuations unchanged:
+    One bottom-up elimination on Python ints that keeps only the pivot
+    data.  The rows are first multiplied by D, the lcm of the
+    denominators: D * 1 is central in B(Q_p), so the cell stays and every
+    valuation moves by vp(D), subtracted at the end.  For i = n-1 down to
+    0, row i pivots on the leftmost column j of least valuation among the
+    columns holding no pivot yet; with m[i][j] = p^v * a, a prime to p,
+    cell[j] = i and every other such column k is cleared by
+    col_k <- a * col_k - c * col_j, c = m[i][k] / p^v.
 
-    * the rows are multiplied by D, the lcm of the denominators; D * g =
-      (D * 1) * g with D * 1 central in B(Q_p), so the cell stays and
-      every diagonal valuation moves by vp(D), which is subtracted at the
-      end;
-    * phase 1 (Iwasawa, bottom-up minimal-valuation pivots) clears row i
-      with the pivot p^v * a (a prime to p) by
-      col_j <- a * col_j - (m[i][j] / p^v) * col_i, an exact integer
-      operation that multiplies on the right by a matrix of GL(Z_p)
-      (determinant a), so D * g * K is upper triangular and its pivots
-      carry the diagonal valuations of b (the phase-2 Borel factor is
-      integral with unit diagonal, so it contributes nothing);
-    * K^{-1} lies in GL(Z_p), and its cell in B(Z_p) \\ GL(Z_p) / Iw is
-      its Bruhat cell over F_p, so K^{-1} is tracked mod p only and
-      phase 2 reads the pivot pattern mod p (the pivot of each column is
-      the bottom-most unit among unassigned rows).
+    * Each step is in Iw: it multiplies on the right by the identity
+      matrix with a (a unit) in place (k, k) and -c in place (j, k).  c
+      is in Z_p, and when j > k the entry is below the diagonal and c is
+      in p Z_p, because j is the leftmost column of least valuation.
+    * The end state gives the answer: row i is zero outside its pivot
+      column and the pivot columns of the rows below it, so D * g * I =
+      b * w with b upper triangular and the pivots on its diagonal.
 
     iwahori_bruhat_decompose certifies this answer on every call; it is
     the innermost loop of the integration oracles, through
@@ -365,76 +363,37 @@ def bruhat_cell_valuations(p: int, rows):
             if x.denominator != 1:
                 den = math.lcm(den, x.denominator)
     m = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    kinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vals = [0] * n
     shift = _split_int(den, p)[0]
-    # phase 1, bottom-up: D * g * K upper triangular, K^{-1} mod p alongside
+    free = list(range(n))
+    cell = [0] * n
+    vals = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
         best = None
-        for j in range(i + 1):
+        for j in free:
             if row[j]:
                 v, unit = _split_int(row[j], p)
                 if best is None or v < best[0]:
                     best = (v, unit, j)
         if best is None:
             raise LinAlgError("singular matrix in Bruhat decomposition")
-        v, a, jp = best
+        v, a, j = best
+        free.remove(j)
+        cell[j] = i
         vals[i] = v - shift
-        if jp != i:
-            for r in range(i + 1):
-                m[r][jp], m[r][i] = m[r][i], m[r][jp]
-            kinv[jp], kinv[i] = kinv[i], kinv[jp]
         pv = p ** v
-        ainv = pow(a, -1, p)
-        krow_i = kinv[i]
-        for j in range(i):
-            if not row[j]:
+        for k in free:
+            if not row[k]:
                 continue
-            c = row[j] // pv
-            row[j] = 0
+            c = row[k] // pv
+            row[k] = 0
             for r in range(i):
                 mr = m[r]
-                if mr[i]:
-                    mr[j] = a * mr[j] - c * mr[i]
+                if mr[j]:
+                    mr[k] = a * mr[k] - c * mr[j]
                 elif a != 1:
-                    mr[j] *= a
-            # the column operation is K <- K * E; mirror it on K^{-1} mod p,
-            # K^{-1} <- E^{-1} * K^{-1}: row_j /= a, then row_i += c * row_j
-            krow_j = kinv[j]
-            if ainv != 1:
-                krow_j = kinv[j] = [x * ainv % p for x in krow_j]
-            cm = c % p
-            if cm:
-                for t in range(n):
-                    if krow_j[t]:
-                        krow_i[t] = (krow_i[t] + cm * krow_j[t]) % p
-    # phase 2: pivot pattern of K^{-1} mod p.  Only the rows above a pivot
-    # need clearing: the column operations of the full path touch nothing
-    # but the pivot row, which is never read again.
-    assigned = [False] * n
-    sigma = [0] * n
-    for j in range(n):
-        i0 = n - 1
-        while i0 >= 0 and (assigned[i0] or not kinv[i0][j]):
-            i0 -= 1
-        if i0 < 0:
-            raise LinAlgError("no unit pivot; matrix not in GL(Z_p)?")
-        sigma[j] = i0
-        assigned[i0] = True
-        row0 = kinv[i0]
-        pinv = None
-        for i in range(i0):
-            row_i = kinv[i]
-            if assigned[i] or not row_i[j]:
-                continue
-            if pinv is None:
-                pinv = pow(row0[j], -1, p)
-            c = row_i[j] * pinv
-            for t in range(j + 1, n):
-                if row0[t]:
-                    row_i[t] = (row_i[t] - c * row0[t]) % p
-    return tuple(sigma), tuple(vals)
+                    mr[k] *= a
+    return tuple(cell), tuple(vals)
 
 
 def opposite_parahoric_cell(g: PadicMatrix, r: int):
@@ -480,11 +439,15 @@ def lu_unit_lower(mat: PadicMatrix):
 
 
 def ul_factorize(mat: PadicMatrix):
-    """mat = U0 * L0 with U0 unit upper triangular, L0 lower triangular."""
-    n = mat.size
-    J = PadicMatrix.longest_weyl(mat.p, n)
-    lt, ut = lu_unit_lower(J * mat * J)
-    return J * lt * J, J * ut * J
+    """mat = U0 * L0 with U0 unit upper triangular, L0 lower triangular.
+
+    Conjugating by w_n reverses rows and columns and swaps upper with
+    lower: this is lu_unit_lower of the reversed matrix, reversed back."""
+    def rev(m):
+        return PadicMatrix(m.p, [row[::-1] for row in m.rows[::-1]])
+
+    lt, ut = lu_unit_lower(rev(mat))
+    return rev(lt), rev(ut)
 
 
 def iwahori_factorize_unit(x: PadicMatrix, beta: int):

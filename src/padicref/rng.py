@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 _MASK = (1 << 64) - 1
+DIGITS = 3  # p-adic digits drawn for units and matrix entries
 
 
 class SplitMix64:
@@ -49,18 +50,17 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
 
-    def unit(self, p: int, digits: int = 3) -> int:
-        """A p-adic unit known modulo p^digits, returned as an integer."""
-        u = self.randrange(p ** digits)
+    def unit(self, p: int) -> int:
+        """A p-adic unit known modulo p^DIGITS, returned as an integer."""
+        u = self.randrange(p ** DIGITS)
         while u % p == 0:
-            u = self.randrange(p ** digits)
+            u = self.randrange(p ** DIGITS)
         return u
 
-    def padic_rational(self, p: int, vmin: int = -2, vmax: int = 2,
-                       digits: int = 3) -> Fraction:
+    def padic_rational(self, p: int, vmin: int = -2, vmax: int = 2) -> Fraction:
         """A nonzero rational of the form p^v * unit with v in [vmin, vmax]."""
         v = self.randint(vmin, vmax)
-        return Fraction(self.unit(p, digits)) * Fraction(p) ** v
+        return Fraction(self.unit(p)) * Fraction(p) ** v
 
     def spawn(self, tag: str) -> "SplitMix64":
         """A child stream derived from this seed and a label.

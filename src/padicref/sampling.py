@@ -7,34 +7,35 @@ seed fixes the matrices and, through them, the report body.
 from __future__ import annotations
 
 from .padiclin import PadicMatrix
+from .rng import DIGITS
 
 
-def random_glzp(rng, p, n, digits=3):
+def random_glzp(rng, p, n):
     while True:
-        m = PadicMatrix(p, [[rng.randrange(p ** digits) for _ in range(n)]
+        m = PadicMatrix(p, [[rng.randrange(p ** DIGITS) for _ in range(n)]
                             for _ in range(n)])
         if m.in_glzp():
             return m
 
 
-def random_iwahori(rng, p, n, digits=3):
+def random_iwahori(rng, p, n):
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = rng.unit(p)
         for j in range(n):
             if j > i:
-                rows[i][j] = rng.randrange(p ** digits)
+                rows[i][j] = rng.randrange(p ** DIGITS)
             elif j < i:
-                rows[i][j] = p * rng.randrange(p ** (digits - 1))
+                rows[i][j] = p * rng.randrange(p ** (DIGITS - 1))
     return PadicMatrix(p, rows)
 
 
-def random_upper_zp(rng, p, n, digits=3):
+def random_upper_zp(rng, p, n):
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = rng.unit(p)
         for j in range(i + 1, n):
-            rows[i][j] = rng.randrange(p ** digits)
+            rows[i][j] = rng.randrange(p ** DIGITS)
     return PadicMatrix(p, rows)
 
 

@@ -705,7 +705,7 @@ def _lambda_of_tQ(p: int, lam, power: int) -> SymElem:
     return SymElem.p_power(p, e * power)
 
 
-def comparison_constant(satake: SatakeParameter, lam, pairs, beta_for_trivial: int = 1):
+def comparison_constant(satake: SatakeParameter, lam, pairs):
     """The ratio of the Iwahori-route and parahoric-route local
     interpolation values, which must be one and the same element for
     every (chi, j) in the suite.
@@ -738,13 +738,12 @@ def comparison_constant(satake: SatakeParameter, lam, pairs, beta_for_trivial: i
             route_p_inv = delta_b(p, tq_vals) ** beta \
                 * _lambda_of_tQ(p, lam, -beta) * alpha_q_circ ** beta * recip_p
         else:
-            beta = beta_for_trivial
             route_i = upsilon_b * ep_factor(satake, chi, j)
             recip_p = zeta_parahoric_reciprocal(satake, chi, 0)
             recip_p = recip_p.substitute({"S": s_value})
             alpha_q_circ = _lambda_of_tQ(p, lam, 1) * hecke_eigenvalue(ref, n)
-            route_p_inv = delta_b(p, tq_vals) ** 1 \
-                * _lambda_of_tQ(p, lam, -1) * alpha_q_circ ** 1 * recip_p
+            route_p_inv = delta_b(p, tq_vals) * _lambda_of_tQ(p, lam, -1) \
+                * alpha_q_circ * recip_p
         ratios.append((route_i * route_p_inv, (chi, j)))
     for k in range(1, len(ratios)):
         if ratios[k][0] != ratios[0][0]:

@@ -181,6 +181,29 @@ class TestFamilyRing:
         assert wild_exponent(4, 3, 6) == 1
         assert wild_exponent(16, 3, 6) == 2
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_log_is_a_homomorphism_on_one_units(self, p):
+        rng = make_rng(f"log-hom-{p}")
+        prec, q = 8, (4 if p == 2 else p)
+        for _ in range(25):
+            x = 1 + q * rng.randrange(p ** prec)
+            y = 1 + q * rng.randrange(p ** prec)
+            assert padic_log(x * y, p, prec) \
+                == (padic_log(x, p, prec) + padic_log(y, p, prec)) % p ** prec
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_teichmuller_is_the_root_of_unity_lift(self, p):
+        # omega(u) = u mod p (mod 4 when p = 2) and omega(u)^(p-1) = 1, the
+        # square for p = 2
+        rng = make_rng(f"teich-{p}")
+        prec, q = 6, (4 if p == 2 else p)
+        order = 2 if p == 2 else p - 1
+        for _ in range(25):
+            u = rng.unit(p)
+            t = teichmuller(u, p, prec)
+            assert (t - u) % q == 0
+            assert pow(t, order, p ** prec) == 1
+
     def test_series_inverse(self):
         ring = FamilyRing(3, 8, 4, 2)
         s = ring.one_plus_t_power(0, 5) * ring.const(2)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -15,6 +17,12 @@ def _run(argv, capsys):
 def _body(out: str) -> bytes:
     doc = json.loads(out)
     return json.dumps(doc["body"], sort_keys=True, separators=(",", ":")).encode()
+
+
+# sha256 of the body of ``padicref run`` at the default config, hashed as
+# perfbench/workloads.py hashes it: _body(out) + b"\n"
+REFERENCE_BODY_SHA256 = \
+    "e98eaf1697294642aa7ca45fde0e78a8e6bb8b655400b4af7de6d06922886c7d"
 
 
 class TestRejectedInput:
@@ -68,6 +76,14 @@ class TestAcceptedInput:
         body = json.loads(out)["body"]
         assert body["ok"] and body["failed"] == 0
         assert [s["name"] for s in body["suites"]] == ["spin-enum"]
+
+    def test_default_body_matches_the_reference(self, monkeypatch, capsys):
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        code, out, _ = _run(["run"], capsys)
+        assert code == 0
+        assert hashlib.sha256(_body(out) + b"\n").hexdigest() == REFERENCE_BODY_SHA256
 
     def test_body_is_deterministic(self, capsys):
         argv = ["run", "--suites", "cell-support,spin-enum", "--samples", "8",

@@ -64,6 +64,10 @@ class TestBruhat:
         dec = iwahori_bruhat_decompose(g)
         assert dec.w == (1, 0)
         assert [vp(x, 3) for x in dec.b.diagonal_entries()] == [0, 1]
+        # a tie in the bottom row pivots on the leftmost column, and a
+        # column of least valuation wins over a column to its left
+        assert bruhat_cell_valuations(3, [[1, 0], [1, 1]]) == ((1, 0), (0, 0))
+        assert bruhat_cell_valuations(3, [[1, 0], [3, 1]]) == ((0, 1), (0, 0))
 
     def test_singular_input(self):
         with pytest.raises(LinAlgError):

@@ -44,6 +44,29 @@ class TestCycNum:
         assert z.conjugate() == CycNum.root_of_unity(9, 7)
 
 
+class TestAgainstSympy:
+    def test_cyclotomic_poly(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for m in range(1, 61):
+            ref = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+            assert cyclotomic_poly(m) == tuple(Fraction(int(c)) for c in ref)
+
+    def test_inverse(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = make_rng("cyc-inv-sympy")
+        for m in range(1, 31):
+            deg = len(cyclotomic_poly(m)) - 1
+            coeffs = [0] * deg
+            while not any(coeffs):
+                coeffs = [rng.randint(-5, 5) for _ in range(deg)]
+            poly = sum(c * x ** k for k, c in enumerate(coeffs))
+            ref = sympy.Poly(sympy.invert(poly, sympy.cyclotomic_poly(m, x), x), x)
+            expected = [Fraction(int(c.p), int(c.q)) for c in ref.all_coeffs()[::-1]]
+            assert CycNum(m, coeffs).inverse() == CycNum(m, expected)
+
+
 class TestSymElem:
     def test_y_squared_is_p(self):
         y, *_ = gens(3)
