@@ -624,8 +624,6 @@ def main(argv=None) -> int:
         try:
             for chi in chars:
                 if args.kind == "iwahori":
-                    if not chi.is_ramified:
-                        continue
                     closed = shalikazeta.zeta_iwahori_closed(
                         shalikazeta.w_value_closed(sat, args.beta, 1),
                         chi, args.beta, 1, sat.eta)

@@ -127,11 +127,6 @@ class FamilyRing:
             raise FamringError("rational has p in the denominator")
         return self.const(x.numerator * pow(x.denominator, -1, self.modulus))
 
-    def gen(self, i: int) -> "FamSeries":
-        e = [0] * self.nvars
-        e[i] = 1
-        return FamSeries(self, {tuple(e): 1})
-
     def one_plus_t_power(self, i: int, exponent: int) -> "FamSeries":
         """(1 + T_i)^exponent for a p-adic integer exponent.
 
@@ -221,18 +216,6 @@ class FamSeries:
         return FamSeries(ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def constant_term(self) -> int:
         return self.coeffs.get((0,) * self.ring.nvars, 0)

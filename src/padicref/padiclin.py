@@ -156,10 +156,6 @@ class PadicMatrix:
     def transpose(self):
         return PadicMatrix(self.p, list(zip(*self.rows)))
 
-    def scale(self, c):
-        c = Fraction(c)
-        return PadicMatrix(self.p, [[c * x for x in row] for row in self.rows])
-
     def det(self) -> Fraction:
         n = self.size
         m = [list(row) for row in self.rows]

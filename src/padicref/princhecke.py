@@ -110,12 +110,8 @@ def torus_character_value(satake: SatakeParameter, sigma: tuple,
     return out
 
 
-def ps_evaluate(f: PSVector, g: PadicMatrix) -> SymElem:
-    """Value of f at g via Bruhat decomposition."""
-    return ps_evaluate_rows(f, g.rows)
-
-
 def ps_evaluate_rows(f: PSVector, rows) -> SymElem:
+    """Value of f at the matrix with these rows, via its Bruhat cell."""
     cell, vals = bruhat_cell_valuations(f.p, rows)
     c = f.coeffs.get(cell)
     if c is None:
@@ -166,8 +162,8 @@ def hecke_apply(f: PSVector, r: int) -> PSVector:
         rho_inv = inverse_perm(rho)
         total = zero
         for cm in cosets:
-            permuted = PadicMatrix(p, [cm.rows[rho_inv[i]] for i in range(m)])
-            total = total + ps_evaluate(f, permuted)
+            total = total + ps_evaluate_rows(
+                f, [cm.rows[rho_inv[i]] for i in range(m)])
         if not total.is_zero():
             coeffs[rho] = total
     return PSVector(f.satake, f.sigma, coeffs)

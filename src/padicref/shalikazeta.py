@@ -94,31 +94,19 @@ class TwistCharacter:
 
     @classmethod
     def enumerate_conductor(cls, p: int, beta: int):
-        """All characters of conductor exactly p^beta."""
+        """All characters of conductor exactly p^beta (beta <= 2 at p = 2)."""
         if beta == 0:
             return [cls.trivial(p)]
+        if p == 2:
+            if beta > 2:
+                raise ZetaError("2-adic conductors above 4 are not implemented")
+            if beta == 1:
+                return []
+            vals = {1: CycNum.from_rational(1), 3: CycNum.from_rational(-1)}
+            return [cls(2, 2, vals, label="chi4")]
         m = p ** beta
         units = [a for a in range(1, m) if a % p != 0]
         out = []
-        if p == 2:
-            if beta == 1:
-                return []
-            if beta == 2:
-                vals = {1: CycNum.from_rational(1), 3: CycNum.from_rational(-1)}
-                return [cls(2, 2, vals, label="chi4")]
-            # (Z/2^beta)^x = <-1> x <5>
-            half = 2 ** (beta - 2)
-            for eps in (0, 1):
-                for k in range(half):
-                    if k % 2 == 0:
-                        continue  # must be nontrivial on 1 + 2^(beta-1)
-                    vals = {}
-                    for a in units:
-                        e1, e2 = _two_adic_log(a, beta)
-                        vals[a] = (CycNum.from_rational(-1) ** (eps * e1)
-                                   * CycNum.root_of_unity(half, (k * e2) % half))
-                    out.append(cls(2, beta, vals, label=f"chi2^{beta}[{eps},{k}]"))
-            return out
         order = m // p * (p - 1)
         g = _primitive_root(p, beta)
         logs = {}
@@ -166,20 +154,6 @@ class TwistCharacter:
 
     def __repr__(self):
         return f"TwistCharacter({self.label or (self.p, self.beta)})"
-
-
-def _two_adic_log(a: int, beta: int):
-    """(e1, e2) with a = (-1)^e1 * 5^e2 mod 2^beta (beta >= 3)."""
-    m = 2 ** beta
-    half = 2 ** (beta - 2)
-    x = 1
-    for e2 in range(half):
-        if x == a % m:
-            return 0, e2
-        if (-x) % m == a % m:
-            return 1, e2
-        x = x * 5 % m
-    raise ZetaError("two-adic discrete log failed")
 
 
 def gauss_sum(chi: TwistCharacter) -> CycNum:

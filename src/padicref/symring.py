@@ -150,8 +150,6 @@ class CycNum:
 
     @staticmethod
     def _pair(a, b):
-        if not isinstance(a, CycNum):
-            a = CycNum.from_rational(a)
         if not isinstance(b, CycNum):
             b = CycNum.from_rational(b)
         m = math.lcm(a.order, b.order)
@@ -183,9 +181,6 @@ class CycNum:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CycNum) else CycNum.from_rational(other).__neg__())
-
-    def __rsub__(self, other):
-        return CycNum.from_rational(other) - self
 
     def __mul__(self, other):
         a, b, m = CycNum._pair(self, other)
@@ -219,14 +214,6 @@ class CycNum:
                 return CycNum(self.order, [c / r[0] for c in s_next])
             r0, r1 = r1, r
             s0, s1 = s1, s_next
-
-    def __truediv__(self, other):
-        if not isinstance(other, CycNum):
-            other = CycNum.from_rational(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return CycNum.from_rational(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -354,12 +341,6 @@ class _Poly:
                     out._iadd_term(key, coeff)
         return out
 
-    def scale(self, c):
-        c = _as_cyc(c)
-        if c.is_zero():
-            return _Poly(self.p, {})
-        return _Poly(self.p, {k: v * c for k, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, _Poly):
             return NotImplemented
@@ -466,16 +447,6 @@ class SymElem:
         key, coeff = st
         return coeff, dict(key)
 
-    def as_rational(self) -> Fraction:
-        if self.den:
-            raise SymringError("not a polynomial")
-        if self.num.is_zero():
-            return Fraction(0)
-        st = self.num.single_term()
-        if st is None or st[0] != ():
-            raise SymringError("not a constant")
-        return st[1].as_rational()
-
     # -- arithmetic
 
     def _check(self, other) -> "SymElem":
@@ -535,9 +506,6 @@ class SymElem:
     def __truediv__(self, other):
         other = self._check(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
 
     def __pow__(self, k: int):
         if k < 0:

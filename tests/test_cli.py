@@ -35,9 +35,13 @@ class TestRejectedInput:
         (["run", "--suites", "interp-diagram", "--family-degree", "3"], {}),
         (["run", "--suites", ","], {}),
         (["run"], {"PADICREF_SUITES": ","}),
+        (["run", "--suites", "nope"], {}),
+        (["run", "--n", "4"], {}),
+        (["run", "--shells", "1"], {}),
     ], ids=["family-degree-0", "env-p-not-int", "enumerate-non-prime",
             "negative-samples", "zeta-beta-3", "interp-degree-uncertified",
-            "empty-suite-list", "env-empty-suite-list"])
+            "empty-suite-list", "env-empty-suite-list", "unknown-suite",
+            "n-4", "shells-1"])
     def test_config_error_exit_two(self, argv, env, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -76,6 +80,29 @@ class TestAcceptedInput:
         body = json.loads(out)["body"]
         assert body["ok"] and body["failed"] == 0
         assert [s["name"] for s in body["suites"]] == ["spin-enum"]
+
+    def test_run_writes_the_body_to_out(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code, out, err = _run(["run", "--suites", "spin-enum", "--out",
+                               str(path)], capsys)
+        assert code == 0 and out == "" and err == ""
+        _, stdout, _ = _run(["run", "--suites", "spin-enum"], capsys)
+        assert _body(path.read_text(encoding="utf-8")) == _body(stdout)
+
+    def test_enumerate(self, capsys):
+        code, out, err = _run(["enumerate", "--n", "2", "--p", "3"], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["refinements"] == 24 and doc["spin"] == 8
+        assert len(doc["spin_cells"]) == 8
+
+    @pytest.mark.parametrize("kind", ["iwahori", "parahoric"])
+    def test_zeta_oracle_matches(self, kind, capsys):
+        code, out, err = _run(["zeta", "--kind", kind, "--p", "3", "--beta",
+                               "1", "--oracle"], capsys)
+        assert code == 0 and err == ""
+        entries = json.loads(out)
+        assert entries and all(e["oracle_matches"] is True for e in entries)
 
     def test_default_body_matches_the_reference(self, monkeypatch, capsys):
         for key in list(os.environ):

@@ -72,12 +72,20 @@ def _names(tree) -> Counter:
     return out
 
 
+def _is_dead(node, named: Counter) -> bool:
+    return named[node.name] == _names(node)[node.name]
+
+
 def dead_definitions(modules: dict, referrers: dict) -> list:
-    """(module, name) for each top-level function or class of ``modules``
-    that no source in ``referrers`` names outside the definition itself.
+    """(module, name) for each top-level function or class of ``modules``,
+    and (module, "Class.method") for each method of a top-level class that
+    is not a dunder, that no source in ``referrers`` names outside the
+    definition itself.
 
     Both arguments map a label to source text; ``referrers`` includes the
-    modules themselves.
+    modules themselves.  The guard matches names, not bindings, so a dead
+    method that shares its name with a live one anywhere (a method ``scale``
+    on one class while another class's ``scale`` is called) escapes it.
     """
     trees = {label: ast.parse(text) for label, text in referrers.items()}
     for label, text in modules.items():
@@ -85,13 +93,21 @@ def dead_definitions(modules: dict, referrers: dict) -> list:
     named = Counter()
     for tree in trees.values():
         named.update(_names(tree))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for label in modules:
         for node in trees[label].body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if named[node.name] == _names(node)[node.name]:
-                    out.append((label, node.name))
+            if isinstance(node, (*functions, ast.ClassDef)) \
+                    and _is_dead(node, named):
+                out.append((label, node.name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, functions) \
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")) \
+                        and _is_dead(item, named):
+                    out.append((label, f"{node.name}.{item.name}"))
     return sorted(out)
 
 
@@ -108,7 +124,11 @@ def test_dead_definition_guard():
               "def dead():\n    return used()\n"
               "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
               "class Lonely:\n    def make(self):\n        return Lonely()\n"
-              "def traced():\n    return 2\n")
-    other = "TARGETS = ('mod.traced',)\n"
+              "def traced():\n    return 2\n"
+              "class Kept:\n    def __init__(self):\n        self.k = 1\n"
+              "    def get(self):\n        return self.k\n"
+              "    def unused(self):\n        return self.get()\n")
+    other = "TARGETS = ('mod.traced',)\nVALUE = Kept().get()\n"
     assert dead_definitions({"mod": module}, {"mod": module, "other": other}) \
-        == [("mod", "Lonely"), ("mod", "dead"), ("mod", "recursive")]
+        == [("mod", "Kept.unused"), ("mod", "Lonely"), ("mod", "Lonely.make"),
+            ("mod", "dead"), ("mod", "recursive")]

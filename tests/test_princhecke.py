@@ -4,8 +4,8 @@ from conftest import make_rng
 from padicref.padiclin import PadicMatrix
 from padicref.perms import all_perms, identity_perm, longest_perm
 from padicref.princhecke import (PSVector, eigenvector_check, hecke_apply,
-                                 hecke_coset_matrices, ps_evaluate,
-                                 ps_evaluate_rows, t_p_r, torus_character_value)
+                                 hecke_coset_matrices, ps_evaluate_rows, t_p_r,
+                                 torus_character_value)
 from padicref.refine import Refinement, SatakeParameter, hecke_eigenvalue, tau_element
 from padicref.sampling import random_iwahori
 from padicref.symring import SymElem
@@ -15,14 +15,14 @@ class TestEvaluation:
     def test_normalisation_at_weyl_point(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, identity_perm(2))
-        assert ps_evaluate(f, PadicMatrix.longest_weyl(3, 2)).is_one()
+        assert ps_evaluate_rows(f, PadicMatrix.longest_weyl(3, 2).rows).is_one()
 
     def test_vanishes_off_cell(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, identity_perm(2))
-        assert ps_evaluate(f, PadicMatrix.identity(3, 2)).is_zero()
+        assert ps_evaluate_rows(f, PadicMatrix.identity(3, 2).rows).is_zero()
         g = PadicMatrix(3, [[1, 2], [3, 1]])  # identity cell
-        assert ps_evaluate(f, g).is_zero()
+        assert ps_evaluate_rows(f, g.rows).is_zero()
 
     def test_off_support_zero_survives_use(self):
         # the off-support value is one shared zero; using it in sums and
@@ -51,7 +51,7 @@ class TestEvaluation:
                     f = PSVector.big_cell_vector(sat, sigma)
                     for r in range(1, 2 * n):
                         tprime = w * t_p_r(p, 2 * n, r) * w
-                        val = ps_evaluate(f, tprime * w)
+                        val = ps_evaluate_rows(f, (tprime * w).rows)
                         assert val == hecke_eigenvalue(Refinement(sat, sigma), r)
 
     def test_right_iwahori_invariance(self):
@@ -60,10 +60,10 @@ class TestEvaluation:
         f = PSVector.cell_vector(sat, identity_perm(4), (1, 0, 3, 2)) \
             + PSVector.big_cell_vector(sat, identity_perm(4)).scale(SymElem.gen(2, "X1"))
         base = PadicMatrix.permutation(2, (2, 0, 3, 1)) * t_p_r(2, 4, 2)
-        reference = ps_evaluate(f, base)
+        reference = ps_evaluate_rows(f, base.rows)
         for _ in range(25):
             i = random_iwahori(rng, 2, 4)
-            assert ps_evaluate(f, base * i) == reference
+            assert ps_evaluate_rows(f, (base * i).rows) == reference
 
 
 class TestHeckeAction:
@@ -103,7 +103,7 @@ class TestHeckeAction:
         f = PSVector.intertwined_cell_vector(sat, tau_element(2), longest_perm(2))
         point = PadicMatrix(3, [[0, 0, 0, 1], [0, 0, 1, 0],
                                 [1, 0, 0, 0], [0, 1, 0, 0]])
-        assert ps_evaluate(f, point).is_one()
+        assert ps_evaluate_rows(f, point.rows).is_one()
 
     def test_eigenvector_subset_n2(self):
         sat = SatakeParameter.generic(2, 2)

@@ -10,7 +10,8 @@ from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
                              is_spin, normalize_satake, tau_element)
 from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
-                                  TwistCharacter, ZetaError, ag_intertwine_value,
+                                  TwistCharacter, ZetaError, _certify_tail,
+                                  ag_intertwine_value,
                                   borel_part_character, chi_det_minus_wn,
                                   comparison_constant, ep_factor, gauss_sum,
                                   psi_orthogonality, qprime_factor,
@@ -30,6 +31,10 @@ class TestCharacters:
         assert TwistCharacter.enumerate_conductor(2, 1) == []
         assert len(TwistCharacter.enumerate_conductor(2, 2)) == 1
         assert len(TwistCharacter.enumerate_conductor(5, 1)) == 3
+
+    def test_two_adic_conductor_eight_is_rejected(self):
+        with pytest.raises(ZetaError):
+            TwistCharacter.enumerate_conductor(2, 3)
 
     def test_multiplicativity(self):
         for chi in TwistCharacter.enumerate_conductor(3, 2):
@@ -330,6 +335,37 @@ class TestZetaOracles:
                 oracle = zeta_parahoric_oracle(sat, chi, 3)
                 closed = zeta_parahoric_closed(sat, chi, chi.beta)
                 assert oracle.value == closed.value
+
+
+class TestCertifyTail:
+    """The tail detector on synthetic shell values v -> c * X1^v."""
+
+    p = 3
+
+    def _shells(self, coeffs, start):
+        x = SymElem.gen(self.p, "X1")
+        return {start + k: x ** (start + k) * c for k, c in enumerate(coeffs)}
+
+    def test_geometric_shells(self):
+        s_inv = SymElem.gen(self.p, "S", -1)
+        values = self._shells([5, 2, 2, 2, 2], 1)  # geometric from shell 2
+        start, tail = _certify_tail(values, 5, s_inv, 4)
+        first = values[2] * s_inv ** 2
+        ratio = SymElem.gen(self.p, "X1")
+        assert start == 2
+        assert tail * (1 - ratio * s_inv) == first
+
+    @pytest.mark.parametrize("coeffs", [[1, 1, 2, 2], [1, 1, 1, 3]],
+                             ids=["third-shell", "fourth-shell"])
+    def test_changing_ratio(self, coeffs):
+        values = self._shells(coeffs, 0)
+        assert _certify_tail(values, 3, SymElem.gen(self.p, "S", -1), 4) is None
+
+    def test_vanishing_shells(self):
+        zero = SymElem.rational(self.p, 0)
+        values = {v: zero for v in range(4)}
+        start, tail = _certify_tail(values, 3, SymElem.gen(self.p, "S", -1), 4)
+        assert start == 0 and tail.is_zero()
 
 
 class TestInterpolationFactors:
