@@ -7,17 +7,20 @@ bodies (timings live next to the body, not inside it).  Sampling uses the
 splitmix64 streams from ``rng``, one child stream per suite, so the suite
 list can change without shifting another suite's samples.
 
+Configuration comes from command-line flags only, so a report depends on
+its argument list alone.
+
 Exit status is 0 exactly when every executed case passed, 1 when a case
-failed, and 2 when the input is rejected or the report cannot be written;
-then one JSON line ``{"error": kind, "message": ...}`` goes to stderr,
-with no traceback.
+failed (for ``zeta --oracle``: when an oracle disagrees with its closed
+form), and 2 when the input is rejected, ``zeta`` has no character to
+check, or the report cannot be written; then one JSON line
+``{"error": kind, "message": ...}`` goes to stderr, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -32,7 +35,6 @@ from .sampling import (random_glzp, random_iw_beta, random_iwahori,
 from .symring import SymElem
 
 SCHEMA_VERSION = 1
-ENV_PREFIX = "PADICREF_"
 
 
 class ConfigError(Exception):
@@ -212,41 +214,53 @@ def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
     return cases
 
 
+def _zeta_values(kind, sat, chi, shells, oracle):
+    """(closed, oracle) values of the n = 1 zeta integral of ``kind``
+    ("iwahori" or "parahoric") twisted by ``chi``; the shell-sum oracle
+    runs only when ``oracle`` is set, else its value is None."""
+    if kind == "parahoric":
+        closed = shalikazeta.zeta_parahoric_closed(sat, chi, chi.beta)
+        check = oracle and shalikazeta.zeta_parahoric_oracle(sat, chi, shells)
+    else:
+        w_base = shalikazeta.w_value_closed(sat, chi.beta, 1)
+        closed = shalikazeta.zeta_iwahori_closed(w_base, chi, chi.beta, 1, sat.eta)
+        f = princhecke.PSVector.big_cell_vector(sat, refine.tau_element(1))
+        check = oracle and shalikazeta.zeta_iwahori_oracle(f, chi, chi.beta, shells)
+    return closed.value, check.value if oracle else None
+
+
+def _zeta_case(kind, sat, chi, shells, inputs):
+    closed, oracle = _zeta_values(kind, sat, chi, shells, True)
+    ok = oracle == closed
+    return _case(f"oracle-vs-closed-{chi.label}", inputs, "derived", ok,
+                 None if ok else f"oracle={oracle!r} closed={closed!r}")
+
+
 def suite_zeta_iwahori(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
     sat = refine.SatakeParameter.generic(p, 1)
-    f = princhecke.PSVector.big_cell_vector(sat, refine.tau_element(1))
     for beta in range(1, cfg.beta + 1):
         chars = shalikazeta.TwistCharacter.enumerate_conductor(p, beta)
         if not chars:
             cases.append(_case(f"no-ramified-b{beta}", f"p={p} beta={beta}",
                                "trivial", True))
         for chi in chars:
-            oracle = shalikazeta.zeta_iwahori_oracle(f, chi, beta, cfg.shells)
-            closed = shalikazeta.zeta_iwahori_closed(
-                shalikazeta.w_value_closed(sat, beta, 1), chi, beta, 1, sat.eta)
-            cases.append(_case(f"oracle-vs-closed-{chi.label}",
-                               f"p={p} beta={beta} chi={chi.label}", "derived",
-                               oracle.value == closed.value))
+            cases.append(_zeta_case("iwahori", sat, chi, cfg.shells,
+                                    f"p={p} beta={beta} chi={chi.label}"))
     return cases
 
 
 def suite_zeta_parahoric(cfg: SuiteConfig, rng: SplitMix64):
-    cases = []
     p = cfg.p
     sat = refine.SatakeParameter.generic(p, 1)
     chars = [shalikazeta.TwistCharacter.trivial(p)]
     for beta in range(1, cfg.beta + 1):
         chars += shalikazeta.TwistCharacter.enumerate_conductor(p, beta)
-    for chi in chars:
-        oracle = shalikazeta.zeta_parahoric_oracle(sat, chi, cfg.shells)
-        closed = shalikazeta.zeta_parahoric_closed(sat, chi, chi.beta)
-        row = "ramified" if chi.is_ramified else "unramified"
-        cases.append(_case(f"oracle-vs-closed-{chi.label}",
-                           f"p={p} chi={chi.label} row={row}", "derived",
-                           oracle.value == closed.value))
-    return cases
+    return [_zeta_case("parahoric", sat, chi, cfg.shells,
+                       f"p={p} chi={chi.label} row="
+                       + ("ramified" if chi.is_ramified else "unramified"))
+            for chi in chars]
 
 
 def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
@@ -470,83 +484,68 @@ CATALOG = {
 }
 
 
-def list_suites():
-    """Catalog of suites with the claims they check."""
-    return {name: entry["claim"] for name, entry in sorted(CATALOG.items())}
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-class Report:
-    def __init__(self, config: SuiteConfig, suites: list):
-        self.body = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config.as_dict(),
-            "suites": suites,
-            "passed": sum(s["passed"] for s in suites),
-            "failed": sum(s["failed"] for s in suites),
-        }
-        self.body["ok"] = self.body["failed"] == 0
-        self.elapsed = None
-
-    def document(self) -> dict:
-        return {"body": self.body, "meta": {"elapsed_seconds": self.elapsed}}
-
-    @property
-    def ok(self) -> bool:
-        return self.body["ok"]
-
-
-def run(config: SuiteConfig) -> Report:
-    config.validate()
+def run(config: SuiteConfig) -> dict:
+    """The report of the suites of a validated ``config``: the deterministic
+    ``body`` and, beside it, the ``meta`` timing."""
     root = SplitMix64(config.seed)
     suites = []
     start = time.monotonic()
     for name in sorted(set(config.suites)):
-        fn = CATALOG[name]["fn"]
-        cases = fn(config, root.spawn(name))
+        cases = CATALOG[name]["fn"](config, root.spawn(name))
         passed = sum(1 for c in cases if c["outcome"] == "pass")
-        suites.append({
-            "name": name,
-            "claim": CATALOG[name]["claim"],
-            "cases": cases,
-            "passed": passed,
-            "failed": len(cases) - passed,
-        })
-    report = Report(config, suites)
-    report.elapsed = round(time.monotonic() - start, 3)
-    return report
+        suites.append({"name": name, "claim": CATALOG[name]["claim"],
+                       "cases": cases, "passed": passed,
+                       "failed": len(cases) - passed})
+    elapsed = round(time.monotonic() - start, 3)
+    failed = sum(s["failed"] for s in suites)
+    body = {"schema_version": SCHEMA_VERSION, "config": config.as_dict(),
+            "suites": suites, "passed": sum(s["passed"] for s in suites),
+            "failed": failed, "ok": failed == 0}
+    return {"body": body, "meta": {"elapsed_seconds": elapsed}}
 
 
 # ---------------------------------------------------------------------------
 # command line
 
+# the integer fields of SuiteConfig; each is set by the flag of its name
+INT_FIELDS = ("n", "p", "beta", "shells", "samples", "seed", "family_prec",
+              "family_degree")
+
+
+def _add_int_flags(parser, names):
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
+                            default=getattr(SuiteConfig, name))
+
 
 def _config_from_args(args) -> SuiteConfig:
-    cfg = SuiteConfig()
-    for name in ("n", "p", "beta", "shells", "samples", "seed",
-                 "family_prec", "family_degree"):
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None:
-            try:
-                setattr(cfg, name, int(env))
-            except ValueError:
-                raise ConfigError(f"{ENV_PREFIX}{name.upper()} must be an "
-                                  f"integer, got {env!r}") from None
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    env_suites = os.environ.get(ENV_PREFIX + "SUITES")
-    if env_suites:
-        cfg.suites = [s for s in env_suites.split(",") if s]
+    """The validated configuration of the flags a subcommand has."""
+    cfg = SuiteConfig(**{name: getattr(args, name) for name in INT_FIELDS
+                         if hasattr(args, name)})
     if getattr(args, "suites", None):
         cfg.suites = [s for s in args.suites.split(",") if s]
+    cfg.validate()
     return cfg
 
 
-def _emit(doc: dict, path):
+def _zeta(cfg: SuiteConfig, kind: str, oracle: bool) -> list:
+    sat = refine.SatakeParameter.generic(cfg.p, 1)
+    chars = shalikazeta.TwistCharacter.enumerate_conductor(cfg.p, cfg.beta)
+    if kind == "parahoric":
+        chars = [shalikazeta.TwistCharacter.trivial(cfg.p)] + chars
+    if not chars:
+        raise ConfigError(f"no character of conductor {cfg.p}^{cfg.beta}")
+    out = []
+    for chi in chars:
+        closed, value = _zeta_values(kind, sat, chi, cfg.shells, oracle)
+        entry = {"chi": chi.label, "closed": repr(closed)}
+        if oracle:
+            entry["oracle_matches"] = value == closed
+        out.append(entry)
+    return out
+
+
+def _emit(doc, path):
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as handle:
@@ -568,10 +567,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute verification suites")
-    for name, typ in (("n", int), ("p", int), ("beta", int), ("shells", int),
-                      ("samples", int), ("seed", int), ("family-prec", int),
-                      ("family-degree", int)):
-        run_p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ)
+    _add_int_flags(run_p, INT_FIELDS)
     run_p.add_argument("--suites", help="comma-separated suite names")
     run_p.add_argument("--out", help="report path ('-' for stdout)", default="-")
 
@@ -580,86 +576,43 @@ def main(argv=None) -> int:
     zeta_p = sub.add_parser("zeta", help="print zeta values for the config")
     zeta_p.add_argument("--kind", choices=("iwahori", "parahoric"),
                         default="iwahori")
-    zeta_p.add_argument("--p", type=int, default=3)
-    zeta_p.add_argument("--beta", type=int, default=1)
+    _add_int_flags(zeta_p, ("p", "beta", "shells"))
     zeta_p.add_argument("--oracle", action="store_true",
                         help="also run the shell-sum oracle (n = 1)")
-    zeta_p.add_argument("--shells", type=int, default=4)
 
     enum_p = sub.add_parser("enumerate", help="refinement census")
-    enum_p.add_argument("--n", type=int, default=2)
-    enum_p.add_argument("--p", type=int, default=3)
+    _add_int_flags(enum_p, ("n", "p"))
 
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name, claim in list_suites().items():
-            sys.stdout.write(f"{name}: {claim}\n")
+        for name in sorted(CATALOG):
+            sys.stdout.write(f"{name}: {CATALOG[name]['claim']}\n")
         return 0
 
-    if args.command == "enumerate":
-        try:
-            SuiteConfig(n=args.n, p=args.p).validate()
-        except ConfigError as exc:
-            return _structured_error("config", str(exc))
-        sat = refine.SatakeParameter.generic(args.p, args.n)
-        refs = refine.all_refinements(sat)
-        spin = [r.sigma for r in refs if refine.is_spin(r)]
-        doc = {"n": args.n, "p": args.p, "refinements": len(refs),
-               "spin": len(spin),
-               "spin_cells": [list(s) for s in sorted(spin)]}
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        return 0
-
-    if args.command == "zeta":
-        try:
-            SuiteConfig(p=args.p, beta=args.beta, shells=args.shells).validate()
-        except ConfigError as exc:
-            return _structured_error("config", str(exc))
-        sat = refine.SatakeParameter.generic(args.p, 1)
-        chars = shalikazeta.TwistCharacter.enumerate_conductor(args.p, args.beta)
-        if args.kind == "parahoric":
-            chars = [shalikazeta.TwistCharacter.trivial(args.p)] + chars
-        out = []
-        try:
-            for chi in chars:
-                if args.kind == "iwahori":
-                    closed = shalikazeta.zeta_iwahori_closed(
-                        shalikazeta.w_value_closed(sat, args.beta, 1),
-                        chi, args.beta, 1, sat.eta)
-                    entry = {"chi": chi.label, "closed": repr(closed.value)}
-                    if args.oracle:
-                        f = princhecke.PSVector.big_cell_vector(
-                            sat, refine.tau_element(1))
-                        oracle = shalikazeta.zeta_iwahori_oracle(
-                            f, chi, args.beta, args.shells)
-                        entry["oracle_matches"] = oracle.value == closed.value
-                else:
-                    closed = shalikazeta.zeta_parahoric_closed(sat, chi, chi.beta)
-                    entry = {"chi": chi.label, "closed": repr(closed.value)}
-                    if args.oracle:
-                        oracle = shalikazeta.zeta_parahoric_oracle(
-                            sat, chi, args.shells)
-                        entry["oracle_matches"] = oracle.value == closed.value
-                out.append(entry)
-        except shalikazeta.TruncationError as exc:
-            return _structured_error("truncation", str(exc))
-        sys.stdout.write(json.dumps(out, sort_keys=True, indent=1) + "\n")
-        return 0
-
-    # run
     try:
         cfg = _config_from_args(args)
-        report = run(cfg)
+        if args.command == "enumerate":
+            sat = refine.SatakeParameter.generic(cfg.p, cfg.n)
+            refs = refine.all_refinements(sat)
+            spin = sorted(r.sigma for r in refs if refine.is_spin(r))
+            doc, ok = {"n": cfg.n, "p": cfg.p, "refinements": len(refs),
+                       "spin": len(spin), "spin_cells": [list(s) for s in spin]}, True
+        elif args.command == "zeta":
+            doc = _zeta(cfg, args.kind, args.oracle)
+            ok = all(e.get("oracle_matches", True) for e in doc)
+        else:
+            doc = run(cfg)
+            ok = doc["body"]["ok"]
     except ConfigError as exc:
         return _structured_error("config", str(exc))
     except shalikazeta.TruncationError as exc:
         return _structured_error("truncation", str(exc))
     try:
-        _emit(report.document(), args.out)
+        _emit(doc, getattr(args, "out", "-"))
     except OSError as exc:
         return _structured_error("output", str(exc))
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 import hashlib
 import json
-import os
 
 import pytest
 
-from padicref import cli
+from padicref import cli, refine, shalikazeta
 from padicref.cli import main
 
 
@@ -26,25 +25,24 @@ REFERENCE_BODY_SHA256 = \
 
 
 class TestRejectedInput:
-    @pytest.mark.parametrize("argv, env", [
-        (["run", "--family-degree", "0"], {}),
-        (["run"], {"PADICREF_P": "abc"}),
-        (["enumerate", "--p", "4"], {}),
-        (["run", "--samples", "-5"], {}),
-        (["zeta", "--beta", "3"], {}),
-        (["run", "--suites", "interp-diagram", "--family-degree", "3"], {}),
-        (["run", "--suites", ","], {}),
-        (["run"], {"PADICREF_SUITES": ","}),
-        (["run", "--suites", "nope"], {}),
-        (["run", "--n", "4"], {}),
-        (["run", "--shells", "1"], {}),
-    ], ids=["family-degree-0", "env-p-not-int", "enumerate-non-prime",
-            "negative-samples", "zeta-beta-3", "interp-degree-uncertified",
-            "empty-suite-list", "env-empty-suite-list", "unknown-suite",
-            "n-4", "shells-1"])
-    def test_config_error_exit_two(self, argv, env, monkeypatch, capsys):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    @pytest.mark.parametrize("argv", [
+        ["run", "--family-degree", "0"],
+        ["enumerate", "--p", "4"],
+        ["run", "--samples", "-5"],
+        ["zeta", "--beta", "3"],
+        ["run", "--suites", "interp-diagram", "--family-degree", "3"],
+        ["run", "--suites", ","],
+        ["run", "--suites", "nope"],
+        ["run", "--n", "4"],
+        ["run", "--shells", "1"],
+        ["enumerate", "--n", "4"],
+        ["zeta", "--shells", "1"],
+        ["zeta", "--kind", "iwahori", "--p", "2", "--beta", "1"],
+    ], ids=["family-degree-0", "enumerate-non-prime", "negative-samples",
+            "zeta-beta-3", "interp-degree-uncertified", "empty-suite-list",
+            "unknown-suite", "n-4", "shells-1", "enumerate-n-4",
+            "zeta-shells-1", "zeta-no-character"])
+    def test_config_error_exit_two(self, argv, capsys):
         code, out, err = _run(argv, capsys)
         assert code == 2
         assert out == ""
@@ -104,10 +102,7 @@ class TestAcceptedInput:
         entries = json.loads(out)
         assert entries and all(e["oracle_matches"] is True for e in entries)
 
-    def test_default_body_matches_the_reference(self, monkeypatch, capsys):
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
+    def test_default_body_matches_the_reference(self, capsys):
         code, out, _ = _run(["run"], capsys)
         assert code == 0
         assert hashlib.sha256(_body(out) + b"\n").hexdigest() == REFERENCE_BODY_SHA256
@@ -149,3 +144,39 @@ class TestFailedCase:
         assert body["ok"] is False
         assert body["failed"] == 1 and body["passed"] == 0
         assert body["suites"][0]["cases"][0]["witness"] == "left != right"
+
+
+class TestZetaMismatch:
+    """A closed form that disagrees with its oracle, planted by patching."""
+
+    @pytest.fixture
+    def wrong_closed(self, monkeypatch):
+        right = shalikazeta.zeta_parahoric_closed
+
+        def wrong(sat, chi, beta_prime):
+            result = right(sat, chi, beta_prime)
+            result.value = result.value + 1
+            return result
+
+        monkeypatch.setattr(shalikazeta, "zeta_parahoric_closed", wrong)
+        return right
+
+    def test_zeta_oracle_mismatch_exit_one(self, wrong_closed, capsys):
+        code, out, err = _run(["zeta", "--kind", "parahoric", "--p", "3",
+                               "--beta", "1", "--oracle"], capsys)
+        assert code == 1 and err == ""
+        entries = json.loads(out)
+        assert [e["chi"] for e in entries] == ["1", "chi3^1[1]"]
+        assert all(e["oracle_matches"] is False for e in entries)
+
+    def test_witness_shows_both_values(self, wrong_closed, capsys):
+        code, out, err = _run(["run", "--suites", "zeta-parahoric"], capsys)
+        assert code == 1 and err == ""
+        suite, = json.loads(out)["body"]["suites"]
+        assert suite["failed"] == len(suite["cases"]) == 2
+        sat = refine.SatakeParameter.generic(3, 1)
+        chars = [shalikazeta.TwistCharacter.trivial(3)] \
+            + shalikazeta.TwistCharacter.enumerate_conductor(3, 1)
+        for case, chi in zip(suite["cases"], chars):
+            value = wrong_closed(sat, chi, chi.beta).value
+            assert case["witness"] == f"oracle={value!r} closed={value + 1!r}"

@@ -1,5 +1,6 @@
-"""Every import in the package is used by the module that makes it, and
-every top-level definition is named somewhere outside itself."""
+"""Every import in the package is used by the module that makes it, every
+top-level definition is named somewhere outside itself, and no module reads
+the process environment."""
 
 import ast
 import re
@@ -53,6 +54,32 @@ def test_guard_sees_module_and_function_scopes():
     source = ("import os\nfrom math import gcd, lcm\n"
               "def f():\n    from math import comb\n    return gcd(1, 2)\n")
     assert unused_imports(source) == [(1, "os"), (2, "lcm"), (4, "comb")]
+
+
+def environment_reads(source: str) -> list:
+    """Lines that read the process environment: ``os.environ``,
+    ``os.getenv`` or an import of either from ``os``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os") \
+                or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(alias.name in names for alias in node.names)):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_environment_reads(path):
+    # a report depends on its argument list alone
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_environment_guard():
+    source = ("import os\nfrom os import getenv\nA = os.environ.get('X')\n"
+              "B = os.getenv('Y')\nC = os.path.sep\n")
+    assert environment_reads(source) == [2, 3, 4]
 
 
 def _names(tree) -> Counter:
