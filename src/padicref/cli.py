@@ -64,6 +64,8 @@ class SuiteConfig:
             raise ConfigError("shells must be at least 2")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError("seed must lie in [0, 2^64)")
         if self.family_prec < 1 or self.family_degree < 1:
             raise ConfigError("family precision and degree must be at least 1")
         if not self.suites:
@@ -522,7 +524,7 @@ def _config_from_args(args) -> SuiteConfig:
     """The validated configuration of the flags a subcommand has."""
     cfg = SuiteConfig(**{name: getattr(args, name) for name in INT_FIELDS
                          if hasattr(args, name)})
-    if getattr(args, "suites", None):
+    if getattr(args, "suites", None) is not None:
         cfg.suites = [s for s in args.suites.split(",") if s]
     cfg.validate()
     return cfg

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .padiclin import (INF, PadicMatrix, iwahori_bruhat_decompose, vol_big_cell,
                        vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
-from .princhecke import PSVector
+from .princhecke import PSVector, ps_evaluate_rows
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
                      tau_element, u_p_eigenvalue)
 from .rootspin import delta_b
@@ -55,6 +55,12 @@ class ZetaResult:
 
 # ---------------------------------------------------------------------------
 # twisting characters
+
+
+def _units(p: int, level: int):
+    """The units of Z/p^level, as the integers 0 < u < p^level prime to p,
+    one at a time (a deep X-shell of the intertwining has thousands)."""
+    return (u for u in range(1, p ** level) if u % p)
 
 
 def _primitive_root(p: int, beta: int) -> int:
@@ -105,7 +111,7 @@ class TwistCharacter:
             vals = {1: CycNum.from_rational(1), 3: CycNum.from_rational(-1)}
             return [cls(2, 2, vals, label="chi4")]
         m = p ** beta
-        units = [a for a in range(1, m) if a % p != 0]
+        units = tuple(_units(p, beta))
         out = []
         order = m // p * (p - 1)
         g = _primitive_root(p, beta)
@@ -259,22 +265,11 @@ def borel_part_character(theta_values, k: PadicMatrix, x: PadicMatrix,
 
 
 def _conjugation_level(g: PadicMatrix, elem: PadicMatrix) -> int:
-    """Least c >= 0 with 1 + t g^{-1} elem g in Iw for all t in p^c Z_p."""
-    p = g.p
-    e = g.inverse() * elem * g
-    c = 0
-    bounds = []
-    v00, v01 = vp(e.rows[0][0], p), vp(e.rows[0][1], p)
-    v10, v11 = vp(e.rows[1][0], p), vp(e.rows[1][1], p)
-    if v00 is not INF:
-        bounds.append(1 - int(v00))
-    if v01 is not INF:
-        bounds.append(-int(v01))
-    if v10 is not INF:
-        bounds.append(1 - int(v10))
-    if v11 is not INF:
-        bounds.append(1 - int(v11))
-    return max([c] + bounds)
+    """Least c >= 0 with 1 + t g^{-1} elem g in Iw for all t in p^c Z_p:
+    entries on and below the diagonal need valuation >= 1, those above >= 0."""
+    e = (g.inverse() * elem * g).rows
+    return max([0] + [int(i >= j) - int(v) for i in range(2) for j in range(2)
+                      if (v := vp(e[i][j], g.p)) is not INF])
 
 
 def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
@@ -305,17 +300,13 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
         return (grows[1],
                 (grows[0][0] + xval * grows[1][0], grows[0][1] + xval * grows[1][1]))
 
-    from .princhecke import ps_evaluate_rows
     tail_start = max(c_g, 0)
     total = SymElem.rational(p, 0)
     for v in range(-shells, tail_start):
         level = max(c_g - v, -v, 1)
         shell = SymElem.rational(p, 0)
-        mod = p ** level
         volume = Fraction(1, p ** (v + level))
-        for u in range(1, mod):
-            if u % p == 0:
-                continue
+        for u in _units(p, level):
             xval = Fraction(u) * Fraction(p) ** v
             val = ps_evaluate_rows(f, integrand_rows(xval))
             if val.is_zero():
@@ -392,6 +383,39 @@ def zeta_iwahori_closed(w_base: SymElem, chi: TwistCharacter, beta: int,
     return ZetaResult(value, "closed-form")
 
 
+def _parahoric_factors(satake: SatakeParameter, chi: TwistCharacter,
+                       beta_prime: int):
+    """(c, tops, bottoms), unit monomials with the parahoric zeta value
+    c * prod(1 - t) / prod(1 - b).  With beta = max(1, beta_prime), c is
+    q^(beta n (s - n/2)) chi(det(-w_n)) times p^(-beta n) (p/(p-1))^n
+    tau(chi)^n in the ramified row, which has no Euler factors, and
+    (1 - p)^(-n) in the unramified row, whose tops are theta_i p / p^s and
+    bottoms theta_i / p^s for i = n+1..2n."""
+    p, n = satake.p, satake.n
+    if chi.beta != beta_prime:
+        raise ZetaError("conductor exponent mismatch")
+    beta = max(1, beta_prime)
+    c = SymElem.gen(p, "S", beta * n) \
+        * SymElem.p_power(p, Fraction(-beta * n * n, 2)) \
+        * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
+    if chi.is_ramified:
+        c = c * SymElem.rational(p, Fraction(p) ** (-beta * n)
+                                 * Fraction(p, p - 1) ** n) \
+            * SymElem.from_cyc(p, gauss_sum(chi) ** n)
+        return c, [], []
+    bottoms = [theta * SymElem.gen(p, "S", -1) for theta in satake.theta[n:]]
+    return c * Fraction(1, 1 - p) ** n, [b * p for b in bottoms], bottoms
+
+
+def _euler_quotient(c: SymElem, tops, bottoms) -> SymElem:
+    """c * prod(1 - t) / prod(1 - b) for unit monomials c, t and b != 1."""
+    for t in tops:
+        c = c * (1 - t)
+    for b in bottoms:
+        c = geometric_tail(c, b)
+    return c
+
+
 def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
                           beta_prime: int) -> ZetaResult:
     """Parahoric-level zeta value for the new-vector normalisation:
@@ -399,58 +423,24 @@ def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
         q^(beta n (s - n/2)) * chi(det(-w_n)) * Q
 
     where beta = max(1, beta_prime) and Q has a ramified and an
-    unramified row.
+    unramified row (see _parahoric_factors).
     """
-    p, n = satake.p, satake.n
-    if chi.beta != beta_prime:
-        raise ZetaError("conductor exponent mismatch")
-    beta = max(1, beta_prime)
-    s_pow = SymElem.gen(p, "S", beta * n)
-    s_pow = s_pow * SymElem.p_power(p, Fraction(-beta * n * n, 2))
-    value = s_pow * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
-    if chi.is_ramified:
-        q_factor = SymElem.rational(
-            p, Fraction(p) ** (-beta * n) * Fraction(p, p - 1) ** n)
-        q_factor = q_factor * SymElem.from_cyc(p, gauss_sum(chi) ** n)
-        return ZetaResult(value * q_factor, "closed-form")
-    q_factor = SymElem.rational(p, Fraction(1, 1 - p) ** n)
-    for i in range(n, 2 * n):
-        theta = satake.theta[i]
-        numer = SymElem.rational(p, 1) - theta * SymElem.gen(p, "S", -1) * p
-        q_factor = q_factor * numer
-        q_factor = geometric_tail(q_factor, theta * SymElem.gen(p, "S", -1))
-    return ZetaResult(value * q_factor, "closed-form")
+    return ZetaResult(_euler_quotient(*_parahoric_factors(satake, chi, beta_prime)),
+                      "closed-form")
 
 
 def zeta_parahoric_reciprocal(satake: SatakeParameter, chi: TwistCharacter,
                               beta_prime: int) -> SymElem:
-    """1 / zeta_parahoric_closed, assembled in factored form.
+    """1 / zeta_parahoric_closed, from the closed form's factors swapped:
+    c^{-1} * prod(1 - b) / prod(1 - t).
 
     Needed because the unramified row has a non-monomial numerator, which
-    SymElem cannot invert directly; the reciprocal swaps the two Euler
-    products instead.  Checked against the closed form by multiplication.
+    SymElem cannot invert directly.  Checked against the closed form by
+    multiplication.
     """
-    p, n = satake.p, satake.n
-    beta = max(1, beta_prime)
-    s_pow = SymElem.gen(p, "S", -beta * n)
-    s_pow = s_pow * SymElem.p_power(p, Fraction(beta * n * n, 2))
-    value = s_pow * SymElem.from_cyc(p, chi_det_minus_wn(chi, n).inverse())
-    if chi.is_ramified:
-        q_factor = SymElem.rational(
-            p, Fraction(p) ** (beta * n) * Fraction(p - 1, p) ** n)
-        q_factor = q_factor * SymElem.from_cyc(p, (gauss_sum(chi) ** n).inverse())
-        recip = value * q_factor
-    else:
-        q_factor = SymElem.rational(p, Fraction(1 - p, 1) ** n)
-        for i in range(n, 2 * n):
-            theta = satake.theta[i]
-            numer = SymElem.rational(p, 1) - theta * SymElem.gen(p, "S", -1)
-            q_factor = q_factor * numer
-            q_factor = geometric_tail(
-                q_factor, theta * SymElem.gen(p, "S", -1) * p)
-        recip = value * q_factor
-    check = recip * zeta_parahoric_closed(satake, chi, beta_prime).value
-    if check != SymElem.rational(p, 1):
+    c, tops, bottoms = _parahoric_factors(satake, chi, beta_prime)
+    recip = _euler_quotient(c.inverse(), bottoms, tops)
+    if not (recip * zeta_parahoric_closed(satake, chi, beta_prime).value).is_one():
         raise ZetaError("reciprocal failed its self-check")
     return recip
 
@@ -486,9 +476,7 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
         p, [Fraction(p) ** beta, 1])
     e11 = PadicMatrix(p, [[1, 0], [0, 0]])
     c_out = _conjugation_level(g0, e11)
-    level = max(c_out, chi.beta, 1)
-    mod = p ** level
-    units = [u for u in range(1, mod) if u % p != 0]
+    units = tuple(_units(p, max(c_out, chi.beta, 1)))
     count = len(units)
 
     def shell_value(v: int) -> SymElem:
@@ -515,7 +503,7 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
     while True:
         values[v] = shell_value(v)
         if v >= 3:
-            tail = _certify_tail(values, v, s_inv, shells)
+            tail = _certify_tail(values, v, s_inv)
             if tail is not None:
                 start, tail_value = tail
                 for vv in range(-beta, start):
@@ -526,7 +514,7 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
         v += 1
 
 
-def _certify_tail(values: dict, v: int, s_inv: SymElem, shells: int):
+def _certify_tail(values: dict, v: int, s_inv: SymElem):
     """Detect an exact geometric tail ending at shell v.
 
     Returns (start, tail_value) when the last four shells repeat an exact
@@ -571,44 +559,31 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
     """
     if satake.n != 1:
         raise ZetaError("the parahoric oracle is implemented for n = 1")
+    if shells < 1:
+        raise TruncationError("shells must be >= 1")
     p = satake.p
     beta = max(1, chi.beta)
     for mult in range(1, p ** beta):
         if not psi_orthogonality(p, beta, mult):
             raise ZetaError("psi-orthogonality re-verification failed")
-    theta2 = satake.theta[1]
-    s_inv = SymElem.gen(p, "S", -1)
+
+    def shell(v: int) -> CycNum:
+        # the average of chi(u) psi(-u p^(v - beta)) over the units u
+        units = tuple(_units(p, max(chi.beta, beta - v, 1)))
+        psi_mod = p ** (beta - v)
+        total = CycNum.from_rational(0)
+        for u in units:
+            total = total + chi.of_unit(u) * CycNum.root_of_unity(psi_mod, -u)
+        return total * Fraction(1, len(units))
+
+    # shell v has weight theta_2^v (p^{-s} p)^v p^{-v} = ratio^v
+    ratio = satake.theta[1] * SymElem.gen(p, "S", -1)
     total = SymElem.rational(p, 0)
     for v in range(beta):
-        level = max(chi.beta, beta - v, 1)
-        mod = p ** level
-        shell = SymElem.rational(p, 0)
-        psi_mod = p ** (beta - v)
-        count = 0
-        for u in range(1, mod):
-            if u % p == 0:
-                continue
-            count += 1
-            val = chi.of_unit(u) * CycNum.root_of_unity(psi_mod, (-u) % psi_mod)
-            shell = shell + SymElem.from_cyc(p, val)
-        shell = shell * Fraction(1, count)
-        shell = shell * theta2 ** v * (s_inv * p) ** v * Fraction(1, p ** v)
-        total = total + shell
-    # tail from v = beta: psi = 1 on the shell, chi-average is exact
-    avg = CycNum.from_rational(0)
-    mod = p ** max(chi.beta, 1)
-    count = 0
-    for u in range(1, mod):
-        if u % p == 0:
-            continue
-        count += 1
-        avg = avg + chi.of_unit(u)
-    avg = avg * Fraction(1, count)
-    if not avg.is_zero():
-        first = SymElem.from_cyc(p, avg) * (theta2 * s_inv) ** beta
-        total = total + geometric_tail(first, theta2 * s_inv)
-    if shells < 1:
-        raise TruncationError("shells must be >= 1")
+        total = total + SymElem.from_cyc(p, shell(v)) * ratio ** v
+    # from v = beta on psi is trivial: shell(beta) starts a geometric tail
+    total = total + geometric_tail(SymElem.from_cyc(p, shell(beta)) * ratio ** beta,
+                                   ratio)
     prefactor = SymElem.gen(p, "S", beta) * SymElem.monomial(p, 1, {"Y": -beta})
     prefactor = prefactor * SymElem.from_cyc(p, chi.of(perm_sign(longest_perm(1))))
     return ZetaResult(prefactor * total, "oracle")
@@ -634,16 +609,12 @@ def ep_factor(satake: SatakeParameter, chi: TwistCharacter, j: int) -> SymElem:
         top = SymElem.p_power(p, n * j + (n * n - n) // 2)
         return (top / hecke_eigenvalue(ref, n)) ** beta \
             * SymElem.from_cyc(p, gauss_sum(chi) ** n)
-    out = SymElem.rational(p, 1)
-    for i in range(n, 2 * n):
-        a = satake.theta[i] * SymElem.p_power(p, Fraction(-2 * j - 1, 2))
-        numer = SymElem.rational(p, 1) - a.inverse() * Fraction(1, p)
-        out = out * numer
-        denom_ratio = a
-        if denom_ratio == SymElem.rational(p, 1):
-            raise ZetaError("pole in the unramified interpolation factor")
-        out = geometric_tail(out, denom_ratio)
-    return out
+    a = [theta * SymElem.p_power(p, Fraction(-2 * j - 1, 2))
+         for theta in satake.theta[n:]]
+    if any(ai.is_one() for ai in a):
+        raise ZetaError("pole in the unramified interpolation factor")
+    return _euler_quotient(SymElem.rational(p, 1),
+                           [ai.inverse() * Fraction(1, p) for ai in a], a)
 
 
 def qprime_factor(chi: TwistCharacter, j: int, beta: int, n: int) -> SymElem:
@@ -695,29 +666,24 @@ def comparison_constant(satake: SatakeParameter, lam, pairs):
     upsilon_b = SymElem.gen(p, "UB")
     tb_vals = list(range(2 * n - 1, -1, -1))
     tq_vals = [1] * n + [0] * n
+    alpha_circ = _lambda_of_tB(p, lam, 1) * u_p_eigenvalue(ref)
+    alpha_q_circ = _lambda_of_tQ(p, lam, 1) * hecke_eigenvalue(ref, n)
     ratios = []
     for chi, j in pairs:
         s_value = SymElem.p_power(p, Fraction(2 * j + 1, 2))
+        beta = max(1, chi.beta)
         if chi.is_ramified:
-            beta = chi.beta
             zeta_i = zeta_iwahori_closed(w_value_closed(satake, beta, n),
                                          chi, beta, n, satake.eta).value
             zeta_i = zeta_i.substitute({"S": s_value})
-            alpha_circ = _lambda_of_tB(p, lam, 1) * u_p_eigenvalue(ref)
             route_i = upsilon_b * delta_b(p, tb_vals) ** (-beta) \
                 * _lambda_of_tB(p, lam, beta) * alpha_circ ** (-beta) * zeta_i
-            recip_p = zeta_parahoric_reciprocal(satake, chi, chi.beta)
-            recip_p = recip_p.substitute({"S": s_value})
-            alpha_q_circ = _lambda_of_tQ(p, lam, 1) * hecke_eigenvalue(ref, n)
-            route_p_inv = delta_b(p, tq_vals) ** beta \
-                * _lambda_of_tQ(p, lam, -beta) * alpha_q_circ ** beta * recip_p
         else:
             route_i = upsilon_b * ep_factor(satake, chi, j)
-            recip_p = zeta_parahoric_reciprocal(satake, chi, 0)
-            recip_p = recip_p.substitute({"S": s_value})
-            alpha_q_circ = _lambda_of_tQ(p, lam, 1) * hecke_eigenvalue(ref, n)
-            route_p_inv = delta_b(p, tq_vals) * _lambda_of_tQ(p, lam, -1) \
-                * alpha_q_circ * recip_p
+        recip_p = zeta_parahoric_reciprocal(satake, chi, chi.beta)
+        recip_p = recip_p.substitute({"S": s_value})
+        route_p_inv = delta_b(p, tq_vals) ** beta \
+            * _lambda_of_tQ(p, lam, -beta) * alpha_q_circ ** beta * recip_p
         ratios.append((route_i * route_p_inv, (chi, j)))
     for k in range(1, len(ratios)):
         if ratios[k][0] != ratios[0][0]:

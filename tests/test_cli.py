@@ -38,10 +38,14 @@ class TestRejectedInput:
         ["enumerate", "--n", "4"],
         ["zeta", "--shells", "1"],
         ["zeta", "--kind", "iwahori", "--p", "2", "--beta", "1"],
+        ["run", "--suites", ""],
+        ["run", "--seed", "-1"],
+        ["run", "--seed", "18446744073709551616"],
     ], ids=["family-degree-0", "enumerate-non-prime", "negative-samples",
             "zeta-beta-3", "interp-degree-uncertified", "empty-suite-list",
             "unknown-suite", "n-4", "shells-1", "enumerate-n-4",
-            "zeta-shells-1", "zeta-no-character"])
+            "zeta-shells-1", "zeta-no-character", "empty-suites-flag",
+            "negative-seed", "seed-2-64"])
     def test_config_error_exit_two(self, argv, capsys):
         code, out, err = _run(argv, capsys)
         assert code == 2
@@ -78,6 +82,12 @@ class TestAcceptedInput:
         body = json.loads(out)["body"]
         assert body["ok"] and body["failed"] == 0
         assert [s["name"] for s in body["suites"]] == ["spin-enum"]
+
+    def test_largest_seed(self, capsys):
+        code, out, err = _run(["run", "--suites", "spin-enum", "--seed",
+                               "18446744073709551615"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["body"]["config"]["seed"] == (1 << 64) - 1
 
     def test_run_writes_the_body_to_out(self, tmp_path, capsys):
         path = tmp_path / "r.json"

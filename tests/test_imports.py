@@ -1,6 +1,6 @@
 """Every import in the package is used by the module that makes it, every
-top-level definition is named somewhere outside itself, and no module reads
-the process environment."""
+top-level definition is named somewhere outside itself, every parameter is
+read by its function, and no module reads the process environment."""
 
 import ast
 import re
@@ -54,6 +54,46 @@ def test_guard_sees_module_and_function_scopes():
     source = ("import os\nfrom math import gcd, lcm\n"
               "def f():\n    from math import comb\n    return gcd(1, 2)\n")
     assert unused_imports(source) == [(1, "os"), (2, "lcm"), (4, "comb")]
+
+
+def unused_parameters(source: str) -> list:
+    """(function, parameter) for each parameter that its function, method or
+    lambda never loads, nested functions included.
+
+    The receiver ``self`` or ``cls`` is exempt, and so is the ``(cfg, rng)``
+    signature of the suites, which ``cli.run`` calls uniformly whether or not
+    a suite draws samples.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a]
+        if params == ["cfg", "rng"]:
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(getattr(node, "name", "lambda"), name) for name in params
+                if name not in read | {"self", "cls"}]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_parameter_guard():
+    source = ("def f(a, b, *rest, key=1):\n    return a + key\n"
+              "class C:\n    def m(self, x):\n        return 1\n"
+              "def suite(cfg, rng):\n    return []\n"
+              "g = lambda y, z: y\n"
+              "def outer(k):\n    def inner():\n        return k\n    return inner\n")
+    assert unused_parameters(source) == [("f", "b"), ("f", "rest"),
+                                         ("lambda", "z"), ("m", "x")]
 
 
 def environment_reads(source: str) -> list:

@@ -284,12 +284,14 @@ class TestZetaClosedForms:
         assert res.value == expected
 
     def test_parahoric_reciprocal(self):
-        sat = SatakeParameter.generic(3, 1)
-        for chi in [TwistCharacter.trivial(3)] \
-                + TwistCharacter.enumerate_conductor(3, 1):
-            recip = zeta_parahoric_reciprocal(sat, chi, chi.beta)
-            assert recip * zeta_parahoric_closed(sat, chi, chi.beta).value \
-                == SymElem.rational(3, 1)
+        for n in (1, 2):
+            sat = SatakeParameter.generic(3, n)
+            for chi in [TwistCharacter.trivial(3)] \
+                    + TwistCharacter.enumerate_conductor(3, 1) \
+                    + TwistCharacter.enumerate_conductor(3, 2):
+                recip = zeta_parahoric_reciprocal(sat, chi, chi.beta)
+                assert recip * zeta_parahoric_closed(sat, chi, chi.beta).value \
+                    == SymElem.rational(3, 1)
 
 
 class TestZetaOracles:
@@ -349,7 +351,7 @@ class TestCertifyTail:
     def test_geometric_shells(self):
         s_inv = SymElem.gen(self.p, "S", -1)
         values = self._shells([5, 2, 2, 2, 2], 1)  # geometric from shell 2
-        start, tail = _certify_tail(values, 5, s_inv, 4)
+        start, tail = _certify_tail(values, 5, s_inv)
         first = values[2] * s_inv ** 2
         ratio = SymElem.gen(self.p, "X1")
         assert start == 2
@@ -359,12 +361,12 @@ class TestCertifyTail:
                              ids=["third-shell", "fourth-shell"])
     def test_changing_ratio(self, coeffs):
         values = self._shells(coeffs, 0)
-        assert _certify_tail(values, 3, SymElem.gen(self.p, "S", -1), 4) is None
+        assert _certify_tail(values, 3, SymElem.gen(self.p, "S", -1)) is None
 
     def test_vanishing_shells(self):
         zero = SymElem.rational(self.p, 0)
         values = {v: zero for v in range(4)}
-        start, tail = _certify_tail(values, 3, SymElem.gen(self.p, "S", -1), 4)
+        start, tail = _certify_tail(values, 3, SymElem.gen(self.p, "S", -1))
         assert start == 0 and tail.is_zero()
 
 
@@ -378,6 +380,15 @@ class TestInterpolationFactors:
                     for j in (-1, 0, 2):
                         ratio = ep_factor(sat, chi, j) / qprime_factor(chi, j, beta, n)
                         assert ratio == hecke_eigenvalue(ref, n) ** (-beta)
+
+    def test_unramified_pole(self):
+        # theta_2 = p^(1/2) makes the factor 1 - theta_2 / p^(j + 1/2) vanish
+        # at j = 0
+        p = 3
+        sat = SatakeParameter(p, [SymElem.gen(p, "X1"), SymElem.gen(p, "Y")],
+                              SymElem.gen(p, "E"), ag=False)
+        with pytest.raises(ZetaError):
+            ep_factor(sat, TwistCharacter.trivial(p), 0)
 
     def test_qprime_needs_ramified(self):
         with pytest.raises(ZetaError):
