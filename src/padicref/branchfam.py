@@ -27,7 +27,7 @@ from fractions import Fraction
 from .famring import (FamilyRing, FamSeries, teichmuller, wild_base,
                       wild_exponent)
 from .padiclin import (LinAlgError, PadicMatrix, lu_unit_lower,
-                       open_cell_factorize)
+                       open_cell_factorize, residue, vp)
 from .rootspin import GLWeight
 
 
@@ -145,7 +145,7 @@ def iwahori_coordinates(g: PadicMatrix):
     if not g.in_iwahori():
         raise BranchError("element is not in the Iwahori subgroup")
     lo, up = lu_unit_lower(g)
-    if not lo.in_lower_unipotent(depth=1):
+    if not lo.transpose().in_upper_unipotent(depth=1):
         raise BranchError("Iwahori factorization failed on the lower part")
     t = up.diagonal_entries()
     tinv = PadicMatrix.diagonal(g.p, [1 / x for x in t])
@@ -195,11 +195,9 @@ class FamilyWeight:
         self._cprec = self.ring.exponent_precision()
 
     def _unit_rep(self, x) -> int:
-        x = Fraction(x)
-        mod = self.p ** self._cprec
-        if x.numerator % self.p == 0 or x.denominator % self.p == 0:
+        if vp(x, self.p) != 0:
             raise BranchError("family characters evaluate at units only")
-        return x.numerator * pow(x.denominator, -1, mod) % mod
+        return residue(x, self.p, self._cprec)
 
     def _tame_value(self, x_int: int, exponent: int) -> int:
         if self.p == 2:
@@ -252,11 +250,7 @@ class FamilyWeight:
         b = wild_base(self.p)
         mod = self.ring.modulus
         exps = [int(lam.sw)] + [lam.entry(i) for i in range(self.n)]
-        vals = []
-        for e in exps:
-            power = pow(b, e, mod) if e >= 0 else pow(pow(b, -1, mod), -e, mod)
-            vals.append((power - 1) % mod)
-        return vals
+        return [(pow(b, e, mod) - 1) % mod for e in exps]
 
     def specialize(self, x: FamSeries, lam: PureWeight) -> int:
         """Evaluate a family coefficient at lam, mod p^M."""
@@ -265,11 +259,9 @@ class FamilyWeight:
 
     def reduce(self, x) -> int:
         """Reduce an exact rational to the target precision."""
-        x = Fraction(x)
-        m = self.ring.target_modulus
-        if x.denominator % self.p == 0:
+        if vp(x, self.p) < 0:
             raise BranchError("value is not p-integral")
-        return x.numerator * pow(x.denominator, -1, m) % m
+        return residue(x, self.p, self.ring.target_exp)
 
 
 def _iw1_coordinates(g: PadicMatrix):
@@ -364,14 +356,9 @@ class LocPoly:
                               scale=1) -> "LocPoly":
         return cls(p, level, {residue % p ** level: (j, Fraction(scale))})
 
-    def _residue(self, z: Fraction) -> int:
-        mod = self.p ** self.level
-        num, den = z.numerator % mod, z.denominator % mod
-        return num * pow(den, -1, mod) % mod
-
     def __call__(self, z) -> Fraction:
         z = Fraction(z)
-        piece = self.pieces.get(self._residue(z))
+        piece = self.pieces.get(residue(z, self.p, self.level))
         if piece is None:
             return Fraction(0)
         j, c = piece
@@ -381,7 +368,7 @@ class LocPoly:
         """z -> f(factor * z), for factor a p-adic unit."""
         factor = Fraction(factor)
         mod = self.p ** self.level
-        f_inv = pow(self._residue(factor), -1, mod)
+        f_inv = pow(residue(factor, self.p, self.level), -1, mod)
         # the new function is supported where factor * z falls in class r
         return LocPoly(self.p, self.level,
                        {r * f_inv % mod: (j, c * factor ** j)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from . import branchfam, padiclin, princhecke, refine, rootspin, shalikazeta
 from .padiclin import PadicMatrix
-from .perms import all_perms, longest_perm
+from .perms import all_perms, compose, longest_perm
 from .rng import SplitMix64
 from .sampling import (random_glzp, random_iw_beta, random_iwahori,
                        random_n_beta, random_upper_zp)
@@ -101,7 +102,6 @@ def _case(name, inputs, expected, ok, witness=None):
 
 def suite_spin_enum(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
-    import math
     for n in range(1, cfg.n + 1):
         sat = refine.SatakeParameter.generic(cfg.p, n)
         refs = refine.all_refinements(sat)
@@ -117,7 +117,6 @@ def suite_spin_enum(cfg: SuiteConfig, rng: SplitMix64):
 
 
 def suite_weyl_transfer(cfg: SuiteConfig, rng: SplitMix64):
-    from .perms import compose
     cases = []
     for n in range(1, cfg.n + 1):
         allw = rootspin.all_weyl_gspin(n)

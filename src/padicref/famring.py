@@ -16,6 +16,9 @@ rational partial sums and reduced at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
+
+from .padiclin import residue, vp
 
 
 GUARD_DIGITS = 6  # MM - target precision
@@ -37,19 +40,10 @@ def padic_log(x: int, p: int, prec: int) -> int:
     total = Fraction(0)
     term_num = 1
     k = 1
-    vy = 0
-    yy = y
-    while yy % p == 0:
-        yy //= p
-        vy += 1
+    vy = vp(y, p)
     while True:
-        # v_p(y^k / k) >= k*vy - log_p(k); stop when that clears prec
-        bound = k * vy
-        kk = k
-        while kk % p == 0:
-            kk //= p
-            bound -= 1
-        if bound >= prec and k > 1:
+        # v_p(y^k / k) = k*vy - v_p(k); stop when that clears prec
+        if k * vy - vp(k, p) >= prec and k > 1:
             break
         term_num *= y
         total += Fraction((-1) ** (k + 1) * term_num, k)
@@ -57,10 +51,9 @@ def padic_log(x: int, p: int, prec: int) -> int:
         if k > 8 * prec + 16:
             raise FamringError("log series failed to converge")
         term_num %= p ** (prec + 2 * k)
-    den = total.denominator
-    if den % p == 0:
+    if vp(total, p) < 0:
         raise FamringError("unexpected p in log denominator")
-    return total.numerator * pow(den, -1, mod) % mod
+    return residue(total, p, prec)
 
 
 def teichmuller(x: int, p: int, prec: int) -> int:
@@ -122,10 +115,9 @@ class FamilyRing:
         return FamSeries(self, {(0,) * self.nvars: c} if c else {})
 
     def from_rational(self, x) -> "FamSeries":
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
+        if vp(x, self.p) < 0:
             raise FamringError("rational has p in the denominator")
-        return self.const(x.numerator * pow(x.denominator, -1, self.modulus))
+        return self.const(residue(x, self.p, self.work_exp))
 
     def one_plus_t_power(self, i: int, exponent: int) -> "FamSeries":
         """(1 + T_i)^exponent for a p-adic integer exponent.
@@ -147,11 +139,7 @@ class FamilyRing:
         """Precision to which (1+T)^c exponents should be computed: the
         working precision plus v_p((degree-1)!), so every truncated
         binomial coefficient is well defined."""
-        fact_v = 0
-        for k in range(2, self.degree):
-            while k % self.p == 0:
-                k //= self.p
-                fact_v += 1
+        fact_v = sum(vp(k, self.p) for k in range(2, self.degree))
         return self.work_exp + fact_v + 1
 
 
@@ -162,7 +150,6 @@ def comb_int(c: int, k: int) -> int:
     num = 1
     for j in range(k):
         num *= c - j
-    from math import factorial
     q, r = divmod(num, factorial(k))
     if r:
         raise FamringError("binomial was not integral")

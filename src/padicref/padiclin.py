@@ -3,7 +3,9 @@
 Scalars are plain ``Fraction`` values whose denominators are p-powers in
 all sampled inputs; no truncated digit arithmetic appears anywhere, so
 there is no precision to analyse.  ``vp`` gives the valuation (with a
-+infinity sentinel at 0).  ``PadicMatrix`` is an immutable exact matrix
++infinity sentinel at 0), ``unit_part`` the unit x / p^vp(x), and
+``residue`` the one scalar reduction, x mod p^k for p-integral x; every
+module reduces through these.  ``PadicMatrix`` is an immutable exact matrix
 together with the ambient prime, carrying the subgroup predicates and the
 three factorizations the local proofs run on:
 
@@ -68,6 +70,14 @@ def unit_part(x, p: int) -> Fraction:
     if v is INF:
         raise LinAlgError("unit part of zero")
     return Fraction(x) / Fraction(p) ** int(v)
+
+
+def residue(x, p: int, k: int) -> int:
+    """x mod p^k in [0, p^k), for a p-integral rational x (callers test
+    vp(x, p) first and raise their own error)."""
+    x = Fraction(x)
+    m = p ** k
+    return x.numerator * pow(x.denominator, -1, m) % m
 
 
 class PadicMatrix:
@@ -242,20 +252,6 @@ class PadicMatrix:
                 if self.rows[i][j] != 0:
                     return False
             for j in range(i + 1, n):
-                if vp(self.rows[i][j], self.p) < depth:
-                    return False
-        return True
-
-    def in_lower_unipotent(self, depth: int = 1) -> bool:
-        """In Nbar(p^depth Z_p): unipotent lower with strictly-lower entries in p^depth."""
-        n = self.size
-        for i in range(n):
-            if self.rows[i][i] != 1:
-                return False
-            for j in range(i + 1, n):
-                if self.rows[i][j] != 0:
-                    return False
-            for j in range(i):
                 if vp(self.rows[i][j], self.p) < depth:
                     return False
         return True

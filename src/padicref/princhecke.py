@@ -16,9 +16,10 @@ vector is reassembled from its values at the (2n)! Weyl representatives.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .padiclin import PadicMatrix, bruhat_cell_valuations
-from .perms import all_perms, block_perm, inverse_perm, longest_perm
+from .perms import all_perms, block_perm, compose, inverse_perm, longest_perm
 from .refine import Refinement, SatakeParameter, hecke_eigenvalue
 from .rootspin import delta_b
 from .symring import SymElem
@@ -69,7 +70,6 @@ class PSVector:
                                 delta: tuple) -> "PSVector":
         """F_delta^sigma = f_{nu_delta w_{2n}}^sigma for delta in S_n."""
         n = satake.n
-        from .perms import compose
         w = compose(block_perm(delta, n), longest_perm(2 * n))
         return cls.cell_vector(satake, sigma, w)
 
@@ -130,7 +130,6 @@ def hecke_coset_matrices(p: int, m: int, r: int):
     These are the block matrices (p 1_r, m'; 0, 1) with m' running over
     residue matrices with entries in {0, ..., p-1}.
     """
-    from itertools import product
     cols = m - r
     reps = []
     for entries in product(range(p), repeat=r * cols):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .padiclin import vp
 from .perms import all_perms, block_perm, compose, longest_perm
 from .rootspin import GLWeight, jvee_cochar, jvee_weyl
 from .symring import SymElem
@@ -158,7 +159,6 @@ def monomial_valuation(e: SymElem, vals: dict, p: int) -> Fraction:
     if mono is None:
         raise RefineError("valuation needs a monomial")
     coeff, exps = mono
-    from .padiclin import vp
     total = Fraction(vp(coeff.as_rational(), p))
     table = dict(vals)
     table.setdefault("Y", Fraction(1, 2))

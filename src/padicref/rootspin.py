@@ -16,6 +16,7 @@ cocharacters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .perms import all_perms, identity_perm
@@ -280,22 +281,15 @@ def wg0_members(n: int) -> set:
     return {sigma for sigma in all_perms(2 * n) if lam.act(sigma).is_pure()}
 
 
+@lru_cache(maxsize=None)
 def _jvee_table(n: int) -> dict:
     return {jmap_weyl(w): w for w in all_weyl_gspin(n)}
 
 
-_JVEE_CACHE: dict = {}
-
-
 def jvee_weyl(sigma: tuple) -> WeylGSpin:
     """Inverse of jmap_weyl; raises for sigma outside W_G^0."""
-    n = len(sigma) // 2
-    table = _JVEE_CACHE.get(n)
-    if table is None:
-        table = _jvee_table(n)
-        _JVEE_CACHE[n] = table
     try:
-        return table[tuple(sigma)]
+        return _jvee_table(len(sigma) // 2)[tuple(sigma)]
     except KeyError:
         raise RootDataError(f"{sigma} is not in W_G^0") from None
 

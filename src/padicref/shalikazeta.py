@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padiclin import (INF, PadicMatrix, iwahori_bruhat_decompose, vol_big_cell,
-                       vol_iwahori, vp)
+from .padiclin import (INF, PadicMatrix, iwahori_bruhat_decompose, residue,
+                       unit_part, vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
 from .princhecke import PSVector, ps_evaluate_rows
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
@@ -137,19 +137,13 @@ class TwistCharacter:
     def of_unit(self, a) -> CycNum:
         if self.beta == 0:
             return CycNum.from_rational(1)
-        m = self.p ** self.beta
-        a = Fraction(a)
-        num = a.numerator % m
-        den = a.denominator % m
-        if num % self.p == 0 or den % self.p == 0:
+        if vp(a, self.p) != 0:
             raise ZetaError("argument is not a unit")
-        return self.values[num * pow(den, -1, m) % m]
+        return self.values[residue(a, self.p, self.beta)]
 
     def of(self, x) -> CycNum:
         """chi(x) for nonzero rational x; chi(p) = 1 throughout."""
-        x = Fraction(x)
-        v = vp(x, self.p)
-        return self.of_unit(x / Fraction(self.p) ** int(v))
+        return self.of_unit(unit_part(x, self.p))
 
     def conjugate(self) -> "TwistCharacter":
         if self.beta == 0:

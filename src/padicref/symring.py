@@ -150,8 +150,7 @@ class CycNum:
 
     @staticmethod
     def _pair(a, b):
-        if not isinstance(b, CycNum):
-            b = CycNum.from_rational(b)
+        b = _as_cyc(b)
         m = math.lcm(a.order, b.order)
         return a.promoted(m), b.promoted(m), m
 
@@ -180,7 +179,7 @@ class CycNum:
         return CycNum(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CycNum) else CycNum.from_rational(other).__neg__())
+        return self + (-_as_cyc(other))
 
     def __mul__(self, other):
         a, b, m = CycNum._pair(self, other)
@@ -218,23 +217,15 @@ class CycNum:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycNum.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, CycNum.from_rational(1))
 
     def conjugate(self) -> "CycNum":
         """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        zinv = CycNum.root_of_unity(self.order, self.order - 1)
-        out = CycNum.from_rational(0)
+        m = self.order
+        out = [Fraction(0)] * m
         for i, c in enumerate(self.coeffs):
-            if c:
-                out = out + CycNum(self.order, [c]) * zinv ** i
-        return out
+            out[-i % m] = c
+        return CycNum(m, out)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -243,11 +234,6 @@ class CycNum:
             return NotImplemented
         a, b, _ = CycNum._pair(self, other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
 
     def serial(self):
         """Canonical tag used for sorting denominator factors."""
@@ -344,9 +330,7 @@ class _Poly:
     def __eq__(self, other):
         if not isinstance(other, _Poly):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.terms == other.terms
 
     def serial(self):
         items = sorted(self.terms.items())
@@ -510,14 +494,7 @@ class SymElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = SymElem.rational(self.p, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, SymElem.rational(self.p, 1))
 
     def __eq__(self, other):
         try:
@@ -580,22 +557,25 @@ def _is_one_minus_monomial(f: _Poly) -> bool:
     return c0 is not None and c0 == 1
 
 
+def _power(base, k: int, one):
+    """base^k for k >= 0 by square-and-multiply, starting from one."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 def _sorted_factors(factors):
     return tuple(sorted(factors, key=lambda f: f.serial()))
 
 
 def _multiset_max(a, b):
     """Multiset maximum of two factor tuples, by polynomial equality."""
-    out = list(a)
-    remaining = list(a)
-    for f in b:
-        for i, g in enumerate(remaining):
-            if f == g:
-                remaining.pop(i)
-                break
-        else:
-            out.append(f)
-    return _sorted_factors(out)
+    return _sorted_factors(list(a) + _multiset_diff(b, a))
+
 
 def _multiset_diff(a, b):
     """Factors of a not matched by factors of b."""

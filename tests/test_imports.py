@@ -1,6 +1,7 @@
-"""Every import in the package is used by the module that makes it, every
-top-level definition is named somewhere outside itself, every parameter is
-read by its function, and no module reads the process environment."""
+"""Every import in the package sits at module top and is used by the
+module, every top-level definition is named somewhere outside itself,
+every parameter is read by its function, and no module reads the process
+environment."""
 
 import ast
 import re
@@ -54,6 +55,29 @@ def test_guard_sees_module_and_function_scopes():
     source = ("import os\nfrom math import gcd, lcm\n"
               "def f():\n    from math import comb\n    return gcd(1, 2)\n")
     assert unused_imports(source) == [(1, "os"), (2, "lcm"), (4, "comb")]
+
+
+def function_imports(source: str) -> list:
+    """Lines of the imports made inside a function or method; imports
+    belong at module top, where a module's dependencies can be read."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_imports(path):
+    assert function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_function_import_guard():
+    source = ("import os\nfrom math import gcd\n"
+              "def f():\n    import json\n    return json\n"
+              "class C:\n    def m(self):\n"
+              "        def inner():\n            from math import comb\n"
+              "            return comb\n        return inner\n")
+    assert function_imports(source) == [4, 9]
 
 
 def unused_parameters(source: str) -> list:

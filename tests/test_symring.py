@@ -44,6 +44,17 @@ class TestCycNum:
         assert z.conjugate() == CycNum.root_of_unity(9, 7)
 
 
+    def test_equal_values_of_different_orders_are_unhashable(self):
+        # equality crosses orders, so a hash by order and coefficients
+        # would split equal values; CycNum defines none
+        pairs = ((CycNum.root_of_unity(4, 1), CycNum.root_of_unity(8, 2)),
+                 (CycNum.root_of_unity(3), CycNum.root_of_unity(6, 2)))
+        for a, b in pairs:
+            assert a == b
+            with pytest.raises(TypeError):
+                hash(a)
+
+
 class TestAgainstSympy:
     def test_cyclotomic_poly(self):
         sympy = pytest.importorskip("sympy")
