@@ -96,6 +96,14 @@ def v_lambda_j(g: PadicMatrix, lam: PureWeight, j: int) -> Fraction:
     return _open_cell_value(fac, lam, j)
 
 
+def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
+    """{j: v_lambda_j(g, lam, j)} for every j in the critical range, on one
+    open-cell factorization of g; every value is 0 off the cell."""
+    fac = open_cell_factorize(g)
+    return {j: Fraction(0) if fac is None else _open_cell_value(fac, lam, j)
+            for j in crit_range(lam)}
+
+
 def _open_cell_value(fac, lam: PureWeight, j: int) -> Fraction:
     """lam(bbar) * det(h1)^(-j) * det(h2)^(sw + j) on the factorization fac."""
     value = Fraction(1)

@@ -276,8 +276,7 @@ def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
             witness = None
             for _ in range(max(20, cfg.samples // 4)):
                 g = random_n_beta(rng, p, n, beta)
-                for j in branchfam.crit_range(lam):
-                    val = branchfam.v_lambda_j(g, lam, j)
+                for j, val in branchfam.v_lambda_all(g, lam).items():
                     if val == 0 or (val != 1 and padiclin.vp(val - 1, p) < beta):
                         ok = False
                         witness = f"j={j} value={val}"

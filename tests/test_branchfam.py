@@ -8,11 +8,11 @@ from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 in_iw_beta, in_iwh_beta, in_n_beta,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
                                 kappa_lambda_j, r_lambda_pair,
-                                v_basis_values, v_family, v_lambda_fun,
-                                v_lambda_j, w_family, w_lambda)
+                                v_basis_values, v_family, v_lambda_all,
+                                v_lambda_fun, v_lambda_j, w_family, w_lambda)
 from padicref.famring import FamilyRing, padic_log, teichmuller, wild_exponent
 from padicref.padiclin import PadicMatrix, vp
-from padicref.sampling import random_iw_beta, random_n_beta
+from padicref.sampling import random_glzp, random_iw_beta, random_n_beta
 
 
 class TestCritRange:
@@ -131,6 +131,26 @@ class TestClassicalVectors:
                     expected *= mids[i - 1] ** (lam.entry(i - 1) - lam.entry(i))
                 expected *= vn1 ** (-lam.entry(n) - j) * vn2 ** (lam.entry(n - 1) + j)
                 assert v_lambda_j(g, lam, j) == expected
+
+    def test_all_j_matches_each_j(self):
+        # one factorization for the whole critical range gives the values
+        # of the per-j evaluation, on and off the open cell
+        rng = make_rng("branch-all-j")
+        for p in (2, 3):
+            for n, lam in ((1, PureWeight([4, 0])),
+                           (2, PureWeight([2, 1, -1, -2]))):
+                samples = [random_n_beta(rng, p, n, 1) for _ in range(6)] \
+                    + [random_glzp(rng, p, 2 * n) for _ in range(6)]
+                for g in samples:
+                    values = v_lambda_all(g, lam)
+                    assert list(values) == list(crit_range(lam))
+                    for j in crit_range(lam):
+                        assert values[j] == v_lambda_j(g, lam, j)
+
+    def test_all_j_vanish_off_the_open_cell(self):
+        lam = PureWeight([2, 1, -1, -2])
+        for g in (PadicMatrix.identity(3, 4), PadicMatrix.longest_weyl(3, 4)):
+            assert set(v_lambda_all(g, lam).values()) == {0}
 
 
 class TestWCharacter:

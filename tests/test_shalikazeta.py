@@ -9,8 +9,10 @@ from padicref.princhecke import PSVector
 from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
                              is_spin, normalize_satake, tau_element)
 from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
+from padicref.princhecke import ps_evaluate_rows
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   TwistCharacter, ZetaError, _certify_tail,
+                                  _conjugation_level, _scaled_ints, _units,
                                   ag_intertwine_value,
                                   borel_part_character, chi_det_minus_wn,
                                   comparison_constant, ep_factor, gauss_sum,
@@ -201,6 +203,59 @@ class TestIntertwiningOracle:
         assert not value.is_zero()
         with pytest.raises(TruncationError):
             ag_intertwine_value(f, g, 1)
+
+
+def _fraction_intertwine(f, g, shells):
+    # reference: the shell sum with Fraction rows valued at every point
+    p = f.p
+    c_g = _conjugation_level(g, PadicMatrix(p, [[0, 1], [0, 0]]))
+    bottom, top = g.rows[1], g.rows[0]
+
+    def value_at(x):
+        return ps_evaluate_rows(
+            f, (bottom, (top[0] + x * bottom[0], top[1] + x * bottom[1])))
+
+    tail_start = max(c_g, 0)
+    total = SymElem.rational(p, 0)
+    for v in range(-shells, tail_start):
+        level = max(c_g - v, -v, 1)
+        shell = SymElem.rational(p, 0)
+        for u in _units(p, level):
+            val = value_at(Fraction(u) * Fraction(p) ** v)
+            if val.is_zero():
+                continue
+            if v < 0:
+                val = val * CycNum.root_of_unity(p ** (-v), (-u) % p ** (-v))
+            shell = shell + val
+        total = total + shell * Fraction(1, p ** (v + level))
+    return total + value_at(Fraction(0)) * Fraction(1, p ** tail_start)
+
+
+class TestIntegerShellPoints:
+    def test_matches_the_fraction_reference(self):
+        # the points of the zeta oracle, diag(u p^v, 1) g0, with v on both
+        # sides of 0 (powers of p in the denominators), and a g whose
+        # denominators are prime to p
+        for p in (2, 3, 5):
+            f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1),
+                                         tau_element(1))
+            for beta in (1, 2):
+                g0 = PadicMatrix(p, [[1, -1], [0, 1]]) \
+                    * PadicMatrix.diagonal(p, [Fraction(p) ** beta, 1])
+                points = [PadicMatrix.diagonal(p, [Fraction(u) * Fraction(p) ** v, 1]) * g0
+                          for v in sorted({-beta - 1, -beta, -1, 0}) for u in (1, p - 1)]
+                points.append(PadicMatrix(p, [[Fraction(1, 7), Fraction(2, p)],
+                                              [p, Fraction(3, 7)]]))
+                shells = beta + 2
+                for g in points:
+                    assert ag_intertwine_value(f, g, shells) \
+                        == _fraction_intertwine(f, g, shells)
+
+    def test_scaling_is_exact(self):
+        assert _scaled_ints((Fraction(2, 9), Fraction(-1, 3), Fraction(5)), 9) \
+            == (2, -3, 45)
+        with pytest.raises(ZetaError):
+            _scaled_ints((Fraction(1), Fraction(2, 9)), 3)
 
 
 class TestWValue:
