@@ -434,8 +434,3 @@ def kappa_lambda(mu: FiniteDistribution, f: LocPoly, lam: PureWeight) -> Fractio
 def kappa_lambda_j(mu: FiniteDistribution, lam: PureWeight, j: int) -> Fraction:
     return sum((Fraction(c) * v_lambda_j(g, lam, j) for c, g in mu.terms),
                Fraction(0))
-
-
-def r_lambda_pair(mu: FiniteDistribution, vector) -> Fraction:
-    """Pair a distribution against an explicit branching vector (callable)."""
-    return sum((Fraction(c) * vector(g) for c, g in mu.terms), Fraction(0))

@@ -8,7 +8,8 @@ splitmix64 streams from ``rng``, one child stream per suite, so the suite
 list can change without shifting another suite's samples.
 
 Configuration comes from command-line flags only, so a report depends on
-its argument list alone.
+its argument list alone; the order and repeats of ``--suites`` do not
+matter.  A failing case's witness names its first failing input.
 
 Exit status is 0 exactly when every executed case passed, 1 when a case
 failed (for ``zeta --oracle``: when an oracle disagrees with its closed
@@ -82,17 +83,16 @@ class SuiteConfig:
                 raise ConfigError(f"interp-diagram needs family degree >= {need} "
                                   f"at family precision {self.family_prec}")
 
-    def as_dict(self):
-        d = asdict(self)
-        d["suites"] = list(self.suites)
-        return d
 
-
-def _case(name, inputs, expected, ok, witness=None):
+def _case(name, inputs, expected, failures=()):
+    """The case of one check.  ``failures`` yields a witness for each input
+    that fails the check; it is read only up to its first witness, which
+    fails the case, and the case passes when it yields nothing."""
+    witness = next(iter(failures), None)
     out = {"name": name, "inputs": inputs, "expected": expected,
-           "outcome": "pass" if ok else "fail"}
-    if not ok:
-        out["witness"] = witness or "mismatch"
+           "outcome": "pass" if witness is None else "fail"}
+    if witness is not None:
+        out["witness"] = witness
     return out
 
 
@@ -103,16 +103,14 @@ def _case(name, inputs, expected, ok, witness=None):
 def suite_spin_enum(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     for n in range(1, cfg.n + 1):
-        sat = refine.SatakeParameter.generic(cfg.p, n)
-        refs = refine.all_refinements(sat)
-        spin = [r for r in refs if refine.is_spin(r)]
+        refs, spin = refine.spin_census(cfg.p, n)
+        census = (len(refs), len(spin)) == (math.factorial(2 * n), 2 ** n * math.factorial(n))
         cases.append(_case(f"census-n{n}", f"n={n}", "paper",
-                           len(refs) == math.factorial(2 * n)
-                           and len(spin) == 2 ** n * math.factorial(n),
-                           f"got {len(refs)}/{len(spin)}"))
-        ok = all((refine.gspin_factorization(r) is not None) == refine.is_spin(r)
-                 for r in refs)
-        cases.append(_case(f"gspin-exact-n{n}", f"n={n}", "paper", ok))
+                           () if census else [f"got {len(refs)}/{len(spin)}"]))
+        cases.append(_case(
+            f"gspin-exact-n{n}", f"n={n}", "paper",
+            (f"sigma={r.sigma} spin={refine.is_spin(r)}" for r in refs
+             if (refine.gspin_factorization(r) is not None) != refine.is_spin(r))))
     return cases
 
 
@@ -121,97 +119,94 @@ def suite_weyl_transfer(cfg: SuiteConfig, rng: SplitMix64):
     for n in range(1, cfg.n + 1):
         allw = rootspin.all_weyl_gspin(n)
         img = {rootspin.jmap_weyl(w) for w in allw}
+        members = rootspin.wg0_members(n)
         cases.append(_case(f"image-n{n}", f"n={n}", "derived",
-                           img == rootspin.wg0_members(n)))
-        hom = all(rootspin.jmap_weyl(a * b)
-                  == compose(rootspin.jmap_weyl(a), rootspin.jmap_weyl(b))
-                  for a in allw for b in allw)
-        cases.append(_case(f"homomorphism-n{n}", f"n={n}", "derived", hom))
-        equi = True
-        for w in allw:
-            sig = rootspin.jmap_weyl(w)
-            for i in range(n + 1):
-                mu = rootspin.GSpinWeight([1 if k == i else 0 for k in range(n + 1)])
-                if rootspin.jmap_weight(w.act_weight(mu)) != rootspin.jmap_weight(mu).act(sig):
-                    equi = False
-        cases.append(_case(f"equivariance-n{n}", f"n={n}", "paper", equi))
-        dual = True
-        for w in allw:
-            sig = rootspin.jmap_weyl(w)
-            for k in range(2 * n):
-                nu = tuple(1 if t == k else 0 for t in range(2 * n))
-                lhs = rootspin.jvee_cochar(rootspin.act_cochar_gl(nu, sig))
-                if lhs != rootspin.jvee_weyl(sig).act_cochar(rootspin.jvee_cochar(nu)):
-                    dual = False
-        cases.append(_case(f"dual-equivariance-n{n}", f"n={n}", "paper", dual))
+                           (f"sigma={s} in_image={s in img}"
+                            for s in sorted(img ^ members))))
+        cases.append(_case(f"homomorphism-n{n}", f"n={n}", "derived",
+                           (f"a={a} b={b}" for a in allw for b in allw
+                            if rootspin.jmap_weyl(a * b)
+                            != compose(rootspin.jmap_weyl(a), rootspin.jmap_weyl(b)))))
+
+        def unequivariant():
+            for w in allw:
+                sig = rootspin.jmap_weyl(w)
+                for i in range(n + 1):
+                    mu = rootspin.GSpinWeight([1 if k == i else 0 for k in range(n + 1)])
+                    lhs = rootspin.jmap_weight(w.act_weight(mu))
+                    rhs = rootspin.jmap_weight(mu).act(sig)
+                    if lhs != rhs:
+                        yield f"w={w} mu={mu}: {lhs} != {rhs}"
+
+        def dual_unequivariant():
+            for w in allw:
+                sig = rootspin.jmap_weyl(w)
+                for k in range(2 * n):
+                    nu = tuple(1 if t == k else 0 for t in range(2 * n))
+                    lhs = rootspin.jvee_cochar(rootspin.act_cochar_gl(nu, sig))
+                    rhs = rootspin.jvee_weyl(sig).act_cochar(rootspin.jvee_cochar(nu))
+                    if lhs != rhs:
+                        yield f"w={w} nu={nu}: {lhs} != {rhs}"
+
+        cases.append(_case(f"equivariance-n{n}", f"n={n}", "paper", unequivariant()))
+        cases.append(_case(f"dual-equivariance-n{n}", f"n={n}", "paper",
+                           dual_unequivariant()))
     return cases
 
 
 def suite_hecke_eigen(cfg: SuiteConfig, rng: SplitMix64):
-    cases = []
-    sat1 = refine.SatakeParameter.generic(cfg.p, 1)
-    for sigma in all_perms(2):
-        ok = princhecke.eigenvector_check(sat1, sigma, 1)
-        cases.append(_case(f"eigen-n1-{sigma}", f"p={cfg.p} sigma={sigma} r=1",
-                           "paper", ok))
-    sat2 = refine.SatakeParameter.generic(cfg.p, 2)
+    sats = {n: refine.SatakeParameter.generic(cfg.p, n) for n in (1, 2)}
     sigmas = all_perms(4)
     chosen = [sigmas[rng.randrange(len(sigmas))] for _ in range(3)]
     chosen += [tuple(longest_perm(4)), refine.tau_element(2)]
-    for sigma in chosen:
-        for r in (1, 2, 3):
-            ok = princhecke.eigenvector_check(sat2, sigma, r)
-            cases.append(_case(f"eigen-n2-{sigma}-r{r}",
-                               f"p={cfg.p} sigma={sigma} r={r}", "paper", ok))
-    return cases
+    checks = [(f"eigen-n1-{sigma}", 1, sigma, 1) for sigma in all_perms(2)] \
+        + [(f"eigen-n2-{sigma}-r{r}", 2, sigma, r) for sigma in chosen for r in (1, 2, 3)]
+    return [_case(name, f"p={cfg.p} sigma={sigma} r={r}", "paper",
+                  () if princhecke.eigenvector_check(sats[n], sigma, r)
+                  else [f"n={n} sigma={sigma} r={r}: U_p,r f != alpha f"])
+            for name, n, sigma, r in checks]
 
 
 def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
     for n in (1, 2):
+        w0, wn = longest_perm(n), PadicMatrix.longest_weyl(p, n)
+        thetas = [SymElem.gen(p, f"X{i + 1}") for i in range(2 * n)]
         for beta in (1, cfg.beta):
-            agree = True
-            witness = None
             count = max(20, cfg.samples // 4)
-            for _ in range(count):
-                delta = rng.choice(all_perms(n))
-                k = random_glzp(rng, p, n)
-                x = PadicMatrix(p, [[rng.padic_rational(p, -2, 2)
-                                     if rng.randrange(3) else 0
-                                     for _ in range(n)] for _ in range(n)])
-                a = shalikazeta.shalika_support_predicate(delta, k, x, beta)
-                b = shalikazeta.shalika_support_bruhat(delta, k, x, beta)
-                if a != b:
-                    agree = False
-                    witness = f"delta={delta} k={k.rows} x={x.rows}"
-                    break
+
+            def disagreements():
+                for _ in range(count):
+                    delta = rng.choice(all_perms(n))
+                    k = random_glzp(rng, p, n)
+                    x = PadicMatrix(p, [[rng.padic_rational(p, -2, 2)
+                                         if rng.randrange(3) else 0
+                                         for _ in range(n)] for _ in range(n)])
+                    a = shalikazeta.shalika_support_predicate(delta, k, x, beta)
+                    if a != shalikazeta.shalika_support_bruhat(delta, k, x, beta):
+                        yield f"delta={delta} k={k} x={x} predicate={a}"
+
+            # constructed positives, with the Borel character identity
+            def positive_failures():
+                for _ in range(max(10, count // 8)):
+                    k = random_upper_zp(rng, p, n) * wn * random_iwahori(rng, p, n)
+                    arb = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
+                                          for _ in range(n)])
+                    x = k * wn * shalikazeta.z_matrix(p, n, 2 * beta) * arb
+                    if not (shalikazeta.shalika_support_predicate(w0, k, x, beta)
+                            and shalikazeta.shalika_support_bruhat(w0, k, x, beta)):
+                        yield f"k={k} x={x} off the support"
+                    try:
+                        shalikazeta.borel_part_character(thetas, k, x, beta)
+                    except shalikazeta.ZetaError as exc:
+                        yield f"k={k} x={x}: {exc}"
+
             cases.append(_case(f"predicate-vs-cell-n{n}-b{beta}",
                                f"n={n} p={p} beta={beta} samples={count}",
-                               "derived", agree, witness))
-            # constructed positives, with the Borel character identity
-            ok = True
-            witness = None
-            wn = PadicMatrix.longest_weyl(p, n)
-            thetas = [SymElem.gen(p, f"X{i + 1}") for i in range(2 * n)]
-            for _ in range(max(10, count // 8)):
-                k = random_upper_zp(rng, p, n) * wn * random_iwahori(rng, p, n)
-                arb = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
-                                      for _ in range(n)])
-                x = k * wn * shalikazeta.z_matrix(p, n, 2 * beta) * arb
-                if not (shalikazeta.shalika_support_predicate(longest_perm(n), k, x, beta)
-                        and shalikazeta.shalika_support_bruhat(longest_perm(n), k, x, beta)):
-                    ok = False
-                    witness = f"k={k.rows}"
-                    break
-                try:
-                    shalikazeta.borel_part_character(thetas, k, x, beta)
-                except shalikazeta.ZetaError as exc:
-                    ok = False
-                    witness = str(exc)
-                    break
+                               "derived", disagreements()))
             cases.append(_case(f"in-cell-positives-n{n}-b{beta}",
-                               f"n={n} p={p} beta={beta}", "paper", ok, witness))
+                               f"n={n} p={p} beta={beta}", "paper", positive_failures()))
     return cases
 
 
@@ -232,9 +227,8 @@ def _zeta_values(kind, sat, chi, shells, oracle):
 
 def _zeta_case(kind, sat, chi, shells, inputs):
     closed, oracle = _zeta_values(kind, sat, chi, shells, True)
-    ok = oracle == closed
-    return _case(f"oracle-vs-closed-{chi.label}", inputs, "derived", ok,
-                 None if ok else f"oracle={oracle!r} closed={closed!r}")
+    return _case(f"oracle-vs-closed-{chi.label}", inputs, "derived",
+                 () if oracle == closed else [f"oracle={oracle!r} closed={closed!r}"])
 
 
 def suite_zeta_iwahori(cfg: SuiteConfig, rng: SplitMix64):
@@ -244,8 +238,7 @@ def suite_zeta_iwahori(cfg: SuiteConfig, rng: SplitMix64):
     for beta in range(1, cfg.beta + 1):
         chars = shalikazeta.TwistCharacter.enumerate_conductor(p, beta)
         if not chars:
-            cases.append(_case(f"no-ramified-b{beta}", f"p={p} beta={beta}",
-                               "trivial", True))
+            cases.append(_case(f"no-ramified-b{beta}", f"p={p} beta={beta}", "trivial"))
         for chi in chars:
             cases.append(_zeta_case("iwahori", sat, chi, cfg.shells,
                                     f"p={p} beta={beta} chi={chi.label}"))
@@ -272,33 +265,28 @@ def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
     for n in (1, 2):
         lam = weights[n]
         for beta in (1, cfg.beta):
-            ok = True
-            witness = None
-            for _ in range(max(20, cfg.samples // 4)):
-                g = random_n_beta(rng, p, n, beta)
-                for j, val in branchfam.v_lambda_all(g, lam).items():
-                    if val == 0 or (val != 1 and padiclin.vp(val - 1, p) < beta):
-                        ok = False
-                        witness = f"j={j} value={val}"
-                        break
-                if not ok:
-                    break
+            def non_units():
+                for _ in range(max(20, cfg.samples // 4)):
+                    g = random_n_beta(rng, p, n, beta)
+                    for j, val in branchfam.v_lambda_all(g, lam).items():
+                        if val == 0 or (val != 1 and padiclin.vp(val - 1, p) < beta):
+                            yield f"g={g} j={j} value={val}"
+
             cases.append(_case(f"unit-congruence-n{n}-b{beta}",
-                               f"n={n} p={p} beta={beta}", "paper", ok, witness))
-        interp = True
-        witness = None
-        for _ in range(max(10, cfg.samples // 10)):
-            g = random_iw_beta(rng, p, 2 * n, 1)
-            for j in branchfam.crit_range(lam):
-                f = branchfam.LocPoly.monomial(p, j)
-                if branchfam.v_lambda_fun(f, g, lam) != branchfam.v_lambda_j(g, lam, j):
-                    interp = False
-                    witness = f"j={j}"
-                    break
-            if not interp:
-                break
+                               f"n={n} p={p} beta={beta}", "paper", non_units()))
+
+        def off_interpolation():
+            for _ in range(max(10, cfg.samples // 10)):
+                g = random_iw_beta(rng, p, 2 * n, 1)
+                for j in branchfam.crit_range(lam):
+                    f = branchfam.LocPoly.monomial(p, j)
+                    value = branchfam.v_lambda_fun(f, g, lam)
+                    direct = branchfam.v_lambda_j(g, lam, j)
+                    if value != direct:
+                        yield f"g={g} j={j}: {value} != {direct}"
+
         cases.append(_case(f"interpolates-n{n}", f"n={n} p={p}", "paper",
-                           interp, witness))
+                           off_interpolation()))
     return cases
 
 
@@ -331,29 +319,26 @@ def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
     p = cfg.p
     for n in (1, 2):
         lam, omega = _family_test_data(p, n, cfg.family_prec, cfg.family_degree)
-        count = max(5, cfg.samples // 40)
-        sq1 = sq2 = True
-        witness1 = witness2 = None
-        for _ in range(count):
+        js = list(branchfam.crit_range(lam))
+        # (j, kappa_lambda, kappa_lambda_j, specialized family) per sample
+        rows = []
+        for _ in range(max(5, cfg.samples // 40)):
             mu = branchfam.FiniteDistribution(
                 [(rng.randint(-3, 3), random_iw_beta(rng, p, 2 * n, 1))
                  for _ in range(2)])
-            js = list(branchfam.crit_range(lam))
             for j in (js[0], js[len(js) // 2], js[-1]):
                 f = branchfam.LocPoly.monomial(p, j)
-                kappa = branchfam.kappa_lambda(mu, f, lam)
-                if kappa != branchfam.kappa_lambda_j(mu, lam, j):
-                    sq2 = False
-                    witness2 = f"n={n} j={j} second square"
-                fam = branchfam.kappa_family(mu, f, omega)
-                if omega.specialize(fam, lam) != omega.reduce(kappa):
-                    sq1 = False
-                    witness1 = f"n={n} j={j} first square"
+                rows.append((j, branchfam.kappa_lambda(mu, f, lam),
+                             branchfam.kappa_lambda_j(mu, lam, j),
+                             omega.specialize(branchfam.kappa_family(mu, f, omega), lam)))
         cases.append(_case(f"square-spec-n{n}",
                            f"n={n} p={p} prec=(p^{cfg.family_prec},{cfg.family_degree})",
-                           "paper", sq1, witness1))
-        cases.append(_case(f"square-eval-n{n}", f"n={n} p={p}", "paper", sq2,
-                           witness2))
+                           "paper", (f"n={n} j={j} first square: {spec} != {kappa}"
+                                     for j, kappa, _, spec in rows
+                                     if spec != omega.reduce(kappa))))
+        cases.append(_case(f"square-eval-n{n}", f"n={n} p={p}", "paper",
+                           (f"n={n} j={j} second square: {kappa} != {kappa_j}"
+                            for j, kappa, kappa_j, _ in rows if kappa != kappa_j)))
     return cases
 
 
@@ -363,31 +348,38 @@ def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
     for n in (1, 2):
         sat = refine.SatakeParameter.generic(p, n)
         ref = refine.Refinement(sat, refine.tau_element(n))
-        ok = True
-        for beta in (1, 2):
-            for chi in shalikazeta.TwistCharacter.enumerate_conductor(p, beta):
-                for j in (-1, 0, 1):
-                    lhs = shalikazeta.ep_factor(sat, chi, j) \
-                        / shalikazeta.qprime_factor(chi, j, beta, n)
-                    if lhs != refine.hecke_eigenvalue(ref, n) ** (-beta):
-                        ok = False
-        cases.append(_case(f"ramified-ratio-n{n}", f"n={n} p={p}", "derived", ok))
-        ok = True
-        triv = shalikazeta.TwistCharacter.trivial(p)
-        for j in (-1, 0, 1):
-            ep = shalikazeta.ep_factor(sat, triv, j)
-            sval = SymElem.p_power(p, Fraction(2 * j + 1, 2))
-            q_closed = shalikazeta.zeta_parahoric_closed(sat, triv, 0).value
-            q_at_j = q_closed.substitute({"S": sval})
-            prefactor = SymElem.gen(p, "S", n).substitute({"S": sval}) \
-                * SymElem.p_power(p, Fraction(-n * n, 2))
-            unit = SymElem.rational(p, Fraction(1 - p) ** n)
-            for i in range(n, 2 * n):
-                unit = unit * (SymElem.p_power(p, Fraction(2 * j - 1, 2))
-                               * sat.theta[i].inverse() * (-1))
-            if ep * prefactor != q_at_j * unit:
-                ok = False
-        cases.append(_case(f"unramified-unit-n{n}", f"n={n} p={p}", "derived", ok))
+
+        def ramified_failures():
+            for beta in (1, 2):
+                for chi in shalikazeta.TwistCharacter.enumerate_conductor(p, beta):
+                    for j in (-1, 0, 1):
+                        lhs = shalikazeta.ep_factor(sat, chi, j) \
+                            / shalikazeta.qprime_factor(chi, j, beta, n)
+                        rhs = refine.hecke_eigenvalue(ref, n) ** (-beta)
+                        if lhs != rhs:
+                            yield f"chi={chi.label} j={j}: {lhs} != {rhs}"
+
+        def unramified_failures():
+            triv = shalikazeta.TwistCharacter.trivial(p)
+            for j in (-1, 0, 1):
+                ep = shalikazeta.ep_factor(sat, triv, j)
+                sval = SymElem.p_power(p, Fraction(2 * j + 1, 2))
+                q_closed = shalikazeta.zeta_parahoric_closed(sat, triv, 0).value
+                q_at_j = q_closed.substitute({"S": sval})
+                prefactor = SymElem.gen(p, "S", n).substitute({"S": sval}) \
+                    * SymElem.p_power(p, Fraction(-n * n, 2))
+                unit = SymElem.rational(p, Fraction(1 - p) ** n)
+                for i in range(n, 2 * n):
+                    unit = unit * (SymElem.p_power(p, Fraction(2 * j - 1, 2))
+                                   * sat.theta[i].inverse() * (-1))
+                lhs, rhs = ep * prefactor, q_at_j * unit
+                if lhs != rhs:
+                    yield f"j={j}: {lhs} != {rhs}"
+
+        cases.append(_case(f"ramified-ratio-n{n}", f"n={n} p={p}", "derived",
+                           ramified_failures()))
+        cases.append(_case(f"unramified-unit-n{n}", f"n={n} p={p}", "derived",
+                           unramified_failures()))
     return cases
 
 
@@ -395,33 +387,23 @@ def suite_comparison(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
     lams = {1: rootspin.GLWeight([1, 0]), 2: rootspin.GLWeight([2, 1, -1, -2])}
+    triv = shalikazeta.TwistCharacter.trivial(p)
     for n in (1, 2):
         sat = refine.SatakeParameter.generic(p, n)
         chars = shalikazeta.TwistCharacter.enumerate_conductor(p, 1) \
             + shalikazeta.TwistCharacter.enumerate_conductor(p, 2)
         pairs = [(chi, j) for chi in chars[:2] for j in (-1, 0)]
-        ok = True
-        witness = None
-        if pairs:
+
+        def mismatches(suite):
             try:
-                shalikazeta.comparison_constant(sat, lams[n], pairs)
+                shalikazeta.comparison_constant(sat, lams[n], suite)
             except shalikazeta.ComparisonMismatch as exc:
-                ok = False
-                witness = str(exc)
-        cases.append(_case(f"ramified-constancy-n{n}",
-                           f"n={n} p={p} pairs={len(pairs)}", "derived", ok,
-                           witness))
-        triv = shalikazeta.TwistCharacter.trivial(p)
-        ok = True
-        witness = None
-        try:
-            shalikazeta.comparison_constant(sat, lams[n],
-                                            [(triv, j) for j in (-1, 0, 1)])
-        except shalikazeta.ComparisonMismatch as exc:
-            ok = False
-            witness = str(exc)
-        cases.append(_case(f"trivial-constancy-n{n}", f"n={n} p={p}",
-                           "derived", ok, witness))
+                yield str(exc)
+
+        cases.append(_case(f"ramified-constancy-n{n}", f"n={n} p={p} pairs={len(pairs)}",
+                           "derived", mismatches(pairs) if pairs else ()))
+        cases.append(_case(f"trivial-constancy-n{n}", f"n={n} p={p}", "derived",
+                           mismatches([(triv, j) for j in (-1, 0, 1)])))
     return cases
 
 
@@ -490,7 +472,7 @@ def run(config: SuiteConfig) -> dict:
     root = SplitMix64(config.seed)
     suites = []
     start = time.monotonic()
-    for name in sorted(set(config.suites)):
+    for name in config.suites:
         cases = CATALOG[name]["fn"](config, root.spawn(name))
         passed = sum(1 for c in cases if c["outcome"] == "pass")
         suites.append({"name": name, "claim": CATALOG[name]["claim"],
@@ -498,7 +480,7 @@ def run(config: SuiteConfig) -> dict:
                        "failed": len(cases) - passed})
     elapsed = round(time.monotonic() - start, 3)
     failed = sum(s["failed"] for s in suites)
-    body = {"schema_version": SCHEMA_VERSION, "config": config.as_dict(),
+    body = {"schema_version": SCHEMA_VERSION, "config": asdict(config),
             "suites": suites, "passed": sum(s["passed"] for s in suites),
             "failed": failed, "ok": failed == 0}
     return {"body": body, "meta": {"elapsed_seconds": elapsed}}
@@ -523,7 +505,7 @@ def _config_from_args(args) -> SuiteConfig:
     cfg = SuiteConfig(**{name: getattr(args, name) for name in INT_FIELDS
                          if hasattr(args, name)})
     if getattr(args, "suites", None) is not None:
-        cfg.suites = [s for s in args.suites.split(",") if s]
+        cfg.suites = sorted({s for s in args.suites.split(",") if s})
     cfg.validate()
     return cfg
 
@@ -593,11 +575,10 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command == "enumerate":
-            sat = refine.SatakeParameter.generic(cfg.p, cfg.n)
-            refs = refine.all_refinements(sat)
-            spin = sorted(r.sigma for r in refs if refine.is_spin(r))
+            refs, spin = refine.spin_census(cfg.p, cfg.n)
+            cells = sorted(list(r.sigma) for r in spin)
             doc, ok = {"n": cfg.n, "p": cfg.p, "refinements": len(refs),
-                       "spin": len(spin), "spin_cells": [list(s) for s in spin]}, True
+                       "spin": len(cells), "spin_cells": cells}, True
         elif args.command == "zeta":
             doc = _zeta(cfg, args.kind, args.oracle)
             ok = all(e.get("oracle_matches", True) for e in doc)

@@ -329,7 +329,7 @@ def noncritical_slope(ref: Refinement, lam: GLWeight, valuations: dict) -> bool:
 
 
 def spin_census(p: int, n: int):
-    """(number of refinements, number of spin refinements) for generic theta."""
-    sat = SatakeParameter.generic(p, n)
-    refs = all_refinements(sat)
-    return len(refs), sum(1 for ref in refs if is_spin(ref))
+    """(refinements, spin refinements) of the generic Satake parameter of
+    rank n at p."""
+    refs = all_refinements(SatakeParameter.generic(p, n))
+    return refs, [ref for ref in refs if is_spin(ref)]

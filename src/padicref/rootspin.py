@@ -157,10 +157,6 @@ class WeylGSpin:
         signs[i] = -1
         return cls(identity_perm(n), tuple(signs))
 
-    @classmethod
-    def from_perm(cls, perm: tuple) -> "WeylGSpin":
-        return cls(perm, (1,) * len(perm))
-
     def weight_matrix(self):
         """Columns are the images of f_0, ..., f_n."""
         n = self.n

@@ -7,7 +7,7 @@ from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 LocPoly, PureWeight, alpha_weight, crit_range,
                                 in_iw_beta, in_iwh_beta, in_n_beta,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
-                                kappa_lambda_j, r_lambda_pair,
+                                kappa_lambda_j,
                                 v_basis_values, v_family, v_lambda_all,
                                 v_lambda_fun, v_lambda_j, w_family, w_lambda)
 from padicref.famring import FamilyRing, padic_log, teichmuller, wild_exponent
@@ -315,8 +315,6 @@ class TestDistributionMaps:
             for j in (-2, 0, 2):
                 f = LocPoly.monomial(p, j)
                 assert kappa_lambda(mu, f, lam) == kappa_lambda_j(mu, lam, j)
-                vector = lambda g: v_lambda_j(g, lam, j)
-                assert r_lambda_pair(mu, vector) == kappa_lambda_j(mu, lam, j)
 
     def test_family_route_mod_p_M(self):
         rng = make_rng("diagram-family")

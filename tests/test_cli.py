@@ -1,9 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from padicref import cli, refine, shalikazeta
+from padicref import cli, princhecke, refine, shalikazeta
 from padicref.cli import main
 
 
@@ -145,7 +146,7 @@ class TestAcceptedInput:
 class TestFailedCase:
     def test_failed_case_exit_one(self, monkeypatch, capsys):
         def failing(cfg, rng):
-            return [cli._case("forced", "none", "paper", False, "left != right")]
+            return [cli._case("forced", "none", "paper", ["left != right"])]
 
         monkeypatch.setitem(cli.CATALOG["spin-enum"], "fn", failing)
         code, out, err = _run(["run", "--suites", "spin-enum"], capsys)
@@ -154,6 +155,79 @@ class TestFailedCase:
         assert body["ok"] is False
         assert body["failed"] == 1 and body["passed"] == 0
         assert body["suites"][0]["cases"][0]["witness"] == "left != right"
+
+    def test_case_reads_failures_up_to_the_first(self):
+        read = []
+
+        def failures():
+            for i in range(5):
+                read.append(i)
+                if i >= 2:
+                    yield f"i={i}"
+
+        case = cli._case("c", "i<5", "paper", failures())
+        assert case["outcome"] == "fail" and case["witness"] == "i=2"
+        assert read == [0, 1, 2]
+        assert cli._case("c", "none", "paper") == {
+            "name": "c", "inputs": "none", "expected": "paper", "outcome": "pass"}
+
+
+class TestWitnesses:
+    """Failures planted by patching: each failing case names its input."""
+
+    @staticmethod
+    def _failing(argv, capsys):
+        code, out, err = _run(argv, capsys)
+        assert code == 1 and err == ""
+        cases = [c for s in json.loads(out)["body"]["suites"] for c in s["cases"]
+                 if c["outcome"] == "fail"]
+        assert cases
+        assert all(c["witness"] and "mismatch" not in c["witness"] for c in cases)
+        return cases
+
+    def test_sampled_suite(self, monkeypatch, capsys):
+        right = shalikazeta.shalika_support_bruhat
+        monkeypatch.setattr(shalikazeta, "shalika_support_bruhat",
+                            lambda *args: not right(*args))
+        cases = self._failing(["run", "--suites", "cell-support", "--samples", "8"],
+                              capsys)
+        names = {c["name"].rsplit("-n", 1)[0] for c in cases}
+        assert names == {"predicate-vs-cell", "in-cell-positives"}
+        for case in cases:
+            assert "k=PadicMatrix(" in case["witness"]
+            assert "x=PadicMatrix(" in case["witness"]
+            if case["name"].startswith("predicate-vs-cell"):
+                assert case["witness"].startswith("delta=(")
+
+    def test_eigenvector(self, monkeypatch, capsys):
+        monkeypatch.setattr(princhecke, "eigenvector_check", lambda *args: False)
+        cases = self._failing(["run", "--suites", "hecke-eigen"], capsys)
+        assert len(cases) == 17
+        for case in cases:
+            sigma_r = case["inputs"].split(" ", 1)[1]
+            assert sigma_r in case["witness"]
+
+    def test_ramified_ratio(self, monkeypatch, capsys):
+        right = shalikazeta.qprime_factor
+        monkeypatch.setattr(shalikazeta, "qprime_factor",
+                            lambda *args: right(*args) * Fraction(2))
+        cases = self._failing(["run", "--suites", "euler-factors"], capsys)
+        assert [c["name"] for c in cases] == ["ramified-ratio-n1", "ramified-ratio-n2"]
+        for case in cases:
+            assert case["witness"].startswith("chi=chi3^1[1] j=-1: ")
+
+
+class TestSuiteList:
+    def test_order_and_repeats_do_not_change_the_body(self, capsys):
+        bodies = []
+        for suites in ("spin-enum,weyl-transfer", "weyl-transfer,spin-enum",
+                       "spin-enum,weyl-transfer,spin-enum,"):
+            code, out, _ = _run(["run", "--suites", suites, "--n", "1"], capsys)
+            assert code == 0
+            bodies.append(_body(out))
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert json.loads(bodies[0])["config"]["suites"] == ["spin-enum",
+                                                             "weyl-transfer"]
 
 
 class TestZetaMismatch:

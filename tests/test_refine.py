@@ -98,9 +98,10 @@ class TestEigenvalues:
 
 class TestSpin:
     def test_census(self):
-        assert spin_census(3, 1) == (2, 2)
-        assert spin_census(3, 2) == (24, 8)
-        assert spin_census(3, 3) == (720, 48)
+        for n, total, spin in ((1, 2, 2), (2, 24, 8), (3, 720, 48)):
+            refs, spins = spin_census(3, n)
+            assert (len(refs), len(spins)) == (total, spin)
+            assert spins == [r for r in refs if is_spin(r)]
 
     def test_rank_one_all_spin(self):
         sat = SatakeParameter.generic(2, 1)

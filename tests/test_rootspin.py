@@ -150,7 +150,7 @@ class TestWG0:
                 frontier = new
             assert kernel == generated
             assert len(kernel) == 2 ** n
-            split = {jmap_weyl(WeylGSpin.from_perm(s)) for s in all_perms(n)}
+            split = {jmap_weyl(WeylGSpin(s, (1,) * n)) for s in all_perms(n)}
             assert len(split) == len(all_perms(n))
             assert all(s in wg0_members(n) for s in split)
 
