@@ -118,19 +118,18 @@ def suite_weyl_transfer(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     for n in range(1, cfg.n + 1):
         allw = rootspin.all_weyl_gspin(n)
-        img = {rootspin.jmap_weyl(w) for w in allw}
+        jw = {w: rootspin.jmap_weyl(w) for w in allw}  # a * b is in allw too
+        img = set(jw.values())
         members = rootspin.wg0_members(n)
         cases.append(_case(f"image-n{n}", f"n={n}", "derived",
                            (f"sigma={s} in_image={s in img}"
                             for s in sorted(img ^ members))))
         cases.append(_case(f"homomorphism-n{n}", f"n={n}", "derived",
                            (f"a={a} b={b}" for a in allw for b in allw
-                            if rootspin.jmap_weyl(a * b)
-                            != compose(rootspin.jmap_weyl(a), rootspin.jmap_weyl(b)))))
+                            if jw[a * b] != compose(jw[a], jw[b]))))
 
         def unequivariant():
-            for w in allw:
-                sig = rootspin.jmap_weyl(w)
+            for w, sig in jw.items():
                 for i in range(n + 1):
                     mu = rootspin.GSpinWeight([1 if k == i else 0 for k in range(n + 1)])
                     lhs = rootspin.jmap_weight(w.act_weight(mu))
@@ -139,8 +138,7 @@ def suite_weyl_transfer(cfg: SuiteConfig, rng: SplitMix64):
                         yield f"w={w} mu={mu}: {lhs} != {rhs}"
 
         def dual_unequivariant():
-            for w in allw:
-                sig = rootspin.jmap_weyl(w)
+            for w, sig in jw.items():
                 for k in range(2 * n):
                     nu = tuple(1 if t == k else 0 for t in range(2 * n))
                     lhs = rootspin.jvee_cochar(rootspin.act_cochar_gl(nu, sig))

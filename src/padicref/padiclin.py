@@ -17,12 +17,17 @@ three factorizations the local proofs run on:
 * ``open_cell_factorize``: g = bbar * u * diag(h1, h2) on the open
   H-orbit, where u = [[1, w_n], [0, 1]]; certified by re-multiplication.
 
-``bruhat_cell_valuations`` is the one Bruhat elimination: it returns the
-cell and the diagonal valuations of b, computed on Python ints.  The full
-decomposition is this core plus one UL factorization and a certificate
-checked with multiplication, det and vp alone; the cell and vp(diag b)
-are invariants of the double coset B(Q_p) g Iw, so every certified
-decomposition is an independent proof of the core's answer.
+There are two eliminations, both on Python ints (rows scaled to one common
+denominator by ``_int_rows``).  ``bruhat_cell_valuations``, the Bruhat
+core, returns the cell and the diagonal valuations of b.  ``_eliminate``
+is fraction-free (Bareiss) elimination, with exact integer divisions;
+``det``, ``inverse`` and ``lu_unit_lower`` read their results off it, and
+through them so do the three factorizations.  Matrix products are integer
+dot products too.  The full Bruhat decomposition is the Bruhat core plus
+one UL factorization and a certificate checked with multiplication, det
+and vp alone; the cell and vp(diag b) are invariants of the double coset
+B(Q_p) g Iw, so every certified decomposition is an independent proof of
+the core's answer.
 
 Haar measure normalizations are fixed once and for all here:
 vol(GL_n(Z_p)) = 1 for compact-group integrals, vol(M_n(Z_p)) = 1
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .perms import compose, longest_perm
 
@@ -80,12 +86,65 @@ def residue(x, p: int, k: int) -> int:
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
+def _int_rows(rows):
+    """(d, d * rows as lists of ints), d the lcm of the denominators of the
+    int or Fraction entries."""
+    d = 1
+    for row in rows:
+        for x in row:
+            if x.denominator != 1:
+                d = math.lcm(d, x.denominator)
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _eliminate(m, pivot: bool, jordan: bool = False) -> int:
+    """Fraction-free (Bareiss) elimination, in place, of the n x c int rows
+    m, c >= n.  Returns det m[:, :n], or 0 when step k finds no pivot: with
+    pivot, column k is zero from row k down (m is singular); without, the
+    leading (k+1)-minor is 0.
+
+    Step k (with pivot, a zero p_k = m[k][k] is first swapped with the next
+    nonzero entry below it) sets, for j > k and p_{-1} = 1,
+        m[i][j] <- (p_k * m[i][j] - m[i][k] * m[k][j]) / p_{k-1}
+    in every row i > k, and with jordan in every row i < k too.  Each new
+    entry is a minor of the row-swapped input, so each division is exact:
+    for i > k the minor on rows 0..k, i and columns 0..k, j (Sylvester's
+    identity); for i < k the leading (k+1)-minor with column i replaced by
+    column j (Cramer's rule).  At the end, for k < n:
+
+    * m[k][k] = p_k, the leading (k+1)-minor, and row k of U is
+      m[k][k:] / p_{k-1} (m[k][j] is the minor on rows 0..k, columns
+      0..k-1, j);
+    * without jordan, the multiplier L[i][k], i > k, is m[i][k] / p_k
+      (m[i][k] is the minor on rows 0..k-1, i and columns 0..k);
+    * with jordan, m[:, n:] is R times the input's m[:, n:], for the row
+      operations R with R * m[:, :n] = p_{n-1} * 1.
+    """
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None) if pivot else None
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pk, tail = m[k][k], m[k][k + 1:]
+        for i in range(0 if jordan else k + 1, n):
+            ri, f = m[i], m[i][k]
+            if i != k and (f or pk != prev):
+                ri[k + 1:] = [(pk * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
+        prev = pk
+    return sign * prev
+
+
 class PadicMatrix:
     __slots__ = ("p", "size", "rows")
 
     def __init__(self, p: int, rows):
         self.p = p
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                                for x in row) for row in rows)
         self.size = len(self.rows)
         for row in self.rows:
             if len(row) != self.size:
@@ -148,14 +207,10 @@ class PadicMatrix:
     def __mul__(self, other: "PadicMatrix") -> "PadicMatrix":
         if self.size != other.size:
             raise LinAlgError("size mismatch")
-        n = self.size
-        orows = other.rows
-        out = []
-        for i in range(n):
-            ri = self.rows[i]
-            out.append([sum(ri[k] * orows[k][j] for k in range(n) if ri[k])
-                        for j in range(n)])
-        return PadicMatrix(self.p, out)
+        (da, a), (db, b) = _int_rows(self.rows), _int_rows(other.rows)
+        cols = list(zip(*b))
+        return PadicMatrix(self.p, [[Fraction(sum(map(mul, ra, cb)), da * db)
+                                     for cb in cols] for ra in a])
 
     def __eq__(self, other):
         return isinstance(other, PadicMatrix) and self.p == other.p and self.rows == other.rows
@@ -167,49 +222,18 @@ class PadicMatrix:
         return PadicMatrix(self.p, list(zip(*self.rows)))
 
     def det(self) -> Fraction:
-        n = self.size
-        m = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if m[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    f = m[i][k] * inv
-                    for j in range(k, n):
-                        m[i][j] -= f * m[k][j]
-        return det
+        d, m = _int_rows(self.rows)
+        return Fraction(_eliminate(m, pivot=True), d ** self.size)
 
     def inverse(self) -> "PadicMatrix":
         n = self.size
-        m = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if m[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                raise LinAlgError("singular matrix")
-            m[k], m[piv] = m[piv], m[k]
-            inv = 1 / m[k][k]
-            m[k] = [x * inv for x in m[k]]
-            for i in range(n):
-                if i != k and m[i][k]:
-                    f = m[i][k]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        return PadicMatrix(self.p, [row[n:] for row in m])
+        d, m = _int_rows(self.rows)  # self = m / d, so self^{-1} = d * R / p_{n-1}
+        for i, row in enumerate(m):
+            row.extend(int(i == j) for j in range(n))
+        if not _eliminate(m, pivot=True, jordan=True):
+            raise LinAlgError("singular matrix")
+        return PadicMatrix(self.p, [[Fraction(d * x, m[-1][n - 1]) for x in row[n:]]
+                                    for row in m])
 
     def block(self, r0, r1, c0, c1) -> "PadicMatrix":
         return PadicMatrix(self.p, [row[c0:c1] for row in self.rows[r0:r1]])
@@ -316,9 +340,10 @@ def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     b = b_t.transpose()
     i_factor = PadicMatrix(p, [[ybar_t.rows[w[c]][w[r]] for c in range(n)]
                                for r in range(n)])
+    # column j of b * w is column w[j] of b
     if not (b.is_upper_triangular() and i_factor.in_iwahori()
             and b.diagonal_valuations() == list(vals)
-            and b * PadicMatrix.permutation(p, w) * i_factor == g):
+            and PadicMatrix(p, [[r[k] for k in w] for r in b.rows]) * i_factor == g):
         raise LinAlgError("Bruhat decomposition failed its certificate")
     return BruhatDecomposition(b, w, i_factor)
 
@@ -349,12 +374,7 @@ def bruhat_cell_valuations(p: int, rows):
     principal-series evaluation.
     """
     n = len(rows)
-    den = 1
-    for row in rows:
-        for x in row:
-            if x.denominator != 1:
-                den = math.lcm(den, x.denominator)
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    den, m = _int_rows(rows)
     shift = _split_int(den, p)[0]
     free = list(range(n))
     cell = [0] * n
@@ -400,8 +420,7 @@ def opposite_parahoric_cell(g: PadicMatrix, r: int):
     if not (1 <= r <= n - 1):
         raise LinAlgError("parabolic index out of range")
     wlong = longest_perm(n)
-    cell, _ = bruhat_cell_valuations(
-        g.p, (g * PadicMatrix.permutation(g.p, wlong)).rows)
+    cell, _ = bruhat_cell_valuations(g.p, [row[::-1] for row in g.rows])  # of g * wlong
     w = compose(cell, wlong)  # cell of g for (B, Bbar)
     return tuple(sorted(w[j] for j in range(r)))
 
@@ -416,18 +435,15 @@ def lu_unit_lower(mat: PadicMatrix):
     Raises LinAlgError when a leading pivot vanishes.
     """
     n = mat.size
-    u = [list(row) for row in mat.rows]
-    lo = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if u[k][k] == 0:
-            raise LinAlgError("zero pivot in LU")
-        for i in range(k + 1, n):
-            if u[i][k]:
-                f = u[i][k] / u[k][k]
-                lo[i][k] = f
-                for j in range(k, n):
-                    u[i][j] -= f * u[k][j]
-    return PadicMatrix(mat.p, lo), PadicMatrix(mat.p, u)
+    d, m = _int_rows(mat.rows)
+    if not _eliminate(m, pivot=False):
+        raise LinAlgError("zero pivot in LU")
+    piv = [1] + [m[k][k] for k in range(n)]
+    lo = [[Fraction(m[i][k], piv[k + 1]) if k < i else Fraction(int(k == i))
+           for k in range(n)] for i in range(n)]
+    up = [[Fraction(m[k][j], piv[k] * d) if j >= k else Fraction(0)
+           for j in range(n)] for k in range(n)]
+    return PadicMatrix(mat.p, lo), PadicMatrix(mat.p, up)
 
 
 def ul_factorize(mat: PadicMatrix):
@@ -452,9 +468,8 @@ def iwahori_factorize_unit(x: PadicMatrix, beta: int):
     if not x.is_integral():
         raise LinAlgError("x must be integral")
     p, n = x.p, x.size
-    mat = PadicMatrix.identity(p, n)
-    wx = PadicMatrix.longest_weyl(p, n) * x
-    mat = PadicMatrix(p, [[mat.rows[i][j] + Fraction(p) ** beta * wx.rows[i][j]
+    wx = x.rows[::-1]  # w_n * x
+    mat = PadicMatrix(p, [[int(i == j) + p ** beta * wx[i][j]
                            for j in range(n)] for i in range(n)])
     r, s = ul_factorize(mat)
     if r * s != mat:
@@ -495,24 +510,23 @@ def open_cell_factorize(g: PadicMatrix):
     B = g.block(0, n, n, 2 * n)
     C = g.block(n, 2 * n, 0, n)
     D = g.block(n, 2 * n, n, 2 * n)
-    wn = PadicMatrix.longest_weyl(p, n)
     if A.det() == 0 or B.det() == 0:
         return None
     CAB = C * A.inverse() * B
     schur = PadicMatrix(p, [[D.rows[i][j] - CAB.rows[i][j] for j in range(n)]
                             for i in range(n)])
-    M = wn * schur * B.inverse()
+    M = PadicMatrix(p, (schur * B.inverse()).rows[::-1])  # w_n * (schur B^{-1})
     try:
         u0, l0 = ul_factorize(M)
     except LinAlgError:
         return None
     P = l0.inverse()
     h1 = l0 * A
-    h2 = wn * l0 * B
+    h2 = PadicMatrix(p, (l0 * B).rows[::-1])  # w_n * l0 * B
     if h2.det() == 0 or h1.det() == 0:
         return None
     Q = C * h1.inverse()
-    Rblk = wn * u0 * wn
+    Rblk = PadicMatrix(p, [row[::-1] for row in u0.rows[::-1]])  # w_n * u0 * w_n
     bbar = PadicMatrix.from_blocks(P, PadicMatrix(p, [[0] * n for _ in range(n)]),
                                    Q, Rblk)
     if not (P.is_lower_triangular() and Rblk.is_lower_triangular()):

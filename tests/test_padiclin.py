@@ -32,6 +32,25 @@ def _planted(rng, p, size, kind):
     return w, tuple(vp(x, p) for x in b.diagonal_entries()), rows
 
 
+def _wrong_ul(which):
+    """ul_factorize with one entry of factor ``which`` (0: the unit upper
+    U0, 1: the lower L0) moved by p, keeping both shapes and every
+    congruence mod p."""
+    real = padiclin.ul_factorize
+
+    def wrong(mat):
+        factors = list(real(mat))
+        rows = [list(row) for row in factors[which].rows]
+        if which:
+            rows[-1][0] += mat.p
+        else:
+            rows[0][-1] += mat.p
+        factors[which] = PadicMatrix(mat.p, rows)
+        return tuple(factors)
+
+    return wrong
+
+
 class TestValuation:
     def test_basic(self):
         assert vp(18, 3) == 2
@@ -229,6 +248,19 @@ class TestUnitFactorization:
             assert product == expected
             assert r.congruent_identity(beta) and s.congruent_identity(beta)
 
+    def test_certificate_rejects_a_wrong_ul_factor(self, monkeypatch):
+        # a wrong UL factor must raise, never come back as a factorization
+        rng = make_rng("unit-certificate")
+        for p, n in ((2, 2), (3, 2), (3, 3), (5, 3)):
+            x = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
+                                for _ in range(n)])
+            for which in (0, 1):
+                monkeypatch.setattr(padiclin, "ul_factorize", _wrong_ul(which))
+                with pytest.raises(LinAlgError):
+                    iwahori_factorize_unit(x, 1)
+            monkeypatch.undo()
+            iwahori_factorize_unit(x, 1)
+
 
 class TestOpenCell:
     def test_open_orbit_representative(self):
@@ -288,6 +320,17 @@ class TestOpenCell:
                 return out * Fraction(a1.det()) ** (-j) * Fraction(a2.det()) ** (sw + j)
 
             assert value(fac.bbar, fac.h1, fac.h2) == value(bbar, h1, h2)
+
+    def test_certificate_rejects_a_wrong_ul_factor(self, monkeypatch):
+        # a wrong UL factor must give None, never a wrong factorization
+        rng = make_rng("open-certificate")
+        for p, n in ((2, 2), (3, 2), (2, 3)):
+            g = random_n_beta(rng, p, n, 1) * random_iw_beta(rng, p, 2 * n, 1)
+            for which in (0, 1):
+                monkeypatch.setattr(padiclin, "ul_factorize", _wrong_ul(which))
+                assert open_cell_factorize(g) is None
+            monkeypatch.undo()
+            assert open_cell_factorize(g) is not None
 
     def test_off_cell_is_distinguished_outcome(self):
         # block antidiagonal matrices have singular A-block: not in the cell

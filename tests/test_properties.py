@@ -1,5 +1,7 @@
 """Property tests of the scalar layers: the ring axioms of CycNum, SymElem
-and FamSeries, and the defining property of ``padiclin.residue``.
+and FamSeries, and the defining property of ``padiclin.residue``; and of
+the integer elimination core of ``padiclin`` against plain ``Fraction``
+Gaussian elimination.
 
 Hypothesis runs derandomized and without its example database, so every
 run draws the same examples."""
@@ -9,7 +11,8 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from padicref.famring import FamilyRing, FamSeries
-from padicref.padiclin import residue, vp
+from padicref.padiclin import (LinAlgError, PadicMatrix, lu_unit_lower, residue,
+                               ul_factorize, vp)
 from padicref.symring import CycNum, SymElem, cyclotomic_poly, geometric_tail
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -123,3 +126,137 @@ class TestResidue:
         r = residue(x, p, k)
         assert 0 <= r < p ** k
         assert vp(x - r, p) >= k
+
+
+# ---------------------------------------------------------------------------
+# the elimination core against Fraction Gaussian elimination
+
+
+def _ref_det(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
+def _ref_inverse(rows):
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise LinAlgError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def _ref_lu(rows):
+    n = len(rows)
+    u = [[Fraction(x) for x in row] for row in rows]
+    lo = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if u[k][k] == 0:
+            raise LinAlgError("zero pivot in LU")
+        for i in range(k + 1, n):
+            f = u[i][k] / u[k][k]
+            lo[i][k] = f
+            for j in range(k, n):
+                u[i][j] -= f * u[k][j]
+    return lo, u
+
+
+def _ref_ul(rows):
+    def rev(m):
+        return [row[::-1] for row in m[::-1]]
+
+    lo, up = _ref_lu(rev(rows))
+    return rev(lo), rev(up)
+
+
+def _ref_mul(a, b):
+    return [[sum(Fraction(a[i][k]) * b[k][j] for k in range(len(b)))
+             for j in range(len(b))] for i in range(len(a))]
+
+
+def _outcome(fn, *args):
+    """("ok", rows of the result) or ("raise", error class, message)."""
+    try:
+        out = fn(*args)
+    except LinAlgError as exc:
+        return ("raise", type(exc), str(exc))
+    if isinstance(out, PadicMatrix):
+        return ("ok", [list(row) for row in out.rows])
+    if isinstance(out, tuple):
+        return ("ok", [[list(row) for row in x.rows] if isinstance(x, PadicMatrix)
+                       else x for x in out])
+    return ("ok", out)
+
+
+@st.composite
+def padic_matrices(draw, p=None, n=None):
+    """(p, rows): n x n, 1 <= n <= 6 unless given, entries 0 or u * p^v with a small
+    unit u and -2 <= v <= 2; the shape is either plain, singular (one row
+    a multiple of another, or a zero column) or has its leading k-minor
+    forced to 0, k = n (the last one) included."""
+    p = p or draw(st.sampled_from((2, 3, 5)))
+    n = n or draw(st.integers(1, 6))
+    unit = st.integers(-30, 30).filter(lambda u: u % p)
+    entry = st.one_of(st.just(Fraction(0)), st.builds(
+        lambda u, v: u * Fraction(p) ** v, unit, st.integers(-2, 2)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("plain", "singular", "zero-minor")))
+    if shape == "singular":
+        if n > 1 and draw(st.booleans()):
+            r, s = draw(st.permutations(range(n)))[:2]
+            rows[r] = [draw(entry) * x for x in rows[s]]
+        else:
+            col = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[col] = Fraction(0)
+    elif shape == "zero-minor":
+        k = draw(st.integers(1, n))
+        if k == 1:
+            rows[0][0] = Fraction(0)
+        else:
+            c = draw(entry)
+            rows[k - 1][:k] = [c * x for x in rows[0][:k]]
+    return p, rows
+
+
+class TestEliminationCore:
+    @PROPERTY
+    @given(padic_matrices())
+    def test_det_inverse_lu_ul_match_fraction_elimination(self, pm):
+        p, rows = pm
+        g = PadicMatrix(p, rows)
+        assert g.det() == _ref_det(rows)
+        assert _outcome(PadicMatrix.inverse, g) == _outcome(_ref_inverse, rows)
+        assert _outcome(lu_unit_lower, g) == _outcome(_ref_lu, rows)
+        assert _outcome(ul_factorize, g) == _outcome(_ref_ul, rows)
+
+    @PROPERTY
+    @given(padic_matrices().flatmap(lambda pm: st.tuples(
+        st.just(pm), padic_matrices(pm[0], len(pm[1])))))
+    def test_product_matches_fraction_product(self, pair):
+        (p, a), (_, b) = pair
+        assert (PadicMatrix(p, a) * PadicMatrix(p, b)).rows \
+            == tuple(map(tuple, _ref_mul(a, b)))
