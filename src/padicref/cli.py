@@ -109,8 +109,8 @@ def suite_spin_enum(cfg: SuiteConfig, rng: SplitMix64):
                            () if census else [f"got {len(refs)}/{len(spin)}"]))
         cases.append(_case(
             f"gspin-exact-n{n}", f"n={n}", "paper",
-            (f"sigma={r.sigma} spin={refine.is_spin(r)}" for r in refs
-             if (refine.gspin_factorization(r) is not None) != refine.is_spin(r))))
+            (f"sigma={r.sigma} spin={r in spin}" for r in refs
+             if (refine.gspin_factorization(r) is not None) != (r in spin))))
     return cases
 
 

@@ -510,12 +510,14 @@ def open_cell_factorize(g: PadicMatrix):
     B = g.block(0, n, n, 2 * n)
     C = g.block(n, 2 * n, 0, n)
     D = g.block(n, 2 * n, n, 2 * n)
-    if A.det() == 0 or B.det() == 0:
+    try:
+        CAinv, Binv = C * A.inverse(), B.inverse()
+    except LinAlgError:  # A or B singular
         return None
-    CAB = C * A.inverse() * B
+    CAB = CAinv * B
     schur = PadicMatrix(p, [[D.rows[i][j] - CAB.rows[i][j] for j in range(n)]
                             for i in range(n)])
-    M = PadicMatrix(p, (schur * B.inverse()).rows[::-1])  # w_n * (schur B^{-1})
+    M = PadicMatrix(p, (schur * Binv).rows[::-1])  # w_n * (schur B^{-1})
     try:
         u0, l0 = ul_factorize(M)
     except LinAlgError:
@@ -523,9 +525,7 @@ def open_cell_factorize(g: PadicMatrix):
     P = l0.inverse()
     h1 = l0 * A
     h2 = PadicMatrix(p, (l0 * B).rows[::-1])  # w_n * l0 * B
-    if h2.det() == 0 or h1.det() == 0:
-        return None
-    Q = C * h1.inverse()
+    Q = CAinv * P  # C h1^{-1}
     Rblk = PadicMatrix(p, [row[::-1] for row in u0.rows[::-1]])  # w_n * u0 * w_n
     bbar = PadicMatrix.from_blocks(P, PadicMatrix(p, [[0] * n for _ in range(n)]),
                                    Q, Rblk)

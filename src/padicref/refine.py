@@ -7,9 +7,13 @@ sigma; its Hecke eigenvalues are
     alpha_{p,r} = prod_{j=1}^{r} p^{(2n-2j+1)/2} * theta_{sigma(2n+1-j)}(p).
 
 Spin refinements are those with alpha_{p,n+s} = eta(p)^s * alpha_{p,n-s}
-for 0 <= s <= n-1; they are exactly the ones factoring through the
-GSpin(2n+1) Hecke algebra via the cocharacter transfer of rootspin, and
-there are 2^n n! of them among the (2n)!.
+for 0 <= s <= n-1; there are 2^n n! of them among the (2n)!.  Spin is
+decided by these eigenvalue relations (is_spin).  Factoring through the
+GSpin(2n+1) Hecke algebra via the cocharacter transfer of rootspin is
+decided on the Weyl side (gspin_factorization: the refinement's pattern
+lies in W_G^0) and certified eigenvalue by eigenvalue through the
+transfer.  The two classifications are computed independently, and the
+report's gspin-exact cases compare them.
 
 Everything is symbolic: theta values default to free unit monomials with
 only the Shalika relation theta_i * theta_{n+i} = eta imposed, so
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from .padiclin import vp
 from .perms import all_perms, block_perm, compose, longest_perm
-from .rootspin import GLWeight, jvee_cochar, jvee_weyl
+from .rootspin import GLWeight, RootDataError, jvee_cochar, jvee_weyl
 from .symring import SymElem
 
 
@@ -219,55 +223,49 @@ class GSpinEigensystem:
     v_value is the eigenvalue of the central operator, equal to eta(p).
     """
 
-    __slots__ = ("p", "n", "u_values", "v_value", "_ref")
+    __slots__ = ("p", "n", "u_values", "v_value")
 
-    def __init__(self, p, n, u_values, v_value, ref):
+    def __init__(self, p, n, u_values, v_value):
         self.p = p
         self.n = n
         self.u_values = u_values
         self.v_value = v_value
-        self._ref = ref
-
-    def eigenvalue_via_transfer(self, r: int) -> SymElem:
-        """The GL eigenvalue alpha_{p,r} recomputed through the GSpin side.
-
-        The cocharacter of U_{p,r} is pushed through jvee, acted on by the
-        transferred Weyl element, and paired against the GSpin Satake
-        values (y_0 = eta, y_i = theta_i); the p-power prefactor is
-        Y^(r(2n-r)) from the half-sum of positive roots.
-        """
-        ref = self._ref
-        n, n2 = self.n, 2 * self.n
-        sig = delta_theta_tau(ref)
-        w2n = longest_perm(n2)
-        omega = jvee_weyl(compose(sig, w2n))
-        nu = tuple(1 if k < r else 0 for k in range(n2))
-        c = omega.act_cochar(jvee_cochar(nu))
-        out = SymElem.monomial(self.p, 1, {"Y": r * (n2 - r)})
-        ys = [self.v_value] + [ref.satake.theta[i] for i in range(n)]
-        for i, e in enumerate(c):
-            if e:
-                out = out * ys[i] ** int(e)
-        return out
 
 
 def gspin_factorization(ref: Refinement):
-    """The GSpin eigensystem when ref is spin, else None.
+    """The GSpin eigensystem of ref when its pattern is in W_G^0, else None.
 
-    Checks the defining relations alpha(U_{p,n+s}) = eta^s alpha(U_{p,n-s})
-    and the central relation (the diag(p,...,p) operator acts by eta^n).
+    GSpin membership is decided on the Weyl side: ref factors through
+    GSpin(2n+1) exactly when delta_theta_tau(ref) * w_2n has a preimage
+    omega under jmap_weyl.  The eigenvalues are then certified through the
+    transfer: for each 1 <= r <= 2n-1 the cocharacter of U_{p,r} is pushed
+    through jvee, acted on by omega, and paired against the GSpin Satake
+    values (y_0 = eta, y_i = theta_i), with the p-power prefactor
+    Y^(r(2n-r)) from the half-sum of positive roots; RefineError unless
+    each result is alpha_{p,r}.  Spin itself is the eigenvalue relation
+    tested by is_spin, and the report compares the two classifications.
     """
-    if not is_spin(ref):
+    n, n2 = ref.n, 2 * ref.n
+    try:
+        omega = jvee_weyl(compose(delta_theta_tau(ref), longest_perm(n2)))
+    except RootDataError:
         return None
-    n = ref.n
     eta = ref.satake.eta
-    u_values = {r: hecke_eigenvalue(ref, r) for r in range(1, n + 1)}
-    for s in range(1, n):
-        if hecke_eigenvalue(ref, n + s) != eta ** s * u_values[n - s]:
-            raise RefineError("spin relations violated after classification")
-    if central_eigenvalue(ref) != eta ** n:
-        raise RefineError("central character is not eta^n")
-    return GSpinEigensystem(ref.p, n, u_values, eta, ref)
+    ys = (eta,) + ref.satake.theta[:n]
+    u_values = {}
+    for r in range(1, n2):
+        nu = tuple(1 if k < r else 0 for k in range(n2))
+        c = omega.act_cochar(jvee_cochar(nu))
+        value = SymElem.monomial(ref.p, 1, {"Y": r * (n2 - r)})
+        for y, e in zip(ys, c):
+            if e:
+                value = value * y ** int(e)
+        if value != hecke_eigenvalue(ref, r):
+            raise RefineError(f"the transfer of U_p,{r} disagrees with "
+                              f"alpha_p,{r} at sigma={ref.sigma}")
+        if r <= n:
+            u_values[r] = value
+    return GSpinEigensystem(ref.p, n, u_values, eta)
 
 
 def shalika_admissible(theta, eta: SymElem):

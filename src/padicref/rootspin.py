@@ -4,13 +4,17 @@ Weights of the GL(2n) torus are integer (or half-integer) vectors of
 length 2n acted on by S_{2n} via (lam^sigma)_i = lam_{sigma(i)}.  A weight
 is pure when lam_i + lam_{2n+1-i} is a single constant sw.  On the GSpin
 side the character lattice has basis f_0, ..., f_n, with Weyl group
-{+-1}^n x| S_n acting through the explicit formulas below.
+{+-1}^n x| S_n: signed permutations (perm, signs), composed by
+(a*b).perm = a.perm o b.perm, (a*b).signs[i] = b.signs[i] * a.signs[b.perm[i]],
+and acting through the explicit formulas of WeylGSpin.
 
 The transfer map jmap embeds the GSpin lattice into the pure GL weights
 (f_i -> e_i - e_{2n-i+1}, f_0 -> e_{n+1} + ... + e_{2n}) and induces an
 isomorphism of the GSpin Weyl group onto the purity-preserving subgroup
-W_G^0 of S_{2n}; jvee is its inverse, and also the induced map on
-cocharacters.
+W_G^0 of S_{2n}: (perm, signs) goes to the sigma with sigma(i) = perm(i)
+and sigma(2n-1-i) = 2n-1-perm(i) where signs[i] = +1, and these two
+values swapped where signs[i] = -1 (0-indexed).  jvee is its inverse,
+and also the induced map on cocharacters.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .perms import all_perms, identity_perm
+from .perms import all_perms, compose, identity_perm
 from .symring import SymElem
 
 
@@ -123,7 +127,10 @@ def regular_pure_weight(n: int) -> GLWeight:
 class WeylGSpin:
     """(perm, signs): apply the sign changes first, then the permutation.
 
-    The action on the weight lattice Z f_0 + ... + Z f_n is
+    The group law is a*b = "b first, then a": the permutations compose,
+    (a*b).perm[i] = a.perm[b.perm[i]], and the signs multiply along the
+    way, (a*b).signs[i] = b.signs[i] * a.signs[b.perm[i]].  The action on
+    the weight lattice Z f_0 + ... + Z f_n is
         f_0 -> f_0 + sum_{signs[i] = -1} f_{perm(i)+1},
         f_i -> signs[i-1] * f_{perm(i-1)+1}         (1 <= i <= n),
     and on the cocharacter lattice
@@ -157,59 +164,26 @@ class WeylGSpin:
         signs[i] = -1
         return cls(identity_perm(n), tuple(signs))
 
-    def weight_matrix(self):
-        """Columns are the images of f_0, ..., f_n."""
-        n = self.n
-        mat = [[0] * (n + 1) for _ in range(n + 1)]
-        mat[0][0] = 1
-        for i in range(n):
-            mat[self.perm[i] + 1][i + 1] = self.signs[i]
-            if self.signs[i] == -1:
-                mat[self.perm[i] + 1][0] += 1
-        return mat
-
-    def cochar_matrix(self):
-        """Columns are the images of f_0^*, ..., f_n^*."""
-        n = self.n
-        mat = [[0] * (n + 1) for _ in range(n + 1)]
-        mat[0][0] = 1
-        for i in range(n):
-            mat[self.perm[i] + 1][i + 1] = self.signs[i]
-            if self.signs[i] == -1:
-                mat[0][i + 1] = 1
-        return mat
-
     def act_weight(self, mu: GSpinWeight) -> GSpinWeight:
-        mat = self.weight_matrix()
-        n = self.n
-        out = [sum(Fraction(mat[r][c]) * mu.coords[c] for c in range(n + 1))
-               for r in range(n + 1)]
+        c = mu.coords
+        out = [c[0]] * (self.n + 1)
+        for i, (k, s) in enumerate(zip(self.perm, self.signs)):
+            out[k + 1] = c[i + 1] if s == 1 else c[0] - c[i + 1]
         return GSpinWeight(out)
 
     def act_cochar(self, nu: tuple) -> tuple:
-        mat = self.cochar_matrix()
-        n = self.n
-        return tuple(sum(mat[r][c] * nu[c] for c in range(n + 1)) for r in range(n + 1))
+        out = [nu[0]] * (self.n + 1)
+        for i, (k, s) in enumerate(zip(self.perm, self.signs)):
+            out[k + 1] = s * nu[i + 1]
+            if s == -1:
+                out[0] += nu[i + 1]
+        return tuple(out)
 
     def __mul__(self, other: "WeylGSpin") -> "WeylGSpin":
-        """Composite self after other, recovered from the weight action."""
-        n = self.n
-        a, b = self.weight_matrix(), other.weight_matrix()
-        comp = [[sum(a[r][k] * b[k][c] for k in range(n + 1)) for c in range(n + 1)]
-                for r in range(n + 1)]
-        perm = [None] * n
-        signs = [None] * n
-        for i in range(n):
-            col = [comp[r][i + 1] for r in range(1, n + 1)]
-            nz = [r for r, x in enumerate(col) if x]
-            if len(nz) != 1 or col[nz[0]] not in (1, -1):
-                raise RootDataError("composite is not a signed permutation")
-            perm[i] = nz[0]
-            signs[i] = col[nz[0]]
-        out = WeylGSpin(tuple(perm), tuple(signs))
-        if out.weight_matrix() != comp:
-            raise RootDataError("composition law violated the f_0 column")
-        return out
+        """self after other, by the group law above."""
+        return WeylGSpin(compose(self.perm, other.perm),
+                         tuple(s * self.signs[k]
+                               for k, s in zip(other.perm, other.signs)))
 
     def __eq__(self, other):
         return (isinstance(other, WeylGSpin) and self.perm == other.perm
@@ -254,19 +228,14 @@ def jmap_weight_inverse(lam: GLWeight) -> GSpinWeight:
 
 
 def jmap_weyl(omega: WeylGSpin) -> tuple:
-    """The permutation of S_{2n} acting on pure weights like omega.
-
-    Determined by matching the action on a regular pure weight, which has
-    distinct entries; equivariance of jmap on all of the lattice is a
-    tested invariant, and jmap is then a group homomorphism because both
-    sides act faithfully on the left.
-    """
-    n = omega.n
-    mu_reg = GSpinWeight([0] + [2 * (n - i) + 1 for i in range(n)])
-    lam_reg = jmap_weight(mu_reg)
-    lam_img = jmap_weight(omega.act_weight(mu_reg))
-    index = {v: k for k, v in enumerate(lam_img.entries)}
-    return tuple(index[v] for v in lam_reg.entries)
+    """The permutation sigma of S_{2n} acting on pure weights like omega:
+    sigma(i) = perm(i) and sigma(2n-1-i) = 2n-1-perm(i) when signs[i] = +1,
+    the two values swapped when signs[i] = -1 (0-indexed)."""
+    m = 2 * omega.n - 1
+    sigma = [None] * (m + 1)
+    for i, (k, s) in enumerate(zip(omega.perm, omega.signs)):
+        sigma[i], sigma[m - i] = (k, m - k) if s == 1 else (m - k, k)
+    return tuple(sigma)
 
 
 def wg0_members(n: int) -> set:

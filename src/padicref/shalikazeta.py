@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padiclin import (INF, PadicMatrix, bruhat_cell_valuations,
+from .padiclin import (INF, PadicMatrix, _int_rows, bruhat_cell_valuations,
                        iwahori_bruhat_decompose, residue, unit_part,
                        vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
@@ -267,18 +267,6 @@ def _conjugation_level(g: PadicMatrix, elem: PadicMatrix) -> int:
                       if (v := vp(e[i][j], g.p)) is not INF])
 
 
-def _scaled_ints(row, scale: int) -> tuple:
-    """The entries of scale * row (Fractions) as ints; raises if one is not
-    an integer, rather than truncating it."""
-    out = []
-    for x in row:
-        y = x * scale
-        if y.denominator != 1:
-            raise ZetaError(f"scaled entry {y} is not an integer")
-        out.append(y.numerator)
-    return tuple(out)
-
-
 def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
     """The Shalika intertwining of f at g (n = 1 only):
 
@@ -293,15 +281,16 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
     computed conjugation level c, and the shell at -shells must vanish
     identically (otherwise the truncation is uncertified and we raise).
 
-    The support test runs on ints.  In the shell of valuation v, with D
-    the lcm of the denominators of g and d = D * p^max(-v, 0), the rows
-    of d * (0 1; 1 0)(1 X; 0 1) g at X = u p^v are d g[1] and
-    d g[0] + u * (d p^v) g[1]; d g and d p^v g = D p^max(v, 0) g are
-    integral and built once per shell, so each point costs one int
-    multiply-add per entry.  d * 1 is central in B(Q_p), so the scaled
-    rows lie in the Bruhat cell of the unscaled ones: a point whose cell
-    carries no coefficient of f is skipped, and only the points in the
-    support are valued, exactly, through ps_evaluate_rows.
+    The support test runs on ints.  With D g = (top; bottom) the integer
+    rows of padiclin._int_rows, built once per call, and d = D p^max(-v, 0)
+    in the shell of valuation v, the rows of d * (0 1; 1 0)(1 X; 0 1) g at
+    X = u p^v are d g[1] and d g[0] + u * (d p^v) g[1]; d g is
+    p^max(-v, 0) (top; bottom) and d p^v g[1] is p^max(v, 0) bottom, both
+    built once per shell, so each point costs one int multiply-add per
+    entry.  d * 1 is central in B(Q_p), so the scaled rows lie in the
+    Bruhat cell of the unscaled ones: a point whose cell carries no
+    coefficient of f is skipped, and only the points in the support are
+    valued, exactly, through ps_evaluate_rows.
     """
     if f.size != 2:
         raise ZetaError("the intertwining oracle is implemented for n = 1")
@@ -311,7 +300,7 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
     e12 = PadicMatrix(p, [[0, 1], [0, 0]])
     c_g = _conjugation_level(g, e12)
     grows = g.rows
-    den = math.lcm(*(x.denominator for row in grows for x in row))
+    _, (top, bottom) = _int_rows(grows)
 
     def integrand_rows(xval: Fraction):
         # (0 1; 1 0)(1 X; 0 1) g: bottom row of g, then top + X * bottom
@@ -324,13 +313,13 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
         level = max(c_g - v, -v, 1)
         shell = SymElem.rational(p, 0)
         volume = Fraction(1, p ** (v + level))
-        d = den * p ** max(-v, 0)
-        bottom = _scaled_ints(grows[1], d)
-        top0, top1 = _scaled_ints(grows[0], d)
-        inc0, inc1 = _scaled_ints(grows[1], den * p ** max(v, 0))
+        low, high = p ** max(-v, 0), p ** max(v, 0)
+        bottom_v = (bottom[0] * low, bottom[1] * low)
+        top0, top1 = top[0] * low, top[1] * low
+        inc0, inc1 = bottom[0] * high, bottom[1] * high
         for u in _units(p, level):
             cell, _ = bruhat_cell_valuations(
-                p, (bottom, (top0 + u * inc0, top1 + u * inc1)))
+                p, (bottom_v, (top0 + u * inc0, top1 + u * inc1)))
             if cell not in f.coeffs:
                 continue
             val = ps_evaluate_rows(f, integrand_rows(Fraction(u) * Fraction(p) ** v))

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from padicref import cli, princhecke, refine, shalikazeta
+from padicref import cli, princhecke, refine, rootspin, shalikazeta
 from padicref.cli import main
+from padicref.perms import compose, longest_perm
 
 
 def _run(argv, capsys):
@@ -23,6 +24,11 @@ def _body(out: str) -> bytes:
 # perfbench/workloads.py hashes it: _body(out) + b"\n"
 REFERENCE_BODY_SHA256 = \
     "e98eaf1697294642aa7ca45fde0e78a8e6bb8b655400b4af7de6d06922886c7d"
+
+# the same for ``padicref run --n 3 --suites spin-enum,weyl-transfer``, the
+# one report that reaches the GSpin side at rank 3
+RANK3_GSPIN_BODY_SHA256 = \
+    "9295ff94ad962f38c64e42420eb8f006d47fa0f498c346c9541648b4b7879ecf"
 
 
 class TestRejectedInput:
@@ -118,6 +124,12 @@ class TestAcceptedInput:
         assert code == 0
         assert hashlib.sha256(_body(out) + b"\n").hexdigest() == REFERENCE_BODY_SHA256
 
+    def test_rank3_gspin_body_matches_the_reference(self, capsys):
+        code, out, _ = _run(["run", "--n", "3", "--suites",
+                             "spin-enum,weyl-transfer"], capsys)
+        assert code == 0
+        assert hashlib.sha256(_body(out) + b"\n").hexdigest() == RANK3_GSPIN_BODY_SHA256
+
     def test_body_is_deterministic(self, capsys):
         argv = ["run", "--suites", "cell-support,spin-enum", "--samples", "8",
                 "--seed", "7"]
@@ -206,6 +218,23 @@ class TestWitnesses:
         for case in cases:
             sigma_r = case["inputs"].split(" ", 1)[1]
             assert sigma_r in case["witness"]
+
+    def test_gspin_membership(self, monkeypatch, capsys):
+        # reject one spin pattern on the Weyl side: gspin-exact must see it
+        sat = refine.SatakeParameter.generic(3, 2)
+        ref = next(r for r in refine.all_refinements(sat) if refine.is_spin(r))
+        pattern = compose(refine.delta_theta_tau(ref), longest_perm(4))
+        right = refine.jvee_weyl
+
+        def rejecting(sigma):
+            if tuple(sigma) == pattern:
+                raise rootspin.RootDataError(f"{sigma} rejected")
+            return right(sigma)
+
+        monkeypatch.setattr(refine, "jvee_weyl", rejecting)
+        cases = self._failing(["run", "--suites", "spin-enum"], capsys)
+        assert [c["name"] for c in cases] == ["gspin-exact-n2"]
+        assert cases[0]["witness"] == f"sigma={ref.sigma} spin=True"
 
     def test_ramified_ratio(self, monkeypatch, capsys):
         right = shalikazeta.qprime_factor

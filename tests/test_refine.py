@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicref import refine
 from padicref.perms import all_perms, compose, identity_perm, longest_perm
 from padicref.refine import (GSpinEigensystem, RefineError, Refinement,
                              SatakeParameter, all_refinements, central_eigenvalue,
@@ -140,16 +141,35 @@ class TestGSpinFactorization:
         assert gspin_factorization(Refinement(sat, non_spin)) is None
 
     def test_transfer_route_agrees(self):
-        # dual computation through the GSpin cocharacter lattice
+        # the GSpin eigensystem gives back every GL eigenvalue:
+        # alpha_{p,r} = u_r for r <= n and alpha_{p,n+s} = v^s u_{n-s}
         for n in (1, 2):
             sat = SatakeParameter.generic(3, n)
             for sigma in all_perms(2 * n):
                 ref = Refinement(sat, sigma)
                 gs = gspin_factorization(ref)
+                assert (gs is not None) == is_spin(ref)
                 if gs is None:
                     continue
-                for r in range(1, 2 * n):
-                    assert gs.eigenvalue_via_transfer(r) == hecke_eigenvalue(ref, r)
+                for r in range(1, n + 1):
+                    assert gs.u_values[r] == hecke_eigenvalue(ref, r)
+                for s in range(1, n):
+                    assert hecke_eigenvalue(ref, n + s) \
+                        == gs.v_value ** s * gs.u_values[n - s]
+
+    def test_wrong_transfer_is_refused(self, monkeypatch):
+        # one transferred eigenvalue off by eta: the certificate must fail
+        right = refine.jvee_cochar
+
+        def wrong(nu):
+            c = right(nu)
+            return (c[0] + 1,) + c[1:] if sum(nu) == 2 else c
+
+        monkeypatch.setattr(refine, "jvee_cochar", wrong)
+        sat = SatakeParameter.generic(3, 2)
+        ref = next(r for r in all_refinements(sat) if is_spin(r))
+        with pytest.raises(RefineError, match="U_p,2"):
+            gspin_factorization(ref)
 
 
 class TestShalikaAdmissible:

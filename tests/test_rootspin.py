@@ -47,15 +47,18 @@ class TestWeylGSpin:
             assert len(all_weyl_gspin(n)) == 2 ** n * math.factorial(n)
 
     def test_composition_against_action(self):
-        # the product law must reproduce the composite action matrix,
-        # including the f_0 column
-        for a in all_weyl_gspin(2):
-            for b in all_weyl_gspin(2):
-                c = a * b
-                am, bm = a.weight_matrix(), b.weight_matrix()
-                comp = [[sum(am[r][k] * bm[k][col] for k in range(3))
-                         for col in range(3)] for r in range(3)]
-                assert c.weight_matrix() == comp
+        # the product law is "b first, then a" on weights and on
+        # cocharacters, including the f_0 coordinate
+        for n in (1, 2, 3):
+            elems = all_weyl_gspin(n)
+            for a in elems:
+                for b in elems:
+                    c = a * b
+                    for i in range(n + 1):
+                        mu = GSpinWeight([1 if k == i else 0 for k in range(n + 1)])
+                        nu = tuple(1 if k == i else 0 for k in range(n + 1))
+                        assert c.act_weight(mu) == a.act_weight(b.act_weight(mu))
+                        assert c.act_cochar(nu) == a.act_cochar(b.act_cochar(nu))
 
     def test_pairing_invariance(self):
         for w in all_weyl_gspin(2):

@@ -12,7 +12,7 @@ from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
 from padicref.princhecke import ps_evaluate_rows
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   TwistCharacter, ZetaError, _certify_tail,
-                                  _conjugation_level, _scaled_ints, _units,
+                                  _conjugation_level, _units,
                                   ag_intertwine_value,
                                   borel_part_character, chi_det_minus_wn,
                                   comparison_constant, ep_factor, gauss_sum,
@@ -250,12 +250,6 @@ class TestIntegerShellPoints:
                 for g in points:
                     assert ag_intertwine_value(f, g, shells) \
                         == _fraction_intertwine(f, g, shells)
-
-    def test_scaling_is_exact(self):
-        assert _scaled_ints((Fraction(2, 9), Fraction(-1, 3), Fraction(5)), 9) \
-            == (2, -3, 45)
-        with pytest.raises(ZetaError):
-            _scaled_ints((Fraction(1), Fraction(2, 9)), 3)
 
 
 class TestWValue:
