@@ -43,6 +43,10 @@ class ConfigError(Exception):
     pass
 
 
+# the Iwahori zeta oracle visits about p^shells points per outer shell
+MAX_SHELLS = 8
+
+
 @dataclass
 class SuiteConfig:
     n: int = 2                 # census/transfer rank bound (1..3)
@@ -62,8 +66,8 @@ class SuiteConfig:
             raise ConfigError("n must be between 1 and 3")
         if not 1 <= self.beta <= 2:
             raise ConfigError("beta must be 1 or 2")
-        if self.shells < 2:
-            raise ConfigError("shells must be at least 2")
+        if not 2 <= self.shells <= MAX_SHELLS:
+            raise ConfigError(f"shells must be between 2 and {MAX_SHELLS}")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
         if not 0 <= self.seed < 1 << 64:

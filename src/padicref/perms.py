@@ -54,9 +54,3 @@ def all_perms(n: int):
 def block_perm(delta: tuple, n: int) -> tuple:
     """The element diag(1_n, delta) of S_{2n} for delta in S_n."""
     return tuple(list(range(n)) + [n + d for d in delta])
-
-
-def transposition(n: int, i: int, j: int) -> tuple:
-    w = list(range(n))
-    w[i], w[j] = w[j], w[i]
-    return tuple(w)

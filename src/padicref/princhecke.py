@@ -119,11 +119,6 @@ def ps_evaluate_rows(f: PSVector, rows) -> SymElem:
     return torus_character_value(f.satake, f.sigma, vals) * c
 
 
-def t_p_r(p: int, m: int, r: int) -> PadicMatrix:
-    """diag(p, ..., p, 1, ..., 1) with r entries p, size m."""
-    return PadicMatrix.diagonal(p, [p] * r + [1] * (m - r))
-
-
 def hecke_coset_matrices(p: int, m: int, r: int):
     """The single-coset representatives (1_r m'; 0 1) t_{p,r}.
 

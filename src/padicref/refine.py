@@ -140,14 +140,6 @@ def u_p_eigenvalue(ref: Refinement) -> SymElem:
     return out
 
 
-def central_eigenvalue(ref: Refinement) -> SymElem:
-    """Action of diag(p, ..., p): the product of all Satake values."""
-    out = SymElem.rational(ref.p, 1)
-    for t in ref.satake.theta:
-        out = out * t
-    return out
-
-
 def integral_eigenvalue(ref: Refinement, r: int, lam: GLWeight) -> SymElem:
     """alpha^circ_{p,r} = p^(lam_1 + ... + lam_r) * alpha_{p,r}."""
     if not lam.is_dominant():

@@ -14,8 +14,9 @@ Closed forms (any n):
 
 Brute-force oracles (n = 1): the Shalika intertwining
 ``ag_intertwine_value`` evaluated by exact shell decomposition of the
-X-integral, and shell-sum versions of both zeta integrals.  Truncations
-certify themselves: outermost shells must vanish exactly and geometric
+X-integral (one sweep gives diag(u, 1) g for all units u, which only twist
+psi), and shell-sum versions of both zeta integrals.  Truncations certify
+themselves: outermost shells must vanish exactly (per unit) and geometric
 tails must repeat an exact ratio over several shells, else the
 computation refuses to return.
 
@@ -267,29 +268,41 @@ def _conjugation_level(g: PadicMatrix, elem: PadicMatrix) -> int:
                       if (v := vp(e[i][j], g.p)) is not INF])
 
 
-def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
-    """The Shalika intertwining of f at g (n = 1 only):
+def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
+                        units: tuple) -> tuple:
+    """The Shalika intertwining W at diag(u, 1) g, n = 1, for each u in
+    ``units`` (ints prime to p; others raise ZetaError), as a tuple:
 
-        integral over k in Z_p^x, X in Q_p of
-            f[(0 1; 1 0)(1 X; 0 1)(k 0; 0 k) g] psi^{-1}(X) eta^{-1}(k)
+        W(h) = integral over k in Z_p^x, X in Q_p of
+            f[w(1 X; 0 1)(k 0; 0 k) h] psi^{-1}(X) eta^{-1}(k),  w = (0 1; 1 0)
 
-    with vol(Z_p^x) = 1 and vol(Z_p) = 1.  For n = 1 the k-factor is the
-    central scalar k*1_2, and eta is unramified, so the k-integrand is
-    constant and the k-integral contributes 1 (evaluated at k = 1).  The
-    X-integral is cut into valuation shells; each shell is a finite exact
-    sum because the integrand is invariant under X -> X + p^c Z_p for the
-    computed conjugation level c, and the shell at -shells must vanish
-    identically (otherwise the truncation is uncertified and we raise).
+    with vol(Z_p^x) = vol(Z_p) = 1; the k-factor is the central scalar k*1_2
+    and eta is unramified, so the k-integral contributes 1.
+
+    One sweep serves every unit.  As (1 X; 0 1) diag(u, 1) =
+    diag(u, 1)(1 X/u; 0 1) and w diag(u, 1) = diag(1, u) w, and f lies in
+    an unramified principal series, whose inducing character is 1 on
+    diag(1, u) (the definition of the induced representation, not the
+    support lemma), f[w(1 X; 0 1) diag(u, 1) g] = f[w(1 X/u; 0 1) g].
+    X = u Y keeps dX, as |u| = 1, so with F_g(Y) = f[w(1 Y; 0 1) g]
+
+        W(diag(u, 1) g) = integral over Y in Q_p of F_g(Y) psi^{-1}(u Y) dY.
+
+    The shells, points, cells and values of F_g serve every u (the
+    conjugation levels agree: diag(u, 1)^{-1} e12 diag(u, 1) = u^{-1} e12);
+    only the root of unity at Y = y p^v, v < 0, goes from zeta_{p^-v}^(-y)
+    to zeta_{p^-v}^(-u y).  Each shell is a finite exact sum, as F_g is
+    invariant under Y -> Y + p^c Z_p at the conjugation level c.  Each unit
+    keeps its own certificate: its shells at -shells and -shells + 1 must
+    vanish identically, else TruncationError.
 
     The support test runs on ints.  With D g = (top; bottom) the integer
-    rows of padiclin._int_rows, built once per call, and d = D p^max(-v, 0)
-    in the shell of valuation v, the rows of d * (0 1; 1 0)(1 X; 0 1) g at
-    X = u p^v are d g[1] and d g[0] + u * (d p^v) g[1]; d g is
-    p^max(-v, 0) (top; bottom) and d p^v g[1] is p^max(v, 0) bottom, both
-    built once per shell, so each point costs one int multiply-add per
-    entry.  d * 1 is central in B(Q_p), so the scaled rows lie in the
-    Bruhat cell of the unscaled ones: a point whose cell carries no
-    coefficient of f is skipped, and only the points in the support are
+    rows of padiclin._int_rows and d = D p^max(-v, 0) in the shell of
+    valuation v, the rows of d w(1 Y; 0 1) g at Y = y p^v are
+    p^max(-v, 0) bottom and p^max(-v, 0) top + y p^max(v, 0) bottom, one
+    int multiply-add per entry.  d * 1 is central in B(Q_p), so they lie
+    in the Bruhat cell of the unscaled rows: points whose cell carries no
+    coefficient of f are skipped, and only points in the support are
     valued, exactly, through ps_evaluate_rows.
     """
     if f.size != 2:
@@ -297,45 +310,46 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int) -> SymElem:
     if shells < 2:
         raise TruncationError("shells must be >= 2 to certify the truncation")
     p = f.p
+    if any(u % p == 0 for u in units):
+        raise ZetaError("the twisting units must be prime to p")
     e12 = PadicMatrix(p, [[0, 1], [0, 0]])
     c_g = _conjugation_level(g, e12)
     grows = g.rows
     _, (top, bottom) = _int_rows(grows)
 
-    def integrand_rows(xval: Fraction):
-        # (0 1; 1 0)(1 X; 0 1) g: bottom row of g, then top + X * bottom
+    def integrand_rows(yval: Fraction):
+        # w(1 Y; 0 1) g: bottom row of g, then top + Y * bottom
         return (grows[1],
-                (grows[0][0] + xval * grows[1][0], grows[0][1] + xval * grows[1][1]))
+                (grows[0][0] + yval * grows[1][0], grows[0][1] + yval * grows[1][1]))
 
     tail_start = max(c_g, 0)
-    total = SymElem.rational(p, 0)
+    zero = SymElem.rational(p, 0)
+    totals = [zero] * len(units)
     for v in range(-shells, tail_start):
         level = max(c_g - v, -v, 1)
-        shell = SymElem.rational(p, 0)
+        shell = [zero] * len(units)
         volume = Fraction(1, p ** (v + level))
         low, high = p ** max(-v, 0), p ** max(v, 0)
         bottom_v = (bottom[0] * low, bottom[1] * low)
         top0, top1 = top[0] * low, top[1] * low
         inc0, inc1 = bottom[0] * high, bottom[1] * high
-        for u in _units(p, level):
+        for y in _units(p, level):
             cell, _ = bruhat_cell_valuations(
-                p, (bottom_v, (top0 + u * inc0, top1 + u * inc1)))
+                p, (bottom_v, (top0 + y * inc0, top1 + y * inc1)))
             if cell not in f.coeffs:
                 continue
-            val = ps_evaluate_rows(f, integrand_rows(Fraction(u) * Fraction(p) ** v))
+            val = ps_evaluate_rows(f, integrand_rows(Fraction(y) * Fraction(p) ** v))
             if val.is_zero():
                 continue
-            if v < 0:
-                val = val * CycNum.root_of_unity(p ** (-v), (-u) % p ** (-v))
-            shell = shell + val
-        shell = shell * volume
-        if v <= -shells + 1 and not shell.is_zero():
+            # psi^{-1}(u y p^v) = zeta_low^(-u y), as low = p^-v for v < 0
+            shell = [s + (val * CycNum.root_of_unity(low, -u * y % low) if v < 0 else val)
+                     for s, u in zip(shell, units)]
+        if v <= -shells + 1 and not all(s.is_zero() for s in shell):
             raise TruncationError(
                 "outermost X-shells do not vanish; increase shells")
-        total = total + shell
-    deep = ps_evaluate_rows(f, integrand_rows(Fraction(0)))
-    total = total + deep * Fraction(1, p ** tail_start)
-    return total
+        totals = [t + s * volume for t, s in zip(totals, shell)]
+    deep = ps_evaluate_rows(f, integrand_rows(Fraction(0))) * Fraction(1, p ** tail_start)
+    return tuple(t + deep for t in totals)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +508,11 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
     count = len(units)
 
     def shell_value(v: int) -> SymElem:
-        total = SymElem.rational(p, 0)
-        for u in units:
-            x = Fraction(u) * Fraction(p) ** v
-            w = ag_intertwine_value(f, PadicMatrix.diagonal(p, [x, 1]) * g0,
-                                    shells)
-            if w.is_zero():
-                continue
-            total = total + w * chi.of_unit(u)
-        return total * Fraction(1, count)
+        # one sweep at diag(p^v, 1) g0 gives W(diag(u p^v, 1) g0) for all u
+        point = PadicMatrix.diagonal(p, [Fraction(p) ** v, 1]) * g0
+        values = ag_intertwine_value(f, point, shells, units)
+        return sum((w * chi.of_unit(u) for u, w in zip(units, values) if not w.is_zero()),
+                   SymElem.rational(p, 0)) * Fraction(1, count)
 
     v_min = -beta - 2
     for v in (v_min, v_min + 1):

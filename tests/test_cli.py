@@ -44,6 +44,8 @@ class TestRejectedInput:
         ["run", "--shells", "1"],
         ["enumerate", "--n", "4"],
         ["zeta", "--shells", "1"],
+        ["run", "--shells", "9"],
+        ["zeta", "--kind", "iwahori", "--oracle", "--shells", "9"],
         ["zeta", "--kind", "iwahori", "--p", "2", "--beta", "1"],
         ["run", "--suites", ""],
         ["run", "--seed", "-1"],
@@ -51,8 +53,9 @@ class TestRejectedInput:
     ], ids=["family-degree-0", "enumerate-non-prime", "negative-samples",
             "zeta-beta-3", "interp-degree-uncertified", "empty-suite-list",
             "unknown-suite", "n-4", "shells-1", "enumerate-n-4",
-            "zeta-shells-1", "zeta-no-character", "empty-suites-flag",
-            "negative-seed", "seed-2-64"])
+            "zeta-shells-1", "shells-9", "zeta-oracle-shells-9",
+            "zeta-no-character", "empty-suites-flag", "negative-seed",
+            "seed-2-64"])
     def test_config_error_exit_two(self, argv, capsys):
         code, out, err = _run(argv, capsys)
         assert code == 2
@@ -111,13 +114,19 @@ class TestAcceptedInput:
         assert doc["refinements"] == 24 and doc["spin"] == 8
         assert len(doc["spin_cells"]) == 8
 
-    @pytest.mark.parametrize("kind", ["iwahori", "parahoric"])
-    def test_zeta_oracle_matches(self, kind, capsys):
+    @pytest.mark.parametrize("kind, beta", [
+        pytest.param("iwahori", 1, id="iwahori"),
+        pytest.param("parahoric", 1, id="parahoric"),
+        pytest.param("iwahori", 2, id="iwahori-beta2"),
+    ])
+    def test_zeta_oracle_matches(self, kind, beta, capsys):
         code, out, err = _run(["zeta", "--kind", kind, "--p", "3", "--beta",
-                               "1", "--oracle"], capsys)
+                               str(beta), "--oracle"], capsys)
         assert code == 0 and err == ""
         entries = json.loads(out)
         assert entries and all(e["oracle_matches"] is True for e in entries)
+        # the characters of conductor 3 (one) or 9 (four)
+        assert len(entries) == (1 if beta == 1 else 4) + (kind == "parahoric")
 
     def test_default_body_matches_the_reference(self, capsys):
         code, out, _ = _run(["run"], capsys)

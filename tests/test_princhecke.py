@@ -4,7 +4,7 @@ from conftest import make_rng
 from padicref.padiclin import PadicMatrix
 from padicref.perms import all_perms, identity_perm, longest_perm
 from padicref.princhecke import (PSVector, eigenvector_check, hecke_apply,
-                                 hecke_coset_matrices, ps_evaluate_rows, t_p_r,
+                                 hecke_coset_matrices, ps_evaluate_rows,
                                  torus_character_value)
 from padicref.refine import Refinement, SatakeParameter, hecke_eigenvalue, tau_element
 from padicref.sampling import random_iwahori
@@ -50,7 +50,8 @@ class TestEvaluation:
                 for sigma in all_perms(2 * n)[: 6]:
                     f = PSVector.big_cell_vector(sat, sigma)
                     for r in range(1, 2 * n):
-                        tprime = w * t_p_r(p, 2 * n, r) * w
+                        t_p_r = PadicMatrix.diagonal(p, [p] * r + [1] * (2 * n - r))
+                        tprime = w * t_p_r * w
                         val = ps_evaluate_rows(f, (tprime * w).rows)
                         assert val == hecke_eigenvalue(Refinement(sat, sigma), r)
 
@@ -59,7 +60,8 @@ class TestEvaluation:
         sat = SatakeParameter.generic(2, 2)
         f = PSVector.cell_vector(sat, identity_perm(4), (1, 0, 3, 2)) \
             + PSVector.big_cell_vector(sat, identity_perm(4)).scale(SymElem.gen(2, "X1"))
-        base = PadicMatrix.permutation(2, (2, 0, 3, 1)) * t_p_r(2, 4, 2)
+        base = PadicMatrix.permutation(2, (2, 0, 3, 1)) \
+            * PadicMatrix.diagonal(2, [2, 2, 1, 1])
         reference = ps_evaluate_rows(f, base.rows)
         for _ in range(25):
             i = random_iwahori(rng, 2, 4)

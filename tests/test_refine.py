@@ -6,7 +6,7 @@ import pytest
 from padicref import refine
 from padicref.perms import all_perms, compose, identity_perm, longest_perm
 from padicref.refine import (GSpinEigensystem, RefineError, Refinement,
-                             SatakeParameter, all_refinements, central_eigenvalue,
+                             SatakeParameter, all_refinements,
                              delta_theta_tau, gspin_factorization,
                              hecke_eigenvalue, integral_eigenvalue, is_spin,
                              monomial_valuation, noncritical_slope,
@@ -131,8 +131,9 @@ class TestGSpinFactorization:
         gs = gspin_factorization(Refinement(sat, identity_perm(2)))
         assert gs.u_values[1] == sym(3, "Y") * sym(3, "E") / sym(3, "X1")
         assert gs.v_value == sym(3, "E")
-        assert central_eigenvalue(Refinement(sat, identity_perm(2))) \
-            == sym(3, "E")
+        # diag(p, p) acts by the product of all Satake values
+        theta = Refinement(sat, identity_perm(2)).satake.theta
+        assert theta[0] * theta[1] == sym(3, "E")
 
     def test_not_spin_outcome(self):
         sat = SatakeParameter.generic(3, 2)

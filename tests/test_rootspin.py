@@ -2,13 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from padicref.perms import all_perms, compose, identity_perm, longest_perm, transposition
+from padicref.perms import all_perms, compose, identity_perm, longest_perm
 from padicref.rootspin import (GLWeight, GSpinWeight, RootDataError, WeylGSpin,
                                act_cochar_gl, all_weyl_gspin, delta_b,
                                jmap_weight, jmap_weight_inverse, jmap_weyl,
                                jvee_cochar, jvee_weyl, regular_pure_weight,
                                rho_gl, rho_gspin, wg0_members)
 from padicref.symring import SymElem
+
+
+def _long_transposition(n: int, i: int) -> tuple:
+    """The transposition of i and 2n - 1 - i in S_2n."""
+    w = list(range(2 * n))
+    w[i], w[2 * n - 1 - i] = w[2 * n - 1 - i], w[i]
+    return tuple(w)
 
 
 class TestWeights:
@@ -78,7 +85,7 @@ class TestTransfer:
         for n in (1, 2, 3):
             for i in range(n):
                 assert jmap_weyl(WeylGSpin.sign_change(n, i)) \
-                    == transposition(2 * n, i, 2 * n - 1 - i)
+                    == _long_transposition(n, i)
 
     def test_image_sizes(self):
         assert {len(wg0_members(n)) for n in (1, 2, 3)} == {2, 8, 48}
@@ -139,7 +146,7 @@ class TestWG0:
         for n in (2, 3):
             kernel = {jmap_weyl(w) for w in all_weyl_gspin(n)
                       if w.perm == identity_perm(n)}
-            gens = [transposition(2 * n, i, 2 * n - 1 - i) for i in range(n)]
+            gens = [_long_transposition(n, i) for i in range(n)]
             generated = {identity_perm(2 * n)}
             frontier = list(generated)
             while frontier:

@@ -162,13 +162,14 @@ class TestIntertwiningOracle:
         for p in (2, 3):
             sat = SatakeParameter.generic(p, 1)
             f = PSVector.big_cell_vector(sat, tau_element(1))
-            assert ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4).is_one()
+            (value,) = ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, (1,))
+            assert value.is_one()
 
     def test_support_lemma(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         g = PadicMatrix.diagonal(3, [Fraction(1, 3), 1])
-        assert ag_intertwine_value(f, g, 4).is_zero()
+        assert ag_intertwine_value(f, g, 4, (1,))[0].is_zero()
 
     def test_shalika_equivariance(self):
         rng = make_rng("ag-equivariance")
@@ -176,14 +177,14 @@ class TestIntertwiningOracle:
         sat = SatakeParameter.generic(p, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         g = PadicMatrix(p, [[2, 1], [3, 1]])
-        base = ag_intertwine_value(f, g, 5)
+        (base,) = ag_intertwine_value(f, g, 5, (1,))
         eta = SymElem.gen(p, "E")
         for _ in range(6):
             a = Fraction(rng.unit(p)) * Fraction(p) ** rng.randint(-1, 1)
             x = Fraction(rng.randrange(p ** 3)) - 1
-            lhs = ag_intertwine_value(
+            (lhs,) = ag_intertwine_value(
                 f, PadicMatrix.diagonal(p, [a, a])
-                * PadicMatrix(p, [[1, x], [0, 1]]) * g, 5)
+                * PadicMatrix(p, [[1, x], [0, 1]]) * g, 5, (1,))
             den = x.denominator
             psi = SymElem.from_cyc(p, CycNum.root_of_unity(den, x.numerator % den)) \
                 if den > 1 else SymElem.rational(p, 1)
@@ -198,11 +199,41 @@ class TestIntertwiningOracle:
         g = PadicMatrix.diagonal(3, [Fraction(2, 9), 1]) \
             * PadicMatrix(3, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(3, [9, 1])
         with pytest.raises(TruncationError):
-            ag_intertwine_value(f, g, 2)
-        value = ag_intertwine_value(f, g, 4)
+            ag_intertwine_value(f, g, 2, (1,))
+        (value,) = ag_intertwine_value(f, g, 4, (1,))
         assert not value.is_zero()
         with pytest.raises(TruncationError):
-            ag_intertwine_value(f, g, 1)
+            ag_intertwine_value(f, g, 1, (1,))
+
+    def test_uncertified_truncation_raises_per_unit(self):
+        # the same point for every unit at once: each unit's outermost
+        # shells are certified separately, so a unit that alone would
+        # refuse makes the whole call refuse
+        p = 3
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(p, [9, 1])
+        g = PadicMatrix.diagonal(p, [Fraction(1, 9), 1]) * g0
+        units = tuple(_units(p, 2))
+
+        def alone(u, shells):
+            return ag_intertwine_value(
+                f, PadicMatrix.diagonal(p, [u, 1]) * g, shells, (1,))[0]
+
+        refusing = []
+        for u in units:
+            try:
+                alone(u, 2)
+            except TruncationError:
+                refusing.append(u)
+                with pytest.raises(TruncationError):
+                    ag_intertwine_value(f, g, 2, (u,))
+            else:
+                assert ag_intertwine_value(f, g, 2, (u,)) == (alone(u, 2),)
+        assert refusing
+        with pytest.raises(TruncationError):
+            ag_intertwine_value(f, g, 2, units)
+        assert ag_intertwine_value(f, g, 4, units) \
+            == tuple(alone(u, 4) for u in units)
 
 
 def _fraction_intertwine(f, g, shells):
@@ -248,8 +279,42 @@ class TestIntegerShellPoints:
                                               [p, Fraction(3, 7)]]))
                 shells = beta + 2
                 for g in points:
-                    assert ag_intertwine_value(f, g, shells) \
-                        == _fraction_intertwine(f, g, shells)
+                    assert ag_intertwine_value(f, g, shells, (1,)) \
+                        == (_fraction_intertwine(f, g, shells),)
+
+    def test_twisted_sweep_matches_the_fraction_reference(self):
+        # one sweep at diag(p^v, 1) g0 against the reference at
+        # diag(u p^v, 1) g0, for the outer shells v of the zeta oracle from
+        # its two vanishing guards to 0: every unit mod p^beta at p <= 3,
+        # a seeded pair at p = 5
+        rng = make_rng("twisted-sweep")
+        for p in (2, 3, 5):
+            f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1),
+                                         tau_element(1))
+            for beta in (1, 2):
+                g0 = PadicMatrix(p, [[1, -1], [0, 1]]) \
+                    * PadicMatrix.diagonal(p, [Fraction(p) ** beta, 1])
+                units = tuple(_units(p, beta))
+                if p == 5:
+                    first = rng.choice(units)
+                    units = (first, rng.choice([u for u in units if u != first]))
+                shells = beta + 2
+                for v in range(-beta - 2, 1):
+                    x = Fraction(p) ** v
+                    values = ag_intertwine_value(
+                        f, PadicMatrix.diagonal(p, [x, 1]) * g0, shells, units)
+                    assert values == tuple(
+                        _fraction_intertwine(
+                            f, PadicMatrix.diagonal(p, [u * x, 1]) * g0, shells)
+                        for u in units)
+
+    def test_refuses_a_unit_divisible_by_p(self):
+        p = 3
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        for units in ((3,), (1, 6), (0,)):
+            with pytest.raises(ZetaError) as exc:
+                ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, units)
+            assert not isinstance(exc.value, TruncationError)
 
 
 class TestWValue:
@@ -282,7 +347,7 @@ class TestWValue:
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         point = PadicMatrix.identity(3, 2)  # w_1 z^{2 beta} = 1 at n = 1
-        assert ag_intertwine_value(f, point, 4) == w_value_closed(sat, 1, 1)
+        assert ag_intertwine_value(f, point, 4, (1,)) == (w_value_closed(sat, 1, 1),)
 
 
 class TestZetaClosedForms:
