@@ -359,11 +359,6 @@ class LocPoly:
     def monomial(cls, p: int, j: int) -> "LocPoly":
         return cls(p, 0, {0: (j, Fraction(1))})
 
-    @classmethod
-    def indicator_times_power(cls, p: int, level: int, residue: int, j: int,
-                              scale=1) -> "LocPoly":
-        return cls(p, level, {residue % p ** level: (j, Fraction(scale))})
-
     def __call__(self, z) -> Fraction:
         z = Fraction(z)
         piece = self.pieces.get(residue(z, self.p, self.level))

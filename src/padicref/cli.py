@@ -356,7 +356,7 @@ def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
                 for chi in shalikazeta.TwistCharacter.enumerate_conductor(p, beta):
                     for j in (-1, 0, 1):
                         lhs = shalikazeta.ep_factor(sat, chi, j) \
-                            / shalikazeta.qprime_factor(chi, j, beta, n)
+                            / shalikazeta.qprime_factor(chi, j, n)
                         rhs = refine.hecke_eigenvalue(ref, n) ** (-beta)
                         if lhs != rhs:
                             yield f"chi={chi.label} j={j}: {lhs} != {rhs}"

@@ -7,13 +7,11 @@ there is no precision to analyse.  ``vp`` gives the valuation (with a
 ``residue`` the one scalar reduction, x mod p^k for p-integral x; every
 module reduces through these.  ``PadicMatrix`` is an immutable exact matrix
 together with the ambient prime, carrying the subgroup predicates and the
-three factorizations the local proofs run on:
+two factorizations the local proofs run on:
 
 * ``iwahori_bruhat_decompose``: g = b * w * i with b upper triangular over
   Q_p, w a permutation and i in the Iwahori subgroup (the cell label w is
   unique);
-* ``iwahori_factorize_unit``: 1 + p^beta * w_n * X = R * S with R
-  upper-unipotent, S lower triangular, both congruent to 1 mod p^beta;
 * ``open_cell_factorize``: g = bbar * u * diag(h1, h2) on the open
   H-orbit, where u = [[1, w_n], [0, 1]]; certified by re-multiplication.
 
@@ -22,7 +20,7 @@ denominator by ``_int_rows``).  ``bruhat_cell_valuations``, the Bruhat
 core, returns the cell and the diagonal valuations of b.  ``_eliminate``
 is fraction-free (Bareiss) elimination, with exact integer divisions;
 ``det``, ``inverse`` and ``lu_unit_lower`` read their results off it, and
-through them so do the three factorizations.  Matrix products are integer
+through them so do the two factorizations.  Matrix products are integer
 dot products too.  The full Bruhat decomposition is the Bruhat core plus
 one UL factorization and a certificate checked with multiplication, det
 and vp alone; the cell and vp(diag b) are invariants of the double coset
@@ -40,7 +38,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .perms import compose, longest_perm
+from .perms import longest_perm
 
 INF = math.inf
 
@@ -408,23 +406,6 @@ def bruhat_cell_valuations(p: int, rows):
     return tuple(cell), tuple(vals)
 
 
-def opposite_parahoric_cell(g: PadicMatrix, r: int):
-    """Label of the cell of g in B(Q_p) \\ G / Jbar_r.
-
-    Jbar_r is the parahoric of GL(Z_p) reducing mod p into the block-lower
-    parabolic with Levi GL_r x GL_{n-r}.  Cells are cosets in
-    W_n / (S_r x S_{n-r}); the label returned is the sorted tuple of
-    images of the first r letters, which determines the coset.
-    """
-    n = g.size
-    if not (1 <= r <= n - 1):
-        raise LinAlgError("parabolic index out of range")
-    wlong = longest_perm(n)
-    cell, _ = bruhat_cell_valuations(g.p, [row[::-1] for row in g.rows])  # of g * wlong
-    w = compose(cell, wlong)  # cell of g for (B, Bbar)
-    return tuple(sorted(w[j] for j in range(r)))
-
-
 # ---------------------------------------------------------------------------
 # LU-type factorizations
 
@@ -456,29 +437,6 @@ def ul_factorize(mat: PadicMatrix):
 
     lt, ut = lu_unit_lower(rev(mat))
     return rev(lt), rev(ut)
-
-
-def iwahori_factorize_unit(x: PadicMatrix, beta: int):
-    """(R, S) with 1 + p^beta * w_n * x = R * S, R upper-unipotent, S lower.
-
-    Both factors are integral and congruent to 1 mod p^beta.
-    """
-    if beta < 1:
-        raise LinAlgError("depth must be >= 1")
-    if not x.is_integral():
-        raise LinAlgError("x must be integral")
-    p, n = x.p, x.size
-    wx = x.rows[::-1]  # w_n * x
-    mat = PadicMatrix(p, [[int(i == j) + p ** beta * wx[i][j]
-                           for j in range(n)] for i in range(n)])
-    r, s = ul_factorize(mat)
-    if r * s != mat:
-        raise LinAlgError("unit factorization failed to recompose")
-    if not (r.congruent_identity(beta) and s.congruent_identity(beta)):
-        raise LinAlgError("unit factorization not congruent to 1")
-    if not (r.in_upper_unipotent() and s.is_lower_triangular()):
-        raise LinAlgError("unit factorization has wrong shapes")
-    return r, s
 
 
 # ---------------------------------------------------------------------------

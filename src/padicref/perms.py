@@ -9,10 +9,6 @@ from __future__ import annotations
 from itertools import permutations
 
 
-def identity_perm(n: int) -> tuple:
-    return tuple(range(n))
-
-
 def longest_perm(n: int) -> tuple:
     return tuple(range(n - 1, -1, -1))
 

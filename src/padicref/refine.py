@@ -62,16 +62,13 @@ class SatakeParameter:
         return len(self.theta) // 2
 
     @classmethod
-    def generic(cls, p: int, n: int, ag: bool = True) -> "SatakeParameter":
-        """Free symbols X1..Xn (and eta = E); the other half is E/X_i when
-        the Ash-Ginzburg relation is imposed, X_{n+i} when not."""
+    def generic(cls, p: int, n: int) -> "SatakeParameter":
+        """Free symbols X1..Xn and eta = E, with the other half E/X_i by the
+        Ash-Ginzburg relation."""
         eta = SymElem.gen(p, "E")
         theta = [SymElem.gen(p, f"X{i + 1}") for i in range(n)]
-        if ag:
-            theta += [eta / theta[i] for i in range(n)]
-        else:
-            theta += [SymElem.gen(p, f"X{n + i + 1}") for i in range(n)]
-        return cls(p, theta, eta, ag=ag)
+        theta += [eta / theta[i] for i in range(n)]
+        return cls(p, theta, eta)
 
     def is_regular(self) -> bool:
         m = len(self.theta)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .perms import all_perms, compose, identity_perm
+from .perms import all_perms, compose
 from .symring import SymElem
 
 
@@ -102,18 +102,6 @@ class GSpinWeight:
     def __repr__(self):
         return f"GSpinWeight{self.coords}"
 
-    def pair(self, cochar: tuple) -> Fraction:
-        return sum(a * Fraction(b) for a, b in zip(self.coords, cochar))
-
-
-def rho_gl(n: int) -> GLWeight:
-    m = 2 * n
-    return GLWeight([Fraction(m + 1 - 2 * k, 2) for k in range(1, m + 1)])
-
-
-def rho_gspin(n: int) -> GSpinWeight:
-    return GSpinWeight([0] + [Fraction(2 * n + 1 - 2 * i, 2) for i in range(1, n + 1)])
-
 
 def regular_pure_weight(n: int) -> GLWeight:
     """(2n-1, 2n-3, ..., 1-2n): distinct entries force faithfulness."""
@@ -152,17 +140,6 @@ class WeylGSpin:
     @property
     def n(self):
         return len(self.perm)
-
-    @classmethod
-    def identity(cls, n: int) -> "WeylGSpin":
-        return cls(identity_perm(n), (1,) * n)
-
-    @classmethod
-    def sign_change(cls, n: int, i: int) -> "WeylGSpin":
-        """sgn_{i+1} (0-indexed i)."""
-        signs = [1] * n
-        signs[i] = -1
-        return cls(identity_perm(n), tuple(signs))
 
     def act_weight(self, mu: GSpinWeight) -> GSpinWeight:
         c = mu.coords
@@ -218,13 +195,6 @@ def jmap_weight(mu: GSpinWeight) -> GLWeight:
     for k in range(n, 2 * n):
         lam[k] += mu.coords[0]
     return GLWeight(lam)
-
-
-def jmap_weight_inverse(lam: GLWeight) -> GSpinWeight:
-    """The unique preimage of a pure weight (purity weight goes to f_0)."""
-    sw = lam.purity_weight()
-    n = lam.n
-    return GSpinWeight([sw] + [lam.entries[i] for i in range(n)])
 
 
 def jmap_weyl(omega: WeylGSpin) -> tuple:

@@ -15,10 +15,11 @@ Closed forms (any n):
 Brute-force oracles (n = 1): the Shalika intertwining
 ``ag_intertwine_value`` evaluated by exact shell decomposition of the
 X-integral (one sweep gives diag(u, 1) g for all units u, which only twist
-psi), and shell-sum versions of both zeta integrals.  Truncations certify
-themselves: outermost shells must vanish exactly (per unit) and geometric
-tails must repeat an exact ratio over several shells, else the
-computation refuses to return.
+psi), and shell-sum versions of both zeta integrals; the Iwahori one
+takes ramified characters only.  Truncations certify themselves: the
+outermost X-shells must vanish exactly (per unit), and the Iwahori zeta
+tail must vanish exactly on four consecutive shells, else the computation
+refuses to return.
 
 All zeta values are functions of p^s through the formal generator S.
 """
@@ -37,8 +38,7 @@ from .princhecke import PSVector, ps_evaluate_rows
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
                      tau_element, u_p_eigenvalue)
 from .rootspin import delta_b
-from .symring import (CycNum, DivergentSeries, NonUnitDivision, SymElem,
-                      geometric_tail)
+from .symring import CycNum, SymElem, geometric_tail
 
 
 class ZetaError(Exception):
@@ -146,13 +146,6 @@ class TwistCharacter:
     def of(self, x) -> CycNum:
         """chi(x) for nonzero rational x; chi(p) = 1 throughout."""
         return self.of_unit(unit_part(x, self.p))
-
-    def conjugate(self) -> "TwistCharacter":
-        if self.beta == 0:
-            return self
-        return TwistCharacter(self.p, self.beta,
-                              {a: c.conjugate() for a, c in self.values.items()},
-                              label=self.label + "~")
 
     def __repr__(self):
         return f"TwistCharacter({self.label or (self.p, self.beta)})"
@@ -487,24 +480,25 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
     with W the Shalika intertwining of f and vol(Z_p^x) = 1.  The twisted
     vector is invariant under the depth-p^beta subgroup only, so the
     support extends down to v(x) = -beta; the two shells below that are
-    computed and must vanish exactly.  The tail over large v(x) must
-    repeat an exact ratio on four consecutive shells (or vanish on
-    three), else an uncertified truncation is reported.
+    computed and must vanish exactly.  The tail is certified once four
+    consecutive shells, the last at some v(x) >= 3, vanish exactly; if
+    none do by v(x) = 4 + shells, an uncertified truncation is reported.
+    chi must be ramified of conductor p^beta, as for zeta_iwahori_closed.
     """
     if f.size != 2:
         raise ZetaError("the zeta oracle is implemented for n = 1")
-    if chi.is_ramified and chi.beta != beta:
-        raise ZetaError("conductor exponent mismatch")
+    if not chi.is_ramified or chi.beta != beta:
+        raise ZetaError("the Iwahori oracle needs conductor exactly p^beta >= p")
     # the twisted support reaches x-valuation -beta, and the inner X-shells
     # reach down to the ball around each x; anything shallower cannot be
     # certified
-    shells = max(shells, beta + 2, 2)
+    shells = max(shells, beta + 2)
     p = f.p
     g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(
         p, [Fraction(p) ** beta, 1])
     e11 = PadicMatrix(p, [[1, 0], [0, 0]])
     c_out = _conjugation_level(g0, e11)
-    units = tuple(_units(p, max(c_out, chi.beta, 1)))
+    units = tuple(_units(p, max(c_out, beta)))
     count = len(units)
 
     def shell_value(v: int) -> SymElem:
@@ -522,46 +516,14 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
 
     s_inv = SymElem.gen(p, "S", -1) * SymElem.gen(p, "Y")
     total = SymElem.rational(p, 0)
-    values = {}
-    v = -beta
-    while True:
-        values[v] = shell_value(v)
-        if v >= 3:
-            tail = _certify_tail(values, v, s_inv)
-            if tail is not None:
-                start, tail_value = tail
-                for vv in range(-beta, start):
-                    total = total + values[vv] * s_inv ** vv
-                return ZetaResult(total + tail_value, "oracle")
-        if v > 3 + shells:
-            raise TruncationError("no certified geometric tail; increase shells")
-        v += 1
-
-
-def _certify_tail(values: dict, v: int, s_inv: SymElem):
-    """Detect an exact geometric tail ending at shell v.
-
-    Returns (start, tail_value) when the last four shells repeat an exact
-    ratio (or the last three vanish), else None.
-    """
-    a, b, c, d = (values[v - 3], values[v - 2], values[v - 1], values[v])
-    if b.is_zero() and c.is_zero() and d.is_zero():
-        if a.is_zero():
-            return v - 3, a.zero_like()
-        return None
-    if a.is_zero() or b.is_zero() or c.is_zero():
-        return None
-    try:
-        ratio = b / a
-    except NonUnitDivision:
-        return None
-    if c != ratio * b or d != ratio * c:
-        return None
-    first = a * s_inv ** (v - 3)
-    try:
-        return v - 3, geometric_tail(first, ratio * s_inv)
-    except DivergentSeries:
-        return None
+    zeros = 0
+    for v in range(-beta, 5 + shells):
+        value = shell_value(v)
+        zeros = zeros + 1 if value.is_zero() else 0
+        total = total + value * s_inv ** v
+        if v >= 3 and zeros >= 4:
+            return ZetaResult(total, "oracle")
+    raise TruncationError("the zeta tail does not vanish; increase shells")
 
 
 def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
@@ -641,11 +603,12 @@ def ep_factor(satake: SatakeParameter, chi: TwistCharacter, j: int) -> SymElem:
                            [ai.inverse() * Fraction(1, p) for ai in a], a)
 
 
-def qprime_factor(chi: TwistCharacter, j: int, beta: int, n: int) -> SymElem:
-    """Q'(pi, chi, j) = p^(beta(n j + (n^2-n)/2)) tau(chi)^n."""
+def qprime_factor(chi: TwistCharacter, j: int, n: int) -> SymElem:
+    """Q'(pi, chi, j) = p^(beta(n j + (n^2-n)/2)) tau(chi)^n, with p^beta
+    the conductor of chi."""
     if not chi.is_ramified:
         raise ZetaError("Q' is the ramified-twist factor")
-    p = chi.p
+    p, beta = chi.p, chi.beta
     return SymElem.p_power(p, beta * (n * j + (n * n - n) // 2)) \
         * SymElem.from_cyc(p, gauss_sum(chi) ** n)
 

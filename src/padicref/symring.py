@@ -219,14 +219,6 @@ class CycNum:
             return self.inverse() ** (-k)
         return _power(self, k, CycNum.from_rational(1))
 
-    def conjugate(self) -> "CycNum":
-        """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        m = self.order
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
-            out[-i % m] = c
-        return CycNum(m, out)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(other)
@@ -412,9 +404,6 @@ class SymElem:
             raise SymringError(f"p^{e} is not representable (only half-integer exponents)")
         return cls.monomial(p, 1, {"Y": int(2 * e)})
 
-    def zero_like(self) -> "SymElem":
-        return SymElem(self.p, _Poly(self.p, {}))
-
     # -- predicates
 
     def is_zero(self) -> bool:
@@ -510,10 +499,7 @@ class SymElem:
         return lhs == rhs
 
     def __hash__(self):
-        raise TypeError("SymElem is unhashable (use explicit serial())")
-
-    def serial(self):
-        return (self.num.serial(), tuple(f.serial() for f in self.den))
+        raise TypeError("SymElem is unhashable")
 
     def __repr__(self):
         if not self.den:

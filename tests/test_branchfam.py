@@ -334,7 +334,7 @@ class TestDistributionMaps:
     def test_v_family_equivariance(self):
         rng = make_rng("v-equivariance")
         lam, omega = family_fixture(3, 2)
-        f = LocPoly.indicator_times_power(3, 1, 1, 2)
+        f = LocPoly(3, 1, {1: (2, Fraction(1))})  # z^2 on 1 + 3 Z_3
         for _ in range(5):
             g = random_iw_beta(rng, 3, 4, 1)
             h = random_iwh1(rng, 3, 2)
@@ -354,9 +354,9 @@ class TestDistributionMaps:
             g = random_iw_beta(rng, p, 4, beta)
             mu = FiniteDistribution([(1, g)])
             off_class = 1 + p  # not congruent to 1 mod p^2
-            f_off = LocPoly.indicator_times_power(p, beta, off_class, 1)
+            f_off = LocPoly(p, beta, {off_class: (1, Fraction(1))})
             assert kappa_family(mu, f_off, omega).eq_target(omega.ring.zero())
-            f_on = LocPoly.indicator_times_power(p, beta, 1, 0)
+            f_on = LocPoly(p, beta, {1: (0, Fraction(1))})
             assert kappa_family(mu, f_on, omega).eq_target(w_family(g, omega))
 
     def test_dirac_outside_iwahori_rejected(self):

@@ -114,12 +114,19 @@ class TestAcceptedInput:
         assert doc["refinements"] == 24 and doc["spin"] == 8
         assert len(doc["spin_cells"]) == 8
 
-    @pytest.mark.parametrize("kind, beta", [
-        pytest.param("iwahori", 1, id="iwahori"),
-        pytest.param("parahoric", 1, id="parahoric"),
-        pytest.param("iwahori", 2, id="iwahori-beta2"),
+    # the sha256 of stdout pins the whole output byte for byte
+    @pytest.mark.parametrize("kind, beta, stdout_sha256", [
+        pytest.param("iwahori", 1,
+                     "f2f25ecf10f300503f9439a35052265450e3ddd9a6216136f0e10d872cb942a5",
+                     id="iwahori"),
+        pytest.param("parahoric", 1,
+                     "aaf6c65c11fa3d0d84fb5871250e96b70cf1a6d0845047d6a152486ff9e10f8e",
+                     id="parahoric"),
+        pytest.param("iwahori", 2,
+                     "1e9b0769e7e007e51eb6f1c2b7ccec834378f9d0f656dbe3cc1e35be544b6c58",
+                     id="iwahori-beta2"),
     ])
-    def test_zeta_oracle_matches(self, kind, beta, capsys):
+    def test_zeta_oracle_matches(self, kind, beta, stdout_sha256, capsys):
         code, out, err = _run(["zeta", "--kind", kind, "--p", "3", "--beta",
                                str(beta), "--oracle"], capsys)
         assert code == 0 and err == ""
@@ -127,6 +134,7 @@ class TestAcceptedInput:
         assert entries and all(e["oracle_matches"] is True for e in entries)
         # the characters of conductor 3 (one) or 9 (four)
         assert len(entries) == (1 if beta == 1 else 4) + (kind == "parahoric")
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
 
     def test_default_body_matches_the_reference(self, capsys):
         code, out, _ = _run(["run"], capsys)

@@ -1,7 +1,7 @@
 """Every import in the package sits at module top and is used by the
-module, every top-level definition is named somewhere outside itself,
-every parameter is read by its function, and no module reads the process
-environment."""
+module, every top-level definition is named by the product somewhere
+outside itself, every parameter is read by its function, and no module
+reads the process environment."""
 
 import ast
 import re
@@ -13,10 +13,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "padicref"
 MODULES = sorted(SRC.glob("*.py"))
-# where a definition of the package may be named: the package, its tests
-# and the benchmark (which patches functions by dotted string names)
-REFERRERS = sorted({*MODULES, *(ROOT / "tests").glob("*.py"),
-                    *(ROOT / "perfbench").glob("*.py")})
+# where a definition of the package may be named: the package and the
+# benchmark (which patches functions by dotted string names), not the tests,
+# so a definition that only tests reach counts as dead
+REFERRERS = sorted({*MODULES, *(ROOT / "perfbench").glob("*.py")})
+# paper claims that only tests check so far; each leaves this list when it
+# becomes a report case (ROADMAP items 3-4) or is deleted
+AWAITING_REPORT_CASES = (
+    ("src/padicref/branchfam.py", "LocPoly.translated"),
+    ("src/padicref/branchfam.py", "in_iwh_beta"),
+    ("src/padicref/branchfam.py", "w_family"),
+    ("src/padicref/branchfam.py", "w_lambda"),
+    ("src/padicref/famring.py", "FamSeries.eq_target"),
+    ("src/padicref/princhecke.py", "PSVector.intertwined_cell_vector"),
+    ("src/padicref/refine.py", "noncritical_slope"),
+    ("src/padicref/refine.py", "normalize_satake"),
+    ("src/padicref/refine.py", "shalika_admissible"),
+)
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
@@ -207,7 +220,8 @@ def test_no_dead_definitions():
         return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                 for path in paths}
 
-    assert dead_definitions(read(MODULES), read(REFERRERS)) == []
+    assert tuple(dead_definitions(read(MODULES), read(REFERRERS))) \
+        == AWAITING_REPORT_CASES
 
 
 def test_dead_definition_guard():
@@ -220,6 +234,12 @@ def test_dead_definition_guard():
               "    def get(self):\n        return self.k\n"
               "    def unused(self):\n        return self.get()\n")
     other = "TARGETS = ('mod.traced',)\nVALUE = Kept().get()\n"
-    assert dead_definitions({"mod": module}, {"mod": module, "other": other}) \
+    refs = {"mod": module, "other": other}
+    assert dead_definitions({"mod": module}, refs) \
         == [("mod", "Kept.unused"), ("mod", "Lonely"), ("mod", "Lonely.make"),
             ("mod", "dead"), ("mod", "recursive")]
+    # a test file naming "dead" would keep it alive; REFERRERS leaves the
+    # tests out, so a name only tests use is reported, as above
+    test = "from mod import dead\nassert dead() == 1\n"
+    assert ("mod", "dead") not in dead_definitions({"mod": module},
+                                                   {**refs, "test": test})

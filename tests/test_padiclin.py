@@ -7,12 +7,11 @@ from conftest import (make_rng, random_lower_triangular_q,
 from padicref import padiclin
 from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                bruhat_cell_valuations, iwahori_bruhat_decompose,
-                               iwahori_factorize_unit, open_cell_factorize,
-                               opposite_parahoric_cell, ul_factorize,
-                               vol_big_cell, vol_iwahori, vp)
-from padicref.perms import all_perms, block_perm, compose, longest_perm
+                               open_cell_factorize, ul_factorize, vol_big_cell,
+                               vol_iwahori, vp)
+from padicref.perms import all_perms, longest_perm
 from padicref.sampling import (random_glzp, random_iw_beta, random_iwahori,
-                               random_n_beta, random_upper_zp)
+                               random_n_beta)
 
 
 def _planted(rng, p, size, kind):
@@ -189,46 +188,17 @@ class TestBruhat:
             bruhat_cell_valuations(2, [[Fraction(1, 2), 1], [1, 2]])
 
 
-class TestOppositeParahoric:
-    def test_identity(self):
-        assert opposite_parahoric_cell(PadicMatrix.identity(3, 3), 1) == (0,)
-
-    def test_constructed_coset(self):
-        rng = make_rng("opposite")
-        p, n, r = 3, 3, 1
-        delta_wn = compose((1, 0, 2), longest_perm(n))  # not in W_{1,2}
-        for _ in range(50):
-            b = random_upper_triangular_q(rng, p, n)
-            jbar = random_iwahori(rng, p, n).transpose()  # opposite parahoric ⊇ opposite Iwahori
-            g = b * PadicMatrix.permutation(p, delta_wn) * jbar
-            assert opposite_parahoric_cell(g, r) == tuple(sorted(delta_wn[:r]))
-
-    def test_disjointness(self):
-        # cells of B Jbar_r and B (delta w_n) Jbar_r differ when
-        # delta w_n is not in the block Weyl subgroup
-        rng = make_rng("opposite-disjoint")
-        p, n, r = 3, 2, 1
-        delta_wn = compose((1, 0), longest_perm(n))  # = identity; pick delta = w_n
-        assert delta_wn == (0, 1)
-        delta_wn = longest_perm(n)  # delta = identity: delta*w_n = w_n not in W_{1,1}
-        for _ in range(40):
-            b1 = random_upper_triangular_q(rng, p, n)
-            j1 = random_iwahori(rng, p, n).transpose()
-            lhs = opposite_parahoric_cell(b1 * j1, r)
-            rhs = opposite_parahoric_cell(
-                b1 * PadicMatrix.permutation(p, delta_wn) * j1, r)
-            assert lhs != rhs
-
-
 class TestUnitFactorization:
+    """ul_factorize of 1 + p^beta w_n X (X integral), the shape of the UL
+    step in open_cell_factorize: both factors are congruent to 1 mod
+    p^beta."""
+
     def test_zero_matrix(self):
-        r, s = iwahori_factorize_unit(PadicMatrix(3, [[0, 0], [0, 0]]), 1)
-        assert r == PadicMatrix.identity(3, 2)
-        assert s == PadicMatrix.identity(3, 2)
+        one = PadicMatrix.identity(3, 2)  # X = 0
+        assert ul_factorize(one) == (one, one)
 
     def test_rank_one(self):
-        x = PadicMatrix(3, [[2]])
-        r, s = iwahori_factorize_unit(x, 1)
+        r, s = ul_factorize(PadicMatrix(3, [[7]]))  # 1 + 3 * 2
         assert r == PadicMatrix.identity(3, 1)
         assert s == PadicMatrix(3, [[7]])
 
@@ -239,27 +209,14 @@ class TestUnitFactorization:
             beta = rng.randint(1, 2)
             x = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(2)]
                                 for _ in range(2)])
-            r, s = iwahori_factorize_unit(x, beta)
-            product = r * s
-            expected = PadicMatrix(p, [[
+            mat = PadicMatrix(p, [[
                 (1 if i == j else 0) + Fraction(p) ** beta
                 * (PadicMatrix.longest_weyl(p, 2) * x).rows[i][j]
                 for j in range(2)] for i in range(2)])
-            assert product == expected
+            r, s = ul_factorize(mat)
+            assert r * s == mat
+            assert r.in_upper_unipotent() and s.is_lower_triangular()
             assert r.congruent_identity(beta) and s.congruent_identity(beta)
-
-    def test_certificate_rejects_a_wrong_ul_factor(self, monkeypatch):
-        # a wrong UL factor must raise, never come back as a factorization
-        rng = make_rng("unit-certificate")
-        for p, n in ((2, 2), (3, 2), (3, 3), (5, 3)):
-            x = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
-                                for _ in range(n)])
-            for which in (0, 1):
-                monkeypatch.setattr(padiclin, "ul_factorize", _wrong_ul(which))
-                with pytest.raises(LinAlgError):
-                    iwahori_factorize_unit(x, 1)
-            monkeypatch.undo()
-            iwahori_factorize_unit(x, 1)
 
 
 class TestOpenCell:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicref import refine
-from padicref.perms import all_perms, compose, identity_perm, longest_perm
+from padicref.perms import all_perms, compose, longest_perm
 from padicref.refine import (GSpinEigensystem, RefineError, Refinement,
                              SatakeParameter, all_refinements,
                              delta_theta_tau, gspin_factorization,
@@ -36,7 +36,7 @@ class TestSatake:
 class TestEigenvalues:
     def test_rank_one_formula(self):
         sat = SatakeParameter.generic(3, 1)
-        ref = Refinement(sat, identity_perm(2))
+        ref = Refinement(sat, (0, 1))
         assert hecke_eigenvalue(ref, 1) == sym(3, "Y") * sym(3, "E") / sym(3, "X1")
         other = Refinement(sat, (1, 0))
         assert hecke_eigenvalue(other, 1) == sym(3, "Y") * sym(3, "X1")
@@ -76,7 +76,7 @@ class TestEigenvalues:
 
     def test_integral_normalisation(self):
         sat = SatakeParameter.generic(3, 1)
-        ref = Refinement(sat, identity_perm(2))
+        ref = Refinement(sat, (0, 1))
         lam0 = GLWeight([0, 0])
         assert integral_eigenvalue(ref, 1, lam0) == hecke_eigenvalue(ref, 1)
         k = 5
@@ -128,11 +128,11 @@ class TestSpin:
 class TestGSpinFactorization:
     def test_values_and_center(self):
         sat = SatakeParameter.generic(3, 1)
-        gs = gspin_factorization(Refinement(sat, identity_perm(2)))
+        gs = gspin_factorization(Refinement(sat, (0, 1)))
         assert gs.u_values[1] == sym(3, "Y") * sym(3, "E") / sym(3, "X1")
         assert gs.v_value == sym(3, "E")
         # diag(p, p) acts by the product of all Satake values
-        theta = Refinement(sat, identity_perm(2)).satake.theta
+        theta = Refinement(sat, (0, 1)).satake.theta
         assert theta[0] * theta[1] == sym(3, "E")
 
     def test_not_spin_outcome(self):
@@ -185,7 +185,9 @@ class TestShalikaAdmissible:
             assert sat.theta[i] * sat.theta[2 + i] == sat.eta
 
     def test_free_symbols_have_none(self):
-        free = SatakeParameter.generic(3, 2, ag=False)
+        p = 3
+        theta = [SymElem.gen(p, f"X{i + 1}") for i in range(4)]
+        free = SatakeParameter(p, theta, SymElem.gen(p, "E"), ag=False)
         assert shalika_admissible(free.theta, free.eta) is None
 
     def test_asgari_shahidi_convention(self):
@@ -205,7 +207,7 @@ class TestNormalization:
         ref = Refinement(sat, tau_element(2))
         assert is_spin(ref)
         sat2, conj = normalize_satake(ref)
-        assert conj == identity_perm(4)
+        assert conj == (0, 1, 2, 3)
         assert all(a == b for a, b in zip(sat2.theta, sat.theta))
 
     def test_eigenvalues_reproduced(self):
@@ -251,7 +253,7 @@ class TestNonCriticalSlope:
     def test_rank_one_boundary(self):
         k = 4
         sat = SatakeParameter.generic(3, 1)
-        ref = Refinement(sat, identity_perm(2))
+        ref = Refinement(sat, (0, 1))
         lam = GLWeight([k, 0])
         # alpha^circ = p^k Y E / X1: slope = k + 1/2 + v(E) - v(X1)
         for target, expected in ((0, True), (k, True), (k + 1, False), (k + 2, False)):

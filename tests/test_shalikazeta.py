@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_rng
+from padicref import shalikazeta
 from padicref.padiclin import PadicMatrix, vp
-from padicref.perms import all_perms, identity_perm, longest_perm
+from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import PSVector
 from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
                              is_spin, normalize_satake, tau_element)
 from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
 from padicref.princhecke import ps_evaluate_rows
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
-                                  TwistCharacter, ZetaError, _certify_tail,
+                                  TwistCharacter, ZetaError,
                                   _conjugation_level, _units,
                                   ag_intertwine_value,
                                   borel_part_character, chi_det_minus_wn,
@@ -24,6 +25,13 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   zeta_parahoric_oracle, zeta_parahoric_reciprocal)
 from padicref.symring import CycNum, SymElem
 from padicref.rootspin import GLWeight
+
+
+def _conjugate(chi: TwistCharacter) -> TwistCharacter:
+    """The complex conjugate character, a -> chi(a^{-1})."""
+    m = chi.p ** chi.beta
+    return TwistCharacter(chi.p, chi.beta,
+                          {a: chi.of_unit(pow(a, -1, m)) for a in chi.values})
 
 
 class TestCharacters:
@@ -71,7 +79,7 @@ class TestGaussSums:
         # tau(chi) tau(chibar) = chi(-1) p^beta
         for p, beta in ((3, 1), (3, 2), (2, 2), (5, 1)):
             for chi in TwistCharacter.enumerate_conductor(p, beta):
-                assert gauss_sum(chi) * gauss_sum(chi.conjugate()) \
+                assert gauss_sum(chi) * gauss_sum(_conjugate(chi)) \
                     == chi.of_unit(-1 % p ** beta) * CycNum.from_rational(p ** beta)
 
     def test_trivial_character_has_no_gauss_sum(self):
@@ -101,8 +109,8 @@ class TestCellSupport:
             k = random_glzp(rng, p, n)
             x = PadicMatrix(p, [[rng.padic_rational(p, -2, 2) for _ in range(n)]
                                 for _ in range(n)])
-            assert not shalika_support_predicate(identity_perm(n), k, x, beta)
-            assert not shalika_support_bruhat(identity_perm(n), k, x, beta)
+            assert not shalika_support_predicate(tuple(range(n)), k, x, beta)
+            assert not shalika_support_bruhat(tuple(range(n)), k, x, beta)
 
     def test_off_cell_k_fails(self):
         p, n, beta = 3, 2, 1
@@ -426,11 +434,11 @@ class TestZetaOracles:
         f = PSVector.big_cell_vector(sat, tau_element(1))
         chi = TwistCharacter.enumerate_conductor(p, 2)[0]
         v1 = zeta_iwahori_oracle(f, chi, 2, 4).value
-        v2 = zeta_iwahori_oracle(f, chi.conjugate(), 2, 4).value
+        v2 = zeta_iwahori_oracle(f, _conjugate(chi), 2, 4).value
         # conjugating the twist conjugates the cyclotomic part: both are
         # monomial multiples of Gauss sums over the same support
         g1 = zeta_iwahori_closed(w_value_closed(sat, 2, 1), chi, 2, 1, sat.eta)
-        g2 = zeta_iwahori_closed(w_value_closed(sat, 2, 1), chi.conjugate(),
+        g2 = zeta_iwahori_closed(w_value_closed(sat, 2, 1), _conjugate(chi),
                                  2, 1, sat.eta)
         assert v1 == g1.value and v2 == g2.value
 
@@ -440,6 +448,13 @@ class TestZetaOracles:
         zero = PSVector(sat, tau_element(1), {})
         chi = TwistCharacter.enumerate_conductor(p, 1)[0]
         assert zeta_iwahori_oracle(zero, chi, 1, 4).value.is_zero()
+
+    def test_iwahori_oracle_refuses_an_unramified_character(self):
+        p = 3
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        with pytest.raises(ZetaError) as exc:
+            zeta_iwahori_oracle(f, TwistCharacter.trivial(p), 1, 4)
+        assert not isinstance(exc.value, TruncationError)
 
     def test_parahoric_oracle_both_rows(self):
         for p in (2, 3):
@@ -454,34 +469,48 @@ class TestZetaOracles:
 
 
 class TestCertifyTail:
-    """The tail detector on synthetic shell values v -> c * X1^v."""
+    """The Iwahori oracle's tail certificate on synthetic shell values: the
+    intertwining is patched to return W(diag(u p^v, 1) g0) = chi(u)^{-1} w(v),
+    so zeta shell v is exactly w(v)."""
 
-    p = 3
+    p, beta = 3, 1
 
-    def _shells(self, coeffs, start):
-        x = SymElem.gen(self.p, "X1")
-        return {start + k: x ** (start + k) * c for k, c in enumerate(coeffs)}
+    def _oracle(self, monkeypatch, w):
+        p = self.p
+        chi = TwistCharacter.enumerate_conductor(p, self.beta)[0]
+        visited = []
 
-    def test_geometric_shells(self):
-        s_inv = SymElem.gen(self.p, "S", -1)
-        values = self._shells([5, 2, 2, 2, 2], 1)  # geometric from shell 2
-        start, tail = _certify_tail(values, 5, s_inv)
-        first = values[2] * s_inv ** 2
-        ratio = SymElem.gen(self.p, "X1")
-        assert start == 2
-        assert tail * (1 - ratio * s_inv) == first
+        def fake(f, g, shells, units):
+            # g = diag(p^v, 1) g0 has upper right entry -p^v
+            v = vp(g.rows[0][1], p)
+            visited.append(v)
+            m = p ** self.beta
+            return tuple(w(v) * SymElem.from_cyc(p, chi.of_unit(pow(u, -1, m)))
+                         for u in units)
 
-    @pytest.mark.parametrize("coeffs", [[1, 1, 2, 2], [1, 1, 1, 3]],
-                             ids=["third-shell", "fourth-shell"])
-    def test_changing_ratio(self, coeffs):
-        values = self._shells(coeffs, 0)
-        assert _certify_tail(values, 3, SymElem.gen(self.p, "S", -1)) is None
+        monkeypatch.setattr(shalikazeta, "ag_intertwine_value", fake)
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        return lambda: zeta_iwahori_oracle(f, chi, self.beta, 4), visited
 
-    def test_vanishing_shells(self):
-        zero = SymElem.rational(self.p, 0)
-        values = {v: zero for v in range(4)}
-        start, tail = _certify_tail(values, 3, SymElem.gen(self.p, "S", -1))
-        assert start == 0 and tail.is_zero()
+    def test_geometric_shells(self, monkeypatch):
+        # a tail that never vanishes is refused once v passes 3 + shells
+        # (shells = 4), however regular its ratio
+        x, zero = SymElem.gen(self.p, "X1"), SymElem.rational(self.p, 0)
+        run, visited = self._oracle(
+            monkeypatch, lambda v: x ** v if v >= -self.beta else zero)
+        with pytest.raises(TruncationError):
+            run()
+        assert visited == list(range(-self.beta - 2, 5 + 4))
+
+    def test_vanishing_shells(self, monkeypatch):
+        # shells -beta..0 are nonzero: the four zero shells 1..4 certify
+        x, zero = SymElem.gen(self.p, "X1"), SymElem.rational(self.p, 0)
+        run, visited = self._oracle(
+            monkeypatch, lambda v: x ** v if -self.beta <= v <= 0 else zero)
+        s_inv = SymElem.gen(self.p, "S", -1) * SymElem.gen(self.p, "Y")
+        assert run().value == sum((x ** v * s_inv ** v for v in range(-self.beta, 1)),
+                                  zero)
+        assert visited == list(range(-self.beta - 2, 5))
 
 
 class TestInterpolationFactors:
@@ -492,7 +521,7 @@ class TestInterpolationFactors:
             for beta in (1, 2):
                 for chi in TwistCharacter.enumerate_conductor(3, beta):
                     for j in (-1, 0, 2):
-                        ratio = ep_factor(sat, chi, j) / qprime_factor(chi, j, beta, n)
+                        ratio = ep_factor(sat, chi, j) / qprime_factor(chi, j, n)
                         assert ratio == hecke_eigenvalue(ref, n) ** (-beta)
 
     def test_unramified_pole(self):
@@ -506,7 +535,7 @@ class TestInterpolationFactors:
 
     def test_qprime_needs_ramified(self):
         with pytest.raises(ZetaError):
-            qprime_factor(TwistCharacter.trivial(3), 0, 1, 1)
+            qprime_factor(TwistCharacter.trivial(3), 0, 1)
 
     def test_unramified_unit_relation(self):
         # e_p(1, j) equals the parahoric Q at s = j + 1/2 up to the unit

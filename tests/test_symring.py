@@ -37,12 +37,6 @@ class TestCycNum:
                     continue
                 assert c * c.inverse() == 1
 
-    def test_conjugation_is_an_automorphism(self):
-        z = CycNum.root_of_unity(9, 2)
-        w = CycNum.root_of_unity(9, 5) + 3
-        assert (z * w).conjugate() == z.conjugate() * w.conjugate()
-        assert z.conjugate() == CycNum.root_of_unity(9, 7)
-
 
     def test_equal_values_of_different_orders_are_unhashable(self):
         # equality crosses orders, so a hash by order and coefficients
@@ -152,7 +146,7 @@ class TestSymElem:
         y = SymElem.gen(5, "Y")
         e = (y ** 3 + 2) * (y - 1)
         rebuilt = SymElem(e.p, e.num, e.den)
-        assert rebuilt == e and rebuilt.serial() == e.serial()
+        assert rebuilt == e and repr(rebuilt) == repr(e)
 
     def test_equality_cross_multiplied(self):
         _, s, _, x1, _ = gens(3)
