@@ -43,7 +43,7 @@ class ConfigError(Exception):
     pass
 
 
-# the Iwahori zeta oracle visits about p^shells points per outer shell
+# the Iwahori zeta oracle sweeps p^(shells + beta) points
 MAX_SHELLS = 8
 
 

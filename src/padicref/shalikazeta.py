@@ -13,13 +13,15 @@ Closed forms (any n):
   values assemble into.
 
 Brute-force oracles (n = 1): the Shalika intertwining
-``ag_intertwine_value`` evaluated by exact shell decomposition of the
-X-integral (one sweep gives diag(u, 1) g for all units u, which only twist
-psi), and shell-sum versions of both zeta integrals; the Iwahori one
-takes ramified characters only.  Truncations certify themselves: the
-outermost X-shells must vanish exactly (per unit), and the Iwahori zeta
-tail must vanish exactly on four consecutive shells, else the computation
-refuses to return.
+``ag_intertwine_value`` evaluated by exact class decomposition of the
+X-integral (one sweep of F(Y) = f[w(1 Y; 0 1) g] gives diag(a, 1) g for
+every nonzero scalar a, which enters only through the inducing character
+and psi), and shell-sum versions of both zeta integrals.  The Iwahori one
+takes ramified characters only and reads every zeta shell and unit off
+one sweep at g0.  Truncations certify themselves: for each scalar, the
+twisted sums over the two outermost Y-shells must vanish exactly, and the
+Iwahori zeta tail must vanish exactly on four consecutive shells, else the
+computation refuses to return.
 
 All zeta values are functions of p^s through the formal generator S.
 """
@@ -34,7 +36,7 @@ from .padiclin import (INF, PadicMatrix, _int_rows, bruhat_cell_valuations,
                        iwahori_bruhat_decompose, residue, unit_part,
                        vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
-from .princhecke import PSVector, ps_evaluate_rows
+from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
                      tau_element, u_p_eigenvalue)
 from .rootspin import delta_b
@@ -60,8 +62,7 @@ class ZetaResult:
 
 
 def _units(p: int, level: int):
-    """The units of Z/p^level, as the integers 0 < u < p^level prime to p,
-    one at a time (a deep X-shell of the intertwining has thousands)."""
+    """The units of Z/p^level, as the integers 0 < u < p^level prime to p."""
     return (u for u in range(1, p ** level) if u % p)
 
 
@@ -165,12 +166,13 @@ def gauss_sum(chi: TwistCharacter) -> CycNum:
 def psi_orthogonality(p: int, beta: int, mult: int) -> bool:
     """sum over u mod p^beta of zeta_{p^beta}^{mult*u} vanishes exactly
     when p^beta does not divide mult (the Fourier-vanishing step used by
-    the support reductions)."""
-    total = CycNum.from_rational(0)
-    for u in range(p ** beta):
-        total = total + CycNum.root_of_unity(p ** beta, mult * u % p ** beta)
-    expected_zero = mult % p ** beta != 0
-    return total.is_zero() == expected_zero
+    the support reductions).  The sum is the polynomial whose coefficient
+    at e counts the u with mult*u = e mod p^beta, reduced once."""
+    m = p ** beta
+    counts = [0] * m
+    for u in range(m):
+        counts[mult * u % m] += 1
+    return CycNum(m, counts).is_zero() == (mult % m != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +264,9 @@ def _conjugation_level(g: PadicMatrix, elem: PadicMatrix) -> int:
 
 
 def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
-                        units: tuple) -> tuple:
-    """The Shalika intertwining W at diag(u, 1) g, n = 1, for each u in
-    ``units`` (ints prime to p; others raise ZetaError), as a tuple:
+                        scalars) -> tuple:
+    """The Shalika intertwining W at diag(a, 1) g, n = 1, for each nonzero
+    rational a in ``scalars`` (a = 0 raises ZetaError), as a tuple:
 
         W(h) = integral over k in Z_p^x, X in Q_p of
             f[w(1 X; 0 1)(k 0; 0 k) h] psi^{-1}(X) eta^{-1}(k),  w = (0 1; 1 0)
@@ -272,77 +274,73 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     with vol(Z_p^x) = vol(Z_p) = 1; the k-factor is the central scalar k*1_2
     and eta is unramified, so the k-integral contributes 1.
 
-    One sweep serves every unit.  As (1 X; 0 1) diag(u, 1) =
-    diag(u, 1)(1 X/u; 0 1) and w diag(u, 1) = diag(1, u) w, and f lies in
-    an unramified principal series, whose inducing character is 1 on
-    diag(1, u) (the definition of the induced representation, not the
-    support lemma), f[w(1 X; 0 1) diag(u, 1) g] = f[w(1 X/u; 0 1) g].
-    X = u Y keeps dX, as |u| = 1, so with F_g(Y) = f[w(1 Y; 0 1) g]
+    One sweep of F(Y) = f[w(1 Y; 0 1) g] serves every a = u p^v, u a unit.
+    As (1 X; 0 1) diag(a, 1) = diag(a, 1)(1 X/a; 0 1), w diag(a, 1) =
+    diag(1, a) w and dX = p^-v dY for X = a Y, the definition of the
+    induced representation alone (no support lemma, no Gauss sum) gives
 
-        W(diag(u, 1) g) = integral over Y in Q_p of F_g(Y) psi^{-1}(u Y) dY.
+        W(diag(a, 1) g) = chi(diag(1, p^v)) p^-v * integral of F(Y) psi^{-1}(a Y) dY,
 
-    The shells, points, cells and values of F_g serve every u (the
-    conjugation levels agree: diag(u, 1)^{-1} e12 diag(u, 1) = u^{-1} e12);
-    only the root of unity at Y = y p^v, v < 0, goes from zeta_{p^-v}^(-y)
-    to zeta_{p^-v}^(-u y).  Each shell is a finite exact sum, as F_g is
-    invariant under Y -> Y + p^c Z_p at the conjugation level c.  Each unit
-    keeps its own certificate: its shells at -shells and -shells + 1 must
-    vanish identically, else TruncationError.
+    chi = delta_B^(1/2) theta^sigma the unramified inducing character.  F
+    is invariant under p^c Z_p, c the conjugation level of g, so on
+    p^-shells Z_p it is constant on the classes Y_k + p^c Z_p, of volume
+    p^-c, with Y_k = k p^-shells, 0 <= k < p^(shells + c).  On a class,
+    psi^{-1}(a Y) is the constant psi^{-1}(a Y_k) if v + c >= 0 and else a
+    nontrivial character of p^c Z_p, whose integral is 0: every W is a
+    finite exact sum over the classes where F is nonzero.  Each a with
+    v + c >= 0 certifies the truncation: its sums over the shells
+    v(Y) = -shells and -shells + 1 must vanish, else TruncationError.  F
+    itself need not vanish there: where the bottom row of g has a unit
+    ratio, w(1 Y; 0 1) g lies in the big cell for every large |Y|.
 
-    The support test runs on ints.  With D g = (top; bottom) the integer
-    rows of padiclin._int_rows and d = D p^max(-v, 0) in the shell of
-    valuation v, the rows of d w(1 Y; 0 1) g at Y = y p^v are
-    p^max(-v, 0) bottom and p^max(-v, 0) top + y p^max(v, 0) bottom, one
-    int multiply-add per entry.  d * 1 is central in B(Q_p), so they lie
-    in the Bruhat cell of the unscaled rows: points whose cell carries no
-    coefficient of f are skipped, and only points in the support are
-    valued, exactly, through ps_evaluate_rows.
+    The support test runs on ints: with D g = (top; bottom) the integer
+    rows of padiclin._int_rows, D p^shells w(1 Y_k; 0 1) g has the rows
+    p^shells bottom and p^shells top + k bottom.  The central scalar
+    D p^shells keeps the Bruhat cell, so classes whose cell carries no
+    coefficient of f are skipped, and the rest are valued through
+    ps_evaluate_rows.
     """
     if f.size != 2:
         raise ZetaError("the intertwining oracle is implemented for n = 1")
     if shells < 2:
         raise TruncationError("shells must be >= 2 to certify the truncation")
     p = f.p
-    if any(u % p == 0 for u in units):
-        raise ZetaError("the twisting units must be prime to p")
-    e12 = PadicMatrix(p, [[0, 1], [0, 0]])
-    c_g = _conjugation_level(g, e12)
-    grows = g.rows
-    _, (top, bottom) = _int_rows(grows)
-
-    def integrand_rows(yval: Fraction):
-        # w(1 Y; 0 1) g: bottom row of g, then top + Y * bottom
-        return (grows[1],
-                (grows[0][0] + yval * grows[1][0], grows[0][1] + yval * grows[1][1]))
-
-    tail_start = max(c_g, 0)
+    if any(a == 0 for a in scalars):
+        raise ZetaError("the scalars must be nonzero")
+    c = _conjugation_level(g, PadicMatrix(p, [[0, 1], [0, 0]]))
+    grows, (top, bottom) = g.rows, _int_rows(g.rows)[1]
+    scale = p ** shells
+    bottom_s, (top0, top1) = [x * scale for x in bottom], [x * scale for x in top]
+    # (k, F(Y_k)) where F is nonzero: on the shells -shells, -shells + 1, inside
+    rims, inner = ([], []), []
+    for k in range(p ** (shells + c)):
+        cell, _ = bruhat_cell_valuations(
+            p, (bottom_s, (top0 + k * bottom[0], top1 + k * bottom[1])))
+        if cell in f.coeffs:
+            y = Fraction(k, scale)
+            val = ps_evaluate_rows(f, (grows[1], (grows[0][0] + y * grows[1][0],
+                                                  grows[0][1] + y * grows[1][1])))
+            (rims[vp(k, p)] if k % p ** 2 else inner).append((k, val))
     zero = SymElem.rational(p, 0)
-    totals = [zero] * len(units)
-    for v in range(-shells, tail_start):
-        level = max(c_g - v, -v, 1)
-        shell = [zero] * len(units)
-        volume = Fraction(1, p ** (v + level))
-        low, high = p ** max(-v, 0), p ** max(v, 0)
-        bottom_v = (bottom[0] * low, bottom[1] * low)
-        top0, top1 = top[0] * low, top[1] * low
-        inc0, inc1 = bottom[0] * high, bottom[1] * high
-        for y in _units(p, level):
-            cell, _ = bruhat_cell_valuations(
-                p, (bottom_v, (top0 + y * inc0, top1 + y * inc1)))
-            if cell not in f.coeffs:
-                continue
-            val = ps_evaluate_rows(f, integrand_rows(Fraction(y) * Fraction(p) ** v))
-            if val.is_zero():
-                continue
-            # psi^{-1}(u y p^v) = zeta_low^(-u y), as low = p^-v for v < 0
-            shell = [s + (val * CycNum.root_of_unity(low, -u * y % low) if v < 0 else val)
-                     for s, u in zip(shell, units)]
-        if v <= -shells + 1 and not all(s.is_zero() for s in shell):
-            raise TruncationError(
-                "outermost X-shells do not vanish; increase shells")
-        totals = [t + s * volume for t, s in zip(totals, shell)]
-    deep = ps_evaluate_rows(f, integrand_rows(Fraction(0))) * Fraction(1, p ** tail_start)
-    return tuple(t + deep for t in totals)
+
+    def twisted(classes, u, m):
+        # psi^{-1}(a Y_k) = zeta_{p^m}^(-(u k mod p^m)), m = max(shells - v, 0)
+        total = zero
+        for k, val in classes:
+            x = Fraction(residue(-u * k, p, m), p ** m)
+            total = total + val * CycNum.root_of_unity(x.denominator, x.numerator)
+        return total
+
+    valuations = [int(vp(a, p)) for a in scalars]
+    weights = {v: torus_character_value(f.satake, f.sigma, (0, v))
+               * Fraction(1, p ** (v + c)) for v in set(valuations) if v + c >= 0}
+    out = []
+    for a, v in zip(scalars, valuations):
+        u, m = unit_part(a, p), max(shells - v, 0)
+        if v in weights and not all(twisted(rim, u, m).is_zero() for rim in rims):
+            raise TruncationError("outermost Y-shells do not vanish; increase shells")
+        out.append(twisted(inner, u, m) * weights[v] if v in weights else zero)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -489,26 +487,25 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
         raise ZetaError("the zeta oracle is implemented for n = 1")
     if not chi.is_ramified or chi.beta != beta:
         raise ZetaError("the Iwahori oracle needs conductor exactly p^beta >= p")
-    # the twisted support reaches x-valuation -beta, and the inner X-shells
-    # reach down to the ball around each x; anything shallower cannot be
-    # certified
+    # the guard shells reach v(x) = -beta - 2: keep at least that many shells
     shells = max(shells, beta + 2)
     p = f.p
     g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(
         p, [Fraction(p) ** beta, 1])
-    e11 = PadicMatrix(p, [[1, 0], [0, 0]])
-    c_out = _conjugation_level(g0, e11)
+    c_out = _conjugation_level(g0, PadicMatrix(p, [[1, 0], [0, 0]]))
     units = tuple(_units(p, max(c_out, beta)))
     count = len(units)
+    v_min = -beta - 2
+    # one sweep at g0 gives W(diag(u p^v, 1) g0) for every zeta shell v and unit u
+    values = ag_intertwine_value(
+        f, g0, shells, [Fraction(u) * Fraction(p) ** v
+                        for v in range(v_min, 5 + shells) for u in units])
 
     def shell_value(v: int) -> SymElem:
-        # one sweep at diag(p^v, 1) g0 gives W(diag(u p^v, 1) g0) for all u
-        point = PadicMatrix.diagonal(p, [Fraction(p) ** v, 1]) * g0
-        values = ag_intertwine_value(f, point, shells, units)
-        return sum((w * chi.of_unit(u) for u, w in zip(units, values) if not w.is_zero()),
+        row = values[(v - v_min) * count:(v - v_min + 1) * count]
+        return sum((w * chi.of_unit(u) for u, w in zip(units, row) if not w.is_zero()),
                    SymElem.rational(p, 0)) * Fraction(1, count)
 
-    v_min = -beta - 2
     for v in (v_min, v_min + 1):
         if not shell_value(v).is_zero():
             raise TruncationError(

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,14 @@ REFERENCE_BODY_SHA256 = \
 # one report that reaches the GSpin side at rank 3
 RANK3_GSPIN_BODY_SHA256 = \
     "9295ff94ad962f38c64e42420eb8f006d47fa0f498c346c9541648b4b7879ecf"
+
+# the same for ``padicref run --p 5 --beta 2 --suites
+# zeta-iwahori,zeta-parahoric``: both zeta oracles for every character of
+# conductor 5 and 25
+P5_ZETA_BODY_SHA256 = \
+    "bed1af902d95bf141156697572cb3b6e02e35bda16fd3f708d6b1e339849d8ab"
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestRejectedInput:
@@ -146,6 +158,27 @@ class TestAcceptedInput:
                              "spin-enum,weyl-transfer"], capsys)
         assert code == 0
         assert hashlib.sha256(_body(out) + b"\n").hexdigest() == RANK3_GSPIN_BODY_SHA256
+
+    def test_p5_zeta_body_matches_the_reference(self, capsys):
+        code, out, _ = _run(["run", "--p", "5", "--beta", "2", "--suites",
+                             "zeta-iwahori,zeta-parahoric"], capsys)
+        assert code == 0
+        body = json.loads(out)["body"]
+        assert (body["passed"], body["failed"]) == (39, 0)
+        assert hashlib.sha256(_body(out) + b"\n").hexdigest() == P5_ZETA_BODY_SHA256
+
+    def test_python_m_padicref(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "padicref", *argv],
+                                  capture_output=True, text=True, env=env)
+
+        listed = run("list")
+        assert listed.returncode == 0 and "spin-enum:" in listed.stdout
+        rejected = run("run", "--p", "7")
+        assert rejected.returncode == 2 and rejected.stdout == ""
+        assert json.loads(rejected.stderr)["error"] == "config"
 
     def test_body_is_deterministic(self, capsys):
         argv = ["run", "--suites", "cell-support,spin-enum", "--samples", "8",

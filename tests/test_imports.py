@@ -1,7 +1,8 @@
-"""Every import in the package sits at module top and is used by the
-module, every top-level definition is named by the product somewhere
-outside itself, every parameter is read by its function, and no module
-reads the process environment."""
+"""Every import in the package and its tests is used by the module that
+makes it, every import in the package sits at module top, every top-level
+definition is named by the product somewhere outside itself, every
+parameter is read by its function, and no module reads the process
+environment."""
 
 import ast
 import re
@@ -13,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "padicref"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # where a definition of the package may be named: the package and the
 # benchmark (which patches functions by dotted string names), not the tests,
 # so a definition that only tests reach counts as dead
@@ -59,7 +61,8 @@ def unused_imports(source: str) -> list:
     return sorted(out)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,11 +1,8 @@
-import pytest
-
 from conftest import make_rng
 from padicref.padiclin import PadicMatrix
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import (PSVector, eigenvector_check, hecke_apply,
-                                 hecke_coset_matrices, ps_evaluate_rows,
-                                 torus_character_value)
+                                 hecke_coset_matrices, ps_evaluate_rows)
 from padicref.refine import Refinement, SatakeParameter, hecke_eigenvalue, tau_element
 from padicref.sampling import random_iwahori
 from padicref.symring import SymElem

@@ -1,17 +1,16 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from padicref import refine
 from padicref.perms import all_perms, compose, longest_perm
-from padicref.refine import (GSpinEigensystem, RefineError, Refinement,
-                             SatakeParameter, all_refinements,
-                             delta_theta_tau, gspin_factorization,
-                             hecke_eigenvalue, integral_eigenvalue, is_spin,
-                             monomial_valuation, noncritical_slope,
-                             normalize_satake, shalika_admissible, spin_census,
-                             tau_element, u_p_eigenvalue)
+from padicref.refine import (RefineError, Refinement, SatakeParameter,
+                             all_refinements, delta_theta_tau,
+                             gspin_factorization, hecke_eigenvalue,
+                             integral_eigenvalue, is_spin, monomial_valuation,
+                             noncritical_slope, normalize_satake,
+                             shalika_admissible, spin_census, tau_element,
+                             u_p_eigenvalue)
 from padicref.rootspin import GLWeight, wg0_members
 from padicref.symring import SymElem
 

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from padicref.perms import all_perms, compose, longest_perm
-from padicref.rootspin import (GLWeight, GSpinWeight, RootDataError, WeylGSpin,
+from padicref.perms import all_perms, compose
+from padicref.rootspin import (GSpinWeight, RootDataError, WeylGSpin,
                                act_cochar_gl, all_weyl_gspin, delta_b,
                                jmap_weight, jmap_weyl, jvee_cochar, jvee_weyl,
-                               regular_pure_weight, wg0_members)
+                               wg0_members)
 from padicref.symring import SymElem
 
 

@@ -4,21 +4,21 @@ import pytest
 
 from conftest import make_rng
 from padicref import shalikazeta
-from padicref.padiclin import PadicMatrix, vp
+from padicref.padiclin import PadicMatrix, residue, unit_part, vp
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import PSVector
 from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
-                             is_spin, normalize_satake, tau_element)
+                             tau_element)
 from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
 from padicref.princhecke import ps_evaluate_rows
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   TwistCharacter, ZetaError,
                                   _conjugation_level, _units,
                                   ag_intertwine_value,
-                                  borel_part_character, chi_det_minus_wn,
+                                  borel_part_character,
                                   comparison_constant, ep_factor, gauss_sum,
                                   psi_orthogonality, qprime_factor,
-                                  shalika_argument, shalika_support_bruhat,
+                                  shalika_support_bruhat,
                                   shalika_support_predicate, w_value_closed,
                                   z_matrix, zeta_iwahori_closed,
                                   zeta_iwahori_oracle, zeta_parahoric_closed,
@@ -214,34 +214,51 @@ class TestIntertwiningOracle:
             ag_intertwine_value(f, g, 1, (1,))
 
     def test_uncertified_truncation_raises_per_unit(self):
-        # the same point for every unit at once: each unit's outermost
-        # shells are certified separately, so a unit that alone would
-        # refuse makes the whole call refuse
+        # the same point for scalars u p^v of every unit and three
+        # valuations at once: each scalar's outermost shells are certified
+        # separately, so a scalar that alone would refuse makes the whole
+        # call refuse, whatever the others
         p = 3
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
         g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(p, [9, 1])
         g = PadicMatrix.diagonal(p, [Fraction(1, 9), 1]) * g0
-        units = tuple(_units(p, 2))
+        scalars = tuple(Fraction(u) * Fraction(p) ** v
+                        for v in (-1, 0, 1) for u in _units(p, 2))
 
-        def alone(u, shells):
+        def alone(a, shells):
             return ag_intertwine_value(
-                f, PadicMatrix.diagonal(p, [u, 1]) * g, shells, (1,))[0]
+                f, PadicMatrix.diagonal(p, [a, 1]) * g, shells, (1,))[0]
 
         refusing = []
-        for u in units:
+        for a in scalars:
             try:
-                alone(u, 2)
+                alone(a, 2)
             except TruncationError:
-                refusing.append(u)
+                refusing.append(a)
                 with pytest.raises(TruncationError):
-                    ag_intertwine_value(f, g, 2, (u,))
+                    ag_intertwine_value(f, g, 2, (a,))
             else:
-                assert ag_intertwine_value(f, g, 2, (u,)) == (alone(u, 2),)
-        assert refusing
-        with pytest.raises(TruncationError):
-            ag_intertwine_value(f, g, 2, units)
-        assert ag_intertwine_value(f, g, 4, units) \
-            == tuple(alone(u, 4) for u in units)
+                assert ag_intertwine_value(f, g, 2, (a,)) == (alone(a, 2),)
+        assert refusing and len(refusing) < len(scalars)
+        for a in refusing:
+            with pytest.raises(TruncationError):
+                ag_intertwine_value(f, g, 2, (1, a))
+        assert ag_intertwine_value(f, g, 4, scalars) \
+            == tuple(alone(a, 4) for a in scalars)
+
+    def test_certificate_is_on_twisted_sums(self):
+        # the bottom row of g has the unit ratio 7, so F(Y) =
+        # f[w(1 Y; 0 1) g] is nonzero on every outer shell: only the
+        # twisted shell sums vanish there, and they certify the call
+        p, shells = 3, 3
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        g = PadicMatrix(p, [[Fraction(1, 7), Fraction(2, 3)], [3, Fraction(3, 7)]])
+        top, bottom = g.rows
+        for y in (Fraction(1, p ** shells), Fraction(2, p ** (shells - 1))):
+            assert not ps_evaluate_rows(
+                f, (bottom, (top[0] + y * bottom[0], top[1] + y * bottom[1]))).is_zero()
+        assert ag_intertwine_value(f, g, shells, (1,)) \
+            == (_fraction_intertwine(f, g, shells),)
 
 
 def _fraction_intertwine(f, g, shells):
@@ -258,9 +275,9 @@ def _fraction_intertwine(f, g, shells):
     total = SymElem.rational(p, 0)
     for v in range(-shells, tail_start):
         level = max(c_g - v, -v, 1)
-        shell = SymElem.rational(p, 0)
+        shell, step = SymElem.rational(p, 0), Fraction(p) ** v
         for u in _units(p, level):
-            val = value_at(Fraction(u) * Fraction(p) ** v)
+            val = value_at(u * step)
             if val.is_zero():
                 continue
             if v < 0:
@@ -291,10 +308,10 @@ class TestIntegerShellPoints:
                         == (_fraction_intertwine(f, g, shells),)
 
     def test_twisted_sweep_matches_the_fraction_reference(self):
-        # one sweep at diag(p^v, 1) g0 against the reference at
-        # diag(u p^v, 1) g0, for the outer shells v of the zeta oracle from
-        # its two vanishing guards to 0: every unit mod p^beta at p <= 3,
-        # a seeded pair at p = 5
+        # one sweep at g0 with the scalars a = u p^v of the zeta oracle
+        # against the reference at diag(a, 1) g0, for v from its two
+        # vanishing guards (v + beta < 0: zero by the class rule) to 1:
+        # every unit mod p^beta at p <= 3, a seeded pair at p = 5
         rng = make_rng("twisted-sweep")
         for p in (2, 3, 5):
             f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1),
@@ -307,21 +324,19 @@ class TestIntegerShellPoints:
                     first = rng.choice(units)
                     units = (first, rng.choice([u for u in units if u != first]))
                 shells = beta + 2
-                for v in range(-beta - 2, 1):
-                    x = Fraction(p) ** v
-                    values = ag_intertwine_value(
-                        f, PadicMatrix.diagonal(p, [x, 1]) * g0, shells, units)
-                    assert values == tuple(
-                        _fraction_intertwine(
-                            f, PadicMatrix.diagonal(p, [u * x, 1]) * g0, shells)
-                        for u in units)
+                scalars = [Fraction(u) * Fraction(p) ** v
+                           for v in range(-beta - 2, 2) for u in units]
+                assert ag_intertwine_value(f, g0, shells, scalars) == tuple(
+                    _fraction_intertwine(
+                        f, PadicMatrix.diagonal(p, [a, 1]) * g0, shells)
+                    for a in scalars)
 
-    def test_refuses_a_unit_divisible_by_p(self):
+    def test_refuses_a_zero_scalar(self):
         p = 3
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
-        for units in ((3,), (1, 6), (0,)):
+        for scalars in ((0,), (1, Fraction(0)), (3, 0, 6)):
             with pytest.raises(ZetaError) as exc:
-                ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, units)
+                ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, scalars)
             assert not isinstance(exc.value, TruncationError)
 
 
@@ -470,47 +485,49 @@ class TestZetaOracles:
 
 class TestCertifyTail:
     """The Iwahori oracle's tail certificate on synthetic shell values: the
-    intertwining is patched to return W(diag(u p^v, 1) g0) = chi(u)^{-1} w(v),
-    so zeta shell v is exactly w(v)."""
+    intertwining is patched to return W(diag(u p^v, 1) g0) = chi(u)^{-1} w(v)
+    for each scalar a = u p^v, so zeta shell v is exactly w(v)."""
 
     p, beta = 3, 1
 
     def _oracle(self, monkeypatch, w):
         p = self.p
         chi = TwistCharacter.enumerate_conductor(p, self.beta)[0]
-        visited = []
+        calls = []
 
-        def fake(f, g, shells, units):
-            # g = diag(p^v, 1) g0 has upper right entry -p^v
-            v = vp(g.rows[0][1], p)
-            visited.append(v)
+        def fake(f, g, shells, scalars):
+            calls.append(sorted({int(vp(a, p)) for a in scalars}))
             m = p ** self.beta
-            return tuple(w(v) * SymElem.from_cyc(p, chi.of_unit(pow(u, -1, m)))
-                         for u in units)
+            return tuple(
+                w(int(vp(a, p)))
+                * SymElem.from_cyc(p, chi.of_unit(pow(residue(unit_part(a, p), p, self.beta),
+                                                      -1, m)))
+                for a in scalars)
 
         monkeypatch.setattr(shalikazeta, "ag_intertwine_value", fake)
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
-        return lambda: zeta_iwahori_oracle(f, chi, self.beta, 4), visited
+        return lambda: zeta_iwahori_oracle(f, chi, self.beta, 4), calls
 
     def test_geometric_shells(self, monkeypatch):
         # a tail that never vanishes is refused once v passes 3 + shells
         # (shells = 4), however regular its ratio
         x, zero = SymElem.gen(self.p, "X1"), SymElem.rational(self.p, 0)
-        run, visited = self._oracle(
+        run, calls = self._oracle(
             monkeypatch, lambda v: x ** v if v >= -self.beta else zero)
         with pytest.raises(TruncationError):
             run()
-        assert visited == list(range(-self.beta - 2, 5 + 4))
+        assert calls == [list(range(-self.beta - 2, 5 + 4))]
 
     def test_vanishing_shells(self, monkeypatch):
-        # shells -beta..0 are nonzero: the four zero shells 1..4 certify
+        # shells -beta..0 are nonzero: the four zero shells 1..4 certify,
+        # from the one call that covers every zeta shell
         x, zero = SymElem.gen(self.p, "X1"), SymElem.rational(self.p, 0)
-        run, visited = self._oracle(
+        run, calls = self._oracle(
             monkeypatch, lambda v: x ** v if -self.beta <= v <= 0 else zero)
         s_inv = SymElem.gen(self.p, "S", -1) * SymElem.gen(self.p, "Y")
         assert run().value == sum((x ** v * s_inv ** v for v in range(-self.beta, 1)),
                                   zero)
-        assert visited == list(range(-self.beta - 2, 5))
+        assert calls == [list(range(-self.beta - 2, 5 + 4))]
 
 
 class TestInterpolationFactors:
