@@ -23,6 +23,7 @@ combinations of Dirac evaluations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .famring import (FamilyRing, FamSeries, teichmuller, wild_base,
                       wild_exponent)
@@ -82,30 +83,18 @@ def alpha_weight(n: int, i: int) -> GLWeight:
 # classical branching vectors via the open cell
 
 
-def v_lambda_j(g: PadicMatrix, lam: PureWeight, j: int) -> Fraction:
-    """The normalized branching vector, evaluated via the open cell.
+def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
+    """The normalized branching vector at the point whose open-cell
+    factorization is fac: lam(bbar) * det(h1)^(-j) * det(h2)^(sw + j).
 
-    Returns 0 off the cell (the algebraic vector is only tested on Iw^1,
-    where the extension by zero is never reached).
+    fac is open_cell_factorize(g); the value is 0 off the cell, where fac
+    is None (the algebraic vector is only tested on Iw^1, where the
+    extension by zero is never reached).
     """
     if j not in crit_range(lam):
         raise BranchError(f"{j} is not in the critical range")
-    fac = open_cell_factorize(g)
     if fac is None:
         return Fraction(0)
-    return _open_cell_value(fac, lam, j)
-
-
-def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
-    """{j: v_lambda_j(g, lam, j)} for every j in the critical range, on one
-    open-cell factorization of g; every value is 0 off the cell."""
-    fac = open_cell_factorize(g)
-    return {j: Fraction(0) if fac is None else _open_cell_value(fac, lam, j)
-            for j in crit_range(lam)}
-
-
-def _open_cell_value(fac, lam: PureWeight, j: int) -> Fraction:
-    """lam(bbar) * det(h1)^(-j) * det(h2)^(sw + j) on the factorization fac."""
     value = Fraction(1)
     for i, d in enumerate(fac.bbar.diagonal_entries()):
         e = lam.entry(i)
@@ -115,6 +104,13 @@ def _open_cell_value(fac, lam: PureWeight, j: int) -> Fraction:
         if e:
             value *= Fraction(h.det()) ** e
     return value
+
+
+def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
+    """{j: v_lambda_j at g} for every j in the critical range, on one
+    open-cell factorization of g; every value is 0 off the cell."""
+    fac = open_cell_factorize(g)
+    return {j: v_lambda_j(fac, lam, j) for j in crit_range(lam)}
 
 
 def v_basis_values(g: PadicMatrix):
@@ -129,10 +125,10 @@ def v_basis_values(g: PadicMatrix):
     if fac is None:
         return None
     alpha = [PureWeight(alpha_weight(n, i)) for i in range(n + 1)]
-    return (_open_cell_value(fac, alpha[0], -1),
-            [_open_cell_value(fac, alpha[i], 0) for i in range(1, n)],
-            _open_cell_value(fac, alpha[n], -1),
-            _open_cell_value(fac, alpha[n], 0))
+    return (v_lambda_j(fac, alpha[0], -1),
+            [v_lambda_j(fac, alpha[i], 0) for i in range(1, n)],
+            v_lambda_j(fac, alpha[n], -1),
+            v_lambda_j(fac, alpha[n], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +379,12 @@ class LocPoly:
 
 
 class FiniteDistribution:
-    """A finite linear combination of Dirac evaluations at Iwahori points."""
+    """A finite linear combination of Dirac evaluations at Iwahori points.
 
-    __slots__ = ("terms",)
+    Each base point is factored once, on first use, for all the maps
+    below: its open-cell factorization (cells) and its Iw^1 coordinates
+    (coords, None off Iw^1).
+    """
 
     def __init__(self, terms):
         self.terms = [(int(c), g) for c, g in terms]
@@ -393,39 +392,34 @@ class FiniteDistribution:
             if not g.in_iwahori():
                 raise BranchError("Dirac base point must lie in the Iwahori")
 
+    @cached_property
+    def cells(self) -> list:
+        return [open_cell_factorize(g) for _, g in self.terms]
 
-def v_family(f: LocPoly, g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
-    """v_Omega(f) at g: w_chi(g) * f(v_(n),2 / v_(n),1) on Iw^1, else 0."""
-    coords = _iw1_coordinates(g)
-    if coords is None:
-        return omega.ring.zero()
-    val = f(coords[4] / coords[3])
-    if val == 0:
-        return omega.ring.zero()
-    return _w_family_at(coords, omega) * omega.ring.from_rational(val)
-
-
-def v_lambda_fun(f: LocPoly, g: PadicMatrix, lam: PureWeight) -> Fraction:
-    """The same construction at the single weight lam (exact rational)."""
-    coords = _iw1_coordinates(g)
-    if coords is None:
-        return Fraction(0)
-    return _w_lambda_at(coords, lam) * f(coords[4] / coords[3])
+    @cached_property
+    def coords(self) -> list:
+        return [_iw1_coordinates(g) for _, g in self.terms]
 
 
 def kappa_family(mu: FiniteDistribution, f: LocPoly,
                  omega: FamilyWeight) -> FamSeries:
+    """The sum of c * v_Omega(f)(g) over the terms (c, g), where v_Omega(f)
+    is w_chi * f(v_(n),2 / v_(n),1) on Iw^1 and 0 off it."""
     out = omega.ring.zero()
-    for c, g in mu.terms:
-        out = out + v_family(f, g, omega) * c
+    for (c, _), coords in zip(mu.terms, mu.coords):
+        val = 0 if coords is None else f(coords[4] / coords[3])
+        if val != 0:
+            out = out + _w_family_at(coords, omega) * omega.ring.from_rational(val) * c
     return out
 
 
 def kappa_lambda(mu: FiniteDistribution, f: LocPoly, lam: PureWeight) -> Fraction:
-    return sum((Fraction(c) * v_lambda_fun(f, g, lam) for c, g in mu.terms),
+    """The same construction at the single weight lam (exact rational)."""
+    return sum((Fraction(c) * _w_lambda_at(coords, lam) * f(coords[4] / coords[3])
+                for (c, _), coords in zip(mu.terms, mu.coords) if coords is not None),
                Fraction(0))
 
 
 def kappa_lambda_j(mu: FiniteDistribution, lam: PureWeight, j: int) -> Fraction:
-    return sum((Fraction(c) * v_lambda_j(g, lam, j) for c, g in mu.terms),
-               Fraction(0))
+    return sum((Fraction(c) * v_lambda_j(fac, lam, j)
+                for (c, _), fac in zip(mu.terms, mu.cells)), Fraction(0))

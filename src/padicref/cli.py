@@ -280,10 +280,11 @@ def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
         def off_interpolation():
             for _ in range(max(10, cfg.samples // 10)):
                 g = random_iw_beta(rng, p, 2 * n, 1)
+                dirac = branchfam.FiniteDistribution([(1, g)])  # g is factored once
                 for j in branchfam.crit_range(lam):
                     f = branchfam.LocPoly.monomial(p, j)
-                    value = branchfam.v_lambda_fun(f, g, lam)
-                    direct = branchfam.v_lambda_j(g, lam, j)
+                    value = branchfam.kappa_lambda(dirac, f, lam)
+                    direct = branchfam.kappa_lambda_j(dirac, lam, j)
                     if value != direct:
                         yield f"g={g} j={j}: {value} != {direct}"
 
@@ -470,12 +471,16 @@ CATALOG = {
 
 def run(config: SuiteConfig) -> dict:
     """The report of the suites of a validated ``config``: the deterministic
-    ``body`` and, beside it, the ``meta`` timing."""
+    ``body`` and, beside it, the ``meta`` timings: the whole run and each
+    suite, listed in body order."""
     root = SplitMix64(config.seed)
-    suites = []
+    suites, timings = [], []
     start = time.monotonic()
     for name in config.suites:
+        suite_start = time.monotonic()
         cases = CATALOG[name]["fn"](config, root.spawn(name))
+        timings.append({"name": name,
+                        "elapsed_seconds": round(time.monotonic() - suite_start, 3)})
         passed = sum(1 for c in cases if c["outcome"] == "pass")
         suites.append({"name": name, "claim": CATALOG[name]["claim"],
                        "cases": cases, "passed": passed,
@@ -485,7 +490,7 @@ def run(config: SuiteConfig) -> dict:
     body = {"schema_version": SCHEMA_VERSION, "config": asdict(config),
             "suites": suites, "passed": sum(s["passed"] for s in suites),
             "failed": failed, "ok": failed == 0}
-    return {"body": body, "meta": {"elapsed_seconds": elapsed}}
+    return {"body": body, "meta": {"elapsed_seconds": elapsed, "suites": timings}}
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,19 @@ with both characters read off the diagonal valuations of b (the inducing
 character is unramified).  The Hecke operator U_{p,r} acts by the single
 coset decomposition over (1_r m; 0 1) t_{p,r} with m modulo p, and a
 vector is reassembled from its values at the (2n)! Weyl representatives.
+The single-coset matrices depend on (p, 2n, r) only: their cells and
+valuations are reduced once per process and grouped by (cell,
+valuations), and as the value above depends on a matrix only through
+that pair, each group adds its count times one value.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from .padiclin import PadicMatrix, bruhat_cell_valuations
+from .padiclin import bruhat_cell_valuations
 from .perms import all_perms, block_perm, compose, inverse_perm, longest_perm
 from .refine import Refinement, SatakeParameter, hecke_eigenvalue
 from .rootspin import delta_b
@@ -120,44 +125,45 @@ def ps_evaluate_rows(f: PSVector, rows) -> SymElem:
 
 
 def hecke_coset_matrices(p: int, m: int, r: int):
-    """The single-coset representatives (1_r m'; 0 1) t_{p,r}.
+    """The single-coset representatives (1_r m'; 0 1) t_{p,r}, as tuples
+    of int rows.
 
     These are the block matrices (p 1_r, m'; 0, 1) with m' running over
     residue matrices with entries in {0, ..., p-1}.
     """
     cols = m - r
-    reps = []
-    for entries in product(range(p), repeat=r * cols):
-        rows = []
-        for i in range(r):
-            row = [0] * m
-            row[i] = p
-            for j in range(cols):
-                row[r + j] = entries[i * cols + j]
-            rows.append(row)
-        for i in range(cols):
-            row = [0] * m
-            row[r + i] = 1
-            rows.append(row)
-        reps.append(PadicMatrix(p, rows))
-    return reps
+    bottom = tuple(tuple(int(k == r + i) for k in range(m)) for i in range(cols))
+    return [tuple(tuple(p * (k == i) for k in range(r)) + mp[i * cols:(i + 1) * cols]
+                  for i in range(r)) + bottom
+            for mp in product(range(p), repeat=r * cols)]
+
+
+@lru_cache(maxsize=None)
+def _hecke_cells(p: int, m: int, r: int) -> dict:
+    """{rho: Counter of (cell, vals)} over the single-coset matrices with
+    their rows permuted by rho, the Bruhat data hecke_apply sums over."""
+    cosets = hecke_coset_matrices(p, m, r)
+    return {rho: Counter(bruhat_cell_valuations(p, [rows[i] for i in inverse_perm(rho)])
+                         for rows in cosets)
+            for rho in all_perms(m)}
 
 
 def hecke_apply(f: PSVector, r: int) -> PSVector:
-    """U_{p,r} f, reassembled from its values at Weyl representatives."""
+    """U_{p,r} f, reassembled from its values at Weyl representatives.
+
+    The value at rho, the sum of f over the rho-permuted single-coset
+    matrices, is the sum of count * value over their (cell, vals) groups.
+    """
     m = f.size
     if not 1 <= r <= m - 1:
         raise PrincipalSeriesError("Hecke index out of range")
-    p = f.p
-    cosets = hecke_coset_matrices(p, m, r)
     coeffs = {}
-    zero = _zero(p)
-    for rho in all_perms(m):
-        rho_inv = inverse_perm(rho)
-        total = zero
-        for cm in cosets:
-            total = total + ps_evaluate_rows(
-                f, [cm.rows[rho_inv[i]] for i in range(m)])
+    for rho, groups in _hecke_cells(f.p, m, r).items():
+        total = _zero(f.p)
+        for (cell, vals), count in groups.items():
+            c = f.coeffs.get(cell)
+            if c is not None:
+                total = total + torus_character_value(f.satake, f.sigma, vals) * c * count
         if not total.is_zero():
             coeffs[rho] = total
     return PSVector(f.satake, f.sigma, coeffs)

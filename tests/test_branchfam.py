@@ -7,12 +7,20 @@ from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 LocPoly, PureWeight, alpha_weight, crit_range,
                                 in_iw_beta, in_iwh_beta, in_n_beta,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
-                                kappa_lambda_j,
-                                v_basis_values, v_family, v_lambda_all,
-                                v_lambda_fun, v_lambda_j, w_family, w_lambda)
+                                kappa_lambda_j, v_basis_values, v_lambda_all,
+                                v_lambda_j, w_family, w_lambda)
 from padicref.famring import FamilyRing, padic_log, teichmuller, wild_exponent
-from padicref.padiclin import PadicMatrix, vp
+from padicref.padiclin import PadicMatrix, open_cell_factorize, vp
 from padicref.sampling import random_glzp, random_iw_beta, random_n_beta
+
+
+def v_at(g, lam, j):
+    """The classical branching vector v_{lam,j} at g."""
+    return v_lambda_j(open_cell_factorize(g), lam, j)
+
+
+def dirac(g):
+    return FiniteDistribution([(1, g)])
 
 
 class TestCritRange:
@@ -66,14 +74,14 @@ class TestMembership:
 class TestClassicalVectors:
     def test_normalisation_at_u(self):
         lam = PureWeight([4, 0])
-        assert v_lambda_j(PadicMatrix.open_orbit_rep(3, 1), lam, -2) == 1
+        assert v_at(PadicMatrix.open_orbit_rep(3, 1), lam, -2) == 1
         lam2 = PureWeight([2, 1, -1, -2])
-        assert v_lambda_j(PadicMatrix.open_orbit_rep(3, 2), lam2, 0) == 1
+        assert v_at(PadicMatrix.open_orbit_rep(3, 2), lam2, 0) == 1
 
     def test_critical_range_enforced(self):
         lam = PureWeight([4, 0])
         with pytest.raises(BranchError):
-            v_lambda_j(PadicMatrix.open_orbit_rep(3, 1), lam, 1)
+            v_at(PadicMatrix.open_orbit_rep(3, 1), lam, 1)
 
     def test_unit_congruence_rank_one_exhaustive(self):
         # all residue classes of the depth-beta cell, p in {2, 3}
@@ -83,7 +91,7 @@ class TestClassicalVectors:
                 for y in range(p ** (beta + 2)):
                     g = PadicMatrix(p, [[1, 1 + p ** beta * y], [0, 1]])
                     for j in crit_range(lam):
-                        val = v_lambda_j(g, lam, j)
+                        val = v_at(g, lam, j)
                         assert val != 0
                         assert val == 1 or vp(val - 1, p) >= beta
 
@@ -95,7 +103,7 @@ class TestClassicalVectors:
                 beta = rng.randint(1, 2)
                 g = random_n_beta(rng, p, 2, beta)
                 for j in crit_range(lam):
-                    val = v_lambda_j(g, lam, j)
+                    val = v_at(g, lam, j)
                     assert val != 0
                     assert val == 1 or vp(val - 1, p) >= beta
 
@@ -109,9 +117,9 @@ class TestClassicalVectors:
             h = random_iwh1(rng, p, 2)
             h1, h2 = h.block(0, 2, 0, 2), h.block(2, 4, 2, 4)
             for j in crit_range(lam):
-                lhs = v_lambda_j(g * h, lam, j)
+                lhs = v_at(g * h, lam, j)
                 rhs = Fraction(h1.det()) ** (-j) * Fraction(h2.det()) ** (sw + j) \
-                    * v_lambda_j(g, lam, j)
+                    * v_at(g, lam, j)
                 assert lhs == rhs
 
     def test_product_formula(self):
@@ -130,7 +138,7 @@ class TestClassicalVectors:
                 for i in range(1, n):
                     expected *= mids[i - 1] ** (lam.entry(i - 1) - lam.entry(i))
                 expected *= vn1 ** (-lam.entry(n) - j) * vn2 ** (lam.entry(n - 1) + j)
-                assert v_lambda_j(g, lam, j) == expected
+                assert v_at(g, lam, j) == expected
 
     def test_all_j_matches_each_j(self):
         # one factorization for the whole critical range gives the values
@@ -145,7 +153,7 @@ class TestClassicalVectors:
                     values = v_lambda_all(g, lam)
                     assert list(values) == list(crit_range(lam))
                     for j in crit_range(lam):
-                        assert values[j] == v_lambda_j(g, lam, j)
+                        assert values[j] == v_at(g, lam, j)
 
     def test_all_j_vanish_off_the_open_cell(self):
         lam = PureWeight([2, 1, -1, -2])
@@ -169,7 +177,7 @@ class TestWCharacter:
             g = random_iw_beta(rng, 3, 4, 1)
             for j in crit_range(lam):
                 f = LocPoly.monomial(3, j)
-                assert v_lambda_fun(f, g, lam) == v_lambda_j(g, lam, j)
+                assert kappa_lambda(dirac(g), f, lam) == v_at(g, lam, j)
 
     def test_outside_iw1_rejected(self):
         lam = PureWeight([1, 0])
@@ -341,8 +349,8 @@ class TestDistributionMaps:
             det1 = h.block(0, 2, 0, 2).det()
             det2 = h.block(2, 4, 2, 4).det()
             lhs = omega.sw_value(det2) \
-                * v_family(f.translated(Fraction(det2) / Fraction(det1)), g, omega)
-            assert lhs.eq_target(v_family(f, g * h, omega))
+                * kappa_family(dirac(g), f.translated(Fraction(det2) / Fraction(det1)), omega)
+            assert lhs.eq_target(kappa_family(dirac(g * h), f, omega))
 
     def test_pushforward_support(self):
         # a Dirac at depth beta integrates to zero against anything
@@ -366,9 +374,11 @@ class TestDistributionMaps:
     def test_off_iw1_vanishes(self):
         lam, omega = family_fixture(3, 1)
         f = LocPoly.monomial(3, 0)
-        # in Iw but not Iw^1; not in Iw
-        for g in (PadicMatrix.identity(3, 2), PadicMatrix.diagonal(3, [3, 1])):
-            assert v_family(f, g, omega).eq_target(omega.ring.zero())
-            assert v_lambda_fun(f, g, lam) == 0
+        # in Iw but not Iw^1: the Dirac integrates to zero
+        g = PadicMatrix.identity(3, 2)
+        assert kappa_family(dirac(g), f, omega).eq_target(omega.ring.zero())
+        assert kappa_lambda(dirac(g), f, lam) == 0
+        # not in Iw
+        for g in (g, PadicMatrix.diagonal(3, [3, 1])):
             with pytest.raises(BranchError):
                 w_family(g, omega)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from padicref import cli, princhecke, refine, rootspin, shalikazeta
+from padicref import branchfam, cli, princhecke, refine, rootspin, shalikazeta
 from padicref.cli import main
 from padicref.perms import compose, longest_perm
 
@@ -39,6 +39,11 @@ RANK3_GSPIN_BODY_SHA256 = \
 # conductor 5 and 25
 P5_ZETA_BODY_SHA256 = \
     "bed1af902d95bf141156697572cb3b6e02e35bda16fd3f708d6b1e339849d8ab"
+
+# the same for ``padicref run --n 3 --beta 2``, where the branching suites
+# loop over two depths
+RANK3_BETA2_BODY_SHA256 = \
+    "7ef9cdbc096a3a2e6a1b6b1a14ee10b145e93538b991ddbc3e93c22e07d5a275"
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -167,6 +172,23 @@ class TestAcceptedInput:
         assert (body["passed"], body["failed"]) == (39, 0)
         assert hashlib.sha256(_body(out) + b"\n").hexdigest() == P5_ZETA_BODY_SHA256
 
+    def test_rank3_beta2_body_matches_the_reference(self, capsys):
+        code, out, _ = _run(["run", "--n", "3", "--beta", "2"], capsys)
+        assert code == 0
+        body = json.loads(out)["body"]
+        assert (body["passed"], body["failed"]) == (72, 0)
+        assert hashlib.sha256(_body(out) + b"\n").hexdigest() == RANK3_BETA2_BODY_SHA256
+
+    def test_meta_times_each_suite_in_body_order(self):
+        report = cli.run(cli.SuiteConfig())
+        body = json.dumps(report["body"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(body.encode() + b"\n").hexdigest() == REFERENCE_BODY_SHA256
+        timings = report["meta"]["suites"]
+        assert [t["name"] for t in timings] == [s["name"] for s in report["body"]["suites"]]
+        assert all(set(t) == {"name", "elapsed_seconds"} for t in timings)
+        assert all(isinstance(t["elapsed_seconds"], float) and t["elapsed_seconds"] >= 0
+                   for t in timings)
+
     def test_python_m_padicref(self):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
 
@@ -203,6 +225,50 @@ class TestAcceptedInput:
                       "--samples", "8", "--seed", "7"], capsys)
         suites = {s["name"]: s for s in json.loads(mixed[1])["body"]["suites"]}
         assert json.loads(alone[1])["body"]["suites"] == [suites["cell-support"]]
+
+
+class TestNoRepeatedFactorization:
+    def test_default_run(self, monkeypatch):
+        # the inputs of each factorization, by the suite that asked for it
+        inputs = {}
+        current = [None]
+
+        def count(module, name, key):
+            original = getattr(module, name)
+
+            def counted(*args):
+                inputs.setdefault((current[0], name), []).append(key(*args))
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        count(princhecke, "bruhat_cell_valuations",
+              lambda p, rows: (p, tuple(map(tuple, rows))))
+        for name in ("open_cell_factorize", "_iw1_coordinates", "v_lambda_all"):
+            count(branchfam, name, lambda g, *_: g.rows)
+        for suite, entry in cli.CATALOG.items():
+            def tagged(cfg, rng, suite=suite, fn=entry["fn"]):
+                current[0] = suite
+                return fn(cfg, rng)
+            monkeypatch.setitem(entry, "fn", tagged)
+        princhecke._hecke_cells.cache_clear()
+        assert cli.run(cli.SuiteConfig())["body"]["ok"]
+
+        # each Weyl representative rho meets each coset matrix of each
+        # (2n, r) once: 2! * 3 + 4! * (3^3 + 3^4 + 3^3) = 3,246 at p = 3, and
+        # no sigma repeats one
+        hecke = inputs[("hecke-eigen", "bruhat_cell_valuations")]
+        assert len(hecke) == len(set(hecke)) == 2 * 3 + 24 * (27 + 81 + 27)
+        for suite in ("branching-support", "interp-diagram"):
+            points = inputs[(suite, "_iw1_coordinates")]
+            cells = inputs[(suite, "open_cell_factorize")]
+            samples = inputs.get((suite, "v_lambda_all"), [])
+            # each sampled Iwahori point gets one set of Iw^1 coordinates
+            # and one open-cell factorization, whatever j or map reads them
+            assert len(points) == len(set(points))
+            assert all(cells.count(g) == 1 for g in points)
+            # the rest: its n-part, inside the coordinates, and one
+            # factorization per N^beta sample for all j
+            assert len(cells) == 2 * len(points) + len(samples)
 
 
 class TestFailedCase:

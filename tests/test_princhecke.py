@@ -1,6 +1,8 @@
+import pytest
+
 from conftest import make_rng
 from padicref.padiclin import PadicMatrix
-from padicref.perms import all_perms, longest_perm
+from padicref.perms import all_perms, inverse_perm, longest_perm
 from padicref.princhecke import (PSVector, eigenvector_check, hecke_apply,
                                  hecke_coset_matrices, ps_evaluate_rows)
 from padicref.refine import Refinement, SatakeParameter, hecke_eigenvalue, tau_element
@@ -65,6 +67,21 @@ class TestEvaluation:
             assert ps_evaluate_rows(f, (base * i).rows) == reference
 
 
+def per_coset_hecke_apply(f, r):
+    """U_{p,r} f summed coset by coset: the value at each Weyl
+    representative rho is the sum of f over the single-coset matrices with
+    rows permuted by rho."""
+    m = f.size
+    coeffs = {}
+    for rho in all_perms(m):
+        rho_inv = inverse_perm(rho)
+        total = SymElem.rational(f.p, 0)
+        for rows in hecke_coset_matrices(f.p, m, r):
+            total = total + ps_evaluate_rows(f, [rows[rho_inv[i]] for i in range(m)])
+        coeffs[rho] = total
+    return PSVector(f.satake, f.sigma, coeffs)
+
+
 class TestHeckeAction:
     def test_coset_count(self):
         assert len(hecke_coset_matrices(2, 4, 1)) == 2 ** 3
@@ -109,3 +126,23 @@ class TestHeckeAction:
         for sigma in [(0, 1, 2, 3), longest_perm(4), tau_element(2)]:
             for r in (1, 2, 3):
                 assert eigenvector_check(sat, sigma, r)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_grouped_table_matches_the_per_coset_sum(self, p):
+        # vectors on cells other than the big cell, which the eigenvector
+        # checks never read
+        sat = SatakeParameter.generic(p, 2)
+        sigma = (1, 3, 0, 2)
+        two_cells = PSVector.cell_vector(sat, sigma, (1, 0, 3, 2)) \
+            + PSVector.big_cell_vector(sat, sigma).scale(SymElem.gen(p, "X2"))
+        vectors = [PSVector.cell_vector(sat, sigma, (2, 0, 3, 1)),
+                   PSVector.intertwined_cell_vector(sat, sigma, (1, 0)),
+                   two_cells.scale(SymElem.gen(p, "X1"))]
+        for f in vectors:
+            for r in (1, 2, 3):
+                assert hecke_apply(f, r) == per_coset_hecke_apply(f, r)
+        sat1 = SatakeParameter.generic(p, 1)
+        for sigma in all_perms(2):
+            for w in all_perms(2):
+                f = PSVector.cell_vector(sat1, sigma, w)
+                assert hecke_apply(f, 1) == per_coset_hecke_apply(f, 1)
