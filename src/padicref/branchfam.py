@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .famring import (FamilyRing, FamSeries, teichmuller, wild_base,
-                      wild_exponent)
+from .famring import (FamilyRing, FamSeries, tame_order, teichmuller,
+                      wild_base, wild_exponent)
 from .padiclin import (LinAlgError, PadicMatrix, lu_unit_lower,
                        open_cell_factorize, residue, vp)
 from .rootspin import GLWeight
@@ -60,6 +60,10 @@ class PureWeight:
         if x.denominator != 1:
             raise BranchError("branching needs an integral weight")
         return int(x)
+
+    def power(self, i: int, x, k: int) -> Fraction:
+        """lam_i(x)^k = x^(k lam_i), 1 <= i <= 2n."""
+        return Fraction(x) ** (k * self.entry(i - 1))
 
 
 def crit_range(lam: PureWeight):
@@ -203,37 +207,38 @@ class FamilyWeight:
             raise BranchError("family characters evaluate at units only")
         return residue(x, self.p, self._cprec)
 
-    def _tame_value(self, x_int: int, exponent: int) -> int:
-        if self.p == 2:
-            if exponent % 2 == 0:
-                return 1
-            return 1 if x_int % 4 == 1 else -1
-        t = teichmuller(x_int, self.p, self.ring.work_exp)
-        return pow(t, exponent % (self.p - 1), self.ring.modulus)
+    def power(self, i: int, x, k: int) -> FamSeries:
+        """chi_{Omega,i}(x)^k for 1 <= i <= 2n and a unit x, in closed form:
 
-    def _coord(self, var: int, tame_exp: int, x) -> FamSeries:
-        x_int = self._unit_rep(x)
-        c = wild_exponent(x_int, self.p, self._cprec)
-        series = self.ring.one_plus_t_power(var, c)
-        return series * self.ring.const(self._tame_value(x_int, tame_exp))
+            omega(x)^(k t) * prod over var of (1 + T_var)^(k e c(x)),
 
-    def sw_value(self, x) -> FamSeries:
-        return self._coord(0, self.tame_sw, x)
+        with omega the Teichmueller character and c(x) = wild_exponent(x).
+        (t, {var: e}) is (t_i, {i: 1}) for i <= n; for i > n it is (t_sw -
+        t_j, {0: 1, j: -1}) with j = 2n + 1 - i, by purity chi_i = sw *
+        chi_j^(-1).
 
-    def coordinate_value(self, i: int, x) -> FamSeries:
-        """chi_{Omega,i}(x) for 1 <= i <= 2n."""
+        A negative exponent a is passed as a mod p^N, N the exponent
+        precision, and this is exact: (1 + T)^a * (1 + T)^(p^N - a) is
+        (1 + T)^(p^N), whose coefficient of T^m for 1 <= m < degree has
+        v_p(C(p^N, m)) = N - v_p(m) > work_exp, since v_p(m) <=
+        v_p((degree - 1)!).  So that product is 1 in the truncated ring, and
+        (1 + T)^(p^N - a) is the inverse of (1 + T)^a, which is unique.
+        """
         n = self.n
         if 1 <= i <= n:
-            return self._coord(i, self.tame[i - 1], x)
-        if n < i <= 2 * n:
-            partner = 2 * n + 1 - i
-            return self.sw_value(x) * self.coordinate_value(partner, x).inverse()
-        raise BranchError("coordinate index out of range")
-
-    def torus_value(self, entries) -> FamSeries:
-        out = self.ring.one()
-        for i, x in enumerate(entries, start=1):
-            out = out * self.coordinate_value(i, x)
+            tame, wild = self.tame[i - 1], {i: 1}
+        elif n < i <= 2 * n:
+            j = 2 * n + 1 - i
+            tame, wild = self.tame_sw - self.tame[j - 1], {0: 1, j: -1}
+        else:
+            raise BranchError("coordinate index out of range")
+        ring = self.ring
+        x_int = self._unit_rep(x)
+        c = wild_exponent(x_int, self.p, self._cprec)
+        out = ring.const(pow(teichmuller(x_int, self.p, ring.work_exp),
+                             k * tame % tame_order(self.p), ring.modulus))
+        for var, e in wild.items():
+            out = out * ring.one_plus_t_power(var, k * e * c % self.p ** self._cprec)
         return out
 
     # -- specialization at an algebraic member
@@ -241,10 +246,10 @@ class FamilyWeight:
     def contains(self, lam: PureWeight) -> bool:
         if lam.n != self.n:
             return False
-        unit_order = 2 if self.p == 2 else self.p - 1
-        if (int(lam.sw) - self.tame_sw) % unit_order:
+        order = tame_order(self.p)
+        if (int(lam.sw) - self.tame_sw) % order:
             return False
-        return all((lam.entry(i) - self.tame[i]) % unit_order == 0
+        return all((lam.entry(i) - self.tame[i]) % order == 0
                    for i in range(self.n))
 
     def specialization_values(self, lam: PureWeight):
@@ -287,32 +292,17 @@ def _iw1_coordinates(g: PadicMatrix):
     return (t.diagonal_entries(), *base)
 
 
-def _w_lambda_at(coords, lam: PureWeight) -> Fraction:
+def _w_at(coords, chi):
+    """w at the point with these Iw^1 coordinates, for the torus character
+    chi(i, x, k) = chi_i(x)^k, 1 <= i <= 2n: one formula for an algebraic
+    weight (exact rationals) and a family (the family ring)."""
     diag, v0, mids, vn1, vn2 = coords
-    n = lam.n
-    value = Fraction(1)
-    for i, d in enumerate(diag):
-        e = lam.entry(i)
-        if e:
-            value *= Fraction(d) ** e
-    value *= v0 ** lam.entry(n)  # exponent lam_{n+1}
-    for i in range(1, n):
-        value *= mids[i - 1] ** (lam.entry(i - 1) - lam.entry(i))
-    value *= vn1 ** (-lam.entry(n))
-    value *= vn2 ** lam.entry(n - 1)
-    return value
-
-
-def _w_family_at(coords, omega: FamilyWeight) -> FamSeries:
-    diag, v0, mids, vn1, vn2 = coords
-    n = omega.n
-    chi = omega.coordinate_value
-    out = omega.torus_value(diag)
-    out = out * chi(n + 1, v0)
-    for i in range(1, n):
-        out = out * chi(i, mids[i - 1]) * chi(i + 1, mids[i - 1]).inverse()
-    out = out * chi(n + 1, vn1).inverse()
-    out = out * chi(n, vn2)
+    n = len(diag) // 2
+    out = chi(n + 1, v0, 1) * chi(n + 1, vn1, -1) * chi(n, vn2, 1)
+    for i, d in enumerate(diag, start=1):
+        out = out * chi(i, d, 1)
+    for i, m in enumerate(mids, start=1):
+        out = out * chi(i, m, 1) * chi(i + 1, m, -1)
     return out
 
 
@@ -321,7 +311,7 @@ def w_lambda(g: PadicMatrix, lam: PureWeight) -> Fraction:
     coords = _iw1_coordinates(g)
     if coords is None:
         raise BranchError("element is not in Iw^1")
-    return _w_lambda_at(coords, lam)
+    return _w_at(coords, lam.power)
 
 
 def w_family(g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
@@ -329,7 +319,7 @@ def w_family(g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
     coords = _iw1_coordinates(g)
     if coords is None:
         raise BranchError("element is not in Iw^1")
-    return _w_family_at(coords, omega)
+    return _w_at(coords, omega.power)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +399,13 @@ def kappa_family(mu: FiniteDistribution, f: LocPoly,
     for (c, _), coords in zip(mu.terms, mu.coords):
         val = 0 if coords is None else f(coords[4] / coords[3])
         if val != 0:
-            out = out + _w_family_at(coords, omega) * omega.ring.from_rational(val) * c
+            out = out + _w_at(coords, omega.power) * omega.ring.from_rational(val) * c
     return out
 
 
 def kappa_lambda(mu: FiniteDistribution, f: LocPoly, lam: PureWeight) -> Fraction:
     """The same construction at the single weight lam (exact rational)."""
-    return sum((Fraction(c) * _w_lambda_at(coords, lam) * f(coords[4] / coords[3])
+    return sum((Fraction(c) * _w_at(coords, lam.power) * f(coords[4] / coords[3])
                 for (c, _), coords in zip(mu.terms, mu.coords) if coords is not None),
                Fraction(0))
 

@@ -28,7 +28,8 @@ import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from . import branchfam, padiclin, princhecke, refine, rootspin, shalikazeta
+from . import (branchfam, famring, padiclin, princhecke, refine, rootspin,
+               shalikazeta)
 from .padiclin import PadicMatrix
 from .perms import all_perms, compose, longest_perm
 from .rng import SplitMix64
@@ -297,14 +298,12 @@ def _family_test_data(p, n, prec, degree):
     # p-divisible entries keep the truncation error below the target
     # precision: the specialization error is O(p^(degree * (1 + v_p(lam))));
     # SuiteConfig.validate rejects a degree that does not reach p^prec
-    base = 2 if p == 2 else p
-    entries = {1: [2 * base, -2 * base],
-               2: [2 * base, base, -base, -2 * base]}[n]
+    entries = {1: [2 * p, -2 * p], 2: [2 * p, p, -p, -2 * p]}[n]
     lam = branchfam.PureWeight(entries)
-    unit_order = 2 if p == 2 else p - 1
-    tame = [lam.entry(i) % unit_order for i in range(n)]
+    order = famring.tame_order(p)
+    tame = [lam.entry(i) % order for i in range(n)]
     omega = branchfam.FamilyWeight(p, n, prec, degree, tame=tame,
-                                   tame_sw=int(lam.sw) % unit_order)
+                                   tame_sw=int(lam.sw) % order)
     return lam, omega
 
 

@@ -70,6 +70,12 @@ def teichmuller(x: int, p: int, prec: int) -> int:
     return out
 
 
+def tame_order(p: int) -> int:
+    """The order of the Teichmueller character: the roots of unity in Z_p
+    are +-1 at p = 2 and the (p-1)-th roots otherwise."""
+    return 2 if p == 2 else p - 1
+
+
 def one_unit_part(x: int, p: int, prec: int) -> int:
     mod = p ** prec
     return x * pow(teichmuller(x, p, prec), -1, mod) % mod
@@ -203,27 +209,6 @@ class FamSeries:
         return FamSeries(ring, out)
 
     __rmul__ = __mul__
-
-    def constant_term(self) -> int:
-        return self.coeffs.get((0,) * self.ring.nvars, 0)
-
-    def inverse(self) -> "FamSeries":
-        c0 = self.constant_term()
-        if c0 % self.ring.p == 0:
-            raise FamringError("inverse of a non-unit series")
-        c0_inv = pow(c0, -1, self.ring.modulus)
-        rest = self * c0_inv - self.ring.one()
-        # rest has constant term divisible by p^MM only through truncation,
-        # so the geometric series (1 + rest)^{-1} = sum (-rest)^k terminates
-        # at the truncation degree
-        out = self.ring.one()
-        power = self.ring.one()
-        for _ in range(1, self.ring.degree):
-            power = power * (-rest)
-            if not power.coeffs:
-                break
-            out = out + power
-        return out * c0_inv
 
     def specialize(self, values) -> int:
         """Evaluate at T_i = values[i], mod p^work_exp."""

@@ -205,24 +205,9 @@ def delta_theta_tau(ref: Refinement) -> tuple:
     return delta_weyl(ref, base)
 
 
-class GSpinEigensystem:
-    """Image of a spin refinement in the GSpin Hecke algebra.
-
-    u_values[r] is the eigenvalue of the depth-r operator (1 <= r <= n);
-    v_value is the eigenvalue of the central operator, equal to eta(p).
-    """
-
-    __slots__ = ("p", "n", "u_values", "v_value")
-
-    def __init__(self, p, n, u_values, v_value):
-        self.p = p
-        self.n = n
-        self.u_values = u_values
-        self.v_value = v_value
-
-
 def gspin_factorization(ref: Refinement):
-    """The GSpin eigensystem of ref when its pattern is in W_G^0, else None.
+    """{r: alpha_{p,r}} for 1 <= r <= 2n-1 when ref's pattern is in W_G^0,
+    else None.
 
     GSpin membership is decided on the Weyl side: ref factors through
     GSpin(2n+1) exactly when delta_theta_tau(ref) * w_2n has a preimage
@@ -239,9 +224,8 @@ def gspin_factorization(ref: Refinement):
         omega = jvee_weyl(compose(delta_theta_tau(ref), longest_perm(n2)))
     except RootDataError:
         return None
-    eta = ref.satake.eta
-    ys = (eta,) + ref.satake.theta[:n]
-    u_values = {}
+    ys = (ref.satake.eta,) + ref.satake.theta[:n]
+    values = {}
     for r in range(1, n2):
         nu = tuple(1 if k < r else 0 for k in range(n2))
         c = omega.act_cochar(jvee_cochar(nu))
@@ -252,9 +236,8 @@ def gspin_factorization(ref: Refinement):
         if value != hecke_eigenvalue(ref, r):
             raise RefineError(f"the transfer of U_p,{r} disagrees with "
                               f"alpha_p,{r} at sigma={ref.sigma}")
-        if r <= n:
-            u_values[r] = value
-    return GSpinEigensystem(ref.p, n, u_values, eta)
+        values[r] = value
+    return values
 
 
 def shalika_admissible(theta, eta: SymElem):

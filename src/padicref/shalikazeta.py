@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padiclin import (INF, PadicMatrix, _int_rows, bruhat_cell_valuations,
-                       iwahori_bruhat_decompose, residue, unit_part,
-                       vol_big_cell, vol_iwahori, vp)
+from .padiclin import (INF, PadicMatrix, _int_rows, iwahori_bruhat_decompose,
+                       residue, unit_part, vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
@@ -293,12 +292,13 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     itself need not vanish there: where the bottom row of g has a unit
     ratio, w(1 Y; 0 1) g lies in the big cell for every large |Y|.
 
-    The support test runs on ints: with D g = (top; bottom) the integer
-    rows of padiclin._int_rows, D p^shells w(1 Y_k; 0 1) g has the rows
-    p^shells bottom and p^shells top + k bottom.  The central scalar
-    D p^shells keeps the Bruhat cell, so classes whose cell carries no
-    coefficient of f are skipped, and the rest are valued through
-    ps_evaluate_rows.
+    Each class is valued once, on ints: with D g = (top; bottom) the
+    integer rows of padiclin._int_rows, z w(1 Y_k; 0 1) g for the central
+    scalar z = D p^shells has the rows p^shells bottom and p^shells top +
+    k bottom, and ps_evaluate_rows values f there.  f(z h) = chi(z) f(h),
+    and chi(z) depends on z only through s = shells + v_p(D), so each
+    nonzero class value is multiplied by one chi(z)^-1, the inducing
+    character at the valuations (-s, -s).
     """
     if f.size != 2:
         raise ZetaError("the intertwining oracle is implemented for n = 1")
@@ -308,19 +308,17 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     if any(a == 0 for a in scalars):
         raise ZetaError("the scalars must be nonzero")
     c = _conjugation_level(g, PadicMatrix(p, [[0, 1], [0, 0]]))
-    grows, (top, bottom) = g.rows, _int_rows(g.rows)[1]
+    d, (top, bottom) = _int_rows(g.rows)
     scale = p ** shells
     bottom_s, (top0, top1) = [x * scale for x in bottom], [x * scale for x in top]
+    s = shells + vp(d, p)
+    unscale = torus_character_value(f.satake, f.sigma, (-s, -s))
     # (k, F(Y_k)) where F is nonzero: on the shells -shells, -shells + 1, inside
     rims, inner = ([], []), []
     for k in range(p ** (shells + c)):
-        cell, _ = bruhat_cell_valuations(
-            p, (bottom_s, (top0 + k * bottom[0], top1 + k * bottom[1])))
-        if cell in f.coeffs:
-            y = Fraction(k, scale)
-            val = ps_evaluate_rows(f, (grows[1], (grows[0][0] + y * grows[1][0],
-                                                  grows[0][1] + y * grows[1][1])))
-            (rims[vp(k, p)] if k % p ** 2 else inner).append((k, val))
+        val = ps_evaluate_rows(f, (bottom_s, (top0 + k * bottom[0], top1 + k * bottom[1])))
+        if not val.is_zero():
+            (rims[vp(k, p)] if k % p ** 2 else inner).append((k, val * unscale))
     zero = SymElem.rational(p, 0)
 
     def twisted(classes, u, m):
@@ -615,11 +613,7 @@ def qprime_factor(chi: TwistCharacter, j: int, n: int) -> SymElem:
 
 
 class ComparisonMismatch(ZetaError):
-    def __init__(self, pair_a, pair_b):
-        self.pair_a = pair_a
-        self.pair_b = pair_b
-        super().__init__(
-            f"interpolation routes disagree between {pair_a} and {pair_b}")
+    pass
 
 
 def _lambda_of_tB(p: int, lam, power: int) -> SymElem:
@@ -671,5 +665,6 @@ def comparison_constant(satake: SatakeParameter, lam, pairs):
         ratios.append((route_i * route_p_inv, (chi, j)))
     for k in range(1, len(ratios)):
         if ratios[k][0] != ratios[0][0]:
-            raise ComparisonMismatch(ratios[0][1], ratios[k][1])
+            raise ComparisonMismatch("interpolation routes disagree between "
+                                     f"{ratios[0][1]} and {ratios[k][1]}")
     return ratios[0][0]

@@ -31,10 +31,6 @@ class SymringError(Exception):
 class VanishingDenominator(SymringError):
     """A denominator factor became zero under substitution."""
 
-    def __init__(self, factor):
-        self.factor = factor
-        super().__init__(f"denominator factor vanished: {factor}")
-
 
 class DivergentSeries(SymringError):
     pass
@@ -498,9 +494,6 @@ class SymElem:
             rhs = rhs * f
         return lhs == rhs
 
-    def __hash__(self):
-        raise TypeError("SymElem is unhashable")
-
     def __repr__(self):
         if not self.den:
             return repr(self.num)
@@ -524,7 +517,7 @@ class SymElem:
             fv = _subst_poly(f, vals, self.p)
             felem = SymElem(self.p, fv, ())
             if felem.is_zero():
-                raise VanishingDenominator(f)
+                raise VanishingDenominator(f"denominator factor vanished: {f}")
             st = fv.single_term()
             if st is not None:
                 out = out * felem.inverse()

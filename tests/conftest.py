@@ -1,5 +1,6 @@
 """Test-only deterministic samplers; the shared ones are in padicref.sampling."""
 
+from padicref.branchfam import in_iwh_beta
 from padicref.padiclin import PadicMatrix
 from padicref.rng import SplitMix64
 
@@ -28,7 +29,6 @@ def random_lower_triangular_q(rng, p, n):
 
 def random_iwh1(rng, p, n):
     """An element of Iw_H^1 inside GL_{2n}."""
-    from padicref.branchfam import in_iwh_beta
     wn = PadicMatrix.longest_weyl(p, n)
     while True:
         h1 = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]

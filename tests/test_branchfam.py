@@ -9,7 +9,8 @@ from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
                                 kappa_lambda_j, v_basis_values, v_lambda_all,
                                 v_lambda_j, w_family, w_lambda)
-from padicref.famring import FamilyRing, padic_log, teichmuller, wild_exponent
+from padicref.famring import (FamilyRing, padic_log, tame_order, teichmuller,
+                              wild_exponent)
 from padicref.padiclin import PadicMatrix, open_cell_factorize, vp
 from padicref.sampling import random_glzp, random_iw_beta, random_n_beta
 
@@ -225,17 +226,12 @@ class TestFamilyRing:
         # square for p = 2
         rng = make_rng(f"teich-{p}")
         prec, q = 6, (4 if p == 2 else p)
-        order = 2 if p == 2 else p - 1
+        order = tame_order(p)
         for _ in range(25):
             u = rng.unit(p)
             t = teichmuller(u, p, prec)
             assert (t - u) % q == 0
             assert pow(t, order, p ** prec) == 1
-
-    def test_series_inverse(self):
-        ring = FamilyRing(3, 8, 4, 2)
-        s = ring.one_plus_t_power(0, 5) * ring.const(2)
-        assert (s * s.inverse()).eq_target(ring.one())
 
     def test_binomial_series(self):
         ring = FamilyRing(3, 8, 4, 1)
@@ -246,33 +242,50 @@ class TestFamilyRing:
 
 
 def family_fixture(p, n, prec=8, degree=4):
-    base = 2 if p == 2 else p
-    entries = {1: [2 * base, -2 * base],
-               2: [2 * base, base, -base, -2 * base]}[n]
+    entries = {1: [2 * p, -2 * p], 2: [2 * p, p, -p, -2 * p]}[n]
     lam = PureWeight(entries)
-    unit_order = 2 if p == 2 else p - 1
-    tame = [lam.entry(i) % unit_order for i in range(n)]
+    order = tame_order(p)
+    tame = [lam.entry(i) % order for i in range(n)]
     omega = FamilyWeight(p, n, prec, degree, tame=tame,
-                         tame_sw=int(lam.sw) % unit_order)
+                         tame_sw=int(lam.sw) % order)
     return lam, omega
+
+
+FIXTURES = ((2, 1), (2, 2), (3, 1), (3, 2))
+
+
+def chi_sw(omega, x):
+    """The purity character sw(x) = chi_n(x) chi_{n+1}(x)."""
+    return omega.power(omega.n, x, 1) * omega.power(omega.n + 1, x, 1)
 
 
 class TestFamilyWeight:
     def test_specialization_reproduces_powers(self):
-        for p in (2, 3):
-            lam, omega = family_fixture(p, 1)
-            exponent = lam.entry(0)
-            for x in (Fraction(1 + p), Fraction(7), Fraction(5, 7)):
-                got = omega.specialize(omega.coordinate_value(1, x), lam)
-                assert got == omega.reduce(x ** exponent)
+        # every coordinate, both signs, at each fixture family's member
+        for p, n in FIXTURES:
+            lam, omega = family_fixture(p, n)
+            for i in range(1, 2 * n + 1):
+                for k in (1, -1):
+                    for x in (Fraction(1 + p), Fraction(7), Fraction(5, 7)):
+                        got = omega.specialize(omega.power(i, x, k), lam)
+                        assert got == omega.reduce(x ** (k * lam.entry(i - 1)))
+
+    def test_opposite_powers_are_inverse(self):
+        # exactly, in the working ring: the closed form of a negative power
+        # is the inverse series
+        for p, n in FIXTURES:
+            _, omega = family_fixture(p, n)
+            for i in range(1, 2 * n + 1):
+                for x in (Fraction(1 + p), Fraction(7), Fraction(5, 7)):
+                    assert omega.power(i, x, 1) * omega.power(i, x, -1) \
+                        == omega.ring.one()
 
     def test_purity_relation(self):
         lam, omega = family_fixture(3, 2)
         x = Fraction(5)
         for i in (1, 2):
-            product = omega.coordinate_value(i, x) \
-                * omega.coordinate_value(2 * omega.n + 1 - i, x)
-            assert product.eq_target(omega.sw_value(x))
+            product = omega.power(i, x, 1) * omega.power(2 * omega.n + 1 - i, x, 1)
+            assert product.eq_target(chi_sw(omega, x))
 
     def test_membership_check(self):
         lam, omega = family_fixture(3, 1)
@@ -296,7 +309,7 @@ class TestFamilyWeight:
             g = random_iw_beta(rng, 3, 4, 1)
             h = random_iwh1(rng, 3, 2)
             det2 = h.block(2, 4, 2, 4).det()
-            factor = omega.coordinate_value(2, det2) * omega.coordinate_value(3, det2)
+            factor = chi_sw(omega, det2)
             assert w_family(g * h, omega).eq_target(factor * w_family(g, omega))
 
 
@@ -348,7 +361,7 @@ class TestDistributionMaps:
             h = random_iwh1(rng, 3, 2)
             det1 = h.block(0, 2, 0, 2).det()
             det2 = h.block(2, 4, 2, 4).det()
-            lhs = omega.sw_value(det2) \
+            lhs = chi_sw(omega, det2) \
                 * kappa_family(dirac(g), f.translated(Fraction(det2) / Fraction(det1)), omega)
             assert lhs.eq_target(kappa_family(dirac(g * h), f, omega))
 

@@ -1,8 +1,7 @@
 """Every import in the package and its tests is used by the module that
-makes it, every import in the package sits at module top, every top-level
-definition is named by the product somewhere outside itself, every
-parameter is read by its function, and no module reads the process
-environment."""
+makes it and sits at module top, every top-level definition is named by
+the product somewhere outside itself, every parameter is read by its
+function, and no module reads the process environment."""
 
 import ast
 import re
@@ -82,7 +81,8 @@ def function_imports(source: str) -> list:
                    if isinstance(inner, (ast.Import, ast.ImportFrom))})
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_function_imports(path):
     assert function_imports(path.read_text(encoding="utf-8")) == []
 

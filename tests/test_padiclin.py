@@ -7,8 +7,8 @@ from conftest import (make_rng, random_lower_triangular_q,
 from padicref import padiclin
 from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                bruhat_cell_valuations, iwahori_bruhat_decompose,
-                               open_cell_factorize, ul_factorize, vol_big_cell,
-                               vol_iwahori, vp)
+                               open_cell_factorize, ul_factorize, unit_part,
+                               vol_big_cell, vol_iwahori, vp)
 from padicref.perms import all_perms, longest_perm
 from padicref.sampling import (random_glzp, random_iw_beta, random_iwahori,
                                random_n_beta)
@@ -64,7 +64,6 @@ class TestValuation:
         assert vp("18/7", 3) == 2
 
     def test_unit_part(self):
-        from padicref.padiclin import unit_part
         assert unit_part(Fraction(18, 5), 3) == Fraction(2, 5)
 
 

@@ -128,8 +128,8 @@ class TestGSpinFactorization:
     def test_values_and_center(self):
         sat = SatakeParameter.generic(3, 1)
         gs = gspin_factorization(Refinement(sat, (0, 1)))
-        assert gs.u_values[1] == sym(3, "Y") * sym(3, "E") / sym(3, "X1")
-        assert gs.v_value == sym(3, "E")
+        assert gs == {1: sym(3, "Y") * sym(3, "E") / sym(3, "X1")}
+        assert sat.eta == sym(3, "E")
         # diag(p, p) acts by the product of all Satake values
         theta = Refinement(sat, (0, 1)).satake.theta
         assert theta[0] * theta[1] == sym(3, "E")
@@ -141,8 +141,8 @@ class TestGSpinFactorization:
         assert gspin_factorization(Refinement(sat, non_spin)) is None
 
     def test_transfer_route_agrees(self):
-        # the GSpin eigensystem gives back every GL eigenvalue:
-        # alpha_{p,r} = u_r for r <= n and alpha_{p,n+s} = v^s u_{n-s}
+        # the transfer gives back every GL eigenvalue, and they satisfy the
+        # spin relations alpha_{p,n+s} = eta^s alpha_{p,n-s}
         for n in (1, 2):
             sat = SatakeParameter.generic(3, n)
             for sigma in all_perms(2 * n):
@@ -151,11 +151,9 @@ class TestGSpinFactorization:
                 assert (gs is not None) == is_spin(ref)
                 if gs is None:
                     continue
-                for r in range(1, n + 1):
-                    assert gs.u_values[r] == hecke_eigenvalue(ref, r)
+                assert gs == {r: hecke_eigenvalue(ref, r) for r in range(1, 2 * n)}
                 for s in range(1, n):
-                    assert hecke_eigenvalue(ref, n + s) \
-                        == gs.v_value ** s * gs.u_values[n - s]
+                    assert gs[n + s] == sat.eta ** s * gs[n - s]
 
     def test_wrong_transfer_is_refused(self, monkeypatch):
         # one transferred eigenvalue off by eta: the certificate must fail

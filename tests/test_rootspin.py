@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -37,7 +39,6 @@ class TestWeights:
             rng_vals = range(-4, 5)
             if n == 3:
                 rng_vals = range(-2, 3)
-            from itertools import product
             for coords in product(rng_vals, repeat=n + 1):
                 lam = jmap_weight(GSpinWeight(coords))
                 assert lam.is_pure()
@@ -51,7 +52,6 @@ class TestWeights:
 
 class TestWeylGSpin:
     def test_group_sizes(self):
-        import math
         for n in (1, 2, 3):
             assert len(all_weyl_gspin(n)) == 2 ** n * math.factorial(n)
 

@@ -23,7 +23,7 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   z_matrix, zeta_iwahori_closed,
                                   zeta_iwahori_oracle, zeta_parahoric_closed,
                                   zeta_parahoric_oracle, zeta_parahoric_reciprocal)
-from padicref.symring import CycNum, SymElem
+from padicref.symring import CycNum, SymElem, geometric_tail
 from padicref.rootspin import GLWeight
 
 
@@ -406,7 +406,6 @@ class TestZetaClosedForms:
         theta2 = sat.theta[1]
         # unramified row
         res = zeta_parahoric_closed(sat, TwistCharacter.trivial(p), 0)
-        from padicref.symring import geometric_tail
         q = SymElem.rational(p, Fraction(1, 1 - p))
         q = geometric_tail(q * (1 - theta2 * s ** -1 * p), theta2 * s ** -1)
         expected = s * SymElem.gen(p, "Y") ** -1 * q

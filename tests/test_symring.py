@@ -40,9 +40,12 @@ class TestCycNum:
 
     def test_equal_values_of_different_orders_are_unhashable(self):
         # equality crosses orders, so a hash by order and coefficients
-        # would split equal values; CycNum defines none
+        # would split equal values; CycNum defines none.  Nor does SymElem,
+        # whose equality cross-multiplies the denominators.
+        y = SymElem.gen(3, "Y")
         pairs = ((CycNum.root_of_unity(4, 1), CycNum.root_of_unity(8, 2)),
-                 (CycNum.root_of_unity(3), CycNum.root_of_unity(6, 2)))
+                 (CycNum.root_of_unity(3), CycNum.root_of_unity(6, 2)),
+                 (y * y / y, y))
         for a, b in pairs:
             assert a == b
             with pytest.raises(TypeError):
