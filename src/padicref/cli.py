@@ -44,6 +44,13 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are ConfigErrors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 # the Iwahori zeta oracle sweeps p^(shells + beta) points
 MAX_SHELLS = 8
 
@@ -549,7 +556,7 @@ def _structured_error(kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicref",
         description="verification suites for local refinement computations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -571,14 +578,12 @@ def main(argv=None) -> int:
     enum_p = sub.add_parser("enumerate", help="refinement census")
     _add_int_flags(enum_p, ("n", "p"))
 
-    args = parser.parse_args(argv)
-
-    if args.command == "list":
-        for name in sorted(CATALOG):
-            sys.stdout.write(f"{name}: {CATALOG[name]['claim']}\n")
-        return 0
-
     try:
+        args = parser.parse_args(argv)
+        if args.command == "list":
+            for name in sorted(CATALOG):
+                sys.stdout.write(f"{name}: {CATALOG[name]['claim']}\n")
+            return 0
         cfg = _config_from_args(args)
         if args.command == "enumerate":
             refs, spin = refine.spin_census(cfg.p, cfg.n)

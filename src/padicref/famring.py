@@ -9,14 +9,15 @@ p, 5 for p = 2).  We model the coefficient ring as
 
 with MM = target precision + guard digits, so that binomial coefficients
 of p-adic exponents are well defined modulo the target precision.  All
-reductions are exact integer arithmetic; logs are evaluated as exact
-rational partial sums and reduced at the end.
+arithmetic is exact on integers: the exponent log<x> / log b is the
+discrete logarithm of <x> to the base b in the finite group of 1-units,
+read off one p-adic digit at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .padiclin import residue, vp
 
@@ -28,34 +29,6 @@ class FamringError(Exception):
     pass
 
 
-def padic_log(x: int, p: int, prec: int) -> int:
-    """log(x) mod p^prec for x = 1 mod p (mod 4 when p = 2)."""
-    mod = p ** prec
-    x %= mod
-    y = x - 1
-    if y % (p if p != 2 else 4) != 0:
-        raise FamringError("logarithm needs a 1-unit")
-    if y == 0:
-        return 0
-    total = Fraction(0)
-    term_num = 1
-    k = 1
-    vy = vp(y, p)
-    while True:
-        # v_p(y^k / k) = k*vy - v_p(k); stop when that clears prec
-        if k * vy - vp(k, p) >= prec and k > 1:
-            break
-        term_num *= y
-        total += Fraction((-1) ** (k + 1) * term_num, k)
-        k += 1
-        if k > 8 * prec + 16:
-            raise FamringError("log series failed to converge")
-        term_num %= p ** (prec + 2 * k)
-    if vp(total, p) < 0:
-        raise FamringError("unexpected p in log denominator")
-    return residue(total, p, prec)
-
-
 def teichmuller(x: int, p: int, prec: int) -> int:
     """The root-of-unity part of a unit, mod p^prec."""
     mod = p ** prec
@@ -64,10 +37,7 @@ def teichmuller(x: int, p: int, prec: int) -> int:
         raise FamringError("Teichmueller lift of a non-unit")
     if p == 2:
         return 1 if x % 4 == 1 else mod - 1
-    out = x
-    for _ in range(prec - 1):
-        out = pow(out, p, mod)
-    return out
+    return pow(x, p ** (prec - 1), mod)
 
 
 def tame_order(p: int) -> int:
@@ -86,16 +56,25 @@ def wild_base(p: int) -> int:
 
 
 def wild_exponent(x: int, p: int, prec: int) -> int:
-    """c(x) = log<x> / log(b) mod p^prec, an exact p-adic integer."""
+    """c(x) = log<x> / log(b) mod p^prec, an exact p-adic integer.
+
+    With s = 1 (s = 2 at p = 2) and b = wild_base(p), the 1-units mod
+    p^(prec+s) form a cyclic group of order p^prec generated by b, and
+    b^(p^k) = 1 + p^(k+s) mod p^(k+s+1).  So <x> = b^c for a unique c mod
+    p^prec, and the loop reads it off one digit at a time: if y = <x> b^(-c')
+    with c' = c mod p^k, then y = 1 + d p^(k+s) mod p^(k+s+1), d the k-th
+    digit of c.
+    """
     shift = 2 if p == 2 else 1
-    big = prec + shift
-    lx = padic_log(one_unit_part(x, p, big), p, big)
-    lb = padic_log(wild_base(p), p, big)
-    ps = p ** shift
-    if lb % ps != 0 or lx % ps != 0:
-        raise FamringError("wild logs have unexpected valuation")
-    mod = p ** prec
-    return (lx // ps) * pow(lb // ps, -1, mod) % mod
+    mod = p ** (prec + shift)
+    b_inv = pow(wild_base(p), -1, mod)
+    y = one_unit_part(x, p, prec + shift)
+    c = 0
+    for k in range(prec):
+        d = (y - 1) // p ** (k + shift) % p
+        y = y * pow(b_inv, d * p ** k, mod) % mod
+        c += d * p ** k
+    return c
 
 
 class FamilyRing:
@@ -126,7 +105,8 @@ class FamilyRing:
         return self.const(residue(x, self.p, self.work_exp))
 
     def one_plus_t_power(self, i: int, exponent: int) -> "FamSeries":
-        """(1 + T_i)^exponent for a p-adic integer exponent.
+        """(1 + T_i)^exponent for a p-adic integer exponent, given by a
+        nonnegative representative.
 
         The exponent must be supplied modulo p^(work_exp + v_p((D-1)!));
         passing it modulo a larger power is always safe.
@@ -134,7 +114,7 @@ class FamilyRing:
         coeffs = {}
         e0 = [0] * self.nvars
         for k in range(self.degree):
-            c = comb_int(exponent, k) % self.modulus
+            c = comb(exponent, k) % self.modulus
             if c:
                 e = list(e0)
                 e[i] = k
@@ -147,19 +127,6 @@ class FamilyRing:
         binomial coefficient is well defined."""
         fact_v = sum(vp(k, self.p) for k in range(2, self.degree))
         return self.work_exp + fact_v + 1
-
-
-def comb_int(c: int, k: int) -> int:
-    """c (c-1) ... (c-k+1) / k! for a nonnegative integer representative."""
-    if k == 0:
-        return 1
-    num = 1
-    for j in range(k):
-        num *= c - j
-    q, r = divmod(num, factorial(k))
-    if r:
-        raise FamringError("binomial was not integral")
-    return q
 
 
 class FamSeries:

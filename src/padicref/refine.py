@@ -183,26 +183,15 @@ def tau_element(n: int) -> tuple:
     return block_perm(longest_perm(n), n)
 
 
-def delta_weyl(ref: Refinement, base_theta) -> tuple:
-    """The pattern of ref's eigenvalues relative to a base Satake tuple:
-    the unique permutation c with base_theta[c(i)] = theta[sigma(i)]."""
-    theta = ref.satake.theta
-    m = len(theta)
-    out = []
-    for i in range(m):
-        val = theta[ref.sigma[i]]
-        matches = [k for k in range(m) if base_theta[k] == val]
-        if len(matches) != 1:
-            raise RefineError("base tuple is not regular")
-        out.append(matches[0])
-    return tuple(out)
-
-
 def delta_theta_tau(ref: Refinement) -> tuple:
-    """Pattern relative to the Asgari-Shahidi reordering theta^tau."""
-    tau = tau_element(ref.n)
-    base = tuple(ref.satake.theta[tau[i]] for i in range(2 * ref.n))
-    return delta_weyl(ref, base)
+    """Pattern relative to the Asgari-Shahidi reordering theta^tau: the
+    permutation c with theta^tau[c(i)] = theta[sigma(i)].
+
+    As theta^tau[c(i)] = theta[tau(c(i))], a regular theta forces
+    tau o c = sigma, and tau = diag(1_n, w_n) is an involution, so
+    c = tau o sigma.
+    """
+    return compose(tau_element(ref.n), ref.sigma)
 
 
 def gspin_factorization(ref: Refinement):

@@ -53,7 +53,6 @@ class TruncationError(ZetaError):
 @dataclass
 class ZetaResult:
     value: SymElem
-    provenance: str  # "closed-form" | "oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,7 @@ def zeta_iwahori_closed(w_base: SymElem, chi: TwistCharacter, beta: int,
     value = value * SymElem.from_cyc(p, gauss_sum(chi) ** n)
     value = value * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
     value = value * w_base
-    return ZetaResult(value, "closed-form")
+    return ZetaResult(value)
 
 
 def _parahoric_factors(satake: SatakeParameter, chi: TwistCharacter,
@@ -442,8 +441,7 @@ def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
     where beta = max(1, beta_prime) and Q has a ramified and an
     unramified row (see _parahoric_factors).
     """
-    return ZetaResult(_euler_quotient(*_parahoric_factors(satake, chi, beta_prime)),
-                      "closed-form")
+    return ZetaResult(_euler_quotient(*_parahoric_factors(satake, chi, beta_prime)))
 
 
 def zeta_parahoric_reciprocal(satake: SatakeParameter, chi: TwistCharacter,
@@ -517,7 +515,7 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
         zeros = zeros + 1 if value.is_zero() else 0
         total = total + value * s_inv ** v
         if v >= 3 and zeros >= 4:
-            return ZetaResult(total, "oracle")
+            return ZetaResult(total)
     raise TruncationError("the zeta tail does not vanish; increase shells")
 
 
@@ -567,7 +565,7 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
                                    ratio)
     prefactor = SymElem.gen(p, "S", beta) * SymElem.monomial(p, 1, {"Y": -beta})
     prefactor = prefactor * SymElem.from_cyc(p, chi.of(perm_sign(longest_perm(1))))
-    return ZetaResult(prefactor * total, "oracle")
+    return ZetaResult(prefactor * total)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
                                 kappa_lambda_j, v_basis_values, v_lambda_all,
                                 v_lambda_j, w_family, w_lambda)
-from padicref.famring import (FamilyRing, padic_log, tame_order, teichmuller,
-                              wild_exponent)
+from padicref.famring import (FamilyRing, one_unit_part, tame_order,
+                              teichmuller, wild_base, wild_exponent)
 from padicref.padiclin import PadicMatrix, open_cell_factorize, vp
 from padicref.sampling import random_glzp, random_iw_beta, random_n_beta
 
@@ -206,19 +206,26 @@ class TestFamilyRing:
     def test_log_and_teichmuller(self):
         assert teichmuller(2, 3, 4) == 80
         assert pow(teichmuller(2, 3, 4), 2, 81) == 1
-        assert padic_log(4, 3, 6) % 3 == 0
         assert wild_exponent(4, 3, 6) == 1
         assert wild_exponent(16, 3, 6) == 2
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_log_is_a_homomorphism_on_one_units(self, p):
-        rng = make_rng(f"log-hom-{p}")
-        prec, q = 8, (4 if p == 2 else p)
-        for _ in range(25):
-            x = 1 + q * rng.randrange(p ** prec)
-            y = 1 + q * rng.randrange(p ** prec)
-            assert padic_log(x * y, p, prec) \
-                == (padic_log(x, p, prec) + padic_log(y, p, prec)) % p ** prec
+    def test_wild_exponent_is_the_exact_discrete_log(self, p):
+        # b^c(x) = <x> mod p^(prec+s), and c is a homomorphism mod p^prec
+        rng = make_rng(f"wild-exp-{p}")
+        s, b = (2 if p == 2 else 1), wild_base(p)
+
+        def unit():  # a unit with 33 random p-adic digits
+            return rng.unit(p) + p * sum(rng.randrange(p ** 8) * p ** (8 * i)
+                                         for i in range(4))
+
+        for prec in range(1, 31):
+            mod = p ** prec
+            for _ in range(4):
+                x, y = unit(), unit()
+                cx, cy = wild_exponent(x, p, prec), wild_exponent(y, p, prec)
+                assert pow(b, cx, p ** (prec + s)) == one_unit_part(x, p, prec + s)
+                assert wild_exponent(x * y, p, prec) % mod == (cx + cy) % mod
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_teichmuller_is_the_root_of_unity_lift(self, p):

@@ -45,6 +45,11 @@ P5_ZETA_BODY_SHA256 = \
 RANK3_BETA2_BODY_SHA256 = \
     "7ef9cdbc096a3a2e6a1b6b1a14ee10b145e93538b991ddbc3e93c22e07d5a275"
 
+# the same for ``padicref run --p 2 --beta 2``, the one report that reaches
+# the p = 2 family characters: wild base 5 and the +-1 Teichmueller lift
+P2_BETA2_BODY_SHA256 = \
+    "68a80b1d2b5b1cd19bd3d1c1549d87b7ecc68f8c9b9afb2e31e29888057b1b7a"
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -67,12 +72,17 @@ class TestRejectedInput:
         ["run", "--suites", ""],
         ["run", "--seed", "-1"],
         ["run", "--seed", "18446744073709551616"],
+        ["run", "--n", "abc"],
+        ["run", "--bogus"],
+        [],
+        ["zeta", "--kind", "x"],
     ], ids=["family-degree-0", "enumerate-non-prime", "negative-samples",
             "zeta-beta-3", "interp-degree-uncertified", "empty-suite-list",
             "unknown-suite", "n-4", "shells-1", "enumerate-n-4",
             "zeta-shells-1", "shells-9", "zeta-oracle-shells-9",
             "zeta-no-character", "empty-suites-flag", "negative-seed",
-            "seed-2-64"])
+            "seed-2-64", "non-integer-n", "unknown-flag", "no-subcommand",
+            "unknown-zeta-kind"])
     def test_config_error_exit_two(self, argv, capsys):
         code, out, err = _run(argv, capsys)
         assert code == 2
@@ -178,6 +188,13 @@ class TestAcceptedInput:
         body = json.loads(out)["body"]
         assert (body["passed"], body["failed"]) == (72, 0)
         assert hashlib.sha256(_body(out) + b"\n").hexdigest() == RANK3_BETA2_BODY_SHA256
+
+    def test_p2_beta2_body_matches_the_reference(self, capsys):
+        code, out, _ = _run(["run", "--p", "2", "--beta", "2"], capsys)
+        assert code == 0
+        body = json.loads(out)["body"]
+        assert (body["passed"], body["failed"]) == (59, 0)
+        assert hashlib.sha256(_body(out) + b"\n").hexdigest() == P2_BETA2_BODY_SHA256
 
     def test_meta_times_each_suite_in_body_order(self):
         report = cli.run(cli.SuiteConfig())

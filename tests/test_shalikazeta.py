@@ -440,7 +440,6 @@ class TestZetaOracles:
         oracle = zeta_iwahori_oracle(f, chi, 1, 4)
         closed = zeta_iwahori_closed(w_value_closed(sat, 1, 1), chi, 1, 1, sat.eta)
         assert oracle.value == closed.value
-        assert oracle.provenance == "oracle"
 
     def test_iwahori_oracle_conjugate_symmetry(self):
         p = 3
