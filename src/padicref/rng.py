@@ -34,9 +34,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
+        """Uniform integer in [0, n) for 1 <= n <= 2^64; a larger n raises
+        ``ValueError``, since one 64-bit draw cannot cover it."""
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("randrange needs 1 <= n <= 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()

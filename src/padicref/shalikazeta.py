@@ -84,16 +84,18 @@ class TwistCharacter:
     """A finite-order character of Q_p^x with chi(p) = 1.
 
     ``beta`` is the conductor exponent (0 for the trivial character);
-    ``values`` maps units modulo p^beta to roots of unity.
+    ``values`` maps units modulo p^beta to roots of unity.  ``tau`` holds
+    the Gauss sum once ``gauss_sum`` has computed it.
     """
 
-    __slots__ = ("p", "beta", "values", "label")
+    __slots__ = ("p", "beta", "values", "label", "tau")
 
     def __init__(self, p: int, beta: int, values: dict, label: str = ""):
         self.p = p
         self.beta = beta
         self.values = values
         self.label = label
+        self.tau = None
 
     @classmethod
     def trivial(cls, p: int) -> "TwistCharacter":
@@ -151,14 +153,17 @@ class TwistCharacter:
 
 
 def gauss_sum(chi: TwistCharacter) -> CycNum:
-    """tau(chi) = sum over units c mod p^beta of chi(c) zeta_{p^beta}^c."""
+    """tau(chi) = sum over units c mod p^beta of chi(c) zeta_{p^beta}^c,
+    computed once per character object."""
     if chi.beta < 1:
         raise ZetaError("the trivial character has no Gauss sum here")
-    m = chi.p ** chi.beta
-    total = CycNum.from_rational(0)
-    for a, val in chi.values.items():
-        total = total + val * CycNum.root_of_unity(m, a)
-    return total
+    if chi.tau is None:
+        m = chi.p ** chi.beta
+        total = CycNum.from_rational(0)
+        for a, val in chi.values.items():
+            total = total + val * CycNum.root_of_unity(m, a)
+        chi.tau = total
+    return chi.tau
 
 
 def psi_orthogonality(p: int, beta: int, mult: int) -> bool:

@@ -3,9 +3,12 @@
 Two layers:
 
 * ``CycNum`` -- elements of the cyclotomic field Q(zeta_M), stored as
-  coefficient vectors reduced modulo the M-th cyclotomic polynomial, so
-  equality is literal equality of vectors.  Different orders coexist and
-  are promoted to a common field (lcm of the orders) on contact.
+  integer numerators over one positive denominator in the basis
+  1, zeta, ..., zeta^(phi(M) - 1).  Reduction modulo the M-th cyclotomic
+  polynomial adds integer rows of a per-order fold table, and the gcd is
+  divided out, so the form is unique and equality is literal equality.
+  Different orders coexist and are promoted to a common field (lcm of the
+  orders) on contact.
 
 * ``SymElem`` -- fractions of Laurent polynomials over CycNum in named
   formal generators.  The generator ``Y`` carries the single relation
@@ -44,92 +47,95 @@ class NonUnitDivision(SymringError):
 # cyclotomic numbers
 
 
-def _poly_divmod(num, den):
-    """Quotient and remainder of dense Fraction coefficient lists."""
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    dlead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / dlead
-        if c:
-            q[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int):
-    """Dense coefficients of the m-th cyclotomic polynomial."""
-    if m == 1:
-        return (Fraction(-1), Fraction(1))
-    # x^m - 1 divided by the product of all proper cyclotomic divisors
-    num = [Fraction(0)] * (m + 1)
-    num[0], num[m] = Fraction(-1), Fraction(1)
+    """Integer coefficients of the m-th cyclotomic polynomial, constant first."""
+    # x^m - 1 divided by the product of all proper cyclotomic divisors; each
+    # divisor is monic, so the long division stays in the integers
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = _poly_divmod(num, list(cyclotomic_poly(d)))
-            assert all(c == 0 for c in r)
+            phi = cyclotomic_poly(d)
+            q = [0] * (len(num) - len(phi) + 1)
+            for i in range(len(q) - 1, -1, -1):
+                q[i] = c = num[i + len(phi) - 1]
+                for j, f in enumerate(phi):
+                    num[i + j] -= c * f
             num = q
     return tuple(num)
 
 
-def _reduce_mod_cyclotomic(coeffs, m):
-    phi = list(cyclotomic_poly(m))
+@lru_cache(maxsize=None)
+def _fold_table(m: int):
+    """(phi(m), rows) with rows[k - phi(m)] = x^k mod Phi_m for phi(m) <= k < m.
+
+    Phi_m is monic with integer coefficients, so every row is integral."""
+    phi = cyclotomic_poly(m)
     deg = len(phi) - 1
-    coeffs = list(coeffs)
-    if len(coeffs) < deg:
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
-        return coeffs
-    _, r = _poly_divmod(coeffs, phi)
-    r += [Fraction(0)] * (deg - len(r))
-    return r[:deg]
+    rows, row = [], [-c for c in phi[:deg]]
+    for _ in range(deg, m):
+        rows.append(tuple(row))
+        row = [r - row[-1] * c for r, c in zip([0] + row[:-1], phi)]
+    return deg, tuple(rows)
 
 
 class CycNum:
-    """An element of Q(zeta_order), canonically reduced."""
+    """An element of Q(zeta_order): sum(nums[i] zeta^i) / den, i < phi(order).
 
-    __slots__ = ("order", "coeffs")
+    The powers 1, zeta, ..., zeta^(phi - 1) are a Q-basis of the field, so
+    every element has exactly one coefficient vector in it, and exactly one
+    way to write that vector as integer numerators over a denominator
+    den > 0 with gcd(den, *nums) = 1 (zero is nums = (0, ..., 0), den = 1).
+    Equality is therefore literal equality of (nums, den) once both sides are
+    promoted to the lcm of their orders.  Equal values of different orders
+    compare equal but store different tuples, so there is no hash.
+
+    Every value is built by ``_set``: it folds index i onto i mod order
+    (zeta^order = 1), adds c * (x^k mod Phi_order) into the low phi slots for
+    each c at k >= phi, and divides out the gcd.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def _set(self, order, nums, den):
+        deg, rows = _fold_table(order)
+        if len(nums) > order:
+            wrapped = [0] * order
+            for i, c in enumerate(nums):
+                wrapped[i % order] += c
+            nums = wrapped
+        out = list(nums[:deg]) + [0] * (deg - len(nums))
+        for c, row in zip(nums[deg:], rows):
+            if c:
+                out = [x + c * r for x, r in zip(out, row)]
+        g = math.gcd(den, *out)
+        if den < 0:
+            g = -g
         self.order = order
-        self.coeffs = tuple(Fraction(c) for c in _reduce_mod_cyclotomic(coeffs, order))
+        self.nums = tuple(x // g for x in out) if g != 1 else tuple(out)
+        self.den = den // g
+
+    @classmethod
+    def _make(cls, order, nums, den) -> "CycNum":
+        out = object.__new__(cls)
+        out._set(order, nums, den)
+        return out
 
     # -- constructors
 
     @classmethod
     def from_rational(cls, x) -> "CycNum":
-        return cls(1, [Fraction(x)])
+        x = Fraction(x)
+        return cls._make(1, (x.numerator,), x.denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "CycNum":
-        power %= order
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
-        return cls(order, coeffs)
+        return cls._make(order, [0] * (power % order) + [1], 1)
 
     # -- coercion
 
@@ -139,10 +145,9 @@ class CycNum:
         if order % self.order:
             raise SymringError(f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
         step = order // self.order
-        out = [Fraction(0)] * (len(self.coeffs) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return CycNum(order, out)
+        out = [0] * (len(self.nums) * step)
+        out[::step] = self.nums
+        return CycNum._make(order, out, self.den)
 
     @staticmethod
     def _pair(a, b):
@@ -152,65 +157,67 @@ class CycNum:
 
     # -- predicates
 
+    @property
+    def coeffs(self):
+        """The coefficient of each zeta^i as a reduced Fraction."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise SymringError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic
 
     def __add__(self, other):
         a, b, m = CycNum._pair(self, other)
-        return CycNum(m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return CycNum._make(m, [x * b.den + y * a.den for x, y in zip(a.nums, b.nums)],
+                            a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.order, [-c for c in self.coeffs])
+        return CycNum._make(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-_as_cyc(other))
 
     def __mul__(self, other):
         a, b, m = CycNum._pair(self, other)
-        return CycNum(m, _poly_mul(a.coeffs, b.coeffs))
+        return _product(a, b)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """1 / self = (product of the other conjugates) / norm.
+
+        The norm, the product of self's images under all zeta -> zeta^k with
+        gcd(k, order) = 1, is a nonzero rational for nonzero self."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        m = self.order
         if self.is_rational():
-            return CycNum(self.order, [1 / self.coeffs[0]])
-        # extended euclid against the cyclotomic polynomial:
-        # maintain s_k with s_k * self = r_k modulo Phi_M
-        phi = list(cyclotomic_poly(self.order))
-        r1 = list(self.coeffs)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        r0 = phi
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            s_next = _poly_sub(s0, _poly_mul(q, s1))
-            if len(r) == 1:
-                if r[0] == 0:
-                    if len(r1) == 1:
-                        return CycNum(self.order, [c / r1[0] for c in s1])
-                    raise SymringError(
-                        "non-invertible element (shares a factor with the "
-                        "cyclotomic polynomial)")
-                return CycNum(self.order, [c / r[0] for c in s_next])
-            r0, r1 = r1, r
-            s0, s1 = s1, s_next
+            return CycNum._make(m, [self.den], self.nums[0])
+        rest = CycNum.root_of_unity(m, 0)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                image = [0] * m
+                for i, c in enumerate(self.nums):
+                    image[i * k % m] += c
+                rest = _product(rest, CycNum._make(m, image, self.den))
+        norm = _product(self, rest)
+        return CycNum._make(m, [c * norm.den for c in rest.nums], rest.den * norm.nums[0])
 
     def __pow__(self, k: int):
+        if k and self.is_rational():
+            x = self.as_rational() ** k
+            return CycNum._make(self.order, [x.numerator], x.denominator)
         if k < 0:
             return self.inverse() ** (-k)
         return _power(self, k, CycNum.from_rational(1))
@@ -221,22 +228,32 @@ class CycNum:
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b, _ = CycNum._pair(self, other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def serial(self):
         """Canonical tag used for sorting denominator factors."""
         if self.is_rational():
-            return (1, (str(self.coeffs[0]),))
+            return (1, (str(self.as_rational()),))
         return (self.order, tuple(str(c) for c in self.coeffs))
 
     def __repr__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.as_rational())
         terms = []
         for i, c in enumerate(self.coeffs):
             if c:
                 terms.append(f"{c}*z{self.order}^{i}" if i else str(c))
         return "(" + " + ".join(terms) + ")"
+
+
+def _product(a: CycNum, b: CycNum) -> CycNum:
+    """a * b for two values of the same order."""
+    out = [0] * (len(a.nums) + len(b.nums) - 1)
+    for i, x in enumerate(a.nums):
+        if x:
+            for j, y in enumerate(b.nums):
+                out[i + j] += x * y
+    return CycNum._make(a.order, out, a.den * b.den)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +494,11 @@ class SymElem:
         return self * other.inverse()
 
     def __pow__(self, k: int):
+        mono = self.as_monomial()
+        if mono is not None:
+            # (c x^e)^k = c^k x^(e k): a monomial commutes with itself
+            coeff, exps = mono
+            return SymElem.monomial(self.p, coeff ** k, {n: e * k for n, e in exps.items()})
         if k < 0:
             return self.inverse() ** (-k)
         return _power(self, k, SymElem.rational(self.p, 1))

@@ -50,6 +50,11 @@ RANK3_BETA2_BODY_SHA256 = \
 P2_BETA2_BODY_SHA256 = \
     "68a80b1d2b5b1cd19bd3d1c1549d87b7ecc68f8c9b9afb2e31e29888057b1b7a"
 
+# the same for ``padicref run --p 5 --beta 2 --family-prec 6``, the heaviest
+# user of the conductor-25 Gauss sums
+P5_FAMILY_BODY_SHA256 = \
+    "772d12c568bcbb48733ddb765a2b7f9680bfc6e5309d9335f32c3fc23a13bdf3"
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -195,6 +200,14 @@ class TestAcceptedInput:
         body = json.loads(out)["body"]
         assert (body["passed"], body["failed"]) == (59, 0)
         assert hashlib.sha256(_body(out) + b"\n").hexdigest() == P2_BETA2_BODY_SHA256
+
+    def test_p5_family_body_matches_the_reference(self, capsys):
+        code, out, _ = _run(["run", "--p", "5", "--beta", "2", "--family-prec", "6"],
+                            capsys)
+        assert code == 0
+        body = json.loads(out)["body"]
+        assert (body["passed"], body["failed"]) == (94, 0)
+        assert hashlib.sha256(_body(out) + b"\n").hexdigest() == P5_FAMILY_BODY_SHA256
 
     def test_meta_times_each_suite_in_body_order(self):
         report = cli.run(cli.SuiteConfig())

@@ -82,6 +82,14 @@ class TestGaussSums:
                 assert gauss_sum(chi) * gauss_sum(_conjugate(chi)) \
                     == chi.of_unit(-1 % p ** beta) * CycNum.from_rational(p ** beta)
 
+    def test_computed_once_per_character(self):
+        chi = TwistCharacter.enumerate_conductor(5, 2)[3]
+        assert chi.tau is None
+        tau = gauss_sum(chi)
+        assert chi.tau is tau and gauss_sum(chi) is tau
+        # a fresh character object starts empty: enumerate builds new ones
+        assert TwistCharacter.enumerate_conductor(5, 2)[3].tau is None
+
     def test_trivial_character_has_no_gauss_sum(self):
         with pytest.raises(ZetaError):
             gauss_sum(TwistCharacter.trivial(3))

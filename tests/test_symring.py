@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,88 @@ class TestCycNum:
             assert a == b
             with pytest.raises(TypeError):
                 hash(a)
+
+
+def _fraction_remainder(coeffs, m):
+    """coeffs mod Phi_m by Fraction long division, padded to phi(m) slots."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    num = [Fraction(c) for c in coeffs]
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = num[i]
+        for j, f in enumerate(phi):
+            num[i - deg + j] -= c * f
+    return tuple(num[:deg] + [Fraction(0)] * (deg - len(num)))
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+class TestIntegerForm:
+    def test_reduction_matches_fraction_long_division(self):
+        rng = make_rng("cyc-fold")
+        for m in range(1, 37):
+            for _ in range(6):
+                coeffs = [_random_rational(rng) for _ in range(rng.randint(0, 2 * m))]
+                assert CycNum(m, coeffs).coeffs == _fraction_remainder(coeffs, m)
+
+    def test_product_matches_fraction_long_division(self):
+        rng = make_rng("cyc-fold-product")
+        for m in range(1, 37):
+            deg = len(cyclotomic_poly(m)) - 1
+            a = [_random_rational(rng) for _ in range(deg)]
+            b = [_random_rational(rng) for _ in range(deg)]
+            conv = [Fraction(0)] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+            assert (CycNum(m, a) * CycNum(m, b)).coeffs == _fraction_remainder(conv, m)
+
+    def test_stored_form_is_canonical(self):
+        rng = make_rng("cyc-canonical")
+        for m in range(1, 37):
+            deg = len(cyclotomic_poly(m)) - 1
+            x = CycNum(m, [_random_rational(rng) for _ in range(2 * m)])
+            for value in (x, x * x, x + CycNum.root_of_unity(m, 5), -x):
+                assert len(value.nums) == deg and value.den > 0
+                assert math.gcd(value.den, *value.nums) == 1
+            zero = x - x
+            assert zero.is_zero() and (zero.nums, zero.den) == ((0,) * deg, 1)
+        assert (CycNum(6, [0, 0, 0, 0]).nums, CycNum(6, []).den) == ((0, 0), 1)
+
+    def test_serial_and_repr_are_pinned(self):
+        # serial orders the denominator factors of SymElem, so its strings
+        # are part of every report
+        cases = [
+            (CycNum(1, [Fraction(-6, 8)]), "-3/4", (1, ("-3/4",))),
+            (CycNum(4, [Fraction(5, 3), 0]), "5/3", (1, ("5/3",))),
+            (CycNum.root_of_unity(9) + Fraction(1, 2), "(1/2 + 1*z9^1)",
+             (9, ("1/2", "1", "0", "0", "0", "0"))),
+            (CycNum(3, [0, 0, Fraction(2, -3)]), "(2/3 + 2/3*z3^1)",
+             (3, ("2/3", "2/3"))),
+            (CycNum(5, [Fraction(3, -6), 0, 0, 0, Fraction(7, 4)]),
+             "(-9/4 + -7/4*z5^1 + -7/4*z5^2 + -7/4*z5^3)",
+             (5, ("-9/4", "-7/4", "-7/4", "-7/4"))),
+        ]
+        for value, text, serial in cases:
+            assert repr(value) == text and value.serial() == serial
+
+    def test_powers_of_rationals_and_of_monomials(self):
+        z = CycNum.root_of_unity(5, 2) * Fraction(-2, 3)
+        half = CycNum(7, [Fraction(1, 2)])
+        for k in (-3, -1, 0, 1, 2, 5):
+            assert half ** k == Fraction(1, 2) ** k
+            assert z ** k == _power_by_products(z, k, CycNum.from_rational(1))
+            mono = SymElem.monomial(3, z, {"Y": 1, "X1": -2, "S": 1})
+            assert mono ** k == _power_by_products(mono, k, SymElem.rational(3, 1))
+
+
+def _power_by_products(x, k, one):
+    out = one
+    for _ in range(abs(k)):
+        out = out * x
+    return out if k >= 0 else out.inverse()
 
 
 class TestAgainstSympy:
