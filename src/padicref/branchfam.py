@@ -182,6 +182,13 @@ def in_iwh_beta(h: PadicMatrix, beta: int) -> bool:
 # weight characters (algebraic and family)
 
 
+def specialization_points(p: int, lam: PureWeight) -> list:
+    """The exact points T_i = b^e - 1, b = wild_base(p), at which a family
+    specializes to lam: e = sw for T_0 and e = lam_i for T_i."""
+    b = Fraction(wild_base(p))
+    return [b ** e - 1 for e in [int(lam.sw)] + [lam.entry(i) for i in range(lam.n)]]
+
+
 class FamilyWeight:
     """An (n+1)-parameter pure family weight at ambient precision (p^M, D).
 
@@ -191,21 +198,16 @@ class FamilyWeight:
     chi_{2n+1-i} = sw * chi_i^{-1}.
     """
 
-    def __init__(self, p: int, n: int, prec_exp: int, degree: int,
+    def __init__(self, p: int, n: int, prec: int, degree: int,
                  tame: list, tame_sw: int):
         self.p = p
         self.n = n
-        self.ring = FamilyRing(p, prec_exp, degree, n + 1)
+        self.ring = FamilyRing(p, prec, degree, n + 1)
         self.tame = list(tame)
         self.tame_sw = tame_sw
         if len(self.tame) != n:
             raise BranchError("need n tame exponents")
         self._cprec = self.ring.exponent_precision()
-
-    def _unit_rep(self, x) -> int:
-        if vp(x, self.p) != 0:
-            raise BranchError("family characters evaluate at units only")
-        return residue(x, self.p, self._cprec)
 
     def power(self, i: int, x, k: int) -> FamSeries:
         """chi_{Omega,i}(x)^k for 1 <= i <= 2n and a unit x, in closed form:
@@ -220,7 +222,7 @@ class FamilyWeight:
         A negative exponent a is passed as a mod p^N, N the exponent
         precision, and this is exact: (1 + T)^a * (1 + T)^(p^N - a) is
         (1 + T)^(p^N), whose coefficient of T^m for 1 <= m < degree has
-        v_p(C(p^N, m)) = N - v_p(m) > work_exp, since v_p(m) <=
+        v_p(C(p^N, m)) = N - v_p(m) > M, since v_p(m) <=
         v_p((degree - 1)!).  So that product is 1 in the truncated ring, and
         (1 + T)^(p^N - a) is the inverse of (1 + T)^a, which is unique.
         """
@@ -232,10 +234,13 @@ class FamilyWeight:
             tame, wild = self.tame_sw - self.tame[j - 1], {0: 1, j: -1}
         else:
             raise BranchError("coordinate index out of range")
+        if vp(x, self.p) != 0:
+            raise BranchError("family characters evaluate at units only")
         ring = self.ring
-        x_int = self._unit_rep(x)
+        # wild_exponent(x, p, cprec) reads x mod p^(cprec + s), s <= 2
+        x_int = residue(x, self.p, self._cprec + 2)
         c = wild_exponent(x_int, self.p, self._cprec)
-        out = ring.const(pow(teichmuller(x_int, self.p, ring.work_exp),
+        out = ring.const(pow(teichmuller(x_int, self.p, ring.prec),
                              k * tame % tame_order(self.p), ring.modulus))
         for var, e in wild.items():
             out = out * ring.one_plus_t_power(var, k * e * c % self.p ** self._cprec)
@@ -252,25 +257,18 @@ class FamilyWeight:
         return all((lam.entry(i) - self.tame[i]) % order == 0
                    for i in range(self.n))
 
-    def specialization_values(self, lam: PureWeight):
-        """T_i |-> b^(lam-exponent) - 1 for the wild generator b."""
-        if not self.contains(lam):
-            raise BranchError("weight is not a member of the family")
-        b = wild_base(self.p)
-        mod = self.ring.modulus
-        exps = [int(lam.sw)] + [lam.entry(i) for i in range(self.n)]
-        return [(pow(b, e, mod) - 1) % mod for e in exps]
-
     def specialize(self, x: FamSeries, lam: PureWeight) -> int:
         """Evaluate a family coefficient at lam, mod p^M."""
-        return x.specialize(self.specialization_values(lam)) \
-            % self.ring.target_modulus
+        if not self.contains(lam):
+            raise BranchError("weight is not a member of the family")
+        return x.specialize([residue(t, self.p, self.ring.prec)
+                             for t in specialization_points(self.p, lam)])
 
     def reduce(self, x) -> int:
-        """Reduce an exact rational to the target precision."""
+        """Reduce an exact rational mod p^M."""
         if vp(x, self.p) < 0:
             raise BranchError("value is not p-integral")
-        return residue(x, self.p, self.ring.target_exp)
+        return residue(x, self.p, self.ring.prec)
 
 
 def _iw1_coordinates(g: PadicMatrix):

@@ -88,8 +88,12 @@ class SuiteConfig:
             if name not in CATALOG:
                 raise ConfigError(f"unknown suite: {name}")
         if "interp-diagram" in self.suites:
-            v = _specialization_valuation(self.p, self.family_prec,
-                                          self.family_degree)
+            # truncating at the degree D leaves an error of O(p^(D * v)), v
+            # the least v_p of the nonzero points T_i = b^e - 1, read off the
+            # exact points, since their residues mod p^M may all be 0
+            v = min(padiclin.vp(t, self.p) for n in (1, 2)
+                    for t in branchfam.specialization_points(
+                        self.p, _family_weight(self.p, n)) if t)
             need = -(-self.family_prec // v)  # degree * v >= prec
             if self.family_degree < need:
                 raise ConfigError(f"interp-diagram needs family degree >= {need} "
@@ -301,33 +305,23 @@ def suite_branching_support(cfg: SuiteConfig, rng: SplitMix64):
     return cases
 
 
-def _family_test_data(p, n, prec, degree):
-    # p-divisible entries keep the truncation error below the target
-    # precision: the specialization error is O(p^(degree * (1 + v_p(lam))));
-    # SuiteConfig.validate rejects a degree that does not reach p^prec
-    entries = {1: [2 * p, -2 * p], 2: [2 * p, p, -p, -2 * p]}[n]
-    lam = branchfam.PureWeight(entries)
-    order = famring.tame_order(p)
-    tame = [lam.entry(i) % order for i in range(n)]
-    omega = branchfam.FamilyWeight(p, n, prec, degree, tame=tame,
-                                   tame_sw=int(lam.sw) % order)
-    return lam, omega
-
-
-def _specialization_valuation(p, prec, degree):
-    """Least v_p of the nonzero points T_i = b^e - 1 at which
-    interp-diagram specializes; truncating at the degree D leaves an error
-    of O(p^(D * v))."""
-    data = [_family_test_data(p, n, prec, degree) for n in (1, 2)]
-    return min(padiclin.vp(x, p) for lam, omega in data
-               for x in omega.specialization_values(lam) if x)
+def _family_weight(p, n):
+    # p-divisible entries keep the truncation error below the precision: a
+    # point T_i = b^e - 1 has v_p = 1 + v_p(e), or 2 + v_p(e) at p = 2, and
+    # the specialization error is O(p^(degree * v)); SuiteConfig.validate
+    # rejects a degree that does not reach p^prec
+    return branchfam.PureWeight({1: [2 * p, -2 * p], 2: [2 * p, p, -p, -2 * p]}[n])
 
 
 def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
+    order = famring.tame_order(p)
     for n in (1, 2):
-        lam, omega = _family_test_data(p, n, cfg.family_prec, cfg.family_degree)
+        lam = _family_weight(p, n)
+        omega = branchfam.FamilyWeight(p, n, cfg.family_prec, cfg.family_degree,
+                                       tame=[lam.entry(i) % order for i in range(n)],
+                                       tame_sw=int(lam.sw) % order)
         js = list(branchfam.crit_range(lam))
         # (j, kappa_lambda, kappa_lambda_j, specialized family) per sample
         rows = []

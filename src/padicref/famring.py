@@ -5,13 +5,12 @@ A family weight coordinate is a character x -> tame(omega(x)) *
 the 1-unit part, and b the standard topological generator (1 + p for odd
 p, 5 for p = 2).  We model the coefficient ring as
 
-    Z/p^MM [[T_0, ..., T_{nvars-1}]] / (total degree >= degree)
+    Z/p^M [[T_0, ..., T_{nvars-1}]] / (total degree >= degree)
 
-with MM = target precision + guard digits, so that binomial coefficients
-of p-adic exponents are well defined modulo the target precision.  All
-arithmetic is exact on integers: the exponent log<x> / log b is the
-discrete logarithm of <x> to the base b in the finite group of 1-units,
-read off one p-adic digit at a time.
+at the one precision M of the family (FamilyRing says why no coefficient
+needs more digits).  All arithmetic is exact on integers: the exponent
+log<x> / log b is the discrete logarithm of <x> to the base b in the
+finite group of 1-units, read off one p-adic digit at a time.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from fractions import Fraction
 from math import comb
 
 from .padiclin import residue, vp
-
-
-GUARD_DIGITS = 6  # MM - target precision
 
 
 class FamringError(Exception):
@@ -63,7 +59,8 @@ def wild_exponent(x: int, p: int, prec: int) -> int:
     b^(p^k) = 1 + p^(k+s) mod p^(k+s+1).  So <x> = b^c for a unique c mod
     p^prec, and the loop reads it off one digit at a time: if y = <x> b^(-c')
     with c' = c mod p^k, then y = 1 + d p^(k+s) mod p^(k+s+1), d the k-th
-    digit of c.
+    digit of c.  So x is read modulo p^(prec+s): it must be given exactly
+    or modulo p^(prec+s) or a larger power, else the top digits are wrong.
     """
     shift = 2 if p == 2 else 1
     mod = p ** (prec + shift)
@@ -78,14 +75,20 @@ def wild_exponent(x: int, p: int, prec: int) -> int:
 
 
 class FamilyRing:
-    """Truncated power series ring over Z/p^MM in nvars variables."""
+    """Truncated power series ring over Z/p^prec in nvars variables.
 
-    def __init__(self, p: int, prec_exp: int, degree: int, nvars: int):
+    No step needs digits above p^prec.  Reduction mod p^prec is a ring
+    homomorphism; besides ring operations there are only Teichmueller
+    residues, which depend on x mod p^prec, and binomials C(c, k), k <
+    degree, which depend on c mod p^(prec + v_p(k!)) (k! C(c, k) is an
+    integer polynomial in c): exponent_precision supplies those digits of c,
+    and wild_exponent reads s more digits of x to give them.
+    """
+
+    def __init__(self, p: int, prec: int, degree: int, nvars: int):
         self.p = p
-        self.target_exp = prec_exp
-        self.work_exp = prec_exp + GUARD_DIGITS
-        self.modulus = p ** self.work_exp
-        self.target_modulus = p ** prec_exp
+        self.prec = prec
+        self.modulus = p ** prec
         self.degree = degree
         self.nvars = nvars
 
@@ -102,13 +105,13 @@ class FamilyRing:
     def from_rational(self, x) -> "FamSeries":
         if vp(x, self.p) < 0:
             raise FamringError("rational has p in the denominator")
-        return self.const(residue(x, self.p, self.work_exp))
+        return self.const(residue(x, self.p, self.prec))
 
     def one_plus_t_power(self, i: int, exponent: int) -> "FamSeries":
         """(1 + T_i)^exponent for a p-adic integer exponent, given by a
         nonnegative representative.
 
-        The exponent must be supplied modulo p^(work_exp + v_p((D-1)!));
+        The exponent must be supplied modulo p^(prec + v_p((D-1)!));
         passing it modulo a larger power is always safe.
         """
         coeffs = {}
@@ -123,10 +126,10 @@ class FamilyRing:
 
     def exponent_precision(self) -> int:
         """Precision to which (1+T)^c exponents should be computed: the
-        working precision plus v_p((degree-1)!), so every truncated
-        binomial coefficient is well defined."""
+        precision plus v_p((degree-1)!), so every truncated binomial
+        coefficient is well defined."""
         fact_v = sum(vp(k, self.p) for k in range(2, self.degree))
-        return self.work_exp + fact_v + 1
+        return self.prec + fact_v + 1
 
 
 class FamSeries:
@@ -178,7 +181,7 @@ class FamSeries:
     __rmul__ = __mul__
 
     def specialize(self, values) -> int:
-        """Evaluate at T_i = values[i], mod p^work_exp."""
+        """Evaluate at T_i = values[i], mod p^prec."""
         mod = self.ring.modulus
         total = 0
         for e, c in self.coeffs.items():
@@ -188,14 +191,6 @@ class FamSeries:
                     term = term * pow(values[i], k, mod) % mod
             total = (total + term) % mod
         return total
-
-    def eq_target(self, other) -> bool:
-        """Equality modulo the target precision p^M."""
-        other = self._coerce(other)
-        m = self.ring.target_modulus
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all((self.coeffs.get(e, 0) - other.coeffs.get(e, 0)) % m == 0
-                   for e in keys)
 
     def __eq__(self, other):
         try:

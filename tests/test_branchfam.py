@@ -9,7 +9,7 @@ from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
                                 kappa_lambda_j, v_basis_values, v_lambda_all,
                                 v_lambda_j, w_family, w_lambda)
-from padicref.famring import (FamilyRing, one_unit_part, tame_order,
+from padicref.famring import (FamilyRing, FamSeries, one_unit_part, tame_order,
                               teichmuller, wild_base, wild_exponent)
 from padicref.padiclin import PadicMatrix, open_cell_factorize, vp
 from padicref.sampling import random_glzp, random_iw_beta, random_n_beta
@@ -292,7 +292,7 @@ class TestFamilyWeight:
         x = Fraction(5)
         for i in (1, 2):
             product = omega.power(i, x, 1) * omega.power(2 * omega.n + 1 - i, x, 1)
-            assert product.eq_target(chi_sw(omega, x))
+            assert product == chi_sw(omega, x)
 
     def test_membership_check(self):
         lam, omega = family_fixture(3, 1)
@@ -317,7 +317,28 @@ class TestFamilyWeight:
             h = random_iwh1(rng, 3, 2)
             det2 = h.block(2, 4, 2, 4).det()
             factor = chi_sw(omega, det2)
-            assert w_family(g * h, omega).eq_target(factor * w_family(g, omega))
+            assert w_family(g * h, omega) == factor * w_family(g, omega)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_values_do_not_depend_on_the_precision(self, p):
+        # a family at precision M is the reduction of the same family at
+        # M + 6: no coefficient needs digits above p^M
+        rng = make_rng(f"precision-{p}")
+        for n in (1, 2):
+            for prec in (1, 2, 8):
+                _, lo = family_fixture(p, n, prec)
+                _, hi = family_fixture(p, n, prec + 6)
+
+                def reduced(series):
+                    return FamSeries(lo.ring, series.coeffs)
+
+                for i in range(1, 2 * n + 1):
+                    for k in (1, -1, 3):
+                        for x in (Fraction(1 + p), Fraction(7), Fraction(11, 13)):
+                            assert lo.power(i, x, k) == reduced(hi.power(i, x, k))
+                for _ in range(3):
+                    g = random_iw_beta(rng, p, 2 * n, 1)
+                    assert w_family(g, lo) == reduced(w_family(g, hi))
 
 
 class TestDistributionMaps:
@@ -370,7 +391,7 @@ class TestDistributionMaps:
             det2 = h.block(2, 4, 2, 4).det()
             lhs = chi_sw(omega, det2) \
                 * kappa_family(dirac(g), f.translated(Fraction(det2) / Fraction(det1)), omega)
-            assert lhs.eq_target(kappa_family(dirac(g * h), f, omega))
+            assert lhs == kappa_family(dirac(g * h), f, omega)
 
     def test_pushforward_support(self):
         # a Dirac at depth beta integrates to zero against anything
@@ -383,9 +404,9 @@ class TestDistributionMaps:
             mu = FiniteDistribution([(1, g)])
             off_class = 1 + p  # not congruent to 1 mod p^2
             f_off = LocPoly(p, beta, {off_class: (1, Fraction(1))})
-            assert kappa_family(mu, f_off, omega).eq_target(omega.ring.zero())
+            assert kappa_family(mu, f_off, omega) == omega.ring.zero()
             f_on = LocPoly(p, beta, {1: (0, Fraction(1))})
-            assert kappa_family(mu, f_on, omega).eq_target(w_family(g, omega))
+            assert kappa_family(mu, f_on, omega) == w_family(g, omega)
 
     def test_dirac_outside_iwahori_rejected(self):
         with pytest.raises(BranchError):
@@ -396,7 +417,7 @@ class TestDistributionMaps:
         f = LocPoly.monomial(3, 0)
         # in Iw but not Iw^1: the Dirac integrates to zero
         g = PadicMatrix.identity(3, 2)
-        assert kappa_family(dirac(g), f, omega).eq_target(omega.ring.zero())
+        assert kappa_family(dirac(g), f, omega) == omega.ring.zero()
         assert kappa_lambda(dirac(g), f, lam) == 0
         # not in Iw
         for g in (g, PadicMatrix.diagonal(3, [3, 1])):

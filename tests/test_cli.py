@@ -98,6 +98,18 @@ class TestRejectedInput:
         assert doc["error"] == "config"
         assert doc["message"]
 
+    @pytest.mark.parametrize("argv, need, prec", [
+        (["--family-degree", "3"], 4, 8),
+        (["--family-prec", "5", "--family-degree", "1"], 3, 5),
+    ], ids=["default-precision", "precision-5"])
+    def test_uncertified_family_degree_message(self, argv, need, prec, capsys):
+        code, out, err = _run(["run", "--suites", "interp-diagram", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "config",
+            "message": f"interp-diagram needs family degree >= {need} "
+                       f"at family precision {prec}"}
+
     def test_unwritable_out_path_exit_two(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
         code, out, err = _run(["run", "--suites", "spin-enum", "--out",
@@ -247,6 +259,17 @@ class TestAcceptedInput:
                             capsys)
         assert code == 0
         assert json.loads(out)["body"]["ok"]
+
+    @pytest.mark.parametrize("p, prec", [("2", "1"), ("2", "3"), ("3", "1"),
+                                         ("3", "2"), ("5", "2")])
+    def test_interp_diagram_at_low_family_precision(self, p, prec, capsys):
+        # every point b^e - 1 is 0 mod p^M here, so validation reads the
+        # valuation off the exact points
+        code, out, err = _run(["run", "--suites", "interp-diagram", "--p", p,
+                               "--family-prec", prec], capsys)
+        assert code == 0 and err == ""
+        body = json.loads(out)["body"]
+        assert (body["passed"], body["failed"]) == (4, 0)
 
     def test_suite_samples_do_not_depend_on_the_suite_list(self, capsys):
         alone = _run(["run", "--suites", "cell-support", "--samples", "8",

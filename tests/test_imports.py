@@ -19,13 +19,12 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # so a definition that only tests reach counts as dead
 REFERRERS = sorted({*MODULES, *(ROOT / "perfbench").glob("*.py")})
 # paper claims that only tests check so far; each leaves this list when it
-# becomes a report case (ROADMAP items 3-4) or is deleted
+# becomes a report case (ROADMAP items 1 and 4) or is deleted
 AWAITING_REPORT_CASES = (
     ("src/padicref/branchfam.py", "LocPoly.translated"),
     ("src/padicref/branchfam.py", "in_iwh_beta"),
     ("src/padicref/branchfam.py", "w_family"),
     ("src/padicref/branchfam.py", "w_lambda"),
-    ("src/padicref/famring.py", "FamSeries.eq_target"),
     ("src/padicref/princhecke.py", "PSVector.intertwined_cell_vector"),
     ("src/padicref/refine.py", "noncritical_slope"),
     ("src/padicref/refine.py", "normalize_satake"),
@@ -179,15 +178,19 @@ def _names(tree) -> Counter:
     return out
 
 
-def _is_dead(node, named: Counter) -> bool:
-    return named[node.name] == _names(node)[node.name]
+def _is_dead(node, name: str, named: Counter) -> bool:
+    return named[name] == _names(node)[name]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def dead_definitions(modules: dict, referrers: dict) -> list:
-    """(module, name) for each top-level function or class of ``modules``,
-    and (module, "Class.method") for each method of a top-level class that
-    is not a dunder, that no source in ``referrers`` names outside the
-    definition itself.
+    """(module, name) for each top-level function, class or ``Name = ...``
+    constant of ``modules``, and (module, "Class.method") for each method of
+    a top-level class, dunders exempt, that no source in ``referrers`` names
+    outside the definition itself.
 
     Both arguments map a label to source text; ``referrers`` includes the
     modules themselves.  The guard matches names, not bindings, so a dead
@@ -205,15 +208,17 @@ def dead_definitions(modules: dict, referrers: dict) -> list:
     for label in modules:
         for node in trees[label].body:
             if isinstance(node, (*functions, ast.ClassDef)) \
-                    and _is_dead(node, named):
+                    and _is_dead(node, node.name, named):
                 out.append((label, node.name))
+            if isinstance(node, ast.Assign):
+                out += [(label, t.id) for t in node.targets
+                        if isinstance(t, ast.Name) and not _is_dunder(t.id)
+                        and _is_dead(node, t.id, named)]
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
-                if isinstance(item, functions) \
-                        and not (item.name.startswith("__")
-                                 and item.name.endswith("__")) \
-                        and _is_dead(item, named):
+                if isinstance(item, functions) and not _is_dunder(item.name) \
+                        and _is_dead(item, item.name, named):
                     out.append((label, f"{node.name}.{item.name}"))
     return sorted(out)
 
@@ -228,7 +233,8 @@ def test_no_dead_definitions():
 
 
 def test_dead_definition_guard():
-    module = ("def used():\n    return 1\n"
+    module = ("__version__ = '1'\nLIMIT = 3\nSTALE = LIMIT + 1\n"
+              "def used():\n    return LIMIT\n"
               "def dead():\n    return used()\n"
               "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
               "class Lonely:\n    def make(self):\n        return Lonely()\n"
@@ -240,7 +246,7 @@ def test_dead_definition_guard():
     refs = {"mod": module, "other": other}
     assert dead_definitions({"mod": module}, refs) \
         == [("mod", "Kept.unused"), ("mod", "Lonely"), ("mod", "Lonely.make"),
-            ("mod", "dead"), ("mod", "recursive")]
+            ("mod", "STALE"), ("mod", "dead"), ("mod", "recursive")]
     # a test file naming "dead" would keep it alive; REFERRERS leaves the
     # tests out, so a name only tests use is reported, as above
     test = "from mod import dead\nassert dead() == 1\n"

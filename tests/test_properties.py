@@ -80,7 +80,7 @@ class TestSymElem:
         assert (a - a).is_zero()
 
 
-RINGS = [FamilyRing(p, 2, 3, 2) for p in (2, 3, 5)]
+RINGS = [FamilyRing(p, 8, 3, 2) for p in (2, 3, 5)]
 
 
 def fam_series(ring):
