@@ -99,15 +99,18 @@ def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
         raise BranchError(f"{j} is not in the critical range")
     if fac is None:
         return Fraction(0)
-    value = Fraction(1)
-    for i, d in enumerate(fac.bbar.diagonal_entries()):
-        e = lam.entry(i)
-        if e:
-            value *= Fraction(d) ** e
+    bbar = fac.bbar
+    # (numerator, denominator, exponent) of each factor
+    factors = [(bbar.nums[i][i], bbar.den, lam.entry(i)) for i in range(bbar.size)]
     for h, e in ((fac.h1, -j), (fac.h2, int(lam.sw) + j)):
         if e:
-            value *= Fraction(h.det()) ** e
-    return value
+            d = h.det()
+            factors.append((d.numerator, d.denominator, e))
+    num = den = 1
+    for a, b, e in factors:
+        a, b = (a, b) if e > 0 else (b, a)
+        num, den = num * a ** abs(e), den * b ** abs(e)
+    return Fraction(num, den)
 
 
 def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
@@ -156,9 +159,7 @@ def iwahori_coordinates(g: PadicMatrix):
     if not lo.transpose().in_upper_unipotent(depth=1):
         raise BranchError("Iwahori factorization failed on the lower part")
     t = up.diagonal_entries()
-    tinv = PadicMatrix.diagonal(g.p, [1 / x for x in t])
-    n = tinv * up
-    return lo, PadicMatrix.diagonal(g.p, t), n
+    return lo, PadicMatrix.diagonal(g.p, t), PadicMatrix.diagonal(g.p, [1 / x for x in t]) * up
 
 
 def in_iw_beta(g: PadicMatrix, beta: int) -> bool:

@@ -95,9 +95,6 @@ class FamilyRing:
     def zero(self) -> "FamSeries":
         return FamSeries(self, {})
 
-    def one(self) -> "FamSeries":
-        return self.const(1)
-
     def const(self, c: int) -> "FamSeries":
         c = int(c) % self.modulus
         return FamSeries(self, {(0,) * self.nvars: c} if c else {})

@@ -1,13 +1,21 @@
 """Exact p-adic linear algebra.
 
-Scalars are plain ``Fraction`` values whose denominators are p-powers in
-all sampled inputs; no truncated digit arithmetic appears anywhere, so
-there is no precision to analyse.  ``vp`` gives the valuation (with a
-+infinity sentinel at 0), ``unit_part`` the unit x / p^vp(x), and
-``residue`` the one scalar reduction, x mod p^k for p-integral x; every
-module reduces through these.  ``PadicMatrix`` is an immutable exact matrix
-together with the ambient prime, carrying the subgroup predicates and the
-two factorizations the local proofs run on:
+Scalars are exact rationals, ``int`` or ``Fraction``: no truncated digit
+arithmetic appears anywhere, so there is no precision to analyse, and a
+``float``, which stands for the binary fraction it stores, is refused by
+``vp`` and ``PadicMatrix`` with ``LinAlgError``.  ``vp`` gives the
+valuation (with a +infinity sentinel at 0), ``unit_part`` the unit
+x / p^vp(x), and ``residue`` the one scalar reduction, x mod p^k for
+p-integral x; every module reduces through these.
+
+``PadicMatrix`` is an immutable exact matrix with its ambient prime,
+stored as int rows ``nums`` over one denominator ``den`` > 0 with
+gcd(den, every entry) = 1.  The form is unique: den clears every
+denominator, so the lcm L of the entries' denominators divides it, and
+den / L divides den and every entry, so den = L.  Equality and hashing
+are literal, and ``rows`` is a ``Fraction`` view derived on access.  The
+matrix carries the subgroup predicates and the two factorizations the
+local proofs run on:
 
 * ``iwahori_bruhat_decompose``: g = b * w * i with b upper triangular over
   Q_p, w a permutation and i in the Iwahori subgroup (the cell label w is
@@ -15,17 +23,16 @@ two factorizations the local proofs run on:
 * ``open_cell_factorize``: g = bbar * u * diag(h1, h2) on the open
   H-orbit, where u = [[1, w_n], [0, 1]]; certified by re-multiplication.
 
-There are two eliminations, both on Python ints (rows scaled to one common
-denominator by ``_int_rows``).  ``bruhat_cell_valuations``, the Bruhat
+Everything runs on the int rows.  ``bruhat_cell_valuations``, the Bruhat
 core, returns the cell and the diagonal valuations of b.  ``_eliminate``
 is fraction-free (Bareiss) elimination, with exact integer divisions;
 ``det``, ``inverse`` and ``lu_unit_lower`` read their results off it, and
 through them so do the two factorizations.  Matrix products are integer
-dot products too.  The full Bruhat decomposition is the Bruhat core plus
-one UL factorization and a certificate checked with multiplication, det
-and vp alone; the cell and vp(diag b) are invariants of the double coset
-B(Q_p) g Iw, so every certified decomposition is an independent proof of
-the core's answer.
+dot products over the product of the denominators.  The full Bruhat
+decomposition is the Bruhat core plus one UL factorization and a
+certificate checked with multiplication, det and vp alone; the cell and
+vp(diag b) are invariants of the double coset B(Q_p) g Iw, so every
+certified decomposition is an independent proof of the core's answer.
 
 Haar measure normalizations are fixed once and for all here:
 vol(GL_n(Z_p)) = 1 for compact-group integrals, vol(M_n(Z_p)) = 1
@@ -35,7 +42,9 @@ additively, and vol(Iw_n) = #B_n(F_p) / #GL_n(F_p).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .perms import longest_perm
@@ -45,6 +54,13 @@ INF = math.inf
 
 class LinAlgError(Exception):
     pass
+
+
+def _exact(x):
+    """x itself if it is an int or a Fraction, else LinAlgError."""
+    if not isinstance(x, (int, Fraction)):
+        raise LinAlgError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
+    return x
 
 
 def _split_int(x: int, p: int):
@@ -57,10 +73,8 @@ def _split_int(x: int, p: int):
 
 
 def vp(x, p: int):
-    """p-adic valuation of a rational; vp(0) = +inf."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    if not x:
+    """p-adic valuation of an int or Fraction; vp(0) = +inf."""
+    if not _exact(x):
         return INF
     v = _split_int(x.numerator, p)[0]
     if v or x.denominator == 1:
@@ -84,15 +98,15 @@ def residue(x, p: int, k: int) -> int:
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
-def _int_rows(rows):
-    """(d, d * rows as lists of ints), d the lcm of the denominators of the
-    int or Fraction entries."""
-    d = 1
-    for row in rows:
-        for x in row:
-            if x.denominator != 1:
-                d = math.lcm(d, x.denominator)
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+def _scaled(rows):
+    """(den, den * rows as tuples of ints) for rows of int or Fraction
+    entries, den the lcm of their denominators; LinAlgError for others."""
+    rows = tuple(map(tuple, rows))
+    fracs = [x for row in rows for x in row if type(x) is not int]
+    if not fracs:
+        return 1, rows
+    den = math.lcm(*[_exact(x).denominator for x in fracs])
+    return den, tuple(tuple([x.numerator * (den // x.denominator) for x in r]) for r in rows)
 
 
 def _eliminate(m, pivot: bool, jordan: bool = False) -> int:
@@ -137,22 +151,44 @@ def _eliminate(m, pivot: bool, jordan: bool = False) -> int:
 
 
 class PadicMatrix:
-    __slots__ = ("p", "size", "rows")
+    """nums / den over Q_p, in the unique form of the module docstring."""
+
+    __slots__ = ("p", "size", "den", "nums")
 
     def __init__(self, p: int, rows):
-        self.p = p
-        self.rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                                for x in row) for row in rows)
-        self.size = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.size:
-                raise LinAlgError("matrix must be square")
+        """The matrix with these rows of int or Fraction entries."""
+        self.den, self.nums = _scaled(rows)
+        self.p, self.size = p, len(self.nums)
+        if set(map(len, self.nums)) - {self.size}:
+            raise LinAlgError("matrix must be square")
+
+    @classmethod
+    def _of(cls, p: int, den: int, nums) -> "PadicMatrix":
+        """The matrix nums / den (int rows, int den != 0) in canonical form:
+        both divided by gcd(den, every entry) and signed so that den > 0."""
+        g = math.gcd(den, *chain.from_iterable(nums)) if den != 1 else 1
+        g = -g if den < 0 else g
+        out = object.__new__(cls)
+        out.p, out.size, out.den = p, len(nums), den // g
+        out.nums = tuple(map(tuple, nums)) if g == 1 else tuple(
+            tuple([x // g for x in row]) for row in nums)
+        return out
+
+    def _over(self, den: int) -> tuple:
+        """The int rows of self over den, a multiple of self.den."""
+        k = den // self.den
+        return self.nums if k == 1 else tuple(tuple(k * x for x in row) for row in self.nums)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, derived on each access."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.nums)
 
     # -- constructors
 
     @classmethod
     def identity(cls, p, n):
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal(p, [1] * n)
 
     @classmethod
     def diagonal(cls, p, entries):
@@ -162,10 +198,7 @@ class PadicMatrix:
     @classmethod
     def permutation(cls, p, w: tuple):
         n = len(w)
-        rows = [[0] * n for _ in range(n)]
-        for j in range(n):
-            rows[w[j]][j] = 1
-        return cls(p, rows)
+        return cls(p, [[int(w[j] == i) for j in range(n)] for i in range(n)])
 
     @classmethod
     def longest_weyl(cls, p, n):
@@ -174,174 +207,162 @@ class PadicMatrix:
     @classmethod
     def from_blocks(cls, a: "PadicMatrix", b: "PadicMatrix",
                     c: "PadicMatrix", d: "PadicMatrix") -> "PadicMatrix":
-        n = a.size
-        rows = []
-        for i in range(n):
-            rows.append(list(a.rows[i]) + list(b.rows[i]))
-        for i in range(n):
-            rows.append(list(c.rows[i]) + list(d.rows[i]))
-        return cls(a.p, rows)
+        den = math.lcm(a.den, b.den, c.den, d.den)
+        ra, rb, rc, rd = (m._over(den) for m in (a, b, c, d))
+        return cls._of(a.p, den, [*map(tuple.__add__, ra, rb), *map(tuple.__add__, rc, rd)])
 
     @classmethod
     def block_diag(cls, a: "PadicMatrix", b: "PadicMatrix") -> "PadicMatrix":
-        n, m = a.size, b.size
-        rows = []
-        for i in range(n):
-            rows.append(list(a.rows[i]) + [0] * m)
-        for i in range(m):
-            rows.append([0] * n + list(b.rows[i]))
-        return cls(a.p, rows)
+        den = math.lcm(a.den, b.den)
+        za, zb = (0,) * a.size, (0,) * b.size
+        return cls._of(a.p, den, [*(row + zb for row in a._over(den)),
+                                  *(za + row for row in b._over(den))])
 
     @classmethod
     def open_orbit_rep(cls, p, n) -> "PadicMatrix":
         """u = [[1_n, w_n], [0, 1_n]] in GL_{2n}(Z_p)."""
-        one = cls.identity(p, n)
-        wn = cls.longest_weyl(p, n)
-        zero = cls(p, [[0] * n for _ in range(n)])
-        return cls.from_blocks(one, wn, zero, one)
+        one, zero = cls.identity(p, n), cls.diagonal(p, [0] * n)
+        return cls.from_blocks(one, cls.longest_weyl(p, n), zero, one)
 
     # -- basic operations
 
     def __mul__(self, other: "PadicMatrix") -> "PadicMatrix":
         if self.size != other.size:
             raise LinAlgError("size mismatch")
-        (da, a), (db, b) = _int_rows(self.rows), _int_rows(other.rows)
-        cols = list(zip(*b))
-        return PadicMatrix(self.p, [[Fraction(sum(map(mul, ra, cb)), da * db)
-                                     for cb in cols] for ra in a])
+        cols = tuple(zip(*other.nums))
+        return PadicMatrix._of(self.p, self.den * other.den, [
+            tuple([sum(map(mul, ra, cb)) for cb in cols]) for ra in self.nums])
+
+    def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
+        den = math.lcm(self.den, other.den)
+        return PadicMatrix._of(self.p, den, [[x - y for x, y in zip(ra, rb)] for ra, rb
+                                             in zip(self._over(den), other._over(den))])
 
     def __eq__(self, other):
-        return isinstance(other, PadicMatrix) and self.p == other.p and self.rows == other.rows
+        return (isinstance(other, PadicMatrix) and self.p == other.p
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.p, self.rows))
+        return hash((self.p, self.den, self.nums))
 
     def transpose(self):
-        return PadicMatrix(self.p, list(zip(*self.rows)))
+        return PadicMatrix._of(self.p, self.den, tuple(zip(*self.nums)))
 
     def det(self) -> Fraction:
-        d, m = _int_rows(self.rows)
-        return Fraction(_eliminate(m, pivot=True), d ** self.size)
+        return Fraction(_eliminate([list(row) for row in self.nums], pivot=True),
+                        self.den ** self.size)
 
     def inverse(self) -> "PadicMatrix":
         n = self.size
-        d, m = _int_rows(self.rows)  # self = m / d, so self^{-1} = d * R / p_{n-1}
-        for i, row in enumerate(m):
-            row.extend(int(i == j) for j in range(n))
+        # self = nums / den, so self^{-1} = den * R / p_{n-1}
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.nums)]
         if not _eliminate(m, pivot=True, jordan=True):
             raise LinAlgError("singular matrix")
-        return PadicMatrix(self.p, [[Fraction(d * x, m[-1][n - 1]) for x in row[n:]]
-                                    for row in m])
+        return PadicMatrix._of(self.p, m[-1][n - 1],
+                               [[self.den * x for x in row[n:]] for row in m])
 
     def block(self, r0, r1, c0, c1) -> "PadicMatrix":
-        return PadicMatrix(self.p, [row[c0:c1] for row in self.rows[r0:r1]])
+        return PadicMatrix._of(self.p, self.den, [row[c0:c1] for row in self.nums[r0:r1]])
 
     def diagonal_entries(self) -> list:
-        return [self.rows[i][i] for i in range(self.size)]
+        return [Fraction(self.nums[i][i], self.den) for i in range(self.size)]
 
     def diagonal_valuations(self):
-        return [vp(x, self.p) for x in self.diagonal_entries()]
+        shift = vp(self.den, self.p)
+        return [vp(self.nums[i][i], self.p) - shift for i in range(self.size)]
 
     # -- predicates
 
     def is_integral(self) -> bool:
-        return all(vp(x, self.p) >= 0 for row in self.rows for x in row)
+        return self.den % self.p != 0
 
     def in_glzp(self) -> bool:
-        return self.is_integral() and vp(self.det(), self.p) == 0
+        # den is a unit when integral, so vp(det) = vp of its numerator
+        return self.is_integral() and self.det().numerator % self.p != 0
 
     def in_iwahori(self) -> bool:
         """Upper triangular modulo p, inside GL(Z_p)."""
-        if not self.in_glzp():
-            return False
-        return all(vp(self.rows[i][j], self.p) >= 1
-                   for i in range(self.size) for j in range(i))
+        return self.in_glzp() and all(x % self.p == 0 for i, row in enumerate(self.nums)
+                                      for x in row[:i])
 
     def is_upper_triangular(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.size) for j in range(i))
+        return not any(any(row[:i]) for i, row in enumerate(self.nums))
 
     def is_lower_triangular(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.size)
-                   for j in range(i + 1, self.size))
+        return not any(any(row[i + 1:]) for i, row in enumerate(self.nums))
 
     def in_upper_unipotent(self, depth: int = 0) -> bool:
         """In N(Z_p), with above-diagonal entries in p^depth Z_p."""
-        n = self.size
-        for i in range(n):
-            if self.rows[i][i] != 1:
-                return False
-            for j in range(i):
-                if self.rows[i][j] != 0:
-                    return False
-            for j in range(i + 1, n):
-                if vp(self.rows[i][j], self.p) < depth:
-                    return False
-        return True
+        least = depth + vp(self.den, self.p)
+        return self.is_upper_triangular() and all(
+            row[i] == self.den and all(vp(x, self.p) >= least for x in row[i + 1:])
+            for i, row in enumerate(self.nums))
 
     def in_h_zp(self) -> bool:
         """Block diagonal diag(h1, h2) with both blocks in GL_n(Z_p)."""
-        if self.size % 2:
-            return False
-        n = self.size // 2
-        if any(self.rows[i][j] != 0 for i in range(n) for j in range(n, 2 * n)):
-            return False
-        if any(self.rows[i][j] != 0 for i in range(n, 2 * n) for j in range(n)):
-            return False
-        return self.block(0, n, 0, n).in_glzp() and self.block(n, 2 * n, n, 2 * n).in_glzp()
+        m, n = self.size, self.size // 2
+        return not m % 2 and not any(self.nums[i][j] for i in range(m) for j in range(m)
+                                     if (i < n) != (j < n)) \
+            and self.block(0, n, 0, n).in_glzp() and self.block(n, m, n, m).in_glzp()
 
     def congruent_identity(self, beta: int) -> bool:
-        n = self.size
-        return all(vp(self.rows[i][j] - (1 if i == j else 0), self.p) >= beta
+        n, least = self.size, beta + vp(self.den, self.p)
+        return all(vp(self.nums[i][j] - (self.den if i == j else 0), self.p) >= least
                    for i in range(n) for j in range(n))
 
     def __repr__(self):
         return "PadicMatrix(p=%d, %s)" % (self.p, [list(map(str, r)) for r in self.rows])
 
 
+def _flip(m: PadicMatrix) -> PadicMatrix:
+    """w_n * m: the rows of m in reverse order."""
+    return PadicMatrix._of(m.p, m.den, m.nums[::-1])
+
+
+def _conjugate_longest(m: PadicMatrix) -> PadicMatrix:
+    """w_n * m * w_n: rows and columns of m in reverse order."""
+    return PadicMatrix._of(m.p, m.den, [row[::-1] for row in m.nums[::-1]])
+
+
 # ---------------------------------------------------------------------------
 # Iwahori-Bruhat decomposition
 
 
-class BruhatDecomposition:
-    __slots__ = ("b", "w", "i")
-
-    def __init__(self, b, w, i):
-        self.b = b
-        self.w = w
-        self.i = i
+BruhatDecomposition = namedtuple("BruhatDecomposition", "b w i")
 
 
 def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     """g = b * w * i exactly; raises LinAlgError on singular input.
 
-    The cell w and the diagonal valuations of b come from
-    bruhat_cell_valuations.  Since Iw = (Iw ∩ w^{-1} B w)(Iw ∩ w^{-1} Nbar w),
-    B w Iw = B w (Iw ∩ w^{-1} Nbar w): g * w^{-1} = b * ybar with ybar unit
-    lower triangular and i = w^{-1} * ybar * w.  B ∩ Nbar = 1, so b and
-    ybar are unique, and one UL factorization of the transpose
-    (g * w^{-1})^T = ybar^T * b^T finds them.
+    The cell w and the diagonal valuations of den * b come from
+    bruhat_cell_valuations on the int rows den * g.  Since
+    Iw = (Iw ∩ w^{-1} B w)(Iw ∩ w^{-1} Nbar w), B w Iw = B w (Iw ∩ w^{-1}
+    Nbar w): g * w^{-1} = b * ybar with ybar unit lower triangular and
+    i = w^{-1} * ybar * w.  B ∩ Nbar = 1, so b and ybar are unique, and
+    one UL factorization of the transpose (g * w^{-1})^T = ybar^T * b^T
+    finds them.
 
     The result is certified before it is returned: b upper triangular, i
-    in Iw, the valuations of diag(b) equal to the core's, and b * w * i
-    equal to g.  The certificate uses only multiplication, det and vp, and
-    w and the valuations of diag(b) are invariants of the double coset
-    B(Q_p) g Iw, so a certified triple proves the core's answer; a wrong
-    answer from the core raises LinAlgError.
+    in Iw, the valuations of diag(b) equal to the core's less vp(den),
+    and b * w * i equal to g.  The certificate uses only multiplication,
+    det and vp, and w and the valuations of diag(b) are invariants of the
+    double coset B(Q_p) g Iw, so a certified triple proves the core's
+    answer; a wrong answer from the core raises LinAlgError.
     """
     p, n = g.p, g.size
-    w, vals = bruhat_cell_valuations(p, g.rows)
+    w, vals = bruhat_cell_valuations(p, g.nums)
+    shift = vp(g.den, p)
     # (g * w^{-1})^T = w * g^T: its row w[k] is column k of g
-    gwt = [None] * n
-    for k in range(n):
-        gwt[w[k]] = [row[k] for row in g.rows]
-    ybar_t, b_t = ul_factorize(PadicMatrix(p, gwt))
+    gwt = [col for _, col in sorted(zip(w, zip(*g.nums)))]
+    ybar_t, b_t = ul_factorize(PadicMatrix._of(p, g.den, gwt))
     b = b_t.transpose()
-    i_factor = PadicMatrix(p, [[ybar_t.rows[w[c]][w[r]] for c in range(n)]
-                               for r in range(n)])
+    i_factor = PadicMatrix._of(p, ybar_t.den, [[ybar_t.nums[w[c]][w[r]] for c in range(n)]
+                                               for r in range(n)])
     # column j of b * w is column w[j] of b
+    bw = PadicMatrix._of(p, b.den, [[r[k] for k in w] for r in b.nums])
     if not (b.is_upper_triangular() and i_factor.in_iwahori()
-            and b.diagonal_valuations() == list(vals)
-            and PadicMatrix(p, [[r[k] for k in w] for r in b.rows]) * i_factor == g):
+            and b.diagonal_valuations() == [v - shift for v in vals]
+            and bw * i_factor == g):
         raise LinAlgError("Bruhat decomposition failed its certificate")
     return BruhatDecomposition(b, w, i_factor)
 
@@ -351,12 +372,12 @@ def bruhat_cell_valuations(p: int, rows):
     the factors.  Entries are ints or Fractions.
 
     One bottom-up elimination on Python ints that keeps only the pivot
-    data.  The rows are first multiplied by D, the lcm of the
-    denominators: D * 1 is central in B(Q_p), so the cell stays and every
-    valuation moves by vp(D), subtracted at the end.  For i = n-1 down to
-    0, row i pivots on the leftmost column j of least valuation among the
-    columns holding no pivot yet; with m[i][j] = p^v * a, a prime to p,
-    cell[j] = i and every other such column k is cleared by
+    data.  Rows with a Fraction entry are first multiplied by D, the lcm
+    of the denominators: D * 1 is central in B(Q_p), so the cell stays and
+    every valuation moves by vp(D), subtracted at the end.  For i = n-1
+    down to 0, row i pivots on the leftmost column j of least valuation
+    among the columns holding no pivot yet; with m[i][j] = p^v * a, a
+    prime to p, cell[j] = i and every other such column k is cleared by
     col_k <- a * col_k - c * col_j, c = m[i][k] / p^v.
 
     * Each step is in Iw: it multiplies on the right by the identity
@@ -372,8 +393,11 @@ def bruhat_cell_valuations(p: int, rows):
     principal-series evaluation.
     """
     n = len(rows)
-    den, m = _int_rows(rows)
-    shift = _split_int(den, p)[0]
+    shift = 0
+    if not all(type(x) is int for row in rows for x in row):
+        den, rows = _scaled(rows)
+        shift = _split_int(den, p)[0]
+    m = [list(row) for row in rows]
     free = list(range(n))
     cell = [0] * n
     vals = [0] * n
@@ -413,18 +437,21 @@ def bruhat_cell_valuations(p: int, rows):
 def lu_unit_lower(mat: PadicMatrix):
     """mat = L * U with L unit lower triangular; no pivoting.
 
-    Raises LinAlgError when a leading pivot vanishes.
+    By _eliminate on nums, L[i][k] = m[i][k] / p_k and U[k][j] = m[k][j] /
+    (p_{k-1} den), each factor over the lcm of its denominators.  Raises
+    LinAlgError when a leading pivot vanishes.
     """
-    n = mat.size
-    d, m = _int_rows(mat.rows)
+    n, den = mat.size, mat.den
+    m = [list(row) for row in mat.nums]
     if not _eliminate(m, pivot=False):
         raise LinAlgError("zero pivot in LU")
     piv = [1] + [m[k][k] for k in range(n)]
-    lo = [[Fraction(m[i][k], piv[k + 1]) if k < i else Fraction(int(k == i))
+    dl, du = math.lcm(*piv[1:n]), den * math.lcm(*piv[:n])
+    lo = [[m[i][k] * (dl // piv[k + 1]) if k < i else dl * (k == i)
            for k in range(n)] for i in range(n)]
-    up = [[Fraction(m[k][j], piv[k] * d) if j >= k else Fraction(0)
+    up = [[m[k][j] * (du // (piv[k] * den)) if j >= k else 0
            for j in range(n)] for k in range(n)]
-    return PadicMatrix(mat.p, lo), PadicMatrix(mat.p, up)
+    return PadicMatrix._of(mat.p, dl, lo), PadicMatrix._of(mat.p, du, up)
 
 
 def ul_factorize(mat: PadicMatrix):
@@ -432,24 +459,15 @@ def ul_factorize(mat: PadicMatrix):
 
     Conjugating by w_n reverses rows and columns and swaps upper with
     lower: this is lu_unit_lower of the reversed matrix, reversed back."""
-    def rev(m):
-        return PadicMatrix(m.p, [row[::-1] for row in m.rows[::-1]])
-
-    lt, ut = lu_unit_lower(rev(mat))
-    return rev(lt), rev(ut)
+    lt, ut = lu_unit_lower(_conjugate_longest(mat))
+    return _conjugate_longest(lt), _conjugate_longest(ut)
 
 
 # ---------------------------------------------------------------------------
 # open cell factorization
 
 
-class OpenCellFactorization:
-    __slots__ = ("bbar", "h1", "h2")
-
-    def __init__(self, bbar, h1, h2):
-        self.bbar = bbar
-        self.h1 = h1
-        self.h2 = h2
+OpenCellFactorization = namedtuple("OpenCellFactorization", "bbar h1 h2")
 
 
 def open_cell_factorize(g: PadicMatrix):
@@ -472,21 +490,17 @@ def open_cell_factorize(g: PadicMatrix):
         CAinv, Binv = C * A.inverse(), B.inverse()
     except LinAlgError:  # A or B singular
         return None
-    CAB = CAinv * B
-    schur = PadicMatrix(p, [[D.rows[i][j] - CAB.rows[i][j] for j in range(n)]
-                            for i in range(n)])
-    M = PadicMatrix(p, (schur * Binv).rows[::-1])  # w_n * (schur B^{-1})
+    M = _flip((D - CAinv * B) * Binv)
     try:
         u0, l0 = ul_factorize(M)
     except LinAlgError:
         return None
     P = l0.inverse()
     h1 = l0 * A
-    h2 = PadicMatrix(p, (l0 * B).rows[::-1])  # w_n * l0 * B
+    h2 = _flip(l0 * B)  # w_n * l0 * B
     Q = CAinv * P  # C h1^{-1}
-    Rblk = PadicMatrix(p, [row[::-1] for row in u0.rows[::-1]])  # w_n * u0 * w_n
-    bbar = PadicMatrix.from_blocks(P, PadicMatrix(p, [[0] * n for _ in range(n)]),
-                                   Q, Rblk)
+    Rblk = _conjugate_longest(u0)
+    bbar = PadicMatrix.from_blocks(P, PadicMatrix.diagonal(p, [0] * n), Q, Rblk)
     if not (P.is_lower_triangular() and Rblk.is_lower_triangular()):
         return None
     u = PadicMatrix.open_orbit_rep(p, n)
@@ -502,10 +516,7 @@ def open_cell_factorize(g: PadicMatrix):
 
 def gl_order_mod_p(p: int, n: int) -> int:
     """#GL_n(F_p)."""
-    out = 1
-    for k in range(n):
-        out *= p ** n - p ** k
-    return out
+    return math.prod(p ** n - p ** k for k in range(n))
 
 
 def borel_order_mod_p(p: int, n: int) -> int:

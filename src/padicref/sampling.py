@@ -19,38 +19,31 @@ def random_glzp(rng, p, n):
 
 
 def random_iwahori(rng, p, n):
-    rows = [[0] * n for _ in range(n)]
+    rows = []
     for i in range(n):
-        rows[i][i] = rng.unit(p)
-        for j in range(n):
-            if j > i:
-                rows[i][j] = rng.randrange(p ** DIGITS)
-            elif j < i:
-                rows[i][j] = p * rng.randrange(p ** (DIGITS - 1))
+        unit = rng.unit(p)  # drawn before the entries left of it
+        rows.append([p * rng.randrange(p ** (DIGITS - 1)) for _ in range(i)] + [unit]
+                    + [rng.randrange(p ** DIGITS) for _ in range(i + 1, n)])
     return PadicMatrix(p, rows)
 
 
 def random_upper_zp(rng, p, n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rng.unit(p)
-        for j in range(i + 1, n):
-            rows[i][j] = rng.randrange(p ** DIGITS)
-    return PadicMatrix(p, rows)
+    return PadicMatrix(p, [[0] * i + [rng.unit(p)]
+                           + [rng.randrange(p ** DIGITS) for _ in range(i + 1, n)]
+                           for i in range(n)])
 
 
 def random_n_beta(rng, p, n, beta):
     """An element of N^beta(Z_p) inside GL_{2n}."""
-    wn = PadicMatrix.longest_weyl(p, n)
     a = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
                          for j in range(n)] for i in range(n)])
     b = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
                          for j in range(n)] for i in range(n)])
-    y = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)])
-    top = PadicMatrix(p, [[wn.rows[i][j] + p ** beta * y.rows[i][j]
+    y = [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)]
+    # w_n + p^beta y
+    top = PadicMatrix(p, [[int(i + j == n - 1) + p ** beta * y[i][j]
                            for j in range(n)] for i in range(n)])
-    zero = PadicMatrix(p, [[0] * n for _ in range(n)])
-    return PadicMatrix.from_blocks(a, top * b, zero, b)
+    return PadicMatrix.from_blocks(a, top * b, PadicMatrix.diagonal(p, [0] * n), b)
 
 
 def random_iw_beta(rng, p, n2, beta):

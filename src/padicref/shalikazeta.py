@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padiclin import (INF, PadicMatrix, _int_rows, iwahori_bruhat_decompose,
+from .padiclin import (INF, PadicMatrix, iwahori_bruhat_decompose,
                        residue, unit_part, vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
@@ -192,10 +192,7 @@ def shalika_argument(k: PadicMatrix, x: PadicMatrix, beta: int) -> PadicMatrix:
     """(0 1; 1 0)(1 X; 0 1) diag(k, k) diag(w_n z^(2 beta), 1)."""
     p, n = k.p, k.size
     wz = PadicMatrix.longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
-    kwz = k * wz
-    xk = x * k
-    zero = PadicMatrix(p, [[0] * n for _ in range(n)])
-    return PadicMatrix.from_blocks(zero, k, kwz, xk)
+    return PadicMatrix.from_blocks(PadicMatrix.diagonal(p, [0] * n), k, k * wz, x * k)
 
 
 def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
@@ -261,9 +258,10 @@ def borel_part_character(theta_values, k: PadicMatrix, x: PadicMatrix,
 def _conjugation_level(g: PadicMatrix, elem: PadicMatrix) -> int:
     """Least c >= 0 with 1 + t g^{-1} elem g in Iw for all t in p^c Z_p:
     entries on and below the diagonal need valuation >= 1, those above >= 0."""
-    e = (g.inverse() * elem * g).rows
-    return max([0] + [int(i >= j) - int(v) for i in range(2) for j in range(2)
-                      if (v := vp(e[i][j], g.p)) is not INF])
+    e = g.inverse() * elem * g
+    shift = vp(e.den, g.p)
+    return max([0] + [int(i >= j) - v + shift for i in range(2) for j in range(2)
+                      if (v := vp(e.nums[i][j], g.p)) is not INF])
 
 
 def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
@@ -296,8 +294,8 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     itself need not vanish there: where the bottom row of g has a unit
     ratio, w(1 Y; 0 1) g lies in the big cell for every large |Y|.
 
-    Each class is valued once, on ints: with D g = (top; bottom) the
-    integer rows of padiclin._int_rows, z w(1 Y_k; 0 1) g for the central
+    Each class is valued once, on ints: with g = (top; bottom) / D in the
+    stored form of PadicMatrix, z w(1 Y_k; 0 1) g for the central
     scalar z = D p^shells has the rows p^shells bottom and p^shells top +
     k bottom, and ps_evaluate_rows values f there.  f(z h) = chi(z) f(h),
     and chi(z) depends on z only through s = shells + v_p(D), so each
@@ -312,7 +310,7 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     if any(a == 0 for a in scalars):
         raise ZetaError("the scalars must be nonzero")
     c = _conjugation_level(g, PadicMatrix(p, [[0, 1], [0, 0]]))
-    d, (top, bottom) = _int_rows(g.rows)
+    d, (top, bottom) = g.den, g.nums
     scale = p ** shells
     bottom_s, (top0, top1) = [x * scale for x in bottom], [x * scale for x in top]
     s = shells + vp(d, p)

@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used by the module that
-makes it and sits at module top, every top-level definition is named by
-the product somewhere outside itself, every parameter is read by its
-function, and no module reads the process environment."""
+makes it and sits at module top, no module of the package takes a private
+name from another, every top-level definition is named by the product
+somewhere outside itself, every parameter is read by its function, and no
+module reads the process environment."""
 
 import ast
 import re
@@ -93,6 +94,43 @@ def test_function_import_guard():
               "        def inner():\n            from math import comb\n"
               "            return comb\n        return inner\n")
     assert function_imports(source) == [4, 9]
+
+
+def private_imports(source: str) -> list:
+    """(line, name) for each underscore name a module takes from another
+    module: ``from .x import _name``, or ``x._name`` for a module x that it
+    imports.  Dunders are exempt; a private name stays with its module."""
+    tree = ast.parse(source)
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name.startswith("_") and not _is_dunder(alias.name):
+                    out.append((node.lineno, alias.name))
+                elif node.module is None:  # from . import x: x is a module
+                    modules.add(alias.asname or alias.name)
+    out += [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+            and not _is_dunder(node.attr)]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_guard():
+    source = ("from __future__ import annotations\nimport math\n"
+              "from . import padiclin, symring as sr\n"
+              "from .padiclin import _int_rows, vp\n"
+              "A = sr._fold_table(3) + padiclin.vp(1, 2) + math.__name__\n"
+              "B = vp._cache if math.gcd(1, 2) else padiclin._split_int(4, 2)\n")
+    assert private_imports(source) == [(4, "_int_rows"), (5, "_fold_table"),
+                                       (6, "_split_int")]
 
 
 def unused_parameters(source: str) -> list:

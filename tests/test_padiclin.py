@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from conftest import (make_rng, random_lower_triangular_q,
 from padicref import padiclin
 from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                bruhat_cell_valuations, iwahori_bruhat_decompose,
-                               open_cell_factorize, ul_factorize, unit_part,
+                               lu_unit_lower, open_cell_factorize, ul_factorize, unit_part,
                                vol_big_cell, vol_iwahori, vp)
 from padicref.perms import all_perms, longest_perm
 from padicref.sampling import (random_glzp, random_iw_beta, random_iwahori,
@@ -61,10 +62,100 @@ class TestValuation:
         assert vp(Fraction(0), 5) is INF
         assert vp(Fraction(9, 4), 2) == -2
         assert vp(Fraction(7, 25), 5) == -2
-        assert vp("18/7", 3) == 2
+        assert vp(Fraction("18/7"), 3) == 2
+
+    def test_inexact_input_is_refused(self):
+        # 0.1 is stored as 3602879701896397 / 2^55: read exactly it would
+        # have valuation -55 at 2, so neither vp nor a matrix accepts it
+        for bad in (0.1, 2.0, "18/7"):
+            with pytest.raises(LinAlgError):
+                vp(bad, 2)
+            with pytest.raises(LinAlgError):
+                PadicMatrix(3, [[bad, 0], [0, 1]])
 
     def test_unit_part(self):
         assert unit_part(Fraction(18, 5), 3) == Fraction(2, 5)
+
+
+def _assert_canonical(m):
+    """m is stored as int rows over den > 0 with gcd(den, every entry) = 1."""
+    entries = [x for row in m.nums for x in row]
+    assert type(m.den) is int and m.den > 0
+    assert all(type(x) is int for x in entries)
+    assert math.gcd(m.den, *entries) == 1
+    assert len(m.nums) == m.size and all(len(row) == m.size for row in m.nums)
+
+
+class TestStoredForm:
+    def test_constructor_gives_the_canonical_form(self):
+        g = PadicMatrix(3, [[Fraction(1, 6), 2], [Fraction(-4, 9), 0]])
+        assert (g.den, g.nums) == (18, ((3, 36), (-8, 0)))
+        assert g.rows == ((Fraction(1, 6), 2), (Fraction(-4, 9), 0))
+        assert PadicMatrix(3, [[4, -6], [0, 8]]).den == 1
+        assert PadicMatrix(3, [[Fraction(4, 2), 1], [0, 1]]).nums == ((2, 1), (0, 1))
+        with pytest.raises(LinAlgError):
+            PadicMatrix(3, [[1, 2], [3]])
+
+    def test_every_result_is_canonical(self):
+        rng = make_rng("stored-form")
+        for p in (2, 3):
+            for size in (2, 4):
+                g = random_upper_triangular_q(rng, p, size) \
+                    * PadicMatrix.permutation(p, rng.choice(all_perms(size))) \
+                    * random_lower_triangular_q(rng, p, size)
+                h = random_glzp(rng, p, size)
+                up, lo = (random_upper_triangular_q(rng, p, size),
+                          random_lower_triangular_q(rng, p, size))
+                results = [g, h, g * h, g - h, g.inverse(), g.transpose(),
+                           g.block(0, size // 2, 0, size // 2),
+                           PadicMatrix.from_blocks(g, h, h, g), PadicMatrix.block_diag(g, h),
+                           *iwahori_bruhat_decompose(g)[::2], *lu_unit_lower(lo * up),
+                           *ul_factorize(up * lo)]
+                results += open_cell_factorize(random_n_beta(rng, p, size // 2, 1)
+                                               * random_iw_beta(rng, p, size, 1))
+                for m in results:
+                    _assert_canonical(m)
+
+    def test_fraction_rows_and_scaled_int_rows_agree(self):
+        # the same matrix reached from Fraction rows, from int rows over a
+        # common denominator and from a non-reduced int form is one value
+        rng = make_rng("stored-agree")
+        for _ in range(50):
+            p = rng.choice((2, 3, 5))
+            size = rng.randint(1, 4)
+            rows = [[rng.padic_rational(p, -2, 2) / rng.choice((1, 7)) for _ in range(size)]
+                    for _ in range(size)]
+            d = math.lcm(*(x.denominator for row in rows for x in row))
+            k = rng.choice((1, 2, -3))
+            ints = [[int(x * d) for x in row] for row in rows]
+            forms = [PadicMatrix(p, rows),
+                     PadicMatrix(p, ints) * PadicMatrix.diagonal(p, [Fraction(1, d)] * size),
+                     PadicMatrix._of(p, k * d, [[k * x for x in row] for row in ints])]
+            for m in forms:
+                _assert_canonical(m)
+                assert m == forms[0] and hash(m) == hash(forms[0])
+                assert m.rows == tuple(map(tuple, rows))
+            assert forms[0] != PadicMatrix(p + 2 if p == 3 else 3, rows)
+
+    def test_repr_is_pinned(self):
+        # failure witnesses of the report embed this text
+        g = PadicMatrix(3, [[Fraction(1, 3), 2], [0, Fraction(-5, 2)]])
+        assert repr(g) == "PadicMatrix(p=3, [['1/3', '2'], ['0', '-5/2']])"
+        assert repr(PadicMatrix.identity(2, 1)) == "PadicMatrix(p=2, [['1']])"
+
+    def test_predicates_read_the_ints(self):
+        p = 3
+        half = PadicMatrix(p, [[Fraction(1, 2), 0], [3, 1]])  # den 2, a unit at 3
+        assert half.is_integral() and half.in_glzp() and half.in_iwahori()
+        third = PadicMatrix(p, [[1, Fraction(1, 3)], [0, 1]])
+        assert not third.is_integral() and not third.in_glzp()
+        assert third.in_upper_unipotent(depth=-1) and not third.in_upper_unipotent()
+        assert PadicMatrix(p, [[1, 9], [0, 1]]).in_upper_unipotent(depth=2)
+        assert PadicMatrix(p, [[Fraction(10, 7), 0], [0, 1]]).congruent_identity(1)
+        assert not PadicMatrix(p, [[Fraction(11, 7), 0], [0, 1]]).congruent_identity(1)
+        assert PadicMatrix(p, [[Fraction(5, 2), 0], [0, 1]]).diagonal_valuations() == [0, 0]
+        assert PadicMatrix(p, [[Fraction(9, 2), 0], [0, Fraction(1, 3)]]) \
+            .diagonal_valuations() == [2, -1]
 
 
 class TestBruhat:

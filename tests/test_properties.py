@@ -1,11 +1,12 @@
 """Property tests of the scalar layers: the ring axioms of CycNum, SymElem
 and FamSeries, and the defining property of ``padiclin.residue``; and of
 the integer elimination core of ``padiclin`` against plain ``Fraction``
-Gaussian elimination.
+Gaussian elimination, and of the unique stored form of ``PadicMatrix``.
 
 Hypothesis runs derandomized and without its example database, so every
 run draws the same examples."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -235,6 +236,31 @@ class TestEliminationCore:
         assert _outcome(PadicMatrix.inverse, g) == _outcome(_ref_inverse, rows)
         assert _outcome(lu_unit_lower, g) == _outcome(_ref_lu, rows)
         assert _outcome(ul_factorize, g) == _outcome(_ref_ul, rows)
+
+    @PROPERTY
+    @given(padic_matrices(), st.sampled_from((1, 2, -1, -6)))
+    def test_stored_form_is_canonical_and_unique(self, pm, k):
+        # den > 0, int entries, gcd 1 on every result; the matrix built from
+        # Fraction rows, from int rows over their common denominator and
+        # from a non-reduced int form k * rows / (k * d) is one value
+        p, rows = pm
+        g = PadicMatrix(p, rows)
+        n, d = len(rows), math.lcm(*(x.denominator for row in rows for x in row))
+        ints = [[int(x * d) for x in row] for row in rows]
+        for m in (PadicMatrix(p, ints) * PadicMatrix.diagonal(p, [Fraction(1, d)] * n),
+                  PadicMatrix._of(p, k * d, [[k * x for x in row] for row in ints])):
+            assert m == g and hash(m) == hash(g) and m.rows == tuple(map(tuple, rows))
+        outs = [g, g * g, g.transpose()]
+        for fn in (PadicMatrix.inverse, lu_unit_lower, ul_factorize):
+            try:
+                out = fn(g)
+            except LinAlgError:
+                continue
+            outs += out if isinstance(out, tuple) else [out]
+        for m in outs:
+            entries = [x for row in m.nums for x in row]
+            assert m.den > 0 and all(type(x) is int for x in entries)
+            assert math.gcd(m.den, *entries) == 1
 
     @PROPERTY
     @given(padic_matrices().flatmap(lambda pm: st.tuples(
