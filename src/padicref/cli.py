@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 
 from . import (branchfam, famring, padiclin, princhecke, refine, rootspin,
@@ -369,8 +369,7 @@ def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
                 sval = SymElem.p_power(p, Fraction(2 * j + 1, 2))
                 q_closed = shalikazeta.zeta_parahoric_closed(sat, triv, 0).value
                 q_at_j = q_closed.substitute({"S": sval})
-                prefactor = SymElem.gen(p, "S", n).substitute({"S": sval}) \
-                    * SymElem.p_power(p, Fraction(-n * n, 2))
+                prefactor = sval ** n * SymElem.p_power(p, Fraction(-n * n, 2))
                 unit = SymElem.rational(p, Fraction(1 - p) ** n)
                 for i in range(n, 2 * n):
                     unit = unit * (SymElem.p_power(p, Fraction(2 * j - 1, 2))
@@ -497,8 +496,7 @@ def run(config: SuiteConfig) -> dict:
 # command line
 
 # the integer fields of SuiteConfig; each is set by the flag of its name
-INT_FIELDS = ("n", "p", "beta", "shells", "samples", "seed", "family_prec",
-              "family_degree")
+INT_FIELDS = tuple(f.name for f in fields(SuiteConfig) if f.name != "suites")
 
 
 def _add_int_flags(parser, names):

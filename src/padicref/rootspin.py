@@ -61,12 +61,7 @@ class GLWeight:
         return self.entries[0] + self.entries[-1]
 
     def act(self, sigma: tuple) -> "GLWeight":
-        """Left action: sigma sends e_i to e_{sigma(i)}, so the coordinate
-        at position sigma(i) of the image is the old coordinate at i."""
-        out = [None] * len(sigma)
-        for i in range(len(sigma)):
-            out[sigma[i]] = self.entries[i]
-        return GLWeight(out)
+        return GLWeight(act_cochar_gl(self.entries, sigma))
 
     def pair(self, cochar: tuple) -> Fraction:
         return sum(a * Fraction(b) for a, b in zip(self.entries, cochar))
@@ -244,7 +239,9 @@ def jvee_cochar(nu: tuple) -> tuple:
 
 
 def act_cochar_gl(nu: tuple, sigma: tuple) -> tuple:
-    """Left action of S_{2n} on cocharacters, matching GLWeight.act."""
+    """Left action of S_{2n} on GL weights and cocharacters: sigma sends
+    e_i to e_{sigma(i)}, so the coordinate at position sigma(i) of the
+    image is the old coordinate at i."""
     out = [None] * len(sigma)
     for k in range(len(sigma)):
         out[sigma[k]] = nu[k]

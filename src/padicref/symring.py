@@ -15,9 +15,10 @@ Two layers:
   Y^2 = p (it plays the role of p^(1/2)); everything else (``S`` for p^s,
   ``X1..X2n`` for Satake values, ``E`` for the Shalika central value,
   auxiliary unit symbols) is free.  Denominators are kept factored as
-  products of terms (1 - unit monomial); these only ever arise from
-  geometric series tails, so they stay sparse and equality can be decided
-  by cross-multiplication.
+  products of terms (1 - unit monomial), sorted by repr; all come from
+  ``geometric_tail``, so they stay sparse and equality can be decided by
+  cross-multiplication.  Powers and substitution take unit monomials only,
+  which is all the local theory needs (S -> p^(j + 1/2)).
 """
 
 from __future__ import annotations
@@ -220,7 +221,13 @@ class CycNum:
             return CycNum._make(self.order, [x.numerator], x.denominator)
         if k < 0:
             return self.inverse() ** (-k)
-        return _power(self, k, CycNum.from_rational(1))
+        out, base = CycNum.from_rational(1), self
+        while k:  # square and multiply
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -229,12 +236,6 @@ class CycNum:
             return NotImplemented
         a, b, _ = CycNum._pair(self, other)
         return a.nums == b.nums and a.den == b.den
-
-    def serial(self):
-        """Canonical tag used for sorting denominator factors."""
-        if self.is_rational():
-            return (1, (str(self.as_rational()),))
-        return (self.order, tuple(str(c) for c in self.coeffs))
 
     def __repr__(self):
         if self.is_rational():
@@ -336,10 +337,6 @@ class _Poly:
         if not isinstance(other, _Poly):
             return NotImplemented
         return self.terms == other.terms
-
-    def serial(self):
-        items = sorted(self.terms.items())
-        return tuple((k, self.terms[k].serial()) for k, _ in items)
 
     def single_term(self):
         """(key, coeff) if the polynomial is a single monomial, else None."""
@@ -494,14 +491,12 @@ class SymElem:
         return self * other.inverse()
 
     def __pow__(self, k: int):
+        """(c x^e)^k = c^k x^(e k); only unit monomials have powers."""
         mono = self.as_monomial()
-        if mono is not None:
-            # (c x^e)^k = c^k x^(e k): a monomial commutes with itself
-            coeff, exps = mono
-            return SymElem.monomial(self.p, coeff ** k, {n: e * k for n, e in exps.items()})
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _power(self, k, SymElem.rational(self.p, 1))
+        if mono is None:
+            raise NonUnitDivision(f"power of a non-monomial: {self}")
+        coeff, exps = mono
+        return SymElem.monomial(self.p, coeff ** k, {n: e * k for n, e in exps.items()})
 
     def __eq__(self, other):
         try:
@@ -525,52 +520,43 @@ class SymElem:
     # -- substitution
 
     def substitute(self, assignment: dict) -> "SymElem":
-        """Substitution homomorphism; values are SymElems (or scalars).
+        """Substitute unit monomials (SymElems or nonzero scalars) for
+        generators, leaving the others alone.
 
-        Generators absent from ``assignment`` are left alone.  The Y-relation
-        is re-enforced because all arithmetic passes through the normal form.
+        Each numerator term maps to one term, and each denominator factor
+        1 - m is rebuilt by ``geometric_tail`` from the image of m.
         """
-        vals = {}
-        for k, v in assignment.items():
-            vals[k] = self._check(v)
-        num = _subst_poly(self.num, vals, self.p)
-        out = SymElem(self.p, num, ())
+        vals = {name: self._check(v).as_monomial() for name, v in assignment.items()}
+        if None in vals.values():
+            raise NonUnitDivision(f"not every value is a unit monomial: {assignment}")
+        out = SymElem(self.p, _subst(self.num, vals))
         for f in self.den:
-            fv = _subst_poly(f, vals, self.p)
-            felem = SymElem(self.p, fv, ())
-            if felem.is_zero():
+            ratio = SymElem(self.p, _subst(_Poly.const(self.p, 1) - f, vals))
+            if ratio.is_one():
                 raise VanishingDenominator(f"denominator factor vanished: {f}")
-            st = fv.single_term()
-            if st is not None:
-                out = out * felem.inverse()
-            elif _is_one_minus_monomial(fv):
-                out = SymElem(out.p, out.num, _sorted_factors(out.den + (fv,)))
-            else:
-                raise NonUnitDivision(
-                    f"substituted denominator factor is not invertible: {fv}")
+            out = geometric_tail(out, ratio)
         return out
 
 
-def _is_one_minus_monomial(f: _Poly) -> bool:
-    if len(f.terms) != 2:
-        return False
-    c0 = f.terms.get(())
-    return c0 is not None and c0 == 1
-
-
-def _power(base, k: int, one):
-    """base^k for k >= 0 by square-and-multiply, starting from one."""
-    out = one
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
+def _subst(poly: _Poly, vals: dict) -> _Poly:
+    """poly with each generator in vals replaced by its (coeff, exps)."""
+    out = _Poly(poly.p)
+    for key, coeff in poly.terms.items():
+        exps = {}
+        for name, e in key:
+            if name in vals:
+                c, image = vals[name]
+                coeff = coeff * c ** e
+            else:
+                image = {name: 1}
+            for n, x in image.items():
+                exps[n] = exps.get(n, 0) + x * e
+        out._iadd_term(*_norm_mono(poly.p, exps, coeff))
     return out
 
 
 def _sorted_factors(factors):
-    return tuple(sorted(factors, key=lambda f: f.serial()))
+    return tuple(sorted(factors, key=repr))
 
 
 def _multiset_max(a, b):
@@ -587,27 +573,6 @@ def _multiset_diff(a, b):
                 out.pop(i)
                 break
     return out
-
-
-def _subst_poly(poly: _Poly, vals: dict, p: int) -> _Poly:
-    out = SymElem.rational(p, 0)
-    for key, coeff in poly.terms.items():
-        term = SymElem.from_cyc(p, coeff)
-        for name, e in key:
-            if name in vals:
-                v = vals[name]
-                if e < 0 and v.as_monomial() is None:
-                    raise NonUnitDivision(
-                        f"generator {name} appears with negative exponent; "
-                        f"assigned value is not a unit monomial")
-                term = term * v ** e
-            else:
-                term = term * SymElem.gen(p, name, e)
-        out = out + term
-    if out.den:
-        # substitution values were fractions; fold their factors back in
-        raise NonUnitDivision("substitution produced nested fractions")
-    return out.num
 
 
 def geometric_tail(first_term: SymElem, ratio: SymElem) -> SymElem:
