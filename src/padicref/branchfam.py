@@ -87,13 +87,19 @@ def alpha_weight(n: int, i: int) -> GLWeight:
 # classical branching vectors via the open cell
 
 
-def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
+def _cell_dets(fac):
+    """(det h1, det h2) of the open-cell factorization fac, None off the
+    cell; computed once per factorization for every v_lambda_j there."""
+    return None if fac is None else (fac.h1.det(), fac.h2.det())
+
+
+def v_lambda_j(fac, dets, lam: PureWeight, j: int) -> Fraction:
     """The normalized branching vector at the point whose open-cell
     factorization is fac: lam(bbar) * det(h1)^(-j) * det(h2)^(sw + j).
 
-    fac is open_cell_factorize(g); the value is 0 off the cell, where fac
-    is None (the algebraic vector is only tested on Iw^1, where the
-    extension by zero is never reached).
+    fac is open_cell_factorize(g) and dets is _cell_dets(fac); the value is
+    0 off the cell, where fac is None (the algebraic vector is only tested
+    on Iw^1, where the extension by zero is never reached).
     """
     if j not in crit_range(lam):
         raise BranchError(f"{j} is not in the critical range")
@@ -102,9 +108,8 @@ def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
     bbar = fac.bbar
     # (numerator, denominator, exponent) of each factor
     factors = [(bbar.nums[i][i], bbar.den, lam.entry(i)) for i in range(bbar.size)]
-    for h, e in ((fac.h1, -j), (fac.h2, int(lam.sw) + j)):
+    for d, e in zip(dets, (-j, int(lam.sw) + j)):
         if e:
-            d = h.det()
             factors.append((d.numerator, d.denominator, e))
     num = den = 1
     for a, b, e in factors:
@@ -117,7 +122,8 @@ def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
     """{j: v_lambda_j at g} for every j in the critical range, on one
     open-cell factorization of g; every value is 0 off the cell."""
     fac = open_cell_factorize(g)
-    return {j: v_lambda_j(fac, lam, j) for j in crit_range(lam)}
+    dets = _cell_dets(fac)
+    return {j: v_lambda_j(fac, dets, lam, j) for j in crit_range(lam)}
 
 
 def v_basis_values(g: PadicMatrix):
@@ -132,10 +138,11 @@ def v_basis_values(g: PadicMatrix):
     if fac is None:
         return None
     alpha = [PureWeight(alpha_weight(n, i)) for i in range(n + 1)]
-    return (v_lambda_j(fac, alpha[0], -1),
-            [v_lambda_j(fac, alpha[i], 0) for i in range(1, n)],
-            v_lambda_j(fac, alpha[n], -1),
-            v_lambda_j(fac, alpha[n], 0))
+    dets = _cell_dets(fac)
+    return (v_lambda_j(fac, dets, alpha[0], -1),
+            [v_lambda_j(fac, dets, alpha[i], 0) for i in range(1, n)],
+            v_lambda_j(fac, dets, alpha[n], -1),
+            v_lambda_j(fac, dets, alpha[n], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +378,8 @@ class FiniteDistribution:
     """A finite linear combination of Dirac evaluations at Iwahori points.
 
     Each base point is factored once, on first use, for all the maps
-    below: its open-cell factorization (cells) and its Iw^1 coordinates
-    (coords, None off Iw^1).
+    below: its open-cell factorization with the determinants of its
+    blocks (cells), and its Iw^1 coordinates (coords, None off Iw^1).
     """
 
     def __init__(self, terms):
@@ -383,7 +390,8 @@ class FiniteDistribution:
 
     @cached_property
     def cells(self) -> list:
-        return [open_cell_factorize(g) for _, g in self.terms]
+        return [(fac, _cell_dets(fac)) for fac in
+                (open_cell_factorize(g) for _, g in self.terms)]
 
     @cached_property
     def coords(self) -> list:
@@ -410,5 +418,5 @@ def kappa_lambda(mu: FiniteDistribution, f: LocPoly, lam: PureWeight) -> Fractio
 
 
 def kappa_lambda_j(mu: FiniteDistribution, lam: PureWeight, j: int) -> Fraction:
-    return sum((Fraction(c) * v_lambda_j(fac, lam, j)
-                for (c, _), fac in zip(mu.terms, mu.cells)), Fraction(0))
+    return sum((Fraction(c) * v_lambda_j(fac, dets, lam, j)
+                for (c, _), (fac, dets) in zip(mu.terms, mu.cells)), Fraction(0))

@@ -51,7 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# the Iwahori zeta oracle sweeps p^(shells + beta) points
+# the largest shell count the tests run end to end (zeta --kind iwahori
+# --oracle --p 5 --beta 1 --shells 8); the Iwahori oracle values F(Y) once
+# per ball of constancy, about (shells + beta) phi(p^beta) values per sweep
 MAX_SHELLS = 8
 
 

@@ -168,10 +168,15 @@ class PadicMatrix:
         both divided by gcd(den, every entry) and signed so that den > 0."""
         g = math.gcd(den, *chain.from_iterable(nums)) if den != 1 else 1
         g = -g if den < 0 else g
+        return cls._reordered(p, den // g, nums if g == 1 else [
+            tuple([x // g for x in row]) for row in nums])
+
+    @classmethod
+    def _reordered(cls, p: int, den: int, nums) -> "PadicMatrix":
+        """nums / den, whose entries are those of a canonical matrix over
+        den in another order, so already canonical: no gcd is taken."""
         out = object.__new__(cls)
-        out.p, out.size, out.den = p, len(nums), den // g
-        out.nums = tuple(map(tuple, nums)) if g == 1 else tuple(
-            tuple([x // g for x in row]) for row in nums)
+        out.p, out.size, out.den, out.nums = p, len(nums), den, tuple(map(tuple, nums))
         return out
 
     def _over(self, den: int) -> tuple:
@@ -246,7 +251,7 @@ class PadicMatrix:
         return hash((self.p, self.den, self.nums))
 
     def transpose(self):
-        return PadicMatrix._of(self.p, self.den, tuple(zip(*self.nums)))
+        return PadicMatrix._reordered(self.p, self.den, tuple(zip(*self.nums)))
 
     def det(self) -> Fraction:
         return Fraction(_eliminate([list(row) for row in self.nums], pivot=True),
@@ -316,12 +321,12 @@ class PadicMatrix:
 
 def _flip(m: PadicMatrix) -> PadicMatrix:
     """w_n * m: the rows of m in reverse order."""
-    return PadicMatrix._of(m.p, m.den, m.nums[::-1])
+    return PadicMatrix._reordered(m.p, m.den, m.nums[::-1])
 
 
 def _conjugate_longest(m: PadicMatrix) -> PadicMatrix:
     """w_n * m * w_n: rows and columns of m in reverse order."""
-    return PadicMatrix._of(m.p, m.den, [row[::-1] for row in m.nums[::-1]])
+    return PadicMatrix._reordered(m.p, m.den, [row[::-1] for row in m.nums[::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +359,12 @@ def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     shift = vp(g.den, p)
     # (g * w^{-1})^T = w * g^T: its row w[k] is column k of g
     gwt = [col for _, col in sorted(zip(w, zip(*g.nums)))]
-    ybar_t, b_t = ul_factorize(PadicMatrix._of(p, g.den, gwt))
+    ybar_t, b_t = ul_factorize(PadicMatrix._reordered(p, g.den, gwt))
     b = b_t.transpose()
-    i_factor = PadicMatrix._of(p, ybar_t.den, [[ybar_t.nums[w[c]][w[r]] for c in range(n)]
-                                               for r in range(n)])
+    i_factor = PadicMatrix._reordered(p, ybar_t.den, [
+        [ybar_t.nums[w[c]][w[r]] for c in range(n)] for r in range(n)])
     # column j of b * w is column w[j] of b
-    bw = PadicMatrix._of(p, b.den, [[r[k] for k in w] for r in b.nums])
+    bw = PadicMatrix._reordered(p, b.den, [[r[k] for k in w] for r in b.nums])
     if not (b.is_upper_triangular() and i_factor.in_iwahori()
             and b.diagonal_valuations() == [v - shift for v in vals]
             and bw * i_factor == g):

@@ -13,10 +13,12 @@ Closed forms (any n):
   values assemble into.
 
 Brute-force oracles (n = 1): the Shalika intertwining
-``ag_intertwine_value`` evaluated by exact class decomposition of the
-X-integral (one sweep of F(Y) = f[w(1 Y; 0 1) g] gives diag(a, 1) g for
-every nonzero scalar a, which enters only through the inducing character
-and psi), and shell-sum versions of both zeta integrals.  The Iwahori one
+``ag_intertwine_value`` evaluated exactly on the X-integral's balls of
+constancy (one sweep of F(Y) = f[w(1 Y; 0 1) g], valued once per ball on
+which translation by p^c Z_p and scaling by 1 + p^e Z_p keep it constant,
+gives diag(a, 1) g for every nonzero scalar a, which enters only through
+the inducing character and psi), and shell-sum versions of both zeta
+integrals.  The Iwahori one
 takes ramified characters only and reads every zeta shell and unit off
 one sweep at g0.  Truncations certify themselves: for each scalar, the
 twisted sums over the two outermost Y-shells must vanish exactly, and the
@@ -294,13 +296,26 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     itself need not vanish there: where the bottom row of g has a unit
     ratio, w(1 Y; 0 1) g lies in the big cell for every large |Y|.
 
-    Each class is valued once, on ints: with g = (top; bottom) / D in the
-    stored form of PadicMatrix, z w(1 Y_k; 0 1) g for the central
-    scalar z = D p^shells has the rows p^shells bottom and p^shells top +
-    k bottom, and ps_evaluate_rows values f there.  f(z h) = chi(z) f(h),
-    and chi(z) depends on z only through s = shells + v_p(D), so each
-    nonzero class value is multiplied by one chi(z)^-1, the inducing
-    character at the valuations (-s, -s).
+    F is also invariant under Y -> u Y for u in 1 + p^e Z_p, e the
+    conjugation level of g at E11 = (1 0; 0 0), by the same definition:
+    (1 uY; 0 1) = diag(u, 1)(1 Y; 0 1) diag(u^-1, 1) and w diag(u, 1) =
+    diag(1, u) w; f is trivial on diag(1, u) in B(Z_p) and right
+    Iw-invariant, and g^-1 diag(u^-1, 1) g = 1 + (u^-1 - 1) g^-1 E11 g lies
+    in Iw.  Here e >= 1, as g^-1 E11 g has trace 1.  So with n = shells +
+    c, F(Y_k) is constant on each ball k + p^min(v_p(k) + e, n) Z of the
+    classes mod p^n.  F is valued once per ball, at k = 0 and at k = p^j t
+    for j < n and each unit t mod p^min(e, n - j): 1 + sum over j < n of
+    phi(p^min(e, n - j)) values instead of p^n (33 instead of 729 at g0,
+    p = 3, beta = 2, shells = 4).  Every class of a ball where F is
+    nonzero takes the ball's value.
+
+    Each ball is valued on ints: with g = (top; bottom) / D in the stored
+    form of PadicMatrix, z w(1 Y_k; 0 1) g for the central scalar z =
+    D p^shells has the rows p^shells bottom and p^shells top + k bottom,
+    and ps_evaluate_rows values f there.  f(z h) = chi(z) f(h), and chi(z)
+    depends on z only through s = shells + v_p(D), so each nonzero ball
+    value is multiplied by one chi(z)^-1, the inducing character at the
+    valuations (-s, -s).
     """
     if f.size != 2:
         raise ZetaError("the intertwining oracle is implemented for n = 1")
@@ -310,17 +325,27 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     if any(a == 0 for a in scalars):
         raise ZetaError("the scalars must be nonzero")
     c = _conjugation_level(g, PadicMatrix(p, [[0, 1], [0, 0]]))
+    e = _conjugation_level(g, PadicMatrix(p, [[1, 0], [0, 0]]))
     d, (top, bottom) = g.den, g.nums
     scale = p ** shells
     bottom_s, (top0, top1) = [x * scale for x in bottom], [x * scale for x in top]
     s = shells + vp(d, p)
     unscale = torus_character_value(f.satake, f.sigma, (-s, -s))
-    # (k, F(Y_k)) where F is nonzero: on the shells -shells, -shells + 1, inside
-    rims, inner = ([], []), []
-    for k in range(p ** (shells + c)):
+    n = shells + c
+    # the balls k + p^r Z mod p^n on which F is constant, by least member k
+    balls = [(0, n)] + [(p ** j * t, j + min(e, n - j))
+                        for j in range(n) for t in _units(p, min(e, n - j))]
+    nonzero = []
+    for k, r in balls:
         val = ps_evaluate_rows(f, (bottom_s, (top0 + k * bottom[0], top1 + k * bottom[1])))
         if not val.is_zero():
-            (rims[vp(k, p)] if k % p ** 2 else inner).append((k, val * unscale))
+            val = val * unscale
+            nonzero.extend((member, val) for member in range(k, p ** n, p ** r))
+    nonzero.sort(key=lambda kv: kv[0])
+    # (k, F(Y_k)) where F is nonzero: on the shells -shells, -shells + 1, inside
+    rims, inner = ([], []), []
+    for k, val in nonzero:
+        (rims[vp(k, p)] if k % p ** 2 else inner).append((k, val))
     zero = SymElem.rational(p, 0)
 
     def twisted(classes, u, m):

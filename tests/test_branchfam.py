@@ -4,8 +4,8 @@ import pytest
 
 from conftest import make_rng, random_iwh1
 from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
-                                LocPoly, PureWeight, alpha_weight, crit_range,
-                                in_iw_beta, in_iwh_beta, in_n_beta,
+                                LocPoly, PureWeight, _cell_dets, alpha_weight,
+                                crit_range, in_iw_beta, in_iwh_beta, in_n_beta,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
                                 kappa_lambda_j, v_basis_values, v_lambda_all,
                                 v_lambda_j, w_family, w_lambda)
@@ -17,7 +17,8 @@ from padicref.sampling import random_glzp, random_iw_beta, random_n_beta
 
 def v_at(g, lam, j):
     """The classical branching vector v_{lam,j} at g."""
-    return v_lambda_j(open_cell_factorize(g), lam, j)
+    fac = open_cell_factorize(g)
+    return v_lambda_j(fac, _cell_dets(fac), lam, j)
 
 
 def dirac(g):

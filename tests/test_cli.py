@@ -180,6 +180,16 @@ class TestAcceptedInput:
         assert len(entries) == (1 if beta == 1 else 4) + (kind == "parahoric")
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
 
+    def test_zeta_oracle_at_the_largest_shell_count(self, capsys):
+        # the three characters of conductor 5 at cli.MAX_SHELLS shells
+        code, out, err = _run(["zeta", "--kind", "iwahori", "--oracle", "--p", "5",
+                               "--beta", "1", "--shells", "8"], capsys)
+        assert code == 0 and err == ""
+        entries = json.loads(out)
+        assert len(entries) == 3 and all(e["oracle_matches"] is True for e in entries)
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "4bdd22015ce0b87449b9ab95007761bc07bcea1100eecb302bd78a7df5da0a86"
+
     def test_default_body_matches_the_reference(self, capsys):
         code, out, _ = _run(["run"], capsys)
         assert code == 0

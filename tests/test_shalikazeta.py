@@ -270,7 +270,8 @@ class TestIntertwiningOracle:
 
 
 def _fraction_intertwine(f, g, shells):
-    # reference: the shell sum with Fraction rows valued at every point
+    # reference: the shell sum with Fraction rows valued at every point,
+    # refused as the oracle refuses when an outermost shell does not vanish
     p = f.p
     c_g = _conjugation_level(g, PadicMatrix(p, [[0, 1], [0, 0]]))
     bottom, top = g.rows[1], g.rows[0]
@@ -291,6 +292,8 @@ def _fraction_intertwine(f, g, shells):
             if v < 0:
                 val = val * CycNum.root_of_unity(p ** (-v), (-u) % p ** (-v))
             shell = shell + val
+        if v < 2 - shells and not shell.is_zero():
+            raise TruncationError("an outermost shell does not vanish")
         total = total + shell * Fraction(1, p ** (v + level))
     return total + value_at(Fraction(0)) * Fraction(1, p ** tail_start)
 
@@ -338,6 +341,69 @@ class TestIntegerShellPoints:
                     _fraction_intertwine(
                         f, PadicMatrix.diagonal(p, [a, 1]) * g0, shells)
                     for a in scalars)
+
+    def test_ball_sweep_matches_the_fraction_reference(self):
+        # every cell vector of both cells and both sigma, at g0 with beta =
+        # 2 (e = 2), the unit bottom ratio g of the certificate test, a g
+        # with p-power denominators (e = 3 at p = 3), and a call too short
+        # to certify, which both sides refuse; for a unit scalar a the
+        # shells of X = a Y are those of Y, so both sides certify alike
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except TruncationError:
+                return TruncationError
+
+        for p in (2, 3):
+            sat = SatakeParameter.generic(p, 1)
+            shift = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(p, [p ** 2, 1])
+            points = [
+                (shift, 4),
+                (PadicMatrix(p, [[Fraction(1, 7), Fraction(2, 3)], [3, Fraction(3, 7)]]), 3),
+                (PadicMatrix(p, [[Fraction(1, p), Fraction(2, p ** 3)],
+                                 [p + 1, Fraction(5, p ** 2)]]), 4),
+                (PadicMatrix.diagonal(p, [Fraction(1, p ** 2), 1]) * shift, 2)]
+            scalars = (1, p ** 2 - 1)
+            refused = nonzero = 0
+            for g, shells in points:
+                for w in all_perms(2):
+                    for sigma in all_perms(2):
+                        f = PSVector.cell_vector(sat, sigma, w)
+                        swept = outcome(ag_intertwine_value, f, g, shells, scalars)
+                        reference = tuple(
+                            outcome(_fraction_intertwine, f,
+                                    PadicMatrix.diagonal(p, [a, 1]) * g, shells)
+                            for a in scalars)
+                        # one refusing scalar refuses the whole sweep
+                        if any(r is TruncationError for r in reference):
+                            assert swept is TruncationError
+                            refused += 1
+                        else:
+                            assert swept == reference
+                            nonzero += sum(not x.is_zero() for x in swept)
+            # the short call refuses for all four vectors; of the 24 values
+            # compared, 24 at p = 2 and 16 at p = 3 are nonzero
+            assert (refused, nonzero) == (4, {2: 24, 3: 16}[p])
+
+    def test_ball_sweep_work_bound(self, monkeypatch):
+        # one value of f per ball: 1 + sum over j < n of phi(p^min(e, n - j))
+        # with n = shells + c, 33 at p = 3, beta = 2, shells = 4, not p^n = 729
+        p, beta, shells = 3, 2, 4
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(p, [p ** beta, 1])
+        c = _conjugation_level(g0, PadicMatrix(p, [[0, 1], [0, 0]]))
+        e = _conjugation_level(g0, PadicMatrix(p, [[1, 0], [0, 0]]))
+        n = shells + c
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ps_evaluate_rows(*args)
+        monkeypatch.setattr(shalikazeta, "ps_evaluate_rows", counted)
+        ag_intertwine_value(f, g0, shells, (1,))
+        phi = [0] + [(p - 1) * p ** (r - 1) for r in range(1, e + 1)]
+        assert (c, e) == (2, 2)
+        assert len(calls) == 1 + sum(phi[min(e, n - j)] for j in range(n)) == 33
 
     def test_refuses_a_zero_scalar(self):
         p = 3
