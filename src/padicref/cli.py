@@ -366,10 +366,10 @@ def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
 
         def unramified_failures():
             triv = shalikazeta.TwistCharacter.trivial(p)
+            q_closed = shalikazeta.zeta_parahoric_closed(sat, triv, 0).value
             for j in (-1, 0, 1):
                 ep = shalikazeta.ep_factor(sat, triv, j)
                 sval = SymElem.p_power(p, Fraction(2 * j + 1, 2))
-                q_closed = shalikazeta.zeta_parahoric_closed(sat, triv, 0).value
                 q_at_j = q_closed.substitute({"S": sval})
                 prefactor = sval ** n * SymElem.p_power(p, Fraction(-n * n, 2))
                 unit = SymElem.rational(p, Fraction(1 - p) ** n)

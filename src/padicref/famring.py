@@ -146,12 +146,6 @@ class FamSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return FamSeries(self.ring, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def _coerce(self, other) -> "FamSeries":
         if isinstance(other, FamSeries):
             if other.ring is not self.ring:

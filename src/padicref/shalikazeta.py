@@ -13,17 +13,16 @@ Closed forms (any n):
   values assemble into.
 
 Brute-force oracles (n = 1): the Shalika intertwining
-``ag_intertwine_value`` evaluated exactly on the X-integral's balls of
-constancy (one sweep of F(Y) = f[w(1 Y; 0 1) g], valued once per ball on
-which translation by p^c Z_p and scaling by 1 + p^e Z_p keep it constant,
-gives diag(a, 1) g for every nonzero scalar a, which enters only through
-the inducing character and psi), and shell-sum versions of both zeta
-integrals.  The Iwahori one
-takes ramified characters only and reads every zeta shell and unit off
-one sweep at g0.  Truncations certify themselves: for each scalar, the
-twisted sums over the two outermost Y-shells must vanish exactly, and the
-Iwahori zeta tail must vanish exactly on four consecutive shells, else the
-computation refuses to return.
+``ag_intertwine_value``, integrated exactly ball by ball over the balls of
+constancy of F(Y) = f[w(1 Y; 0 1) g] (translation by p^c Z_p, scaling by
+1 + p^e Z_p; psi^{-1}(a Y) integrates over a ball at once), so one sweep
+gives diag(a, 1) g for every nonzero scalar a; and shell-sum versions of
+both zeta integrals.  The Iwahori one takes ramified characters only and
+reads every zeta shell and unit off one sweep at g0.  Truncations certify
+themselves: for each scalar, the twisted sums over the balls of the two
+outermost Y-shells must vanish exactly, and the Iwahori zeta tail must
+vanish exactly on four consecutive shells, else the computation refuses to
+return.
 
 All zeta values are functions of p^s through the formal generator S.
 """
@@ -284,30 +283,30 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
 
         W(diag(a, 1) g) = chi(diag(1, p^v)) p^-v * integral of F(Y) psi^{-1}(a Y) dY,
 
-    chi = delta_B^(1/2) theta^sigma the unramified inducing character.  F
-    is invariant under p^c Z_p, c the conjugation level of g, so on
-    p^-shells Z_p it is constant on the classes Y_k + p^c Z_p, of volume
-    p^-c, with Y_k = k p^-shells, 0 <= k < p^(shells + c).  On a class,
-    psi^{-1}(a Y) is the constant psi^{-1}(a Y_k) if v + c >= 0 and else a
-    nontrivial character of p^c Z_p, whose integral is 0: every W is a
-    finite exact sum over the classes where F is nonzero.  Each a with
-    v + c >= 0 certifies the truncation: its sums over the shells
-    v(Y) = -shells and -shells + 1 must vanish, else TruncationError.  F
-    itself need not vanish there: where the bottom row of g has a unit
-    ratio, w(1 Y; 0 1) g lies in the big cell for every large |Y|.
+    chi = delta_B^(1/2) theta^sigma the unramified inducing character.
 
-    F is also invariant under Y -> u Y for u in 1 + p^e Z_p, e the
-    conjugation level of g at E11 = (1 0; 0 0), by the same definition:
-    (1 uY; 0 1) = diag(u, 1)(1 Y; 0 1) diag(u^-1, 1) and w diag(u, 1) =
-    diag(1, u) w; f is trivial on diag(1, u) in B(Z_p) and right
-    Iw-invariant, and g^-1 diag(u^-1, 1) g = 1 + (u^-1 - 1) g^-1 E11 g lies
-    in Iw.  Here e >= 1, as g^-1 E11 g has trace 1.  So with n = shells +
-    c, F(Y_k) is constant on each ball k + p^min(v_p(k) + e, n) Z of the
-    classes mod p^n.  F is valued once per ball, at k = 0 and at k = p^j t
-    for j < n and each unit t mod p^min(e, n - j): 1 + sum over j < n of
-    phi(p^min(e, n - j)) values instead of p^n (33 instead of 729 at g0,
-    p = 3, beta = 2, shells = 4).  Every class of a ball where F is
-    nonzero takes the ball's value.
+    The same definition makes F constant on balls.  F is invariant under
+    translation by p^c Z_p, c the conjugation level of g at E12 = (0 1; 0 0),
+    and under Y -> u Y for u in 1 + p^e Z_p, e the conjugation level of g
+    at E11 = (1 0; 0 0): (1 uY; 0 1) = diag(u, 1)(1 Y; 0 1) diag(u^-1, 1)
+    and w diag(u, 1) = diag(1, u) w; f is trivial on diag(1, u) in B(Z_p)
+    and right Iw-invariant, and g^-1 diag(u^-1, 1) g = 1 + (u^-1 - 1)
+    g^-1 E11 g lies in Iw.  Here e >= 1, as g^-1 E11 g has trace 1.  So
+    with Y_k = k p^-shells and n = shells + c, F is constant on the balls
+    Y_k + p^(r - shells) Z_p that partition p^-shells Z_p: p^c Z_p (k = 0,
+    r = n), and for j < n and each unit t mod p^min(e, n - j) the ball at
+    k = p^j t with r = j + min(e, n - j), inside the shell v(Y) = j - shells.
+    F is valued once per ball: 1 + sum over j < n of phi(p^min(e, n - j))
+    values (33 at g0, p = 3, beta = 2, shells = 4, for p^n = 729 points Y_k).
+
+    On the ball at k, a Y runs over a Y_k + p^(v + r - shells) Z_p, so
+    psi^{-1}(a Y) integrates to psi^{-1}(a Y_k) p^(shells - r) if v + r >=
+    shells, and else to 0, a nontrivial character integrated over a ball:
+    every W is a finite exact sum over the balls where F is nonzero.  Each
+    a certifies the truncation: its sums over the balls of the shells
+    -shells and -shells + 1 must vanish, else TruncationError.  F itself
+    need not vanish there: where the bottom row of g has a unit ratio,
+    w(1 Y; 0 1) g lies in the big cell for every large |Y|.
 
     Each ball is valued on ints: with g = (top; bottom) / D in the stored
     form of PadicMatrix, z w(1 Y_k; 0 1) g for the central scalar z =
@@ -335,37 +334,37 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     # the balls k + p^r Z mod p^n on which F is constant, by least member k
     balls = [(0, n)] + [(p ** j * t, j + min(e, n - j))
                         for j in range(n) for t in _units(p, min(e, n - j))]
-    nonzero = []
+    # (k, r, F(Y_k) vol(ball)) where F is nonzero: on the shells -shells, 1 - shells, inside
+    rims, inner = ([], []), []
     for k, r in balls:
         val = ps_evaluate_rows(f, (bottom_s, (top0 + k * bottom[0], top1 + k * bottom[1])))
         if not val.is_zero():
-            val = val * unscale
-            nonzero.extend((member, val) for member in range(k, p ** n, p ** r))
-    nonzero.sort(key=lambda kv: kv[0])
-    # (k, F(Y_k)) where F is nonzero: on the shells -shells, -shells + 1, inside
-    rims, inner = ([], []), []
-    for k, val in nonzero:
-        (rims[vp(k, p)] if k % p ** 2 else inner).append((k, val))
+            (rims[vp(k, p)] if k % p ** 2 else inner).append(
+                (k, r, val * unscale * Fraction(p) ** (shells - r)))
     zero = SymElem.rational(p, 0)
 
-    def twisted(classes, u, m):
+    def twisted(balls, u, v):
+        # the integral of F(Y) psi^{-1}(a Y) over the balls: F(Y_k) vol(ball)
+        # psi^{-1}(a Y_k) on each ball with v + r >= shells, 0 on the others;
         # psi^{-1}(a Y_k) = zeta_{p^m}^(-(u k mod p^m)), m = max(shells - v, 0)
-        total = zero
-        for k, val in classes:
-            x = Fraction(residue(-u * k, p, m), p ** m)
-            total = total + val * CycNum.root_of_unity(x.denominator, x.numerator)
+        total, m = zero, max(shells - v, 0)
+        for k, r, val in balls:
+            if v + r >= shells:
+                x = Fraction(residue(-u * k, p, m), p ** m)
+                total = total + (val * CycNum.root_of_unity(x.denominator, x.numerator)
+                                 if x else val)
         return total
 
-    valuations = [int(vp(a, p)) for a in scalars]
-    weights = {v: torus_character_value(f.satake, f.sigma, (0, v))
-               * Fraction(1, p ** (v + c)) for v in set(valuations) if v + c >= 0}
-    out = []
-    for a, v in zip(scalars, valuations):
-        u, m = unit_part(a, p), max(shells - v, 0)
-        if v in weights and not all(twisted(rim, u, m).is_zero() for rim in rims):
+    sums = []
+    for a in scalars:
+        u, v = unit_part(a, p), int(vp(a, p))
+        if not all(twisted(rim, u, v).is_zero() for rim in rims):
             raise TruncationError("outermost Y-shells do not vanish; increase shells")
-        out.append(twisted(inner, u, m) * weights[v] if v in weights else zero)
-    return tuple(out)
+        sums.append((v, twisted(inner, u, v)))
+    # W(diag(a, 1) g) = chi(diag(1, p^v)) p^-v times the integral
+    weights = {v: torus_character_value(f.satake, f.sigma, (0, v)) * Fraction(p) ** -v
+               for v in {v for v, total in sums if not total.is_zero()}}
+    return tuple(total if total.is_zero() else total * weights[v] for v, total in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +515,9 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
     p = f.p
     g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(
         p, [Fraction(p) ** beta, 1])
-    c_out = _conjugation_level(g0, PadicMatrix(p, [[1, 0], [0, 0]]))
-    units = tuple(_units(p, max(c_out, beta)))
+    # g0^-1 E11 g0 = (1 -p^-beta; 0 0), so e(g0) = beta: W(diag(u p^v, 1) g0)
+    # depends on u mod p^beta only, like chi, and averaging over those is exact
+    units = tuple(_units(p, beta))
     count = len(units)
     v_min = -beta - 2
     # one sweep at g0 gives W(diag(u p^v, 1) g0) for every zeta shell v and unit u

@@ -582,8 +582,6 @@ def geometric_tail(first_term: SymElem, ratio: SymElem) -> SymElem:
         raise DivergentSeries("geometric ratio must be a unit monomial")
     if ratio == SymElem.rational(ratio.p, 1):
         raise DivergentSeries("divergent formal series: ratio = 1")
-    if ratio.is_zero():
-        return first_term
     factor = _Poly.const(ratio.p, 1) - ratio.num
     return SymElem(first_term.p, first_term.num,
                    _sorted_factors(first_term.den + (factor,)))

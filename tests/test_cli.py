@@ -110,6 +110,21 @@ class TestRejectedInput:
             "message": f"interp-diagram needs family degree >= {need} "
                        f"at family precision {prec}"}
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--suites", "zeta-iwahori"],
+        ["zeta", "--oracle"],
+    ], ids=["run", "zeta-oracle"])
+    def test_uncertified_truncation_exit_two(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise shalikazeta.TruncationError("outermost Y-shells do not vanish")
+        monkeypatch.setattr(shalikazeta, "ag_intertwine_value", refuse)
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "truncation",
+                                        "message": "outermost Y-shells do not vanish"}
+
     def test_unwritable_out_path_exit_two(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
         code, out, err = _run(["run", "--suites", "spin-enum", "--out",

@@ -405,6 +405,32 @@ class TestIntegerShellPoints:
         assert (c, e) == (2, 2)
         assert len(calls) == 1 + sum(phi[min(e, n - j)] for j in range(n)) == 33
 
+    def test_one_root_per_ball_and_twisted_sum(self, monkeypatch):
+        # the unit bottom ratio g of the certificate test, deep enough that
+        # F is nonzero on large balls: each twisted sum integrates psi over
+        # a ball at once, so it builds at most one root of unity per
+        # nonzero ball, not one per point of the ball
+        p, shells = 3, 6
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        g = PadicMatrix(p, [[Fraction(1, 7), Fraction(2, 3)], [3, Fraction(3, 7)]])
+        (expected,) = ag_intertwine_value(f, g, 3, (1,))
+        roots, nonzero = [], []
+        root_of_unity = CycNum.root_of_unity
+
+        def counted_root(order, power=1):
+            roots.append((order, power))
+            return root_of_unity(order, power)
+
+        def counted_value(*args):
+            value = ps_evaluate_rows(*args)
+            nonzero.append(not value.is_zero())
+            return value
+        monkeypatch.setattr(CycNum, "root_of_unity", staticmethod(counted_root))
+        monkeypatch.setattr(shalikazeta, "ps_evaluate_rows", counted_value)
+        assert ag_intertwine_value(f, g, shells, (1,)) == (expected,)
+        # one scalar: two rim sums and the inner sum
+        assert 0 < sum(nonzero) and len(roots) <= 3 * sum(nonzero)
+
     def test_refuses_a_zero_scalar(self):
         p = 3
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
@@ -535,6 +561,17 @@ class TestZetaOracles:
         zero = PSVector(sat, tau_element(1), {})
         chi = TwistCharacter.enumerate_conductor(p, 1)[0]
         assert zeta_iwahori_oracle(zero, chi, 1, 4).value.is_zero()
+
+    def test_conjugation_levels_of_g0(self):
+        # g0^-1 E12 g0 = (0 p^-beta; 0 0) and g0^-1 E11 g0 = (1 -p^-beta; 0 0):
+        # both levels are beta, so the Iwahori oracle averages over the
+        # units mod p^beta alone
+        for p in (2, 3, 5):
+            for beta in (1, 2):
+                g0 = PadicMatrix(p, [[1, -1], [0, 1]]) \
+                    * PadicMatrix.diagonal(p, [Fraction(p) ** beta, 1])
+                assert _conjugation_level(g0, PadicMatrix(p, [[0, 1], [0, 0]])) == beta
+                assert _conjugation_level(g0, PadicMatrix(p, [[1, 0], [0, 0]])) == beta
 
     def test_iwahori_oracle_refuses_an_unramified_character(self):
         p = 3

@@ -184,6 +184,12 @@ class TestSymElem:
         with pytest.raises(DivergentSeries):
             geometric_tail(SymElem.rational(3, 1), SymElem.rational(3, 1))
 
+    def test_zero_ratio_is_refused(self):
+        # zero is no unit monomial, so it is refused with the other
+        # non-monomial ratios rather than summed as a one-term series
+        with pytest.raises(DivergentSeries):
+            geometric_tail(SymElem.rational(3, 1), SymElem.rational(3, 0))
+
     def test_vanishing_denominator_after_substitution(self):
         _, s, _, x1, _ = gens(3)
         elem = geometric_tail(SymElem.rational(3, 1), x1 / s)
