@@ -350,17 +350,20 @@ def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
 def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
+    # built once, so each character's Gauss sum is computed once per suite
+    chars = {beta: shalikazeta.TwistCharacter.enumerate_conductor(p, beta)
+             for beta in (1, 2)}
     for n in (1, 2):
         sat = refine.SatakeParameter.generic(p, n)
         ref = refine.Refinement(sat, refine.tau_element(n))
 
         def ramified_failures():
             for beta in (1, 2):
-                for chi in shalikazeta.TwistCharacter.enumerate_conductor(p, beta):
+                for chi in chars[beta]:
                     for j in (-1, 0, 1):
-                        lhs = shalikazeta.ep_factor(sat, chi, j) \
-                            / shalikazeta.qprime_factor(chi, j, n)
-                        rhs = refine.hecke_eigenvalue(ref, n) ** (-beta)
+                        lhs = shalikazeta.ep_factor(sat, chi, j)
+                        rhs = refine.hecke_eigenvalue(ref, n) ** (-beta) \
+                            * shalikazeta.qprime_factor(chi, j, n)
                         if lhs != rhs:
                             yield f"chi={chi.label} j={j}: {lhs} != {rhs}"
 
@@ -392,11 +395,11 @@ def suite_comparison(cfg: SuiteConfig, rng: SplitMix64):
     p = cfg.p
     lams = {1: rootspin.GLWeight([1, 0]), 2: rootspin.GLWeight([2, 1, -1, -2])}
     triv = shalikazeta.TwistCharacter.trivial(p)
+    chars = shalikazeta.TwistCharacter.enumerate_conductor(p, 1) \
+        + shalikazeta.TwistCharacter.enumerate_conductor(p, 2)
+    pairs = [(chi, j) for chi in chars[:2] for j in (-1, 0)]
     for n in (1, 2):
         sat = refine.SatakeParameter.generic(p, n)
-        chars = shalikazeta.TwistCharacter.enumerate_conductor(p, 1) \
-            + shalikazeta.TwistCharacter.enumerate_conductor(p, 2)
-        pairs = [(chi, j) for chi in chars[:2] for j in (-1, 0)]
 
         def mismatches(suite):
             try:

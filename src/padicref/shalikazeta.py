@@ -12,6 +12,11 @@ Closed forms (any n):
 * ``ep_factor`` / ``qprime_factor``: the interpolation factors these
   values assemble into.
 
+Identities between closed forms (e_p against Q', and in
+``comparison_constant`` the Iwahori route against the parahoric one) are
+checked by cross-multiplication: no closed form has a reciprocal, and no
+value carrying a Gauss sum tau(chi)^n is divided by.
+
 Brute-force oracles (n = 1): the Shalika intertwining
 ``ag_intertwine_value``, integrated exactly ball by ball over the balls of
 constancy of F(Y) = f[w(1 Y; 0 1) g] (translation by p^c Z_p, scaling by
@@ -426,30 +431,6 @@ def zeta_iwahori_closed(w_base: SymElem, chi: TwistCharacter, beta: int,
     return ZetaResult(value)
 
 
-def _parahoric_factors(satake: SatakeParameter, chi: TwistCharacter,
-                       beta_prime: int):
-    """(c, tops, bottoms), unit monomials with the parahoric zeta value
-    c * prod(1 - t) / prod(1 - b).  With beta = max(1, beta_prime), c is
-    q^(beta n (s - n/2)) chi(det(-w_n)) times p^(-beta n) (p/(p-1))^n
-    tau(chi)^n in the ramified row, which has no Euler factors, and
-    (1 - p)^(-n) in the unramified row, whose tops are theta_i p / p^s and
-    bottoms theta_i / p^s for i = n+1..2n."""
-    p, n = satake.p, satake.n
-    if chi.beta != beta_prime:
-        raise ZetaError("conductor exponent mismatch")
-    beta = max(1, beta_prime)
-    c = SymElem.gen(p, "S", beta * n) \
-        * SymElem.p_power(p, Fraction(-beta * n * n, 2)) \
-        * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
-    if chi.is_ramified:
-        c = c * SymElem.rational(p, Fraction(p) ** (-beta * n)
-                                 * Fraction(p, p - 1) ** n) \
-            * SymElem.from_cyc(p, gauss_sum(chi) ** n)
-        return c, [], []
-    bottoms = [theta * SymElem.gen(p, "S", -1) for theta in satake.theta[n:]]
-    return c * Fraction(1, 1 - p) ** n, [b * p for b in bottoms], bottoms
-
-
 def _euler_quotient(c: SymElem, tops, bottoms) -> SymElem:
     """c * prod(1 - t) / prod(1 - b) for unit monomials c, t and b != 1."""
     for t in tops:
@@ -465,26 +446,26 @@ def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
 
         q^(beta n (s - n/2)) * chi(det(-w_n)) * Q
 
-    where beta = max(1, beta_prime) and Q has a ramified and an
-    unramified row (see _parahoric_factors).
+    where beta = max(1, beta_prime).  Q has two rows: for ramified chi it
+    is the constant p^(-beta n) (p/(p-1))^n tau(chi)^n, with no Euler
+    factors; for trivial chi it is (1 - p)^(-n) times
+    prod over i = n+1..2n of (1 - theta_i p / p^s) / (1 - theta_i / p^s).
     """
-    return ZetaResult(_euler_quotient(*_parahoric_factors(satake, chi, beta_prime)))
-
-
-def zeta_parahoric_reciprocal(satake: SatakeParameter, chi: TwistCharacter,
-                              beta_prime: int) -> SymElem:
-    """1 / zeta_parahoric_closed, from the closed form's factors swapped:
-    c^{-1} * prod(1 - b) / prod(1 - t).
-
-    Needed because the unramified row has a non-monomial numerator, which
-    SymElem cannot invert directly.  Checked against the closed form by
-    multiplication.
-    """
-    c, tops, bottoms = _parahoric_factors(satake, chi, beta_prime)
-    recip = _euler_quotient(c.inverse(), bottoms, tops)
-    if not (recip * zeta_parahoric_closed(satake, chi, beta_prime).value).is_one():
-        raise ZetaError("reciprocal failed its self-check")
-    return recip
+    p, n = satake.p, satake.n
+    if chi.beta != beta_prime:
+        raise ZetaError("conductor exponent mismatch")
+    beta = max(1, beta_prime)
+    c = SymElem.gen(p, "S", beta * n) \
+        * SymElem.p_power(p, Fraction(-beta * n * n, 2)) \
+        * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
+    if chi.is_ramified:
+        c = c * SymElem.rational(p, Fraction(p) ** (-beta * n)
+                                 * Fraction(p, p - 1) ** n) \
+            * SymElem.from_cyc(p, gauss_sum(chi) ** n)
+        return ZetaResult(c)
+    bottoms = [theta * SymElem.gen(p, "S", -1) for theta in satake.theta[n:]]
+    return ZetaResult(_euler_quotient(c * Fraction(1, 1 - p) ** n,
+                                      [b * p for b in bottoms], bottoms))
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +636,13 @@ def _lambda_of_tQ(p: int, lam, power: int) -> SymElem:
 
 
 def comparison_constant(satake: SatakeParameter, lam, pairs):
-    """The ratio of the Iwahori-route and parahoric-route local
-    interpolation values, which must be one and the same element for
-    every (chi, j) in the suite.
+    """The Iwahori-route and parahoric-route local interpolation values
+    (route_i, route_p) of the first (chi, j), once their ratio is checked
+    to be one and the same for every (chi, j) in the suite.
 
+    The ratio is compared by cross-multiplication, route_i_k * route_p_0
+    == route_i_0 * route_p_k, so no value carrying a Gauss sum is divided
+    by; a vanishing route_p has no ratio and is reported as a mismatch.
     The suite must be all-ramified or the singleton/trivial-character
     family (mixed suites compare different normalisations).  The global
     volume constant of the Iwahori route is carried as the formal unit
@@ -672,7 +656,7 @@ def comparison_constant(satake: SatakeParameter, lam, pairs):
     tq_vals = [1] * n + [0] * n
     alpha_circ = _lambda_of_tB(p, lam, 1) * u_p_eigenvalue(ref)
     alpha_q_circ = _lambda_of_tQ(p, lam, 1) * hecke_eigenvalue(ref, n)
-    ratios = []
+    routes = []
     for chi, j in pairs:
         s_value = SymElem.p_power(p, Fraction(2 * j + 1, 2))
         beta = max(1, chi.beta)
@@ -684,13 +668,15 @@ def comparison_constant(satake: SatakeParameter, lam, pairs):
                 * _lambda_of_tB(p, lam, beta) * alpha_circ ** (-beta) * zeta_i
         else:
             route_i = upsilon_b * ep_factor(satake, chi, j)
-        recip_p = zeta_parahoric_reciprocal(satake, chi, chi.beta)
-        recip_p = recip_p.substitute({"S": s_value})
-        route_p_inv = delta_b(p, tq_vals) ** beta \
-            * _lambda_of_tQ(p, lam, -beta) * alpha_q_circ ** beta * recip_p
-        ratios.append((route_i * route_p_inv, (chi, j)))
-    for k in range(1, len(ratios)):
-        if ratios[k][0] != ratios[0][0]:
+        zeta_p = zeta_parahoric_closed(satake, chi, chi.beta).value
+        route_p = delta_b(p, tq_vals) ** (-beta) * _lambda_of_tQ(p, lam, beta) \
+            * alpha_q_circ ** (-beta) * zeta_p.substitute({"S": s_value})
+        if route_p.is_zero():
+            raise ComparisonMismatch(f"the parahoric route vanishes at {(chi, j)}")
+        routes.append((route_i, route_p, (chi, j)))
+    (first_i, first_p, first), *rest = routes
+    for route_i, route_p, pair in rest:
+        if route_i * first_p != first_i * route_p:
             raise ComparisonMismatch("interpolation routes disagree between "
-                                     f"{ratios[0][1]} and {ratios[k][1]}")
-    return ratios[0][0]
+                                     f"{first} and {pair}")
+    return first_i, first_p

@@ -8,7 +8,9 @@ Two layers:
   polynomial adds integer rows of a per-order fold table, and the gcd is
   divided out, so the form is unique and equality is literal equality.
   Different orders coexist and are promoted to a common field (lcm of the
-  orders) on contact.
+  orders) on contact.  Only nonzero rationals invert: identities between
+  values that carry Gauss sums are checked by cross-multiplication, so no
+  irrational value is ever divided by.
 
 * ``SymElem`` -- fractions of Laurent polynomials over CycNum in named
   formal generators.  The generator ``Y`` carries the single relation
@@ -196,24 +198,13 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """1 / self = (product of the other conjugates) / norm.
-
-        The norm, the product of self's images under all zeta -> zeta^k with
-        gcd(k, order) = 1, is a nonzero rational for nonzero self."""
+        """1 / self for a nonzero rational self; an irrational self raises
+        NonUnitDivision (see the module docstring)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        m = self.order
-        if self.is_rational():
-            return CycNum._make(m, [self.den], self.nums[0])
-        rest = CycNum.root_of_unity(m, 0)
-        for k in range(2, m):
-            if math.gcd(k, m) == 1:
-                image = [0] * m
-                for i, c in enumerate(self.nums):
-                    image[i * k % m] += c
-                rest = _product(rest, CycNum._make(m, image, self.den))
-        norm = _product(self, rest)
-        return CycNum._make(m, [c * norm.den for c in rest.nums], rest.den * norm.nums[0])
+        if not self.is_rational():
+            raise NonUnitDivision(f"only rationals invert, not {self}")
+        return CycNum._make(self.order, [self.den], self.nums[0])
 
     def __pow__(self, k: int):
         if k and self.is_rational():

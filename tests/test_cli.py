@@ -11,6 +11,7 @@ import pytest
 from padicref import branchfam, cli, princhecke, refine, rootspin, shalikazeta
 from padicref.cli import main
 from padicref.perms import compose, longest_perm
+from padicref.symring import SymElem
 
 
 def _run(argv, capsys):
@@ -438,6 +439,19 @@ class TestWitnesses:
         assert [c["name"] for c in cases] == ["ramified-ratio-n1", "ramified-ratio-n2"]
         for case in cases:
             assert case["witness"].startswith("chi=chi3^1[1] j=-1: ")
+
+    def test_vanishing_parahoric_route(self, monkeypatch, capsys):
+        # a parahoric route of zero has no ratio to compare: every constancy
+        # case fails, naming the route and its first pair
+        monkeypatch.setattr(shalikazeta, "zeta_parahoric_closed",
+                            lambda sat, chi, beta: shalikazeta.ZetaResult(
+                                SymElem.rational(sat.p, 0)))
+        cases = self._failing(["run", "--suites", "comparison"], capsys)
+        assert [(c["name"], c["witness"]) for c in cases] == [
+            (f"{kind}-constancy-n{n}",
+             f"the parahoric route vanishes at (TwistCharacter({label}), -1)")
+            for n in (1, 2) for kind, label in (("ramified", "chi3^1[1]"),
+                                                ("trivial", 1))]
 
 
 class TestSuiteList:

@@ -22,7 +22,7 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   shalika_support_predicate, w_value_closed,
                                   z_matrix, zeta_iwahori_closed,
                                   zeta_iwahori_oracle, zeta_parahoric_closed,
-                                  zeta_parahoric_oracle, zeta_parahoric_reciprocal)
+                                  zeta_parahoric_oracle)
 from padicref.symring import CycNum, SymElem, geometric_tail
 from padicref.rootspin import GLWeight
 
@@ -321,8 +321,9 @@ class TestIntegerShellPoints:
     def test_twisted_sweep_matches_the_fraction_reference(self):
         # one sweep at g0 with the scalars a = u p^v of the zeta oracle
         # against the reference at diag(a, 1) g0, for v from its two
-        # vanishing guards (v + beta < 0: zero by the class rule) to 1:
-        # every unit mod p^beta at p <= 3, a seeded pair at p = 5
+        # vanishing guards (v + beta < 0: zero because every ball's
+        # psi-integral vanishes, v + r < shells) to 1: every unit mod
+        # p^beta at p <= 3, a seeded pair at p = 5
         rng = make_rng("twisted-sweep")
         for p in (2, 3, 5):
             f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1),
@@ -519,16 +520,6 @@ class TestZetaClosedForms:
             * SymElem.from_cyc(p, chi.of_unit(-1 % p)) * q
         assert res.value == expected
 
-    def test_parahoric_reciprocal(self):
-        for n in (1, 2):
-            sat = SatakeParameter.generic(3, n)
-            for chi in [TwistCharacter.trivial(3)] \
-                    + TwistCharacter.enumerate_conductor(3, 1) \
-                    + TwistCharacter.enumerate_conductor(3, 2):
-                recip = zeta_parahoric_reciprocal(sat, chi, chi.beta)
-                assert recip * zeta_parahoric_closed(sat, chi, chi.beta).value \
-                    == SymElem.rational(3, 1)
-
 
 class TestZetaOracles:
     def test_iwahori_oracle_matches_closed(self):
@@ -647,8 +638,8 @@ class TestInterpolationFactors:
             for beta in (1, 2):
                 for chi in TwistCharacter.enumerate_conductor(3, beta):
                     for j in (-1, 0, 2):
-                        ratio = ep_factor(sat, chi, j) / qprime_factor(chi, j, n)
-                        assert ratio == hecke_eigenvalue(ref, n) ** (-beta)
+                        assert ep_factor(sat, chi, j) \
+                            == hecke_eigenvalue(ref, n) ** (-beta) * qprime_factor(chi, j, n)
 
     def test_unramified_pole(self):
         # theta_2 = p^(1/2) makes the factor 1 - theta_2 / p^(j + 1/2) vanish
@@ -683,35 +674,38 @@ class TestInterpolationFactors:
 
 
 class TestComparison:
+    # comparison_constant returns the two routes of the first pair; their
+    # ratio is the constant, compared here by multiplication
+
     def test_single_pair_trivially_constant(self):
         sat = SatakeParameter.generic(3, 1)
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
-        ratio = comparison_constant(sat, GLWeight([1, 0]), [(chi, 0)])
-        assert not ratio.is_zero()
+        route_i, route_p = comparison_constant(sat, GLWeight([1, 0]), [(chi, 0)])
+        assert not route_i.is_zero() and not route_p.is_zero()
 
     def test_rank_one_ratio_is_formal_unit(self):
         # the local volume factors collapse: the ratio is exactly the
         # formal Iwahori-route unit
         sat = SatakeParameter.generic(3, 1)
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
-        ratio = comparison_constant(sat, GLWeight([1, 0]),
-                                    [(chi, 0), (chi, -1)])
-        assert ratio == SymElem.gen(3, "UB")
+        route_i, route_p = comparison_constant(sat, GLWeight([1, 0]),
+                                               [(chi, 0), (chi, -1)])
+        assert route_i == SymElem.gen(3, "UB") * route_p
 
     def test_constancy_across_conductors(self):
         sat = SatakeParameter.generic(3, 1)
         chis = TwistCharacter.enumerate_conductor(3, 1) \
             + TwistCharacter.enumerate_conductor(3, 2)
         pairs = [(chi, j) for chi in chis for j in (0, -1)]
-        ratio = comparison_constant(sat, GLWeight([1, 0]), pairs)
-        assert ratio == SymElem.gen(3, "UB")
+        route_i, route_p = comparison_constant(sat, GLWeight([1, 0]), pairs)
+        assert route_i == SymElem.gen(3, "UB") * route_p
 
     def test_n2_symbolic(self):
         sat = SatakeParameter.generic(3, 2)
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
         lam = GLWeight([2, 1, -1, -2])
-        ratio = comparison_constant(sat, lam, [(chi, j) for j in (-1, 0, 1)])
-        assert ratio == SymElem.gen(3, "UB") * Fraction(9, 16)
+        route_i, route_p = comparison_constant(sat, lam, [(chi, j) for j in (-1, 0, 1)])
+        assert route_i == SymElem.gen(3, "UB") * Fraction(9, 16) * route_p
 
     def test_trivial_route_constancy(self):
         for n in (1, 2):
