@@ -29,6 +29,10 @@ outermost Y-shells must vanish exactly, and the Iwahori zeta tail must
 vanish exactly on four consecutive shells, else the computation refuses to
 return.
 
+A twisting character is an exponent table, chi(a) = zeta_d^exps[a mod
+p^beta] for d its order, so a Gauss sum and each chi-average of the
+parahoric oracle is one ``CycNum.root_sum``, with no cyclotomic product.
+
 All zeta values are functions of p^s through the formal generator S.
 """
 
@@ -70,42 +74,28 @@ def _units(p: int, level: int):
     return (u for u in range(1, p ** level) if u % p)
 
 
-def _primitive_root(p: int, beta: int) -> int:
-    """A generator of (Z/p^beta)^x for odd p."""
-    m = p ** beta
-    order = m // p * (p - 1)
-    for g in range(2, m):
-        if g % p == 0:
-            continue
-        k, x = 1, g
-        while x != 1:
-            x = x * g % m
-            k += 1
-        if k == order:
-            return g
-    raise ZetaError("no primitive root found")
-
-
 class TwistCharacter:
-    """A finite-order character of Q_p^x with chi(p) = 1.
+    """A finite-order character of Q_p^x with chi(p) = 1, as an exponent
+    table: chi(a) = zeta_order^exps[a mod p^beta] for each unit a.
 
-    ``beta`` is the conductor exponent (0 for the trivial character);
-    ``values`` maps units modulo p^beta to roots of unity.  ``tau`` holds
-    the Gauss sum once ``gauss_sum`` has computed it.
+    ``beta`` is the conductor exponent (0 for the trivial character, whose
+    table is empty); ``order`` is the order of chi.  ``tau`` holds the Gauss
+    sum once ``gauss_sum`` has computed it.
     """
 
-    __slots__ = ("p", "beta", "values", "label", "tau")
+    __slots__ = ("p", "beta", "order", "exps", "label", "tau")
 
-    def __init__(self, p: int, beta: int, values: dict, label: str = ""):
+    def __init__(self, p: int, beta: int, order: int, exps: dict, label: str = ""):
         self.p = p
         self.beta = beta
-        self.values = values
+        self.order = order
+        self.exps = exps
         self.label = label
         self.tau = None
 
     @classmethod
     def trivial(cls, p: int) -> "TwistCharacter":
-        return cls(p, 0, {}, label="1")
+        return cls(p, 0, 1, {}, label="1")
 
     @classmethod
     def enumerate_conductor(cls, p: int, beta: int):
@@ -117,38 +107,38 @@ class TwistCharacter:
                 raise ZetaError("2-adic conductors above 4 are not implemented")
             if beta == 1:
                 return []
-            vals = {1: CycNum.from_rational(1), 3: CycNum.from_rational(-1)}
-            return [cls(2, 2, vals, label="chi4")]
+            return [cls(2, 2, 2, {1: 0, 3: 1}, label="chi4")]
         m = p ** beta
-        units = tuple(_units(p, beta))
-        out = []
         order = m // p * (p - 1)
-        g = _primitive_root(p, beta)
-        logs = {}
-        x = 1
-        for j in range(order):
-            logs[x] = j
-            x = x * g % m
+        # (Z/p^beta)^x is cyclic: logs off the first unit with order distinct powers
+        for g in _units(p, beta):
+            logs = {pow(g, j, m): j for j in range(order)}
+            if len(logs) == order:
+                break
+        out = []
         for k in range(1, order):
             if beta >= 2 and k % p == 0:
                 continue  # factors through level beta - 1
             common = math.gcd(k, order)
             d = order // common
-            vals = {a: CycNum.root_of_unity(d, (k // common) * logs[a] % d)
-                    for a in units}
-            out.append(cls(p, beta, vals, label=f"chi{p}^{beta}[{k}]"))
+            exps = {a: (k // common) * j % d for a, j in logs.items()}
+            out.append(cls(p, beta, d, exps, label=f"chi{p}^{beta}[{k}]"))
         return out
 
     @property
     def is_ramified(self) -> bool:
         return self.beta >= 1
 
-    def of_unit(self, a) -> CycNum:
+    def exponent(self, a) -> int:
+        """The e with chi(a) = zeta_order^e, for a unit a."""
         if self.beta == 0:
-            return CycNum.from_rational(1)
+            return 0
         if vp(a, self.p) != 0:
             raise ZetaError("argument is not a unit")
-        return self.values[residue(a, self.p, self.beta)]
+        return self.exps[residue(a, self.p, self.beta)]
+
+    def of_unit(self, a) -> CycNum:
+        return CycNum.root_of_unity(self.order, self.exponent(a))
 
     def of(self, x) -> CycNum:
         """chi(x) for nonzero rational x; chi(p) = 1 throughout."""
@@ -160,28 +150,25 @@ class TwistCharacter:
 
 def gauss_sum(chi: TwistCharacter) -> CycNum:
     """tau(chi) = sum over units c mod p^beta of chi(c) zeta_{p^beta}^c,
-    computed once per character object."""
+    computed once per character object: with L = lcm(order, p^beta), each
+    term is zeta_L^(exps[c] L / order + c L / p^beta)."""
     if chi.beta < 1:
         raise ZetaError("the trivial character has no Gauss sum here")
     if chi.tau is None:
         m = chi.p ** chi.beta
-        total = CycNum.from_rational(0)
-        for a, val in chi.values.items():
-            total = total + val * CycNum.root_of_unity(m, a)
-        chi.tau = total
+        big = math.lcm(chi.order, m)
+        chi.tau = CycNum.root_sum(big, (e * (big // chi.order) + c * (big // m)
+                                        for c, e in chi.exps.items()))
     return chi.tau
 
 
 def psi_orthogonality(p: int, beta: int, mult: int) -> bool:
     """sum over u mod p^beta of zeta_{p^beta}^{mult*u} vanishes exactly
     when p^beta does not divide mult (the Fourier-vanishing step used by
-    the support reductions).  The sum is the polynomial whose coefficient
-    at e counts the u with mult*u = e mod p^beta, reduced once."""
+    the support reductions).  The sum is one root_sum: the count of each
+    exponent mult*u mod p^beta, reduced once."""
     m = p ** beta
-    counts = [0] * m
-    for u in range(m):
-        counts[mult * u % m] += 1
-    return CycNum(m, counts).is_zero() == (mult % m != 0)
+    return CycNum.root_sum(m, (mult * u for u in range(m))).is_zero() == (mult % m != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +543,12 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
             raise ZetaError("psi-orthogonality re-verification failed")
 
     def shell(v: int) -> CycNum:
-        # the average of chi(u) psi(-u p^(v - beta)) over the units u
+        # the average of chi(u) psi(-u p^(v - beta)) over the units u: one root_sum
         units = tuple(_units(p, max(chi.beta, beta - v, 1)))
         psi_mod = p ** (beta - v)
-        total = CycNum.from_rational(0)
-        for u in units:
-            total = total + chi.of_unit(u) * CycNum.root_of_unity(psi_mod, -u)
+        big = math.lcm(chi.order, psi_mod)
+        total = CycNum.root_sum(big, (chi.exponent(u) * (big // chi.order)
+                                      - u * (big // psi_mod) for u in units))
         return total * Fraction(1, len(units))
 
     # shell v has weight theta_2^v (p^{-s} p)^v p^{-v} = ratio^v

@@ -8,9 +8,10 @@ Two layers:
   polynomial adds integer rows of a per-order fold table, and the gcd is
   divided out, so the form is unique and equality is literal equality.
   Different orders coexist and are promoted to a common field (lcm of the
-  orders) on contact.  Only nonzero rationals invert: identities between
-  values that carry Gauss sums are checked by cross-multiplication, so no
-  irrational value is ever divided by.
+  orders) on contact.  A sum of roots of unity is one ``root_sum``: the
+  count of each exponent, reduced once.  Only nonzero rationals invert:
+  identities between values that carry Gauss sums are checked by
+  cross-multiplication, so no irrational value is ever divided by.
 
 * ``SymElem`` -- fractions of Laurent polynomials over CycNum in named
   formal generators.  The generator ``Y`` carries the single relation
@@ -139,6 +140,14 @@ class CycNum:
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "CycNum":
         return cls._make(order, [0] * (power % order) + [1], 1)
+
+    @classmethod
+    def root_sum(cls, order: int, exponents) -> "CycNum":
+        """The sum of zeta_order^e over the exponents e, with multiplicity."""
+        counts = [0] * order
+        for e in exponents:
+            counts[e % order] += 1
+        return cls._make(order, counts, 1)
 
     # -- coercion
 

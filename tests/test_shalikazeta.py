@@ -28,10 +28,9 @@ from padicref.rootspin import GLWeight
 
 
 def _conjugate(chi: TwistCharacter) -> TwistCharacter:
-    """The complex conjugate character, a -> chi(a^{-1})."""
-    m = chi.p ** chi.beta
-    return TwistCharacter(chi.p, chi.beta,
-                          {a: chi.of_unit(pow(a, -1, m)) for a in chi.values})
+    """The complex conjugate character, a -> chi(a)^{-1}: the exponents negated."""
+    return TwistCharacter(chi.p, chi.beta, chi.order,
+                          {a: -e % chi.order for a, e in chi.exps.items()})
 
 
 class TestCharacters:
@@ -41,6 +40,10 @@ class TestCharacters:
         assert TwistCharacter.enumerate_conductor(2, 1) == []
         assert len(TwistCharacter.enumerate_conductor(2, 2)) == 1
         assert len(TwistCharacter.enumerate_conductor(5, 1)) == 3
+        # 2 is no primitive root mod 7: the generator search goes past it
+        assert len(TwistCharacter.enumerate_conductor(5, 2)) == 16
+        assert len(TwistCharacter.enumerate_conductor(7, 1)) == 5
+        assert len(TwistCharacter.enumerate_conductor(7, 2)) == 36
 
     def test_two_adic_conductor_eight_is_rejected(self):
         with pytest.raises(ZetaError):
@@ -77,10 +80,24 @@ class TestGaussSums:
 
     def test_magnitude(self):
         # tau(chi) tau(chibar) = chi(-1) p^beta
-        for p, beta in ((3, 1), (3, 2), (2, 2), (5, 1)):
+        for p, beta in ((3, 1), (3, 2), (2, 2), (5, 1), (5, 2), (7, 1), (7, 2)):
             for chi in TwistCharacter.enumerate_conductor(p, beta):
                 assert gauss_sum(chi) * gauss_sum(_conjugate(chi)) \
                     == chi.of_unit(-1 % p ** beta) * CycNum.from_rational(p ** beta)
+
+    def test_no_cyclotomic_product(self, monkeypatch):
+        # each Gauss sum is one count vector of exponents, reduced once
+        products = []
+        mul = CycNum.__mul__
+
+        def counted_mul(a, b):
+            products.append((a, b))
+            return mul(a, b)
+        monkeypatch.setattr(CycNum, "__mul__", counted_mul)
+        for p, beta in ((2, 2), (3, 2), (5, 2), (7, 2)):
+            for chi in TwistCharacter.enumerate_conductor(p, beta):
+                gauss_sum(chi)
+        assert products == []
 
     def test_computed_once_per_character(self):
         chi = TwistCharacter.enumerate_conductor(5, 2)[3]

@@ -28,6 +28,20 @@ class TestCycNum:
         z3, z4 = CycNum.root_of_unity(3), CycNum.root_of_unity(4)
         assert z3 * z4 == CycNum.root_of_unity(12, 7)
 
+    def test_root_sum_adds_the_roots(self):
+        # negative exponents, exponents past the order, repeats and the
+        # empty sum (zero) against adding root_of_unity values one by one
+        rng = make_rng("root-sum")
+        for order in range(1, 61):
+            exponents = [rng.randint(-3 * order, 3 * order)
+                         for _ in range(rng.randint(0, 12))]
+            total = CycNum.from_rational(0)
+            for e in exponents:
+                total = total + CycNum.root_of_unity(order, e)
+            value = CycNum.root_sum(order, exponents)
+            assert value.order == order and value == total
+            assert CycNum.root_sum(order, []).is_zero()
+
     def test_inverse_fuzz(self):
         # rationals invert; an irrational value is refused
         rng = make_rng("cyc-inv")
