@@ -149,7 +149,7 @@ def suite_weyl_transfer(cfg: SuiteConfig, rng: SplitMix64):
         def unequivariant():
             for w, sig in jw.items():
                 for i in range(n + 1):
-                    mu = rootspin.GSpinWeight([1 if k == i else 0 for k in range(n + 1)])
+                    mu = tuple(1 if k == i else 0 for k in range(n + 1))
                     lhs = rootspin.jmap_weight(w.act_weight(mu))
                     rhs = rootspin.jmap_weight(mu).act(sig)
                     if lhs != rhs:
@@ -393,7 +393,6 @@ def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
 def suite_comparison(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
-    lams = {1: rootspin.GLWeight([1, 0]), 2: rootspin.GLWeight([2, 1, -1, -2])}
     triv = shalikazeta.TwistCharacter.trivial(p)
     chars = shalikazeta.TwistCharacter.enumerate_conductor(p, 1) \
         + shalikazeta.TwistCharacter.enumerate_conductor(p, 2)
@@ -403,7 +402,7 @@ def suite_comparison(cfg: SuiteConfig, rng: SplitMix64):
 
         def mismatches(suite):
             try:
-                shalikazeta.comparison_constant(sat, lams[n], suite)
+                shalikazeta.comparison_constant(sat, suite)
             except shalikazeta.ComparisonMismatch as exc:
                 yield str(exc)
 

@@ -3,7 +3,8 @@
 Weights of the GL(2n) torus are integer (or half-integer) vectors of
 length 2n acted on by S_{2n} via (lam^sigma)_i = lam_{sigma(i)}.  A weight
 is pure when lam_i + lam_{2n+1-i} is a single constant sw.  On the GSpin
-side the character lattice has basis f_0, ..., f_n, with Weyl group
+side weights and cocharacters are coordinate tuples (c0, c1, ..., cn)
+in the bases f_0, ..., f_n and f_0^*, ..., f_n^*, with Weyl group
 {+-1}^n x| S_n: signed permutations (perm, signs), composed by
 (a*b).perm = a.perm o b.perm, (a*b).signs[i] = b.signs[i] * a.signs[b.perm[i]],
 and acting through the explicit formulas of WeylGSpin.
@@ -63,9 +64,6 @@ class GLWeight:
     def act(self, sigma: tuple) -> "GLWeight":
         return GLWeight(act_cochar_gl(self.entries, sigma))
 
-    def pair(self, cochar: tuple) -> Fraction:
-        return sum(a * Fraction(b) for a, b in zip(self.entries, cochar))
-
     def __eq__(self, other):
         return isinstance(other, GLWeight) and self.entries == other.entries
 
@@ -74,28 +72,6 @@ class GLWeight:
 
     def __repr__(self):
         return f"GLWeight{self.entries}"
-
-
-class GSpinWeight:
-    """Coordinates (c0, c1, ..., cn) with respect to f_0, f_1, ..., f_n."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(Fraction(x) for x in coords)
-
-    @property
-    def n(self):
-        return len(self.coords) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, GSpinWeight) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"GSpinWeight{self.coords}"
 
 
 def regular_pure_weight(n: int) -> GLWeight:
@@ -136,12 +112,11 @@ class WeylGSpin:
     def n(self):
         return len(self.perm)
 
-    def act_weight(self, mu: GSpinWeight) -> GSpinWeight:
-        c = mu.coords
-        out = [c[0]] * (self.n + 1)
+    def act_weight(self, mu: tuple) -> tuple:
+        out = [mu[0]] * (self.n + 1)
         for i, (k, s) in enumerate(zip(self.perm, self.signs)):
-            out[k + 1] = c[i + 1] if s == 1 else c[0] - c[i + 1]
-        return GSpinWeight(out)
+            out[k + 1] = mu[i + 1] if s == 1 else mu[0] - mu[i + 1]
+        return tuple(out)
 
     def act_cochar(self, nu: tuple) -> tuple:
         out = [nu[0]] * (self.n + 1)
@@ -180,15 +155,15 @@ def all_weyl_gspin(n: int):
 # transfer maps
 
 
-def jmap_weight(mu: GSpinWeight) -> GLWeight:
+def jmap_weight(mu: tuple) -> GLWeight:
     """f_i -> e_i - e_{2n-i+1}, f_0 -> e_{n+1} + ... + e_{2n}."""
-    n = mu.n
+    n = len(mu) - 1
     lam = [Fraction(0)] * (2 * n)
     for i in range(1, n + 1):
-        lam[i - 1] += mu.coords[i]
-        lam[2 * n - i] -= mu.coords[i]
+        lam[i - 1] += mu[i]
+        lam[2 * n - i] -= mu[i]
     for k in range(n, 2 * n):
-        lam[k] += mu.coords[0]
+        lam[k] += mu[0]
     return GLWeight(lam)
 
 
@@ -225,17 +200,13 @@ def jvee_weyl(sigma: tuple) -> WeylGSpin:
 
 
 def jvee_cochar(nu: tuple) -> tuple:
-    """Sum over i of <jmap(f_i), nu> f_i^*, for nu a GL cocharacter."""
+    """The GSpin cocharacter sum over i of <jmap(f_i), nu> f_i^*: the f_0^*
+    coordinate is nu_{n+1} + ... + nu_{2n}, the f_i^* one nu_i - nu_{2n+1-i}."""
     m = len(nu)
     if m % 2:
         raise RootDataError("cocharacter must have even length")
     n = m // 2
-    out = []
-    for i in range(n + 1):
-        basis = [Fraction(0)] * (n + 1)
-        basis[i] = Fraction(1)
-        out.append(jmap_weight(GSpinWeight(basis)).pair(nu))
-    return tuple(out)
+    return (sum(nu[n:]),) + tuple(nu[i] - nu[m - 1 - i] for i in range(n))
 
 
 def act_cochar_gl(nu: tuple, sigma: tuple) -> tuple:

@@ -610,19 +610,7 @@ class ComparisonMismatch(ZetaError):
     pass
 
 
-def _lambda_of_tB(p: int, lam, power: int) -> SymElem:
-    m = len(lam.entries)
-    e = sum(lam.entries[i] * (m - 1 - i) for i in range(m))
-    return SymElem.p_power(p, e * power)
-
-
-def _lambda_of_tQ(p: int, lam, power: int) -> SymElem:
-    n = len(lam.entries) // 2
-    e = sum(lam.entries[:n])
-    return SymElem.p_power(p, e * power)
-
-
-def comparison_constant(satake: SatakeParameter, lam, pairs):
+def comparison_constant(satake: SatakeParameter, pairs):
     """The Iwahori-route and parahoric-route local interpolation values
     (route_i, route_p) of the first (chi, j), once their ratio is checked
     to be one and the same for every (chi, j) in the suite.
@@ -635,14 +623,18 @@ def comparison_constant(satake: SatakeParameter, lam, pairs):
     volume constant of the Iwahori route is carried as the formal unit
     generator UB; the parahoric route's is normalised to 1, so only the
     ratio of the two is meaningful, and its constancy is the content.
+
+    The paper's integral normalisations alpha_circ = lambda(t) alpha of the
+    U_p-eigenvalues enter each route as lambda(t)^beta alpha_circ^(-beta) =
+    alpha^(-beta), so no weight lambda is needed:
+        route_i = UB (delta_B(t_B) alpha_p)^(-beta) Z_Iw,
+        route_p = (delta_B(t_Q) alpha_{p,n})^(-beta) Z_par.
     """
     p, n = satake.p, satake.n
     ref = Refinement(satake, tau_element(n))
     upsilon_b = SymElem.gen(p, "UB")
-    tb_vals = list(range(2 * n - 1, -1, -1))
-    tq_vals = [1] * n + [0] * n
-    alpha_circ = _lambda_of_tB(p, lam, 1) * u_p_eigenvalue(ref)
-    alpha_q_circ = _lambda_of_tQ(p, lam, 1) * hecke_eigenvalue(ref, n)
+    scale_b = delta_b(p, range(2 * n - 1, -1, -1)) * u_p_eigenvalue(ref)
+    scale_q = delta_b(p, [1] * n + [0] * n) * hecke_eigenvalue(ref, n)
     routes = []
     for chi, j in pairs:
         s_value = SymElem.p_power(p, Fraction(2 * j + 1, 2))
@@ -651,13 +643,11 @@ def comparison_constant(satake: SatakeParameter, lam, pairs):
             zeta_i = zeta_iwahori_closed(w_value_closed(satake, beta, n),
                                          chi, beta, n, satake.eta).value
             zeta_i = zeta_i.substitute({"S": s_value})
-            route_i = upsilon_b * delta_b(p, tb_vals) ** (-beta) \
-                * _lambda_of_tB(p, lam, beta) * alpha_circ ** (-beta) * zeta_i
+            route_i = upsilon_b * scale_b ** (-beta) * zeta_i
         else:
             route_i = upsilon_b * ep_factor(satake, chi, j)
         zeta_p = zeta_parahoric_closed(satake, chi, chi.beta).value
-        route_p = delta_b(p, tq_vals) ** (-beta) * _lambda_of_tQ(p, lam, beta) \
-            * alpha_q_circ ** (-beta) * zeta_p.substitute({"S": s_value})
+        route_p = scale_q ** (-beta) * zeta_p.substitute({"S": s_value})
         if route_p.is_zero():
             raise ComparisonMismatch(f"the parahoric route vanishes at {(chi, j)}")
         routes.append((route_i, route_p, (chi, j)))

@@ -199,25 +199,26 @@ def test_environment_guard():
     assert environment_reads(source) == [2, 3, 4]
 
 
-def _names(tree) -> Counter:
-    """Identifiers a syntax tree names: loaded or stored names, attributes,
-    imported names, and the parts of strings that are dotted identifiers."""
+def _names(tree, bare: bool = True) -> Counter:
+    """Identifiers a syntax tree names: attributes and the parts of strings
+    that are dotted identifiers, and with ``bare`` also loaded or stored
+    names and imported names."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name.split(".")[-1]] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and DOTTED.fullmatch(node.value)):
             out.update(node.value.split("."))
+        elif bare and isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif bare and isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
     return out
 
 
-def _is_dead(node, name: str, named: Counter) -> bool:
-    return named[name] == _names(node)[name]
+def _is_dead(node, name: str, named: Counter, bare: bool = True) -> bool:
+    return named[name] == _names(node, bare)[name]
 
 
 def _is_dunder(name: str) -> bool:
@@ -231,16 +232,20 @@ def dead_definitions(modules: dict, referrers: dict) -> list:
     outside the definition itself.
 
     Both arguments map a label to source text; ``referrers`` includes the
-    modules themselves.  The guard matches names, not bindings, so a dead
-    method that shares its name with a live one anywhere (a method ``scale``
-    on one class while another class's ``scale`` is called) escapes it.
+    modules themselves.  A method is kept alive only by an attribute access
+    or a dotted string, not by a bare name, so a local variable that shares
+    a method's name does not hide it.  The guard matches names, not
+    bindings, so a dead method that shares its name with a live one anywhere
+    (a method ``scale`` on one class while another class's ``scale`` is
+    called) escapes it.
     """
     trees = {label: ast.parse(text) for label, text in referrers.items()}
     for label, text in modules.items():
         trees.setdefault(label, ast.parse(text))
-    named = Counter()
+    named, accessed = Counter(), Counter()
     for tree in trees.values():
         named.update(_names(tree))
+        accessed.update(_names(tree, bare=False))
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for label in modules:
@@ -256,7 +261,7 @@ def dead_definitions(modules: dict, referrers: dict) -> list:
                 continue
             for item in node.body:
                 if isinstance(item, functions) and not _is_dunder(item.name) \
-                        and _is_dead(item, item.name, named):
+                        and _is_dead(item, item.name, accessed, bare=False):
                     out.append((label, f"{node.name}.{item.name}"))
     return sorted(out)
 
@@ -280,7 +285,9 @@ def test_dead_definition_guard():
               "class Kept:\n    def __init__(self):\n        self.k = 1\n"
               "    def get(self):\n        return self.k\n"
               "    def unused(self):\n        return self.get()\n")
-    other = "TARGETS = ('mod.traced',)\nVALUE = Kept().get()\n"
+    # the loop variable "unused" is a bare name: it keeps no method alive
+    other = ("TARGETS = ('mod.traced',)\nVALUE = Kept().get()\n"
+             "for unused in range(2):\n    VALUE += unused\n")
     refs = {"mod": module, "other": other}
     assert dead_definitions({"mod": module}, refs) \
         == [("mod", "Kept.unused"), ("mod", "Lonely"), ("mod", "Lonely.make"),

@@ -24,7 +24,6 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   zeta_iwahori_oracle, zeta_parahoric_closed,
                                   zeta_parahoric_oracle)
 from padicref.symring import CycNum, SymElem, geometric_tail
-from padicref.rootspin import GLWeight
 
 
 def _conjugate(chi: TwistCharacter) -> TwistCharacter:
@@ -697,7 +696,7 @@ class TestComparison:
     def test_single_pair_trivially_constant(self):
         sat = SatakeParameter.generic(3, 1)
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
-        route_i, route_p = comparison_constant(sat, GLWeight([1, 0]), [(chi, 0)])
+        route_i, route_p = comparison_constant(sat, [(chi, 0)])
         assert not route_i.is_zero() and not route_p.is_zero()
 
     def test_rank_one_ratio_is_formal_unit(self):
@@ -705,8 +704,7 @@ class TestComparison:
         # formal Iwahori-route unit
         sat = SatakeParameter.generic(3, 1)
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
-        route_i, route_p = comparison_constant(sat, GLWeight([1, 0]),
-                                               [(chi, 0), (chi, -1)])
+        route_i, route_p = comparison_constant(sat, [(chi, 0), (chi, -1)])
         assert route_i == SymElem.gen(3, "UB") * route_p
 
     def test_constancy_across_conductors(self):
@@ -714,28 +712,26 @@ class TestComparison:
         chis = TwistCharacter.enumerate_conductor(3, 1) \
             + TwistCharacter.enumerate_conductor(3, 2)
         pairs = [(chi, j) for chi in chis for j in (0, -1)]
-        route_i, route_p = comparison_constant(sat, GLWeight([1, 0]), pairs)
+        route_i, route_p = comparison_constant(sat, pairs)
         assert route_i == SymElem.gen(3, "UB") * route_p
 
     def test_n2_symbolic(self):
         sat = SatakeParameter.generic(3, 2)
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
-        lam = GLWeight([2, 1, -1, -2])
-        route_i, route_p = comparison_constant(sat, lam, [(chi, j) for j in (-1, 0, 1)])
+        route_i, route_p = comparison_constant(sat, [(chi, j) for j in (-1, 0, 1)])
         assert route_i == SymElem.gen(3, "UB") * Fraction(9, 16) * route_p
 
     def test_trivial_route_constancy(self):
         for n in (1, 2):
             sat = SatakeParameter.generic(3, n)
-            lam = GLWeight([1, 0]) if n == 1 else GLWeight([2, 1, -1, -2])
             triv = TwistCharacter.trivial(3)
-            comparison_constant(sat, lam, [(triv, j) for j in (-1, 0, 1)])
+            comparison_constant(sat, [(triv, j) for j in (-1, 0, 1)])
 
     def test_mismatch_is_reported(self):
-        # a deliberately inconsistent suite: compare a ramified pair against
-        # a hand-corrupted one by mixing routes through different weights
+        # a deliberately inconsistent suite: a ramified pair and a trivial
+        # one, whose routes carry different normalisations
         sat = SatakeParameter.generic(3, 1)
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
         triv = TwistCharacter.trivial(3)
         with pytest.raises(ComparisonMismatch):
-            comparison_constant(sat, GLWeight([1, 0]), [(chi, 0), (triv, 0)])
+            comparison_constant(sat, [(chi, 0), (triv, 0)])
