@@ -21,17 +21,19 @@ Brute-force oracles (n = 1): the Shalika intertwining
 ``ag_intertwine_value``, integrated exactly ball by ball over the balls of
 constancy of F(Y) = f[w(1 Y; 0 1) g] (translation by p^c Z_p, scaling by
 1 + p^e Z_p; psi^{-1}(a Y) integrates over a ball at once), so one sweep
-gives diag(a, 1) g for every nonzero scalar a; and shell-sum versions of
-both zeta integrals.  The Iwahori one takes ramified characters only and
-reads every zeta shell and unit off one sweep at g0.  Truncations certify
-themselves: for each scalar, the twisted sums over the balls of the two
-outermost Y-shells must vanish exactly, and the Iwahori zeta tail must
-vanish exactly on four consecutive shells, else the computation refuses to
-return.
+values finite combinations sum c_a W(diag(a, 1) g), one CycNum per nonzero
+ball; and shell-sum versions of both zeta integrals.  The Iwahori one
+takes ramified characters only and reads each zeta shell off one sweep at
+g0, as the combination {u p^v: chi(u) / phi(p^beta)} over the units u.
+Truncations certify themselves: for each scalar, the twisted sums over the
+balls of the two outermost Y-shells must vanish exactly, and the Iwahori
+zeta tail must vanish exactly on four consecutive shells, else the
+computation refuses to return.
 
 A twisting character is an exponent table, chi(a) = zeta_d^exps[a mod
-p^beta] for d its order, so a Gauss sum and each chi-average of the
-parahoric oracle is one ``CycNum.root_sum``, with no cyclotomic product.
+p^beta] for d its order, so a Gauss sum, each chi-average of the parahoric
+oracle and each ball of an Iwahori zeta shell is one ``CycNum.root_sum``,
+with no cyclotomic product.
 
 All zeta values are functions of p^s through the formal generator S.
 """
@@ -258,9 +260,11 @@ def _conjugation_level(g: PadicMatrix, elem: PadicMatrix) -> int:
 
 
 def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
-                        scalars) -> tuple:
-    """The Shalika intertwining W at diag(a, 1) g, n = 1, for each nonzero
-    rational a in ``scalars`` (a = 0 raises ZetaError), as a tuple:
+                        combinations) -> tuple:
+    """The Shalika intertwining W, n = 1, at finite combinations of the
+    points diag(a, 1) g: for each dict {(u, v): c} of coefficients c (int,
+    Fraction or CycNum) at scalars a = u p^v, u an integer prime to p (else,
+    as for a = 0, ZetaError), the sum of c W(diag(a, 1) g), as a tuple.
 
         W(h) = integral over k in Z_p^x, X in Q_p of
             f[w(1 X; 0 1)(k 0; 0 k) h] psi^{-1}(X) eta^{-1}(k),  w = (0 1; 1 0)
@@ -268,14 +272,16 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     with vol(Z_p^x) = vol(Z_p) = 1; the k-factor is the central scalar k*1_2
     and eta is unramified, so the k-integral contributes 1.
 
-    One sweep of F(Y) = f[w(1 Y; 0 1) g] serves every a = u p^v, u a unit.
-    As (1 X; 0 1) diag(a, 1) = diag(a, 1)(1 X/a; 0 1), w diag(a, 1) =
+    One sweep of F(Y) = f[w(1 Y; 0 1) g] serves every scalar.  As
+    (1 X; 0 1) diag(a, 1) = diag(a, 1)(1 X/a; 0 1), w diag(a, 1) =
     diag(1, a) w and dX = p^-v dY for X = a Y, the definition of the
     induced representation alone (no support lemma, no Gauss sum) gives
 
         W(diag(a, 1) g) = chi(diag(1, p^v)) p^-v * integral of F(Y) psi^{-1}(a Y) dY,
 
-    chi = delta_B^(1/2) theta^sigma the unramified inducing character.
+    chi = delta_B^(1/2) theta^sigma the unramified inducing character.  The
+    weight chi(diag(1, p^v)) p^-v is a character of v: it is step^v, with
+    step = chi(diag(1, p)) / p.
 
     The same definition makes F constant on balls.  F is invariant under
     translation by p^c Z_p, c the conjugation level of g at E12 = (0 1; 0 0),
@@ -294,11 +300,16 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     On the ball at k, a Y runs over a Y_k + p^(v + r - shells) Z_p, so
     psi^{-1}(a Y) integrates to psi^{-1}(a Y_k) p^(shells - r) if v + r >=
     shells, and else to 0, a nontrivial character integrated over a ball:
-    every W is a finite exact sum over the balls where F is nonzero.  Each
-    a certifies the truncation: its sums over the balls of the shells
-    -shells and -shells + 1 must vanish, else TruncationError.  F itself
-    need not vanish there: where the bottom row of g has a unit ratio,
-    w(1 Y; 0 1) g lies in the big cell for every large |Y|.
+    every W is a finite exact sum over the balls where F is nonzero.  By
+    linearity the scalars of one valuation v in a combination are integrated
+    at once: a nonzero ball gives F(Y_k) vol(ball) times one CycNum, the sum
+    of c psi^{-1}(u p^v Y_k), whose roots of unity all have the order p^m /
+    gcd(k, p^m), m = max(shells - v, 0).  Yet each scalar certifies the
+    truncation on its own, whatever the rest of its combination: its sums
+    over the balls of the shells -shells and -shells + 1 must vanish, else
+    TruncationError.  F itself need not vanish there: where the bottom row
+    of g has a unit ratio, w(1 Y; 0 1) g lies in the big cell for every
+    large |Y|.
 
     Each ball is valued on ints: with g = (top; bottom) / D in the stored
     form of PadicMatrix, z w(1 Y_k; 0 1) g for the central scalar z =
@@ -313,8 +324,8 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     if shells < 2:
         raise TruncationError("shells must be >= 2 to certify the truncation")
     p = f.p
-    if any(a == 0 for a in scalars):
-        raise ZetaError("the scalars must be nonzero")
+    if any(u % p == 0 for combination in combinations for u, _ in combination):
+        raise ZetaError("the scalars must be u p^v with u an integer prime to p")
     c = _conjugation_level(g, PadicMatrix(p, [[0, 1], [0, 0]]))
     e = _conjugation_level(g, PadicMatrix(p, [[1, 0], [0, 0]]))
     d, (top, bottom) = g.den, g.nums
@@ -335,28 +346,34 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
                 (k, r, val * unscale * Fraction(p) ** (shells - r)))
     zero = SymElem.rational(p, 0)
 
-    def twisted(balls, u, v):
-        # the integral of F(Y) psi^{-1}(a Y) over the balls: F(Y_k) vol(ball)
-        # psi^{-1}(a Y_k) on each ball with v + r >= shells, 0 on the others;
-        # psi^{-1}(a Y_k) = zeta_{p^m}^(-(u k mod p^m)), m = max(shells - v, 0)
-        total, m = zero, max(shells - v, 0)
+    def twisted(balls, v, terms):
+        # the integral of F(Y) sum c psi^{-1}(u p^v Y) over the terms (u, c):
+        # F(Y_k) vol(ball) sum c zeta_(p^m / q)^(-u k / q), q = gcd(k, p^m)
+        total, pm = zero, p ** max(shells - v, 0)
+        units, coeffs = zip(*terms)
         for k, r, val in balls:
             if v + r >= shells:
-                x = Fraction(residue(-u * k, p, m), p ** m)
-                total = total + (val * CycNum.root_of_unity(x.denominator, x.numerator)
-                                 if x else val)
+                q = math.gcd(k, pm)
+                coeff = CycNum.root_sum(pm // q, [-u * k // q for u in units], coeffs)
+                if not coeff.is_zero():
+                    total = total + val * coeff
         return total
 
-    sums = []
-    for a in scalars:
-        u, v = unit_part(a, p), int(vp(a, p))
-        if not all(twisted(rim, u, v).is_zero() for rim in rims):
-            raise TruncationError("outermost Y-shells do not vanish; increase shells")
-        sums.append((v, twisted(inner, u, v)))
-    # W(diag(a, 1) g) = chi(diag(1, p^v)) p^-v times the integral
-    weights = {v: torus_character_value(f.satake, f.sigma, (0, v)) * Fraction(p) ** -v
-               for v in {v for v, total in sums if not total.is_zero()}}
-    return tuple(total if total.is_zero() else total * weights[v] for v, total in sums)
+    step = torus_character_value(f.satake, f.sigma, (0, 1)) * Fraction(1, p)
+    values = []
+    for combination in combinations:
+        by_valuation = {}
+        for (u, v), coeff in combination.items():
+            if not all(twisted(rim, v, ((u, 1),)).is_zero() for rim in rims):
+                raise TruncationError("outermost Y-shells do not vanish; increase shells")
+            by_valuation.setdefault(v, []).append((u, coeff))
+        total = zero
+        for v, terms in by_valuation.items():
+            value = twisted(inner, v, terms)
+            if not value.is_zero():
+                total = total + value * step ** v
+        values.append(total)
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +503,15 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
     # g0^-1 E11 g0 = (1 -p^-beta; 0 0), so e(g0) = beta: W(diag(u p^v, 1) g0)
     # depends on u mod p^beta only, like chi, and averaging over those is exact
     units = tuple(_units(p, beta))
-    count = len(units)
     v_min = -beta - 2
-    # one sweep at g0 gives W(diag(u p^v, 1) g0) for every zeta shell v and unit u
-    values = ag_intertwine_value(
-        f, g0, shells, [Fraction(u) * Fraction(p) ** v
-                        for v in range(v_min, 5 + shells) for u in units])
-
-    def shell_value(v: int) -> SymElem:
-        row = values[(v - v_min) * count:(v - v_min + 1) * count]
-        return sum((w * chi.of_unit(u) for u, w in zip(units, row) if not w.is_zero()),
-                   SymElem.rational(p, 0)) * Fraction(1, count)
+    # one sweep at g0 gives every zeta shell v, the average of
+    # W(diag(u p^v, 1) g0) chi(u) over the units u, as one combination
+    coeffs = {u: chi.of_unit(u) * Fraction(1, len(units)) for u in units}
+    shell = ag_intertwine_value(f, g0, shells, [{(u, v): x for u, x in coeffs.items()}
+                                                for v in range(v_min, 5 + shells)])
 
     for v in (v_min, v_min + 1):
-        if not shell_value(v).is_zero():
+        if not shell[v - v_min].is_zero():
             raise TruncationError(
                 "zeta shell below the twisted support does not vanish")
 
@@ -507,7 +519,7 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
     total = SymElem.rational(p, 0)
     zeros = 0
     for v in range(-beta, 5 + shells):
-        value = shell_value(v)
+        value = shell[v - v_min]
         zeros = zeros + 1 if value.is_zero() else 0
         total = total + value * s_inv ** v
         if v >= 3 and zeros >= 4:

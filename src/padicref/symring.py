@@ -8,8 +8,10 @@ Two layers:
   polynomial adds integer rows of a per-order fold table, and the gcd is
   divided out, so the form is unique and equality is literal equality.
   Different orders coexist and are promoted to a common field (lcm of the
-  orders) on contact.  A sum of roots of unity is one ``root_sum``: the
-  count of each exponent, reduced once.  Only nonzero rationals invert:
+  orders) on contact; a rational factor (int, Fraction or order 1) only
+  scales the numerators, with no promotion.  A sum of roots of unity, with
+  coefficients or without, is one ``root_sum``: one integer vector, reduced
+  once.  Only nonzero rationals invert:
   identities between values that carry Gauss sums are checked by
   cross-multiplication, so no irrational value is ever divided by.
 
@@ -20,7 +22,8 @@ Two layers:
   auxiliary unit symbols) is free.  Denominators are kept factored as
   products of terms (1 - unit monomial), sorted by repr; all come from
   ``geometric_tail``, so they stay sparse and equality can be decided by
-  cross-multiplication.  Powers and substitution take unit monomials only,
+  cross-multiplication.  A constant factor scales the coefficients and
+  keeps the keys.  Powers and substitution take unit monomials only,
   which is all the local theory needs (S -> p^(j + 1/2)).
 """
 
@@ -142,12 +145,25 @@ class CycNum:
         return cls._make(order, [0] * (power % order) + [1], 1)
 
     @classmethod
-    def root_sum(cls, order: int, exponents) -> "CycNum":
-        """The sum of zeta_order^e over the exponents e, with multiplicity."""
-        counts = [0] * order
-        for e in exponents:
-            counts[e % order] += 1
-        return cls._make(order, counts, 1)
+    def root_sum(cls, order: int, exponents, coeffs=None) -> "CycNum":
+        """The sum of c zeta_order^e over the exponents e, with multiplicity,
+        for c = 1 or the matching entry of ``coeffs`` (rationals or CycNums),
+        in Q(zeta_L), L = lcm(order, orders of the c): the numerators of each
+        c are shifted into one integer vector, reduced once."""
+        if coeffs is None:
+            counts = [0] * order
+            for e in exponents:
+                counts[e % order] += 1
+            return cls._make(order, counts, 1)
+        coeffs = [_as_cyc(c) for c in coeffs]
+        big = math.lcm(order, *(c.order for c in coeffs))
+        den = math.lcm(*(c.den for c in coeffs))
+        vec = [0] * big
+        for e, c in zip(exponents, coeffs):
+            step, shift, scale = big // c.order, e * (big // order), den // c.den
+            for i, x in enumerate(c.nums):
+                vec[(i * step + shift) % big] += x * scale
+        return cls._make(big, vec, den)
 
     # -- coercion
 
@@ -201,8 +217,12 @@ class CycNum:
         return self + (-_as_cyc(other))
 
     def __mul__(self, other):
-        a, b, m = CycNum._pair(self, other)
-        return _product(a, b)
+        a, x = (self, _as_cyc(other)) if self.order != 1 else (_as_cyc(other), self)
+        if x.order != 1:
+            a, b, _ = CycNum._pair(a, x)
+            return _product(a, b)
+        # a rational factor scales the numerators: no promotion, no convolution
+        return CycNum._make(a.order, [c * x.nums[0] for c in a.nums], a.den * x.den)
 
     __rmul__ = __mul__
 
@@ -321,6 +341,11 @@ class _Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        # a constant factor keeps every key: no exponent arithmetic, no _norm_mono
+        for poly, const in ((self, other), (other, self)):
+            if len(const.terms) == 1 and () in const.terms:
+                c = const.terms[()]
+                return _Poly(self.p, {k: x * c for k, x in poly.terms.items()})
         out = _Poly(self.p, {})
         for k1, c1 in self.terms.items():
             e1 = dict(k1)
@@ -445,8 +470,9 @@ class SymElem:
 
     def __mul__(self, other):
         other = self._check(other)
+        den = self.den + other.den  # already sorted when one factor has none
         return SymElem(self.p, self.num * other.num,
-                       _sorted_factors(self.den + other.den))
+                       _sorted_factors(den) if self.den and other.den else den)
 
     __rmul__ = __mul__
 

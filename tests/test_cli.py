@@ -175,25 +175,30 @@ class TestAcceptedInput:
         assert len(doc["spin_cells"]) == 8
 
     # the sha256 of stdout pins the whole output byte for byte
-    @pytest.mark.parametrize("kind, beta, stdout_sha256", [
-        pytest.param("iwahori", 1,
+    @pytest.mark.parametrize("kind, p, beta, stdout_sha256", [
+        pytest.param("iwahori", 3, 1,
                      "f2f25ecf10f300503f9439a35052265450e3ddd9a6216136f0e10d872cb942a5",
                      id="iwahori"),
-        pytest.param("parahoric", 1,
+        pytest.param("parahoric", 3, 1,
                      "aaf6c65c11fa3d0d84fb5871250e96b70cf1a6d0845047d6a152486ff9e10f8e",
                      id="parahoric"),
-        pytest.param("iwahori", 2,
+        pytest.param("iwahori", 3, 2,
                      "1e9b0769e7e007e51eb6f1c2b7ccec834378f9d0f656dbe3cc1e35be544b6c58",
                      id="iwahori-beta2"),
+        # the largest Iwahori conductor the CLI accepts
+        pytest.param("iwahori", 5, 2,
+                     "74ec1b06c70117d82bdd120b671517fc939abb98c30d07becffa31ca9574d7ba",
+                     id="iwahori-p5-beta2"),
     ])
-    def test_zeta_oracle_matches(self, kind, beta, stdout_sha256, capsys):
-        code, out, err = _run(["zeta", "--kind", kind, "--p", "3", "--beta",
+    def test_zeta_oracle_matches(self, kind, p, beta, stdout_sha256, capsys):
+        code, out, err = _run(["zeta", "--kind", kind, "--p", str(p), "--beta",
                                str(beta), "--oracle"], capsys)
         assert code == 0 and err == ""
         entries = json.loads(out)
         assert entries and all(e["oracle_matches"] is True for e in entries)
-        # the characters of conductor 3 (one) or 9 (four)
-        assert len(entries) == (1 if beta == 1 else 4) + (kind == "parahoric")
+        # the characters of conductor 3 (one), 9 (four) or 25 (sixteen)
+        assert len(entries) == {(3, 1): 1, (3, 2): 4, (5, 2): 16}[p, beta] \
+            + (kind == "parahoric")
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
 
     def test_zeta_oracle_at_the_largest_shell_count(self, capsys):

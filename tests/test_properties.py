@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from padicref.famring import FamilyRing, FamSeries
 from padicref.padiclin import (LinAlgError, PadicMatrix, lu_unit_lower, residue,
                                ul_factorize, vp)
-from padicref.symring import (CycNum, NonUnitDivision, SymElem, cyclotomic_poly,
-                              geometric_tail)
+from padicref.symring import (CycNum, NonUnitDivision, SymElem, _norm_mono, _Poly,
+                              _product, cyclotomic_poly, geometric_tail)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -86,6 +86,57 @@ class TestSymElem:
         assert a * b == b * a
         assert a + b == b + a
         assert (a - a).is_zero()
+
+
+def _stored(c: CycNum):
+    return c.order, c.nums, c.den
+
+
+def _general_product(x: _Poly, y: _Poly) -> _Poly:
+    """x * y by exponent arithmetic, _norm_mono and the promoted product."""
+    out = _Poly(x.p, {})
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            exps = dict(k1)
+            for name, e in k2:
+                exps[name] = exps.get(name, 0) + e
+            a, b, _ = CycNum._pair(c1, c2)
+            key, coeff = _norm_mono(x.p, exps, _product(a, b))
+            if not coeff.is_zero():
+                out._iadd_term(key, coeff)
+    return out
+
+
+@st.composite
+def polys(draw):
+    """A sum of up to four monomials in Y, S and X1 over cycnums."""
+    out = _Poly(P, {})
+    for _ in range(draw(st.integers(0, 4))):
+        exps = draw(st.dictionaries(st.sampled_from(("Y", "S", "X1")),
+                                    st.integers(-2, 2), max_size=3))
+        out = out + _Poly.monomial(P, draw(cycnums()), exps)
+    return out
+
+
+class TestScalarFastPaths:
+    """A rational or constant factor skips promotion and key arithmetic, and
+    must store exactly what the general path stores."""
+
+    @PROPERTY
+    @given(cycnums(), st.one_of(st.integers(-9, 9), RATIONALS,
+                                RATIONALS.map(CycNum.from_rational)))
+    def test_rational_factor(self, a, x):
+        b, c, _ = CycNum._pair(a, x)
+        general = _stored(_product(b, c))
+        assert _stored(a * x) == _stored(x * a) == general
+
+    @PROPERTY
+    @given(polys(), cycnums())
+    def test_constant_factor(self, poly, c):
+        const = _Poly.const(P, c)
+        for x, y in ((poly, const), (const, poly)):
+            assert {k: _stored(v) for k, v in (x * y).terms.items()} \
+                == {k: _stored(v) for k, v in _general_product(x, y).terms.items()}
 
 
 RINGS = [FamilyRing(p, 8, 3, 2) for p in (2, 3, 5)]

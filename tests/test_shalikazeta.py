@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_rng
 from padicref import shalikazeta
-from padicref.padiclin import PadicMatrix, residue, unit_part, vp
+from padicref.padiclin import PadicMatrix, vp
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import PSVector
 from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
@@ -24,6 +24,10 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   zeta_iwahori_oracle, zeta_parahoric_closed,
                                   zeta_parahoric_oracle)
 from padicref.symring import CycNum, SymElem, geometric_tail
+
+
+# the scalar a = 1 as the one-term combination {(u, v): c} of u p^v = 1, c = 1
+AT_ONE = ({(1, 0): 1},)
 
 
 def _conjugate(chi: TwistCharacter) -> TwistCharacter:
@@ -194,14 +198,14 @@ class TestIntertwiningOracle:
         for p in (2, 3):
             sat = SatakeParameter.generic(p, 1)
             f = PSVector.big_cell_vector(sat, tau_element(1))
-            (value,) = ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, (1,))
+            (value,) = ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, AT_ONE)
             assert value.is_one()
 
     def test_support_lemma(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         g = PadicMatrix.diagonal(3, [Fraction(1, 3), 1])
-        assert ag_intertwine_value(f, g, 4, (1,))[0].is_zero()
+        assert ag_intertwine_value(f, g, 4, AT_ONE)[0].is_zero()
 
     def test_shalika_equivariance(self):
         rng = make_rng("ag-equivariance")
@@ -209,14 +213,14 @@ class TestIntertwiningOracle:
         sat = SatakeParameter.generic(p, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         g = PadicMatrix(p, [[2, 1], [3, 1]])
-        (base,) = ag_intertwine_value(f, g, 5, (1,))
+        (base,) = ag_intertwine_value(f, g, 5, AT_ONE)
         eta = SymElem.gen(p, "E")
         for _ in range(6):
             a = Fraction(rng.unit(p)) * Fraction(p) ** rng.randint(-1, 1)
             x = Fraction(rng.randrange(p ** 3)) - 1
             (lhs,) = ag_intertwine_value(
                 f, PadicMatrix.diagonal(p, [a, a])
-                * PadicMatrix(p, [[1, x], [0, 1]]) * g, 5, (1,))
+                * PadicMatrix(p, [[1, x], [0, 1]]) * g, 5, AT_ONE)
             den = x.denominator
             psi = SymElem.from_cyc(p, CycNum.root_of_unity(den, x.numerator % den)) \
                 if den > 1 else SymElem.rational(p, 1)
@@ -231,11 +235,11 @@ class TestIntertwiningOracle:
         g = PadicMatrix.diagonal(3, [Fraction(2, 9), 1]) \
             * PadicMatrix(3, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(3, [9, 1])
         with pytest.raises(TruncationError):
-            ag_intertwine_value(f, g, 2, (1,))
-        (value,) = ag_intertwine_value(f, g, 4, (1,))
+            ag_intertwine_value(f, g, 2, AT_ONE)
+        (value,) = ag_intertwine_value(f, g, 4, AT_ONE)
         assert not value.is_zero()
         with pytest.raises(TruncationError):
-            ag_intertwine_value(f, g, 1, (1,))
+            ag_intertwine_value(f, g, 1, AT_ONE)
 
     def test_uncertified_truncation_raises_per_unit(self):
         # the same point for scalars u p^v of every unit and three
@@ -246,12 +250,13 @@ class TestIntertwiningOracle:
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
         g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(p, [9, 1])
         g = PadicMatrix.diagonal(p, [Fraction(1, 9), 1]) * g0
-        scalars = tuple(Fraction(u) * Fraction(p) ** v
-                        for v in (-1, 0, 1) for u in _units(p, 2))
+        scalars = tuple((u, v) for v in (-1, 0, 1) for u in _units(p, 2))
 
         def alone(a, shells):
+            u, v = a
             return ag_intertwine_value(
-                f, PadicMatrix.diagonal(p, [a, 1]) * g, shells, (1,))[0]
+                f, PadicMatrix.diagonal(p, [Fraction(u) * Fraction(p) ** v, 1]) * g,
+                shells, AT_ONE)[0]
 
         refusing = []
         for a in scalars:
@@ -260,15 +265,40 @@ class TestIntertwiningOracle:
             except TruncationError:
                 refusing.append(a)
                 with pytest.raises(TruncationError):
-                    ag_intertwine_value(f, g, 2, (a,))
+                    ag_intertwine_value(f, g, 2, ({a: 1},))
             else:
-                assert ag_intertwine_value(f, g, 2, (a,)) == (alone(a, 2),)
+                assert ag_intertwine_value(f, g, 2, ({a: 1},)) == (alone(a, 2),)
         assert refusing and len(refusing) < len(scalars)
         for a in refusing:
             with pytest.raises(TruncationError):
-                ag_intertwine_value(f, g, 2, (1, a))
-        assert ag_intertwine_value(f, g, 4, scalars) \
+                ag_intertwine_value(f, g, 2, AT_ONE + ({a: 1},))
+        assert ag_intertwine_value(f, g, 4, tuple({a: 1} for a in scalars)) \
             == tuple(alone(a, 4) for a in scalars)
+
+    def test_a_refusing_scalar_refuses_its_combination(self):
+        # at the point of the per-unit test with shells = 2, the scalars
+        # u 3^-1 certify and u 3^0 refuse; each scalar certifies its own rims,
+        # so a combination holding one refusing scalar refuses as a whole,
+        # even 1 - 10, whose two terms have equal rim sums (10 = 1 mod
+        # 3^shells) that cancel in the combination
+        p = 3
+        f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+        g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(p, [9, 1])
+        g = PadicMatrix.diagonal(p, [Fraction(1, 9), 1]) * g0
+        certified = {(u, -1): u for u in _units(p, 2)}
+        (value,) = ag_intertwine_value(f, g, 2, (certified,))
+        assert value == sum((c * ag_intertwine_value(f, g, 2, ({a: 1},))[0]
+                             for a, c in certified.items()), SymElem.rational(p, 0))
+        for combination in ({**certified, (2, 0): 1}, {(1, 0): 1, (10, 0): -1}):
+            with pytest.raises(TruncationError):
+                ag_intertwine_value(f, g, 2, (certified, combination))
+        # with more shells all certify, W depends on u mod 3^e(g) = 9 only,
+        # and a combination over two valuations is the sum of its terms
+        one, ten, both, mixed, two = ag_intertwine_value(
+            f, g, 4, ({(1, 0): 1}, {(10, 0): 1}, {(1, 0): 1, (10, 0): -1},
+                      {(1, 0): 1, (2, 1): 3}, {(2, 1): 1}))
+        assert one == ten and not one.is_zero() and both.is_zero()
+        assert mixed == one + 3 * two and not two.is_zero()
 
     def test_certificate_is_on_twisted_sums(self):
         # the bottom row of g has the unit ratio 7, so F(Y) =
@@ -281,7 +311,7 @@ class TestIntertwiningOracle:
         for y in (Fraction(1, p ** shells), Fraction(2, p ** (shells - 1))):
             assert not ps_evaluate_rows(
                 f, (bottom, (top[0] + y * bottom[0], top[1] + y * bottom[1]))).is_zero()
-        assert ag_intertwine_value(f, g, shells, (1,)) \
+        assert ag_intertwine_value(f, g, shells, AT_ONE) \
             == (_fraction_intertwine(f, g, shells),)
 
 
@@ -331,7 +361,7 @@ class TestIntegerShellPoints:
                                               [p, Fraction(3, 7)]]))
                 shells = beta + 2
                 for g in points:
-                    assert ag_intertwine_value(f, g, shells, (1,)) \
+                    assert ag_intertwine_value(f, g, shells, AT_ONE) \
                         == (_fraction_intertwine(f, g, shells),)
 
     def test_twisted_sweep_matches_the_fraction_reference(self):
@@ -352,12 +382,13 @@ class TestIntegerShellPoints:
                     first = rng.choice(units)
                     units = (first, rng.choice([u for u in units if u != first]))
                 shells = beta + 2
-                scalars = [Fraction(u) * Fraction(p) ** v
-                           for v in range(-beta - 2, 2) for u in units]
-                assert ag_intertwine_value(f, g0, shells, scalars) == tuple(
+                scalars = [(u, v) for v in range(-beta - 2, 2) for u in units]
+                assert ag_intertwine_value(
+                    f, g0, shells, tuple({a: 1} for a in scalars)) == tuple(
                     _fraction_intertwine(
-                        f, PadicMatrix.diagonal(p, [a, 1]) * g0, shells)
-                    for a in scalars)
+                        f, PadicMatrix.diagonal(p, [Fraction(u) * Fraction(p) ** v, 1]) * g0,
+                        shells)
+                    for u, v in scalars)
 
     def test_ball_sweep_matches_the_fraction_reference(self):
         # every cell vector of both cells and both sigma, at g0 with beta =
@@ -381,12 +412,13 @@ class TestIntegerShellPoints:
                                  [p + 1, Fraction(5, p ** 2)]]), 4),
                 (PadicMatrix.diagonal(p, [Fraction(1, p ** 2), 1]) * shift, 2)]
             scalars = (1, p ** 2 - 1)
+            combinations = tuple({(a, 0): 1} for a in scalars)
             refused = nonzero = 0
             for g, shells in points:
                 for w in all_perms(2):
                     for sigma in all_perms(2):
                         f = PSVector.cell_vector(sat, sigma, w)
-                        swept = outcome(ag_intertwine_value, f, g, shells, scalars)
+                        swept = outcome(ag_intertwine_value, f, g, shells, combinations)
                         reference = tuple(
                             outcome(_fraction_intertwine, f,
                                     PadicMatrix.diagonal(p, [a, 1]) * g, shells)
@@ -417,7 +449,7 @@ class TestIntegerShellPoints:
             calls.append(args)
             return ps_evaluate_rows(*args)
         monkeypatch.setattr(shalikazeta, "ps_evaluate_rows", counted)
-        ag_intertwine_value(f, g0, shells, (1,))
+        ag_intertwine_value(f, g0, shells, AT_ONE)
         phi = [0] + [(p - 1) * p ** (r - 1) for r in range(1, e + 1)]
         assert (c, e) == (2, 2)
         assert len(calls) == 1 + sum(phi[min(e, n - j)] for j in range(n)) == 33
@@ -425,35 +457,43 @@ class TestIntegerShellPoints:
     def test_one_root_per_ball_and_twisted_sum(self, monkeypatch):
         # the unit bottom ratio g of the certificate test, deep enough that
         # F is nonzero on large balls: each twisted sum integrates psi over
-        # a ball at once, so it builds at most one root of unity per
-        # nonzero ball, not one per point of the ball
+        # a ball at once, so it builds at most one root of unity (or one
+        # root_sum) per nonzero ball, not one per point of the ball
         p, shells = 3, 6
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
         g = PadicMatrix(p, [[Fraction(1, 7), Fraction(2, 3)], [3, Fraction(3, 7)]])
-        (expected,) = ag_intertwine_value(f, g, 3, (1,))
+        (expected,) = ag_intertwine_value(f, g, 3, AT_ONE)
         roots, nonzero = [], []
-        root_of_unity = CycNum.root_of_unity
+        root_of_unity, root_sum = CycNum.root_of_unity, CycNum.root_sum
 
         def counted_root(order, power=1):
             roots.append((order, power))
             return root_of_unity(order, power)
+
+        def counted_sum(order, exponents, coeffs=None):
+            roots.append((order, exponents))
+            return root_sum(order, exponents, coeffs)
 
         def counted_value(*args):
             value = ps_evaluate_rows(*args)
             nonzero.append(not value.is_zero())
             return value
         monkeypatch.setattr(CycNum, "root_of_unity", staticmethod(counted_root))
+        monkeypatch.setattr(CycNum, "root_sum", staticmethod(counted_sum))
         monkeypatch.setattr(shalikazeta, "ps_evaluate_rows", counted_value)
-        assert ag_intertwine_value(f, g, shells, (1,)) == (expected,)
+        assert ag_intertwine_value(f, g, shells, AT_ONE) == (expected,)
         # one scalar: two rim sums and the inner sum
         assert 0 < sum(nonzero) and len(roots) <= 3 * sum(nonzero)
 
     def test_refuses_a_zero_scalar(self):
         p = 3
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
-        for scalars in ((0,), (1, Fraction(0)), (3, 0, 6)):
+        # u = 0 is the scalar 0, alone, beside others, or inside a combination
+        for combinations in (({(0, 0): 1},), ({(1, 0): 1}, {(Fraction(0), 0): 1}),
+                             ({(1, 1): 1}, {(0, 0): 1}, {(2, 1): 1}),
+                             ({(1, 1): 1, (0, 0): 1, (2, 1): 1},)):
             with pytest.raises(ZetaError) as exc:
-                ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, scalars)
+                ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, combinations)
             assert not isinstance(exc.value, TruncationError)
 
 
@@ -487,7 +527,7 @@ class TestWValue:
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         point = PadicMatrix.identity(3, 2)  # w_1 z^{2 beta} = 1 at n = 1
-        assert ag_intertwine_value(f, point, 4, (1,)) == (w_value_closed(sat, 1, 1),)
+        assert ag_intertwine_value(f, point, 4, AT_ONE) == (w_value_closed(sat, 1, 1),)
 
 
 class TestZetaClosedForms:
@@ -580,6 +620,52 @@ class TestZetaOracles:
                 assert _conjugation_level(g0, PadicMatrix(p, [[0, 1], [0, 0]])) == beta
                 assert _conjugation_level(g0, PadicMatrix(p, [[1, 0], [0, 0]])) == beta
 
+    def test_combinations_match_the_per_scalar_route(self):
+        # each zeta shell's combination {(u, v): chi(u)} at g0 against the
+        # sum of chi(u) W(diag(u p^v, 1) g0) over one-term combinations, for
+        # every character of conductor p^beta and every shell of the oracle
+        shells, nonzero = 4, 0
+        for p in (2, 3, 5):
+            f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+            for beta in (1, 2):
+                g0 = PadicMatrix(p, [[1, -1], [0, 1]]) \
+                    * PadicMatrix.diagonal(p, [Fraction(p) ** beta, 1])
+                units, shell_range = tuple(_units(p, beta)), range(-beta - 2, 5 + shells)
+                scalars = [(u, v) for v in shell_range for u in units]
+                single = dict(zip(scalars, ag_intertwine_value(
+                    f, g0, shells, tuple({a: 1} for a in scalars))))
+                for chi in TwistCharacter.enumerate_conductor(p, beta):
+                    combined = ag_intertwine_value(
+                        f, g0, shells, tuple({(u, v): chi.of_unit(u) for u in units}
+                                             for v in shell_range))
+                    for v, value in zip(shell_range, combined):
+                        assert value == sum((single[u, v] * chi.of_unit(u) for u in units),
+                                            SymElem.rational(p, 0))
+                        nonzero += not value.is_zero()
+        assert nonzero == 25
+
+    def test_oracle_product_bound(self):
+        # each zeta shell is one combination, so an oracle makes one SymElem
+        # product per nonzero ball and shell, not one per unit: the 20 units
+        # of conductor 25 cost what the 6 of conductor 9 cost (a product per
+        # unit and shell in the average takes 157 and 423)
+        product = SymElem.__mul__
+
+        def products(p):
+            f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
+            chi = TwistCharacter.enumerate_conductor(p, 2)[0]
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return product(*args)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(SymElem, "__mul__", counted)
+                patch.setattr(SymElem, "__rmul__", counted)
+                zeta_iwahori_oracle(f, chi, 2, 4)
+            return len(calls)
+        assert products(3) == products(5) == 18
+
     def test_iwahori_oracle_refuses_an_unramified_character(self):
         p = 3
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
@@ -602,7 +688,8 @@ class TestZetaOracles:
 class TestCertifyTail:
     """The Iwahori oracle's tail certificate on synthetic shell values: the
     intertwining is patched to return W(diag(u p^v, 1) g0) = chi(u)^{-1} w(v)
-    for each scalar a = u p^v, so zeta shell v is exactly w(v)."""
+    for each scalar a = u p^v, summed over each combination with its
+    coefficients, so zeta shell v is exactly w(v)."""
 
     p, beta = 3, 1
 
@@ -611,14 +698,13 @@ class TestCertifyTail:
         chi = TwistCharacter.enumerate_conductor(p, self.beta)[0]
         calls = []
 
-        def fake(f, g, shells, scalars):
-            calls.append(sorted({int(vp(a, p)) for a in scalars}))
+        def fake(f, g, shells, combinations):
+            calls.append(sorted({v for combination in combinations for _, v in combination}))
             m = p ** self.beta
             return tuple(
-                w(int(vp(a, p)))
-                * SymElem.from_cyc(p, chi.of_unit(pow(residue(unit_part(a, p), p, self.beta),
-                                                      -1, m)))
-                for a in scalars)
+                sum((w(v) * c * SymElem.from_cyc(p, chi.of_unit(pow(u, -1, m)))
+                     for (u, v), c in combination.items()), SymElem.rational(p, 0))
+                for combination in combinations)
 
         monkeypatch.setattr(shalikazeta, "ag_intertwine_value", fake)
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
