@@ -22,6 +22,7 @@ combinations of Dirac evaluations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -65,6 +66,10 @@ class PureWeight:
         """lam_i(x)^k = x^(k lam_i), 1 <= i <= 2n."""
         return Fraction(x) ** (k * self.entry(i - 1))
 
+    def product(self, factors) -> Fraction:
+        """The product of lam_i(x)^k over the factors (i, x, k)."""
+        return math.prod((self.power(*f) for f in factors), start=Fraction(1))
+
 
 def crit_range(lam: PureWeight):
     """Integers j with -lam_n <= j <= -lam_{n+1}."""
@@ -87,19 +92,13 @@ def alpha_weight(n: int, i: int) -> GLWeight:
 # classical branching vectors via the open cell
 
 
-def _cell_dets(fac):
-    """(det h1, det h2) of the open-cell factorization fac, None off the
-    cell; computed once per factorization for every v_lambda_j there."""
-    return None if fac is None else (fac.h1.det(), fac.h2.det())
-
-
-def v_lambda_j(fac, dets, lam: PureWeight, j: int) -> Fraction:
+def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
     """The normalized branching vector at the point whose open-cell
     factorization is fac: lam(bbar) * det(h1)^(-j) * det(h2)^(sw + j).
 
-    fac is open_cell_factorize(g) and dets is _cell_dets(fac); the value is
-    0 off the cell, where fac is None (the algebraic vector is only tested
-    on Iw^1, where the extension by zero is never reached).
+    fac is open_cell_factorize(g), with its dets; the value is 0 off the
+    cell, where fac is None (the algebraic vector is only tested on Iw^1,
+    where the extension by zero is never reached).
     """
     if j not in crit_range(lam):
         raise BranchError(f"{j} is not in the critical range")
@@ -108,7 +107,7 @@ def v_lambda_j(fac, dets, lam: PureWeight, j: int) -> Fraction:
     bbar = fac.bbar
     # (numerator, denominator, exponent) of each factor
     factors = [(bbar.nums[i][i], bbar.den, lam.entry(i)) for i in range(bbar.size)]
-    for d, e in zip(dets, (-j, int(lam.sw) + j)):
+    for d, e in zip(fac.dets, (-j, int(lam.sw) + j)):
         if e:
             factors.append((d.numerator, d.denominator, e))
     num = den = 1
@@ -122,8 +121,7 @@ def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
     """{j: v_lambda_j at g} for every j in the critical range, on one
     open-cell factorization of g; every value is 0 off the cell."""
     fac = open_cell_factorize(g)
-    dets = _cell_dets(fac)
-    return {j: v_lambda_j(fac, dets, lam, j) for j in crit_range(lam)}
+    return {j: v_lambda_j(fac, lam, j) for j in crit_range(lam)}
 
 
 def v_basis_values(g: PadicMatrix):
@@ -138,11 +136,10 @@ def v_basis_values(g: PadicMatrix):
     if fac is None:
         return None
     alpha = [PureWeight(alpha_weight(n, i)) for i in range(n + 1)]
-    dets = _cell_dets(fac)
-    return (v_lambda_j(fac, dets, alpha[0], -1),
-            [v_lambda_j(fac, dets, alpha[i], 0) for i in range(1, n)],
-            v_lambda_j(fac, dets, alpha[n], -1),
-            v_lambda_j(fac, dets, alpha[n], 0))
+    return (v_lambda_j(fac, alpha[0], -1),
+            [v_lambda_j(fac, alpha[i], 0) for i in range(1, n)],
+            v_lambda_j(fac, alpha[n], -1),
+            v_lambda_j(fac, alpha[n], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +147,12 @@ def v_basis_values(g: PadicMatrix):
 
 
 def in_n_beta(g: PadicMatrix, beta: int) -> bool:
-    """g in N(p^beta Z_p) * u: unipotent upper congruent to u mod p^beta."""
-    n2 = g.size
-    u = PadicMatrix.open_orbit_rep(g.p, n2 // 2)
-    m = g * u.inverse()
-    return m.in_upper_unipotent(depth=0) and m.congruent_identity(beta)
+    """g in N(p^beta Z_p) * u: unipotent upper congruent to u mod p^beta.
+    g u^{-1} = (A, B - A w_n; C, D - C w_n) by column moves, on the int rows."""
+    n, d, least = g.size // 2, g.den, max(beta, 0) + vp(g.den, g.p)
+    m = [row[:n] + tuple([row[n + j] - row[n - 1 - j] for j in range(n)]) for row in g.nums]
+    return all(x == d * (i == j) if i >= j else vp(x, g.p) >= least
+               for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def iwahori_coordinates(g: PadicMatrix):
@@ -232,26 +230,41 @@ class FamilyWeight:
         (1 + T)^(p^N), whose coefficient of T^m for 1 <= m < degree has
         v_p(C(p^N, m)) = N - v_p(m) > M, since v_p(m) <=
         v_p((degree - 1)!).  So that product is 1 in the truncated ring, and
-        (1 + T)^(p^N - a) is the inverse of (1 + T)^a, which is unique.
+        (1 + T)^(p^N - a) is the inverse of (1 + T)^a, which is unique; and
+        as (1 + T)^a (1 + T)^b = (1 + T)^(a + b), product adds exponents.
         """
-        n = self.n
-        if 1 <= i <= n:
-            tame, wild = self.tame[i - 1], {i: 1}
-        elif n < i <= 2 * n:
-            j = 2 * n + 1 - i
-            tame, wild = self.tame_sw - self.tame[j - 1], {0: 1, j: -1}
-        else:
-            raise BranchError("coordinate index out of range")
-        if vp(x, self.p) != 0:
-            raise BranchError("family characters evaluate at units only")
-        ring = self.ring
-        # wild_exponent(x, p, cprec) reads x mod p^(cprec + s), s <= 2
-        x_int = residue(x, self.p, self._cprec + 2)
-        c = wild_exponent(x_int, self.p, self._cprec)
-        out = ring.const(pow(teichmuller(x_int, self.p, ring.prec),
-                             k * tame % tame_order(self.p), ring.modulus))
-        for var, e in wild.items():
-            out = out * ring.one_plus_t_power(var, k * e * c % self.p ** self._cprec)
+        return self.product([(i, x, k)])
+
+    def product(self, factors) -> FamSeries:
+        """The product of the power(i, x, k) over the factors (i, x, k), as
+        prod omega(x)^(k t) times, per var, (1 + T_var)^(sum of k e c(x)
+        mod p^N): exact, by (1 + T)^a (1 + T)^b = (1 + T)^(a + b) in
+        Z/p^M[[T]]/(deg >= D) and power's proof, and it multiplies only the
+        constant by at most n + 1 univariate series."""
+        n, p, ring = self.n, self.p, self.ring
+        order, cmod = tame_order(p), p ** self._cprec
+        const, wild = 1, [0] * (n + 1)
+        for i, x, k in factors:
+            if 1 <= i <= n:
+                tame, coords = self.tame[i - 1], ((i, 1),)
+            elif n < i <= 2 * n:
+                j = 2 * n + 1 - i
+                tame, coords = self.tame_sw - self.tame[j - 1], ((0, 1), (j, -1))
+            else:
+                raise BranchError("coordinate index out of range")
+            if vp(x, p) != 0:
+                raise BranchError("family characters evaluate at units only")
+            # wild_exponent(x, p, cprec) reads x mod p^(cprec + s), s <= 2
+            x_int = residue(x, p, self._cprec + 2)
+            const = const * pow(teichmuller(x_int, p, ring.prec), k * tame % order,
+                                ring.modulus) % ring.modulus
+            c = wild_exponent(x_int, p, self._cprec)
+            for var, e in coords:
+                wild[var] += k * e * c
+        out = ring.const(const)
+        for var, a in enumerate(wild):
+            if a % cmod:
+                out = out * ring.one_plus_t_power(var, a % cmod)
         return out
 
     # -- specialization at an algebraic member
@@ -298,18 +311,18 @@ def _iw1_coordinates(g: PadicMatrix):
     return (t.diagonal_entries(), *base)
 
 
-def _w_at(coords, chi):
-    """w at the point with these Iw^1 coordinates, for the torus character
-    chi(i, x, k) = chi_i(x)^k, 1 <= i <= 2n: one formula for an algebraic
-    weight (exact rationals) and a family (the family ring)."""
+def _w_at(coords, weight):
+    """w at the point with these Iw^1 coordinates, the product of
+    chi_i(x)^k over 4n + 1 factors (i, x, k): one formula for an algebraic
+    weight (exact rationals) and a family, whose product sums the
+    exponents of (1 + T_var), as (1 + T)^a (1 + T)^b = (1 + T)^(a + b)."""
     diag, v0, mids, vn1, vn2 = coords
     n = len(diag) // 2
-    out = chi(n + 1, v0, 1) * chi(n + 1, vn1, -1) * chi(n, vn2, 1)
-    for i, d in enumerate(diag, start=1):
-        out = out * chi(i, d, 1)
+    factors = [(n + 1, v0, 1), (n + 1, vn1, -1), (n, vn2, 1)]
+    factors += [(i, d, 1) for i, d in enumerate(diag, start=1)]
     for i, m in enumerate(mids, start=1):
-        out = out * chi(i, m, 1) * chi(i + 1, m, -1)
-    return out
+        factors += [(i, m, 1), (i + 1, m, -1)]
+    return weight.product(factors)
 
 
 def w_lambda(g: PadicMatrix, lam: PureWeight) -> Fraction:
@@ -317,7 +330,7 @@ def w_lambda(g: PadicMatrix, lam: PureWeight) -> Fraction:
     coords = _iw1_coordinates(g)
     if coords is None:
         raise BranchError("element is not in Iw^1")
-    return _w_at(coords, lam.power)
+    return _w_at(coords, lam)
 
 
 def w_family(g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
@@ -325,7 +338,7 @@ def w_family(g: PadicMatrix, omega: FamilyWeight) -> FamSeries:
     coords = _iw1_coordinates(g)
     if coords is None:
         raise BranchError("element is not in Iw^1")
-    return _w_at(coords, omega.power)
+    return _w_at(coords, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +391,29 @@ class FiniteDistribution:
     """A finite linear combination of Dirac evaluations at Iwahori points.
 
     Each base point is factored once, on first use, for all the maps
-    below: its open-cell factorization with the determinants of its
-    blocks (cells), and its Iw^1 coordinates (coords, None off Iw^1).
+    below: its open-cell factorization with its dets (cells), its Iw^1
+    coordinates (coords, None off Iw^1), and w there once per weight.
     """
 
     def __init__(self, terms):
         self.terms = [(int(c), g) for c, g in terms]
+        self._w = {}
         for _, g in self.terms:
             if not g.in_iwahori():
                 raise BranchError("Dirac base point must lie in the Iwahori")
 
     @cached_property
     def cells(self) -> list:
-        return [(fac, _cell_dets(fac)) for fac in
-                (open_cell_factorize(g) for _, g in self.terms)]
+        return [open_cell_factorize(g) for _, g in self.terms]
 
     @cached_property
     def coords(self) -> list:
         return [_iw1_coordinates(g) for _, g in self.terms]
+
+    def w_values(self, weight) -> list:
+        if weight not in self._w:
+            self._w[weight] = [None if c is None else _w_at(c, weight) for c in self.coords]
+        return self._w[weight]
 
 
 def kappa_family(mu: FiniteDistribution, f: LocPoly,
@@ -403,20 +421,20 @@ def kappa_family(mu: FiniteDistribution, f: LocPoly,
     """The sum of c * v_Omega(f)(g) over the terms (c, g), where v_Omega(f)
     is w_chi * f(v_(n),2 / v_(n),1) on Iw^1 and 0 off it."""
     out = omega.ring.zero()
-    for (c, _), coords in zip(mu.terms, mu.coords):
+    for (c, _), coords, w in zip(mu.terms, mu.coords, mu.w_values(omega)):
         val = 0 if coords is None else f(coords[4] / coords[3])
         if val != 0:
-            out = out + _w_at(coords, omega.power) * omega.ring.from_rational(val) * c
+            out = out + w * omega.ring.from_rational(c * val)
     return out
 
 
 def kappa_lambda(mu: FiniteDistribution, f: LocPoly, lam: PureWeight) -> Fraction:
     """The same construction at the single weight lam (exact rational)."""
-    return sum((Fraction(c) * _w_at(coords, lam.power) * f(coords[4] / coords[3])
-                for (c, _), coords in zip(mu.terms, mu.coords) if coords is not None),
-               Fraction(0))
+    return sum((Fraction(c) * w * f(coords[4] / coords[3])
+                for (c, _), coords, w in zip(mu.terms, mu.coords, mu.w_values(lam))
+                if coords is not None), Fraction(0))
 
 
 def kappa_lambda_j(mu: FiniteDistribution, lam: PureWeight, j: int) -> Fraction:
-    return sum((Fraction(c) * v_lambda_j(fac, dets, lam, j)
-                for (c, _), (fac, dets) in zip(mu.terms, mu.cells)), Fraction(0))
+    return sum((Fraction(c) * v_lambda_j(fac, lam, j)
+                for (c, _), fac in zip(mu.terms, mu.cells)), Fraction(0))

@@ -21,18 +21,20 @@ local proofs run on:
   Q_p, w a permutation and i in the Iwahori subgroup (the cell label w is
   unique);
 * ``open_cell_factorize``: g = bbar * u * diag(h1, h2) on the open
-  H-orbit, where u = [[1, w_n], [0, 1]]; certified by re-multiplication.
+  H-orbit, where u = [[1, w_n], [0, 1]], with (det h1, det h2).
 
 Everything runs on the int rows.  ``bruhat_cell_valuations``, the Bruhat
 core, returns the cell and the diagonal valuations of b.  ``_eliminate``
 is fraction-free (Bareiss) elimination, with exact integer divisions;
-``det``, ``inverse`` and ``lu_unit_lower`` read their results off it, and
-through them so do the two factorizations.  Matrix products are integer
-dot products over the product of the denominators.  The full Bruhat
-decomposition is the Bruhat core plus one UL factorization and a
-certificate checked with multiplication, det and vp alone; the cell and
-vp(diag b) are invariants of the double coset B(Q_p) g Iw, so every
-certified decomposition is an independent proof of the core's answer.
+``det``, ``inverse``, the LU and both factorizations read their results
+off it, and matrix products are integer dot products.  The full Bruhat
+decomposition is the core plus one LU, certified by one integer product,
+index checks and vp: i = w^{-1} ybar w, ybar unit lower triangular, so
+det i = 1 needs no det.  The cell and vp(diag b) are invariants of the
+double coset B(Q_p) g Iw, so every certified decomposition is an
+independent proof of the core's answer.  The open cell runs four
+eliminations, reads det h1 = det U det A and det h2 = sgn(w_n) det U
+det B off them, and is certified by four n x n block products.
 
 Haar measure normalizations are fixed once and for all here:
 vol(GL_n(Z_p)) = 1 for compact-group integrals, vol(M_n(Z_p)) = 1
@@ -150,6 +152,26 @@ def _eliminate(m, pivot: bool, jordan: bool = False) -> int:
     return sign * prev
 
 
+def _inverse_rows(nums):
+    """(det nums, q, r), with nums^{-1} = r / q unless det = 0; q, the last
+    pivot, is det up to the sign of the row swaps."""
+    n = len(nums)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(nums)]
+    det = _eliminate(m, pivot=True, jordan=True)
+    return det, m[-1][n - 1], [row[n:] for row in m]
+
+
+def _imul(x, y) -> list:
+    """The product of the int matrices x and y, given by rows."""
+    cols = tuple(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _same(x, dx: int, y, dy: int) -> bool:
+    """x / dx == y / dy for int rows x, y and nonzero ints dx, dy."""
+    return all(dy * a == dx * b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
+
+
 class PadicMatrix:
     """nums / den over Q_p, in the unique form of the module docstring."""
 
@@ -173,8 +195,8 @@ class PadicMatrix:
 
     @classmethod
     def _reordered(cls, p: int, den: int, nums) -> "PadicMatrix":
-        """nums / den, whose entries are those of a canonical matrix over
-        den in another order, so already canonical: no gcd is taken."""
+        """nums / den, canonical as given, so no gcd is taken: a canonical
+        matrix over den reordered, or moved by invertible int column ops."""
         out = object.__new__(cls)
         out.p, out.size, out.den, out.nums = p, len(nums), den, tuple(map(tuple, nums))
         return out
@@ -217,13 +239,6 @@ class PadicMatrix:
         return cls._of(a.p, den, [*map(tuple.__add__, ra, rb), *map(tuple.__add__, rc, rd)])
 
     @classmethod
-    def block_diag(cls, a: "PadicMatrix", b: "PadicMatrix") -> "PadicMatrix":
-        den = math.lcm(a.den, b.den)
-        za, zb = (0,) * a.size, (0,) * b.size
-        return cls._of(a.p, den, [*(row + zb for row in a._over(den)),
-                                  *(za + row for row in b._over(den))])
-
-    @classmethod
     def open_orbit_rep(cls, p, n) -> "PadicMatrix":
         """u = [[1_n, w_n], [0, 1_n]] in GL_{2n}(Z_p)."""
         one, zero = cls.identity(p, n), cls.diagonal(p, [0] * n)
@@ -234,14 +249,7 @@ class PadicMatrix:
     def __mul__(self, other: "PadicMatrix") -> "PadicMatrix":
         if self.size != other.size:
             raise LinAlgError("size mismatch")
-        cols = tuple(zip(*other.nums))
-        return PadicMatrix._of(self.p, self.den * other.den, [
-            tuple([sum(map(mul, ra, cb)) for cb in cols]) for ra in self.nums])
-
-    def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
-        den = math.lcm(self.den, other.den)
-        return PadicMatrix._of(self.p, den, [[x - y for x, y in zip(ra, rb)] for ra, rb
-                                             in zip(self._over(den), other._over(den))])
+        return PadicMatrix._of(self.p, self.den * other.den, _imul(self.nums, other.nums))
 
     def __eq__(self, other):
         return (isinstance(other, PadicMatrix) and self.p == other.p
@@ -258,13 +266,11 @@ class PadicMatrix:
                         self.den ** self.size)
 
     def inverse(self) -> "PadicMatrix":
-        n = self.size
-        # self = nums / den, so self^{-1} = den * R / p_{n-1}
-        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.nums)]
-        if not _eliminate(m, pivot=True, jordan=True):
+        # self = nums / den, so self^{-1} = den * r / q
+        det, q, r = _inverse_rows(self.nums)
+        if not det:
             raise LinAlgError("singular matrix")
-        return PadicMatrix._of(self.p, m[-1][n - 1],
-                               [[self.den * x for x in row[n:]] for row in m])
+        return PadicMatrix._of(self.p, q, [[self.den * x for x in row] for row in r])
 
     def block(self, r0, r1, c0, c1) -> "PadicMatrix":
         return PadicMatrix._of(self.p, self.den, [row[c0:c1] for row in self.nums[r0:r1]])
@@ -287,8 +293,11 @@ class PadicMatrix:
 
     def in_iwahori(self) -> bool:
         """Upper triangular modulo p, inside GL(Z_p)."""
-        return self.in_glzp() and all(x % self.p == 0 for i, row in enumerate(self.nums)
-                                      for x in row[:i])
+        return self.in_glzp() and self._lower_in_pzp()
+
+    def _lower_in_pzp(self) -> bool:
+        # for an integral matrix, whose den is then a unit
+        return not any(x % self.p for i, row in enumerate(self.nums) for x in row[:i])
 
     def is_upper_triangular(self) -> bool:
         return not any(any(row[:i]) for i, row in enumerate(self.nums))
@@ -310,23 +319,8 @@ class PadicMatrix:
                                      if (i < n) != (j < n)) \
             and self.block(0, n, 0, n).in_glzp() and self.block(n, m, n, m).in_glzp()
 
-    def congruent_identity(self, beta: int) -> bool:
-        n, least = self.size, beta + vp(self.den, self.p)
-        return all(vp(self.nums[i][j] - (self.den if i == j else 0), self.p) >= least
-                   for i in range(n) for j in range(n))
-
     def __repr__(self):
         return "PadicMatrix(p=%d, %s)" % (self.p, [list(map(str, r)) for r in self.rows])
-
-
-def _flip(m: PadicMatrix) -> PadicMatrix:
-    """w_n * m: the rows of m in reverse order."""
-    return PadicMatrix._reordered(m.p, m.den, m.nums[::-1])
-
-
-def _conjugate_longest(m: PadicMatrix) -> PadicMatrix:
-    """w_n * m * w_n: rows and columns of m in reverse order."""
-    return PadicMatrix._reordered(m.p, m.den, [row[::-1] for row in m.nums[::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +338,36 @@ def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     Iw = (Iw ∩ w^{-1} B w)(Iw ∩ w^{-1} Nbar w), B w Iw = B w (Iw ∩ w^{-1}
     Nbar w): g * w^{-1} = b * ybar with ybar unit lower triangular and
     i = w^{-1} * ybar * w.  B ∩ Nbar = 1, so b and ybar are unique, and
-    one UL factorization of the transpose (g * w^{-1})^T = ybar^T * b^T
-    finds them.
+    x = w0 (g w^{-1})^T w0 = L U, L = w0 ybar^T w0, U = w0 b^T w0, is the
+    entries of g moved: b and i are read off lu_unit_lower(x) by index.
 
     The result is certified before it is returned: b upper triangular, i
-    in Iw, the valuations of diag(b) equal to the core's less vp(den),
-    and b * w * i equal to g.  The certificate uses only multiplication,
-    det and vp, and w and the valuations of diag(b) are invariants of the
-    double coset B(Q_p) g Iw, so a certified triple proves the core's
-    answer; a wrong answer from the core raises LinAlgError.
+    integral with its entries below the diagonal in p Z_p, L (so ybar)
+    unit lower triangular, which proves det i = det ybar = 1 with no
+    elimination, the valuations of diag(b) equal to the core's less
+    vp(den), and b * w * i equal to g on ints.  The certificate uses only
+    multiplication and vp, and w and the valuations of diag(b) are
+    invariants of the double coset B(Q_p) g Iw, so a certified triple
+    proves the core's answer; a wrong answer from the core raises
+    LinAlgError.
     """
     p, n = g.p, g.size
     w, vals = bruhat_cell_valuations(p, g.nums)
-    shift = vp(g.den, p)
-    # (g * w^{-1})^T = w * g^T: its row w[k] is column k of g
-    gwt = [col for _, col in sorted(zip(w, zip(*g.nums)))]
-    ybar_t, b_t = ul_factorize(PadicMatrix._reordered(p, g.den, gwt))
-    b = b_t.transpose()
-    i_factor = PadicMatrix._reordered(p, ybar_t.den, [
-        [ybar_t.nums[w[c]][w[r]] for c in range(n)] for r in range(n)])
+    # row w[k] of (g * w^{-1})^T is column k of g; w0 reverses rows and columns
+    x = [col[::-1] for _, col in sorted(zip(w, zip(*g.nums)), reverse=True)]
+    lo, up = lu_unit_lower(PadicMatrix._reordered(p, g.den, x))
+    ln, last = lo.nums, n - 1
+    # b = w0 U^T w0 and i = w^{-1} ybar w with ybar = w0 L^T w0
+    b = PadicMatrix._reordered(p, up.den, [col[::-1] for col in list(zip(*up.nums))[::-1]])
+    i_factor = PadicMatrix._reordered(p, lo.den, [
+        [ln[last - w[c]][last - w[r]] for c in range(n)] for r in range(n)])
     # column j of b * w is column w[j] of b
-    bw = PadicMatrix._reordered(p, b.den, [[r[k] for k in w] for r in b.nums])
-    if not (b.is_upper_triangular() and i_factor.in_iwahori()
-            and b.diagonal_valuations() == [v - shift for v in vals]
-            and bw * i_factor == g):
+    bw = [[row[k] for k in w] for row in b.nums]
+    if not (b.is_upper_triangular() and lo.is_lower_triangular()
+            and all(ln[k][k] == lo.den for k in range(n))
+            and i_factor.is_integral() and i_factor._lower_in_pzp()
+            and b.diagonal_valuations() == [v - vp(g.den, p) for v in vals]
+            and _same(_imul(bw, i_factor.nums), b.den * i_factor.den, g.nums, g.den)):
         raise LinAlgError("Bruhat decomposition failed its certificate")
     return BruhatDecomposition(b, w, i_factor)
 
@@ -436,18 +436,16 @@ def bruhat_cell_valuations(p: int, rows):
 
 
 # ---------------------------------------------------------------------------
-# LU-type factorizations
+# LU factorization
 
 
-def lu_unit_lower(mat: PadicMatrix):
-    """mat = L * U with L unit lower triangular; no pivoting.
-
-    By _eliminate on nums, L[i][k] = m[i][k] / p_k and U[k][j] = m[k][j] /
-    (p_{k-1} den), each factor over the lcm of its denominators.  Raises
-    LinAlgError when a leading pivot vanishes.
-    """
-    n, den = mat.size, mat.den
-    m = [list(row) for row in mat.nums]
+def _lu_rows(nums, den: int):
+    """(dl, lo, du, up) with nums / den = L U, L = lo / dl unit lower and U
+    = up / du upper triangular, on ints; by _eliminate, L[i][k] = m[i][k] /
+    p_k and U[k][j] = m[k][j] / (p_{k-1} den).  LinAlgError on a zero
+    leading pivot."""
+    n = len(nums)
+    m = [list(row) for row in nums]
     if not _eliminate(m, pivot=False):
         raise LinAlgError("zero pivot in LU")
     piv = [1] + [m[k][k] for k in range(n)]
@@ -456,63 +454,79 @@ def lu_unit_lower(mat: PadicMatrix):
            for k in range(n)] for i in range(n)]
     up = [[m[k][j] * (du // (piv[k] * den)) if j >= k else 0
            for j in range(n)] for k in range(n)]
+    return dl, lo, du, up
+
+
+def lu_unit_lower(mat: PadicMatrix):
+    """mat = L * U with L unit lower triangular, no pivoting (_lu_rows)."""
+    dl, lo, du, up = _lu_rows(mat.nums, mat.den)
     return PadicMatrix._of(mat.p, dl, lo), PadicMatrix._of(mat.p, du, up)
-
-
-def ul_factorize(mat: PadicMatrix):
-    """mat = U0 * L0 with U0 unit upper triangular, L0 lower triangular.
-
-    Conjugating by w_n reverses rows and columns and swaps upper with
-    lower: this is lu_unit_lower of the reversed matrix, reversed back."""
-    lt, ut = lu_unit_lower(_conjugate_longest(mat))
-    return _conjugate_longest(lt), _conjugate_longest(ut)
 
 
 # ---------------------------------------------------------------------------
 # open cell factorization
 
 
-OpenCellFactorization = namedtuple("OpenCellFactorization", "bbar h1 h2")
+OpenCellFactorization = namedtuple("OpenCellFactorization", "bbar h1 h2 dets")
 
 
 def open_cell_factorize(g: PadicMatrix):
-    """Factor g = bbar * u * diag(h1, h2) on the open cell, else None.
+    """Factor g = bbar * u * diag(h1, h2) on the open cell, else None; dets
+    is (det h1, det h2).
 
-    Writing g in n x n blocks (A B; C D), the lower block-triangular part
-    is pinned down by a UL factorization of M = w_n (D - C A^{-1} B) B^{-1}
-    (whenever g is in the cell, M = w_n R w_n P^{-1} lies in the big
-    (B, Bbar)-cell, so the factorization exists).  Success is certified by
-    exact re-multiplication; a distinguished None is returned off the cell.
+    With g = (A B; C D) in n x n blocks and bbar = (P 0; Q R), P and R
+    lower triangular, R unipotent: A = P h1, B = P w_n h2, C = Q h1 and
+    D = (Q w_n + R) h2.  So S = D - C A^{-1} B = R h2, and M = S B^{-1} w_n
+    = R U with U = w_n P^{-1} w_n upper triangular: the unique LU of M
+    gives R and U, then h1 = w_n U w_n A, h2 = U w_n B, P = w_n U^{-1} w_n
+    and Q = C A^{-1} P, on the int rows of the blocks with four Bareiss
+    eliminations (A^{-1}, B^{-1}, the LU, U^{-1}); only the returned
+    factors are made canonical.  They give det h1 = det U det A and
+    det h2 = sgn(w_n) det U det B (det U = det l0, l0 = P^{-1}).
+
+    The certificate, on the returned factors: bbar lower triangular (so
+    are P and R), and P h1 = A, P (w_n h2) = B, Q h1 = C and
+    (Q w_n + R) h2 = D by four n x n int products, i.e. bbar * u *
+    diag(h1, h2) = g.  Off the cell (A or B singular, no LU, a failed
+    certificate) the distinguished None is returned.
     """
     if g.size % 2:
         raise LinAlgError("open cell factorization needs even size")
-    p, n = g.p, g.size // 2
-    A = g.block(0, n, 0, n)
-    B = g.block(0, n, n, 2 * n)
-    C = g.block(n, 2 * n, 0, n)
-    D = g.block(n, 2 * n, n, 2 * n)
-    try:
-        CAinv, Binv = C * A.inverse(), B.inverse()
-    except LinAlgError:  # A or B singular
+    p, n, d = g.p, g.size // 2, g.den
+    a, b = [row[:n] for row in g.nums[:n]], [row[n:] for row in g.nums[:n]]
+    c, e = [row[:n] for row in g.nums[n:]], [row[n:] for row in g.nums[n:]]
+    (det_a, qa, ra), (det_b, qb, rb) = _inverse_rows(a), _inverse_rows(b)
+    if not (det_a and det_b):
         return None
-    M = _flip((D - CAinv * B) * Binv)
+    # A^{-1} = d ra / qa and B^{-1} = d rb / qb, so C A^{-1} = ca / qa,
+    # S = s / (qa d) and M = (s rb with its columns reversed) / (qa qb)
+    ca = _imul(c, ra)
+    s = [[qa * x - y for x, y in zip(re, rs)] for re, rs in zip(e, _imul(ca, b))]
     try:
-        u0, l0 = ul_factorize(M)
+        dl, lo, du, up = _lu_rows([row[::-1] for row in _imul(s, rb)], qa * qb)
     except LinAlgError:
         return None
-    P = l0.inverse()
-    h1 = l0 * A
-    h2 = _flip(l0 * B)  # w_n * l0 * B
-    Q = CAinv * P  # C h1^{-1}
-    Rblk = _conjugate_longest(u0)
-    bbar = PadicMatrix.from_blocks(P, PadicMatrix.diagonal(p, [0] * n), Q, Rblk)
-    if not (P.is_lower_triangular() and Rblk.is_lower_triangular()):
+    det_u, qu, ru = _inverse_rows(up)
+    # U = up / du, so P = w_n U^{-1} w_n = pn / qu and Q = qn / (qa qu)
+    pn = [[du * x for x in row[::-1]] for row in ru[::-1]]
+    qn = _imul(ca, pn)
+    h1 = PadicMatrix._of(p, du * d, _imul(up, a[::-1])[::-1])
+    h2 = PadicMatrix._of(p, du * d, _imul(up, b[::-1]))
+    den = math.lcm(qa * qu, dl)
+    kp, kq, kr = den // qu, den // (qa * qu), den // dl
+    bbar = PadicMatrix._of(p, den, [[kp * x for x in row] + [0] * n for row in pn] + [
+        [kq * x for x in rq] + [kr * x for x in rl] for rq, rl in zip(qn, lo)])
+    bp, bq = [row[:n] for row in bbar.nums[:n]], [row[:n] for row in bbar.nums[n:]]
+    # a row of Q w_n + R is the row of Q reversed plus that of R
+    bqr = [[x + y for x, y in zip(row[n - 1::-1], row[n:])] for row in bbar.nums[n:]]
+    d1, d2 = bbar.den * h1.den, bbar.den * h2.den
+    if not (bbar.is_lower_triangular() and _same(_imul(bp, h1.nums), d1, a, d)
+            and _same(_imul(bp, h2.nums[::-1]), d2, b, d)
+            and _same(_imul(bq, h1.nums), d1, c, d) and _same(_imul(bqr, h2.nums), d2, e, d)):
         return None
-    u = PadicMatrix.open_orbit_rep(p, n)
-    h = PadicMatrix.block_diag(h1, h2)
-    if bbar * u * h != g:
-        return None
-    return OpenCellFactorization(bbar, h1, h2)
+    sign, scale = (-1) ** (n * (n - 1) // 2), (du * d) ** n
+    return OpenCellFactorization(bbar, h1, h2, (Fraction(det_u * det_a, scale),
+                                                Fraction(sign * det_u * det_b, scale)))
 
 
 # ---------------------------------------------------------------------------

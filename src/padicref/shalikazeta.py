@@ -81,11 +81,11 @@ class TwistCharacter:
     table: chi(a) = zeta_order^exps[a mod p^beta] for each unit a.
 
     ``beta`` is the conductor exponent (0 for the trivial character, whose
-    table is empty); ``order`` is the order of chi.  ``tau`` holds the Gauss
-    sum once ``gauss_sum`` has computed it.
+    table is empty); ``order`` is the order of chi.  ``tau`` and
+    ``tau_powers`` hold what ``gauss_sum`` and ``gauss_power`` computed.
     """
 
-    __slots__ = ("p", "beta", "order", "exps", "label", "tau")
+    __slots__ = ("p", "beta", "order", "exps", "label", "tau", "tau_powers")
 
     def __init__(self, p: int, beta: int, order: int, exps: dict, label: str = ""):
         self.p = p
@@ -94,6 +94,7 @@ class TwistCharacter:
         self.exps = exps
         self.label = label
         self.tau = None
+        self.tau_powers = {}
 
     @classmethod
     def trivial(cls, p: int) -> "TwistCharacter":
@@ -164,6 +165,13 @@ def gauss_sum(chi: TwistCharacter) -> CycNum:
     return chi.tau
 
 
+def gauss_power(chi: TwistCharacter, n: int) -> CycNum:
+    """tau(chi)^n, computed once per character object and n."""
+    if n not in chi.tau_powers:
+        chi.tau_powers[n] = gauss_sum(chi) ** n
+    return chi.tau_powers[n]
+
+
 def psi_orthogonality(p: int, beta: int, mult: int) -> bool:
     """sum over u mod p^beta of zeta_{p^beta}^{mult*u} vanishes exactly
     when p^beta does not divide mult (the Fourier-vanishing step used by
@@ -186,7 +194,9 @@ def z_matrix(p: int, n: int, power: int = 1) -> PadicMatrix:
 def shalika_argument(k: PadicMatrix, x: PadicMatrix, beta: int) -> PadicMatrix:
     """(0 1; 1 0)(1 X; 0 1) diag(k, k) diag(w_n z^(2 beta), 1)."""
     p, n = k.p, k.size
-    wz = PadicMatrix.longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
+    # w_n z^(2 beta): the entry p^(2 beta i) at (i, n-1-i), 0 elsewhere
+    wz = PadicMatrix(p, [[p ** (2 * beta * i) * (i + j == n - 1) for j in range(n)]
+                         for i in range(n)])
     return PadicMatrix.from_blocks(PadicMatrix.diagonal(p, [0] * n), k, k * wz, x * k)
 
 
@@ -194,7 +204,7 @@ def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
                               beta: int) -> bool:
     """Direct support conditions: delta is the longest element, k lies in
     the big Iwahori cell of GL_n(Z_p), and k^{-1} X lands in
-    w_n z^(2 beta) M_n(Z_p)."""
+    w_n z^(2 beta) M_n(Z_p): its row r has valuation >= 2 beta r."""
     if beta < 1:
         raise ZetaError("depth must be >= 1")
     if not k.in_glzp():
@@ -205,9 +215,9 @@ def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
         return False
     if iwahori_bruhat_decompose(k).w != wlong:
         return False
-    target = z_matrix(k.p, n, -2 * beta) * PadicMatrix.longest_weyl(k.p, n) \
-        * k.inverse() * x
-    return target.is_integral()
+    kx = k.inverse() * x
+    return all(vp(y, k.p) >= 2 * beta * r + vp(kx.den, k.p)
+               for r, row in enumerate(kx.nums) for y in row)
 
 
 def shalika_support_bruhat(delta: tuple, k: PadicMatrix, x: PadicMatrix,
@@ -237,10 +247,8 @@ def borel_part_character(theta_values, k: PadicMatrix, x: PadicMatrix,
         if t:
             value = value * val ** int(t)
     expected = SymElem.rational(p, 1)
-    zv = z_matrix(p, n, 2 * beta).diagonal_valuations()
-    for i in range(n):
-        if zv[i]:
-            expected = expected * theta_values[n + i] ** int(zv[i])
+    for i in range(n - 1):  # vp(z^(2 beta))_i = 2 beta (n - 1 - i)
+        expected = expected * theta_values[n + i] ** (2 * beta * (n - 1 - i))
     if value != expected:
         raise ZetaError("Borel part disagrees with Theta(diag(1, z^(2 beta)))")
     return value
@@ -429,7 +437,7 @@ def zeta_iwahori_closed(w_base: SymElem, chi: TwistCharacter, beta: int,
     value = value * SymElem.p_power(p, Fraction(-beta * (n * n + n), 2))
     value = value * SymElem.gen(p, "S", beta * n) \
         * SymElem.monomial(p, 1, {"Y": -beta * n})
-    value = value * SymElem.from_cyc(p, gauss_sum(chi) ** n)
+    value = value * SymElem.from_cyc(p, gauss_power(chi, n))
     value = value * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
     value = value * w_base
     return ZetaResult(value)
@@ -465,7 +473,7 @@ def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
     if chi.is_ramified:
         c = c * SymElem.rational(p, Fraction(p) ** (-beta * n)
                                  * Fraction(p, p - 1) ** n) \
-            * SymElem.from_cyc(p, gauss_sum(chi) ** n)
+            * SymElem.from_cyc(p, gauss_power(chi, n))
         return ZetaResult(c)
     bottoms = [theta * SymElem.gen(p, "S", -1) for theta in satake.theta[n:]]
     return ZetaResult(_euler_quotient(c * Fraction(1, 1 - p) ** n,
@@ -595,7 +603,7 @@ def ep_factor(satake: SatakeParameter, chi: TwistCharacter, j: int) -> SymElem:
         beta = chi.beta
         top = SymElem.p_power(p, n * j + (n * n - n) // 2)
         return (top / hecke_eigenvalue(ref, n)) ** beta \
-            * SymElem.from_cyc(p, gauss_sum(chi) ** n)
+            * SymElem.from_cyc(p, gauss_power(chi, n))
     a = [theta * SymElem.p_power(p, Fraction(-2 * j - 1, 2))
          for theta in satake.theta[n:]]
     if any(ai.is_one() for ai in a):
@@ -611,7 +619,7 @@ def qprime_factor(chi: TwistCharacter, j: int, n: int) -> SymElem:
         raise ZetaError("Q' is the ramified-twist factor")
     p, beta = chi.p, chi.beta
     return SymElem.p_power(p, beta * (n * j + (n * n - n) // 2)) \
-        * SymElem.from_cyc(p, gauss_sum(chi) ** n)
+        * SymElem.from_cyc(p, gauss_power(chi, n))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ def random_iwh1(rng, p, n):
                               for j in range(n)] for i in range(n)])
         if not h2.in_glzp():
             continue
-        h = PadicMatrix.block_diag(h1, h2)
+        zero = PadicMatrix.diagonal(p, [0] * n)
+        h = PadicMatrix.from_blocks(h1, zero, zero, h2)
         if in_iwh_beta(h, 1):
             return h

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_rng, random_iwh1
 from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
-                                LocPoly, PureWeight, _cell_dets, alpha_weight,
+                                LocPoly, PureWeight, alpha_weight,
                                 crit_range, in_iw_beta, in_iwh_beta, in_n_beta,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
                                 kappa_lambda_j, v_basis_values, v_lambda_all,
@@ -17,8 +17,7 @@ from padicref.sampling import random_glzp, random_iw_beta, random_n_beta
 
 def v_at(g, lam, j):
     """The classical branching vector v_{lam,j} at g."""
-    fac = open_cell_factorize(g)
-    return v_lambda_j(fac, _cell_dets(fac), lam, j)
+    return v_lambda_j(open_cell_factorize(g), lam, j)
 
 
 def dirac(g):
@@ -299,6 +298,40 @@ class TestFamilyWeight:
         lam, omega = family_fixture(3, 1)
         assert omega.contains(lam)
         assert not omega.contains(PureWeight([5, -5]))
+
+    def test_product_adds_the_exponents_exactly(self):
+        # one constant times one (1 + T_var)^(sum of exponents) per variable
+        # is the product of the single powers in the truncated ring
+        rng = make_rng("family-product")
+        for p, n in FIXTURES:
+            _, omega = family_fixture(p, n)
+            for _ in range(5):
+                factors = [(rng.randint(1, 2 * n), Fraction(rng.unit(p), rng.unit(p)),
+                            rng.choice((1, -1, 2))) for _ in range(4 * n + 1)]
+                expected = omega.ring.const(1)
+                for factor in factors:
+                    expected = expected * omega.power(*factor)
+                assert omega.product(factors) == expected
+
+    def test_w_family_work_bound(self, monkeypatch):
+        # w_family multiplies one constant by at most n + 1 univariate
+        # series, whatever the 4n + 1 factors of its formula
+        rng = make_rng("w-family-work")
+        mul, calls = FamSeries.__mul__, []
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+        for p in (2, 3):
+            for n in (1, 2):
+                _, omega = family_fixture(p, n)
+                for _ in range(3):
+                    g = random_iw_beta(rng, p, 2 * n, 1)
+                    monkeypatch.setattr(FamSeries, "__mul__", counted)
+                    w_family(g, omega)
+                    monkeypatch.undo()
+                    assert len(calls) <= n + 1
+                    calls.clear()
 
     def test_w_family_specializes_to_w_lambda(self):
         rng = make_rng("w-family")

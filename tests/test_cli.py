@@ -329,6 +329,7 @@ class TestNoRepeatedFactorization:
               lambda p, rows: (p, tuple(map(tuple, rows))))
         for name in ("open_cell_factorize", "_iw1_coordinates", "v_lambda_all"):
             count(branchfam, name, lambda g, *_: g.rows)
+        count(branchfam, "_w_at", lambda coords, weight: type(weight).__name__)
         for suite, entry in cli.CATALOG.items():
             def tagged(cfg, rng, suite=suite, fn=entry["fn"]):
                 current[0] = suite
@@ -353,6 +354,11 @@ class TestNoRepeatedFactorization:
             # the rest: its n-part, inside the coordinates, and one
             # factorization per N^beta sample for all j
             assert len(cells) == 2 * len(points) + len(samples)
+            # w once per point and weight, whatever j: the algebraic weight,
+            # and in the diagram the family too
+            weights = inputs[(suite, "_w_at")]
+            assert weights.count("PureWeight") == len(points)
+            assert weights.count("FamilyWeight") == (suite == "interp-diagram") * len(points)
 
 
 class TestFailedCase:

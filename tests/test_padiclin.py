@@ -6,9 +6,10 @@ import pytest
 from conftest import (make_rng, random_lower_triangular_q,
                       random_upper_triangular_q)
 from padicref import padiclin
+from padicref.branchfam import PureWeight, v_lambda_all
 from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                bruhat_cell_valuations, iwahori_bruhat_decompose,
-                               lu_unit_lower, open_cell_factorize, ul_factorize, unit_part,
+                               lu_unit_lower, open_cell_factorize, unit_part,
                                vol_big_cell, vol_iwahori, vp)
 from padicref.perms import all_perms, longest_perm
 from padicref.sampling import (random_glzp, random_iw_beta, random_iwahori,
@@ -32,23 +33,57 @@ def _planted(rng, p, size, kind):
     return w, tuple(vp(x, p) for x in b.diagonal_entries()), rows
 
 
-def _wrong_ul(which):
-    """ul_factorize with one entry of factor ``which`` (0: the unit upper
-    U0, 1: the lower L0) moved by p, keeping both shapes and every
+def _wrong_lu(p, which):
+    """The int LU factorization with one entry of factor ``which`` (0: the
+    unit lower L, 1: the upper U) moved by p, keeping both shapes and every
     congruence mod p."""
-    real = padiclin.ul_factorize
+    real = padiclin._lu_rows
 
-    def wrong(mat):
-        factors = list(real(mat))
-        rows = [list(row) for row in factors[which].rows]
+    def wrong(nums, den):
+        dl, lo, du, up = real(nums, den)
         if which:
-            rows[-1][0] += mat.p
+            up[0][-1] += p * du
         else:
-            rows[0][-1] += mat.p
-        factors[which] = PadicMatrix(mat.p, rows)
-        return tuple(factors)
+            lo[-1][0] += p * dl
+        return dl, lo, du, up
 
     return wrong
+
+
+def _congruent_identity(m, beta):
+    """m = 1 mod p^beta, read off the int rows over m.den."""
+    least = beta + vp(m.den, m.p)
+    return all(vp(x - m.den * (i == j), m.p) >= least
+               for i, row in enumerate(m.nums) for j, x in enumerate(row))
+
+
+def _open_cell_point(rng, p, n, kind):
+    """A point of the open cell of GL_2n: kind "int" is N^1 Iw^1, "den" is
+    bbar * u * diag(h1 / 7, h2) with bbar over p-power and 7 denominators,
+    and "swap" is the same with zero (0, 0) entries in A = P h1 and in
+    B = P w_n h2."""
+    if kind == "int":
+        return random_n_beta(rng, p, n, 1) * random_iw_beta(rng, p, 2 * n, 1)
+    zero, wn = PadicMatrix.diagonal(p, [0] * n), PadicMatrix.longest_weyl(p, n)
+
+    def corner_zero(h):
+        return PadicMatrix(p, [[0 if i == j == 0 else x for j, x in enumerate(row)]
+                               for i, row in enumerate(h.rows)])
+
+    while True:
+        h1, h2 = random_glzp(rng, p, n), random_glzp(rng, p, n)
+        if kind == "swap":
+            h1, h2 = corner_zero(h1), wn * corner_zero(wn * h2)
+        if h1.det() and h2.det():
+            break
+    bbar = PadicMatrix.from_blocks(
+        random_lower_triangular_q(rng, p, n), zero,
+        PadicMatrix(p, [[rng.padic_rational(p) / rng.choice((1, 7)) for _ in range(n)]
+                        for _ in range(n)]),
+        random_lower_triangular_q(rng, p, n))
+    h = PadicMatrix.from_blocks(h1 * PadicMatrix.diagonal(p, [Fraction(1, 7)] * n),
+                                zero, zero, h2)
+    return bbar * PadicMatrix.open_orbit_rep(p, n) * h
 
 
 class TestValuation:
@@ -106,13 +141,13 @@ class TestStoredForm:
                 h = random_glzp(rng, p, size)
                 up, lo = (random_upper_triangular_q(rng, p, size),
                           random_lower_triangular_q(rng, p, size))
-                results = [g, h, g * h, g - h, g.inverse(), g.transpose(),
+                results = [g, h, g * h, g.inverse(), g.transpose(),
                            g.block(0, size // 2, 0, size // 2),
-                           PadicMatrix.from_blocks(g, h, h, g), PadicMatrix.block_diag(g, h),
-                           *iwahori_bruhat_decompose(g)[::2], *lu_unit_lower(lo * up),
-                           *ul_factorize(up * lo)]
-                results += open_cell_factorize(random_n_beta(rng, p, size // 2, 1)
-                                               * random_iw_beta(rng, p, size, 1))
+                           PadicMatrix.from_blocks(g, h, h, g),
+                           *iwahori_bruhat_decompose(g)[::2], *lu_unit_lower(lo * up)]
+                fac = open_cell_factorize(random_n_beta(rng, p, size // 2, 1)
+                                          * random_iw_beta(rng, p, size, 1))
+                results += [fac.bbar, fac.h1, fac.h2]
                 for m in results:
                     _assert_canonical(m)
 
@@ -151,8 +186,6 @@ class TestStoredForm:
         assert not third.is_integral() and not third.in_glzp()
         assert third.in_upper_unipotent(depth=-1) and not third.in_upper_unipotent()
         assert PadicMatrix(p, [[1, 9], [0, 1]]).in_upper_unipotent(depth=2)
-        assert PadicMatrix(p, [[Fraction(10, 7), 0], [0, 1]]).congruent_identity(1)
-        assert not PadicMatrix(p, [[Fraction(11, 7), 0], [0, 1]]).congruent_identity(1)
         assert PadicMatrix(p, [[Fraction(5, 2), 0], [0, 1]]).diagonal_valuations() == [0, 0]
         assert PadicMatrix(p, [[Fraction(9, 2), 0], [0, Fraction(1, 3)]]) \
             .diagonal_valuations() == [2, -1]
@@ -271,6 +304,35 @@ class TestBruhat:
             monkeypatch.undo()
             assert iwahori_bruhat_decompose(g).w == w
 
+    def test_certificate_rejects_a_wrong_lu_factor(self, monkeypatch):
+        # det i = det ybar = 1 is proven, with no det, by the L factor that
+        # b and i are read off being unit lower triangular.  Scale the last
+        # diagonal entry of L by s and that of U by 1/s: L U, b upper
+        # triangular and b * w * i = g still hold, and the core is made to
+        # report the valuations of that b.  s = p leaves i integral with
+        # det i = p, s = 1/p makes i non-integral; both must raise
+        rng = make_rng("bruhat-lu-certificate")
+        lu, core = padiclin.lu_unit_lower, padiclin.bruhat_cell_valuations
+        for p, size in ((2, 2), (3, 3), (5, 3), (3, 4)):
+            w, _, rows = _planted(rng, p, size, "p-power")
+            g = PadicMatrix(p, rows)
+            for s in (Fraction(p), Fraction(1, p)):
+                def wrong_lu(mat, s=s):
+                    lo, up = ([list(row) for row in m.rows] for m in lu(mat))
+                    lo[-1][-1] *= s
+                    up[-1][-1] /= s
+                    return PadicMatrix(mat.p, lo), PadicMatrix(mat.p, up)
+
+                def wrong_core(p, rows, s=s):
+                    cell, vals = core(p, rows)
+                    return cell, (vals[0] - vp(s, p),) + vals[1:]
+                monkeypatch.setattr(padiclin, "lu_unit_lower", wrong_lu)
+                monkeypatch.setattr(padiclin, "bruhat_cell_valuations", wrong_core)
+                with pytest.raises(LinAlgError):
+                    iwahori_bruhat_decompose(g)
+            monkeypatch.undo()
+            assert iwahori_bruhat_decompose(g).w == w
+
     def test_light_path_singular_input(self):
         with pytest.raises(LinAlgError):
             bruhat_cell_valuations(3, [[1, 1], [1, 1]])
@@ -279,16 +341,16 @@ class TestBruhat:
 
 
 class TestUnitFactorization:
-    """ul_factorize of 1 + p^beta w_n X (X integral), the shape of the UL
+    """lu_unit_lower of 1 + p^beta X w_n (X integral), the shape of the LU
     step in open_cell_factorize: both factors are congruent to 1 mod
     p^beta."""
 
     def test_zero_matrix(self):
         one = PadicMatrix.identity(3, 2)  # X = 0
-        assert ul_factorize(one) == (one, one)
+        assert lu_unit_lower(one) == (one, one)
 
     def test_rank_one(self):
-        r, s = ul_factorize(PadicMatrix(3, [[7]]))  # 1 + 3 * 2
+        r, s = lu_unit_lower(PadicMatrix(3, [[7]]))  # 1 + 3 * 2
         assert r == PadicMatrix.identity(3, 1)
         assert s == PadicMatrix(3, [[7]])
 
@@ -301,12 +363,12 @@ class TestUnitFactorization:
                                 for _ in range(2)])
             mat = PadicMatrix(p, [[
                 (1 if i == j else 0) + Fraction(p) ** beta
-                * (PadicMatrix.longest_weyl(p, 2) * x).rows[i][j]
+                * (x * PadicMatrix.longest_weyl(p, 2)).rows[i][j]
                 for j in range(2)] for i in range(2)])
-            r, s = ul_factorize(mat)
+            r, s = lu_unit_lower(mat)
             assert r * s == mat
-            assert r.in_upper_unipotent() and s.is_lower_triangular()
-            assert r.congruent_identity(beta) and s.congruent_identity(beta)
+            assert r.transpose().in_upper_unipotent() and s.is_upper_triangular()
+            assert _congruent_identity(r, beta) and _congruent_identity(s, beta)
 
 
 class TestOpenCell:
@@ -334,9 +396,7 @@ class TestOpenCell:
                                         zero, PadicMatrix.identity(p, n))
             fac = open_cell_factorize(g)
             assert fac is not None
-            assert fac.bbar.congruent_identity(beta)
-            assert fac.h1.congruent_identity(beta)
-            assert fac.h2.congruent_identity(beta)
+            assert all(_congruent_identity(m, beta) for m in (fac.bbar, fac.h1, fac.h2))
 
     def test_character_value_well_defined(self):
         # recovered character value matches the constructed one for pure
@@ -355,8 +415,9 @@ class TestOpenCell:
                 random_lower_triangular_q(rng, p, n))
             h1 = random_glzp(rng, p, n)
             h2 = random_glzp(rng, p, n)
+            zero = PadicMatrix.diagonal(p, [0] * n)
             g = bbar * PadicMatrix.open_orbit_rep(p, n) \
-                * PadicMatrix.block_diag(h1, h2)
+                * PadicMatrix.from_blocks(h1, zero, zero, h2)
             fac = open_cell_factorize(g)
             assert fac is not None
 
@@ -369,15 +430,35 @@ class TestOpenCell:
             assert value(fac.bbar, fac.h1, fac.h2) == value(bbar, h1, h2)
 
     def test_certificate_rejects_a_wrong_ul_factor(self, monkeypatch):
-        # a wrong UL factor must give None, never a wrong factorization
+        # a wrong factor of the UL step (the LU of its reversal) must give
+        # None, never a wrong factorization
         rng = make_rng("open-certificate")
         for p, n in ((2, 2), (3, 2), (2, 3)):
             g = random_n_beta(rng, p, n, 1) * random_iw_beta(rng, p, 2 * n, 1)
             for which in (0, 1):
-                monkeypatch.setattr(padiclin, "ul_factorize", _wrong_ul(which))
+                monkeypatch.setattr(padiclin, "_lu_rows", _wrong_lu(p, which))
                 assert open_cell_factorize(g) is None
             monkeypatch.undo()
             assert open_cell_factorize(g) is not None
+
+    def test_carried_determinants(self):
+        # dets, read off the eliminations of A, B and the LU step, equals
+        # (det h1, det h2) computed afresh: at p = 2, 3, 5 and sizes 2, 4, 6,
+        # on int points, on points over a denominator, and on points whose
+        # A and B blocks have a zero (0, 0) entry, so that inverting them
+        # swaps rows and det differs in sign from the last pivot
+        rng = make_rng("open-dets")
+        for p in (2, 3, 5):
+            for n in (1, 2, 3):
+                for kind in ("int", "den", "swap") if n > 1 else ("int", "den"):
+                    for _ in range(4):
+                        g = _open_cell_point(rng, p, n, kind)
+                        if kind != "int":
+                            assert g.den != 1
+                        if kind == "swap":
+                            assert g.nums[0][0] == 0 == g.nums[0][n]
+                        fac = open_cell_factorize(g)
+                        assert fac.dets == (fac.h1.det(), fac.h2.det())
 
     def test_off_cell_is_distinguished_outcome(self):
         # block antidiagonal matrices have singular A-block: not in the cell
@@ -403,6 +484,53 @@ class TestOpenCell:
                 value *= Fraction(d) ** lam[k]
             value *= Fraction(fac.h1.det()) ** 1 * Fraction(fac.h2.det()) ** (0 - 1)
             assert vp(value - 1, p) >= beta
+
+
+class TestWorkBound:
+    """Eliminations and PadicMatrix products per sampled point, counted on
+    fixed seeded samples: the open cell with its determinants runs four
+    eliminations (A^{-1}, B^{-1}, the LU step, U^{-1}) and the Bruhat
+    decomposition one (its LU), and neither multiplies PadicMatrix values:
+    both certificates are integer products."""
+
+    def _count(self, monkeypatch):
+        counts = {"eliminate": 0, "mul": 0}
+        eliminate, mul = padiclin._eliminate, PadicMatrix.__mul__
+
+        def counted_eliminate(*args, **kwargs):
+            counts["eliminate"] += 1
+            return eliminate(*args, **kwargs)
+
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+        monkeypatch.setattr(padiclin, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(PadicMatrix, "__mul__", counted_mul)
+        return counts
+
+    def test_open_cell_work_bound(self, monkeypatch):
+        rng = make_rng("open-cell-work")
+        lam = {1: PureWeight([4, 0]), 2: PureWeight([2, 1, -1, -2])}
+        points = [(n, random_n_beta(rng, p, n, 1) * random_iw_beta(rng, p, 2 * n, 1))
+                  for p in (2, 3) for n in (1, 2) for _ in range(5)]
+        counts = self._count(monkeypatch)
+        for n, g in points:
+            before = dict(counts)
+            # one factorization, its determinants and every v_lambda_j
+            assert all(v != 0 for v in v_lambda_all(g, lam[n]).values())
+            assert counts["eliminate"] - before["eliminate"] <= 4
+            assert counts["mul"] == before["mul"]
+
+    def test_bruhat_work_bound(self, monkeypatch):
+        rng = make_rng("bruhat-work")
+        points = [PadicMatrix(p, _planted(rng, p, size, kind)[2])
+                  for p in (2, 3) for size in (2, 4) for kind in ("int", "p-power")]
+        counts = self._count(monkeypatch)
+        for g in points:
+            before = dict(counts)
+            iwahori_bruhat_decompose(g)
+            assert counts["eliminate"] - before["eliminate"] <= 1
+            assert counts["mul"] == before["mul"]
 
 
 class TestMeasures:

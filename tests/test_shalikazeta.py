@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_rng
-from padicref import shalikazeta
+from padicref import cli, shalikazeta
 from padicref.padiclin import PadicMatrix, vp
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import PSVector
@@ -455,14 +455,16 @@ class TestIntegerShellPoints:
         assert len(calls) == 1 + sum(phi[min(e, n - j)] for j in range(n)) == 33
 
     def test_one_root_per_ball_and_twisted_sum(self, monkeypatch):
-        # the unit bottom ratio g of the certificate test, deep enough that
-        # F is nonzero on large balls: each twisted sum integrates psi over
-        # a ball at once, so it builds at most one root of unity (or one
-        # root_sum) per nonzero ball, not one per point of the ball
-        p, shells = 3, 6
+        # the unit bottom ratio g of the certificate test (c = 0, e = 1, so
+        # the ball at k = p^j t has r = j + 1) at the scalar p^3: v + r >=
+        # shells on six nonzero balls of radius p^(r - shells), r = 3, 4, 5,
+        # where psi is integrated.  Over each ball at once that builds one
+        # root_sum; one per point of the balls would be sum p^(shells - r)
+        # = 78 roots, above the bound 3 * 10 nonzero values
+        p, shells, at_p3 = 3, 6, ({(1, 3): 1},)
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
         g = PadicMatrix(p, [[Fraction(1, 7), Fraction(2, 3)], [3, Fraction(3, 7)]])
-        (expected,) = ag_intertwine_value(f, g, 3, AT_ONE)
+        (expected,) = ag_intertwine_value(f, g, shells + 1, at_p3)
         roots, nonzero = [], []
         root_of_unity, root_sum = CycNum.root_of_unity, CycNum.root_sum
 
@@ -481,9 +483,9 @@ class TestIntegerShellPoints:
         monkeypatch.setattr(CycNum, "root_of_unity", staticmethod(counted_root))
         monkeypatch.setattr(CycNum, "root_sum", staticmethod(counted_sum))
         monkeypatch.setattr(shalikazeta, "ps_evaluate_rows", counted_value)
-        assert ag_intertwine_value(f, g, shells, AT_ONE) == (expected,)
+        assert ag_intertwine_value(f, g, shells, at_p3) == (expected,)
         # one scalar: two rim sums and the inner sum
-        assert 0 < sum(nonzero) and len(roots) <= 3 * sum(nonzero)
+        assert 0 < len(roots) and 0 < sum(nonzero) and len(roots) <= 3 * sum(nonzero)
 
     def test_refuses_a_zero_scalar(self):
         p = 3
@@ -742,6 +744,28 @@ class TestInterpolationFactors:
                     for j in (-1, 0, 2):
                         assert ep_factor(sat, chi, j) \
                             == hecke_eigenvalue(ref, n) ** (-beta) * qprime_factor(chi, j, n)
+
+    def test_gauss_power_once_per_character_and_rank(self, monkeypatch):
+        # ep_factor and qprime_factor read one tau(chi)^n: the euler-factors
+        # suite raises each Gauss sum to each rank n once, for every j
+        made, powers = [], []
+        enumerate_conductor, power = TwistCharacter.enumerate_conductor, CycNum.__pow__
+
+        def recorded(p, beta):
+            chars = enumerate_conductor(p, beta)
+            made.extend(chars)
+            return chars
+
+        def counted(self, k):
+            powers.append((self, k))
+            return power(self, k)
+        monkeypatch.setattr(TwistCharacter, "enumerate_conductor", staticmethod(recorded))
+        monkeypatch.setattr(CycNum, "__pow__", counted)
+        cases = cli.suite_euler_factors(cli.SuiteConfig(), make_rng("gauss-power"))
+        assert all(case["outcome"] == "pass" for case in cases)
+        taus = [chi.tau for chi in made if chi.is_ramified]
+        ranks = [k for base, k in powers if any(base is tau for tau in taus)]
+        assert len(taus) == 5 and sorted(ranks) == [1] * 5 + [2] * 5
 
     def test_unramified_pole(self):
         # theta_2 = p^(1/2) makes the factor 1 - theta_2 / p^(j + 1/2) vanish
