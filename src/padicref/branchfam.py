@@ -42,25 +42,25 @@ class BranchError(Exception):
 
 
 class PureWeight:
-    """A pure dominant weight with its purity weight and critical range."""
+    """A pure dominant integral weight with its purity weight and critical range."""
 
-    __slots__ = ("weight", "sw")
+    __slots__ = ("entries", "sw")
 
     def __init__(self, entries):
-        self.weight = entries if isinstance(entries, GLWeight) else GLWeight(entries)
-        if not self.weight.is_dominant():
+        weight = entries if isinstance(entries, GLWeight) else GLWeight(entries)
+        if not weight.is_dominant():
             raise BranchError("weight must be dominant")
-        self.sw = self.weight.purity_weight()
+        sw = weight.purity_weight()
+        if any(x.denominator != 1 for x in weight.entries):
+            raise BranchError("branching needs an integral weight")
+        self.entries, self.sw = tuple(map(int, weight.entries)), int(sw)
 
     @property
     def n(self):
-        return self.weight.n
+        return len(self.entries) // 2
 
     def entry(self, i: int) -> int:
-        x = self.weight.entries[i]
-        if x.denominator != 1:
-            raise BranchError("branching needs an integral weight")
-        return int(x)
+        return self.entries[i]
 
     def power(self, i: int, x, k: int) -> Fraction:
         """lam_i(x)^k = x^(k lam_i), 1 <= i <= 2n."""
@@ -107,7 +107,7 @@ def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
     bbar = fac.bbar
     # (numerator, denominator, exponent) of each factor
     factors = [(bbar.nums[i][i], bbar.den, lam.entry(i)) for i in range(bbar.size)]
-    for d, e in zip(fac.dets, (-j, int(lam.sw) + j)):
+    for d, e in zip(fac.dets, (-j, lam.sw + j)):
         if e:
             factors.append((d.numerator, d.denominator, e))
     num = den = 1
@@ -192,7 +192,7 @@ def specialization_points(p: int, lam: PureWeight) -> list:
     """The exact points T_i = b^e - 1, b = wild_base(p), at which a family
     specializes to lam: e = sw for T_0 and e = lam_i for T_i."""
     b = Fraction(wild_base(p))
-    return [b ** e - 1 for e in [int(lam.sw)] + [lam.entry(i) for i in range(lam.n)]]
+    return [b ** e - 1 for e in [lam.sw] + [lam.entry(i) for i in range(lam.n)]]
 
 
 class FamilyWeight:
@@ -273,7 +273,7 @@ class FamilyWeight:
         if lam.n != self.n:
             return False
         order = tame_order(self.p)
-        if (int(lam.sw) - self.tame_sw) % order:
+        if (lam.sw - self.tame_sw) % order:
             return False
         return all((lam.entry(i) - self.tame[i]) % order == 0
                    for i in range(self.n))

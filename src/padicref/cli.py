@@ -59,7 +59,7 @@ MAX_SHELLS = 8
 
 @dataclass
 class SuiteConfig:
-    n: int = 2                 # census/transfer rank bound (1..3)
+    n: int = 2                 # census/transfer/Hecke rank bound (1..3)
     p: int = 3                 # ambient prime (2, 3, 5)
     beta: int = 1              # twist depth (1..2)
     shells: int = 4            # oracle truncation margin
@@ -171,12 +171,13 @@ def suite_weyl_transfer(cfg: SuiteConfig, rng: SplitMix64):
 
 
 def suite_hecke_eigen(cfg: SuiteConfig, rng: SplitMix64):
-    sats = {n: refine.SatakeParameter.generic(cfg.p, n) for n in (1, 2)}
-    sigmas = all_perms(4)
-    chosen = [sigmas[rng.randrange(len(sigmas))] for _ in range(3)]
-    chosen += [tuple(longest_perm(4)), refine.tau_element(2)]
-    checks = [(f"eigen-n1-{sigma}", 1, sigma, 1) for sigma in all_perms(2)] \
-        + [(f"eigen-n2-{sigma}-r{r}", 2, sigma, r) for sigma in chosen for r in (1, 2, 3)]
+    sats = {n: refine.SatakeParameter.generic(cfg.p, n) for n in range(1, cfg.n + 1)}
+    checks = [(f"eigen-n1-{sigma}", 1, sigma, 1) for sigma in all_perms(2)]
+    for n in range(2, cfg.n + 1):
+        chosen = [rng.choice(all_perms(2 * n)) for _ in range(3)]
+        chosen += [longest_perm(2 * n), refine.tau_element(n)]
+        checks += [(f"eigen-n{n}-{sigma}-r{r}", n, sigma, r)
+                   for sigma in chosen for r in range(1, 2 * n)]
     return [_case(name, f"p={cfg.p} sigma={sigma} r={r}", "paper",
                   () if princhecke.eigenvector_check(sats[n], sigma, r)
                   else [f"n={n} sigma={sigma} r={r}: U_p,r f != alpha f"])
@@ -323,7 +324,7 @@ def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
         lam = _family_weight(p, n)
         omega = branchfam.FamilyWeight(p, n, cfg.family_prec, cfg.family_degree,
                                        tame=[lam.entry(i) % order for i in range(n)],
-                                       tame_sw=int(lam.sw) % order)
+                                       tame_sw=lam.sw % order)
         js = list(branchfam.crit_range(lam))
         # (j, kappa_lambda, kappa_lambda_j, specialized family) per sample
         rows = []

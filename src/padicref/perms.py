@@ -18,13 +18,6 @@ def compose(a: tuple, b: tuple) -> tuple:
     return tuple(a[x] for x in b)
 
 
-def inverse_perm(a: tuple) -> tuple:
-    out = [0] * len(a)
-    for j, i in enumerate(a):
-        out[i] = j
-    return tuple(out)
-
-
 def perm_sign(a: tuple) -> int:
     seen = [False] * len(a)
     sign = 1

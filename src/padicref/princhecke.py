@@ -8,23 +8,18 @@ the Bruhat decomposition g = b * w * i: the value is
     delta_B^(1/2)(b) * theta^sigma(b) * c_w
 
 with both characters read off the diagonal valuations of b (the inducing
-character is unramified).  The Hecke operator U_{p,r} acts by the single
-coset decomposition over (1_r m; 0 1) t_{p,r} with m modulo p, and a
-vector is reassembled from its values at the (2n)! Weyl representatives.
-The single-coset matrices depend on (p, 2n, r) only: their cells and
-valuations are reduced once per process and grouped by (cell,
-valuations), and as the value above depends on a matrix only through
-that pair, each group adds its count times one value.
+character is unramified).  U_{p,r} = [Iw t_{p,r} Iw] acts on the right
+through the Iwahori-Matsumoto presentation t_{p,r} = P_r Pi^r: r steps of
+Pi and r(m-r) simple reflections, each a closed rule on the coefficients
+whatever p is (``hecke_apply``), so no single coset is enumerated.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import product
 
 from .padiclin import bruhat_cell_valuations
-from .perms import all_perms, block_perm, compose, inverse_perm, longest_perm
+from .perms import block_perm, compose, longest_perm
 from .refine import Refinement, SatakeParameter, hecke_eigenvalue
 from .rootspin import delta_b
 from .symring import SymElem
@@ -38,11 +33,9 @@ class PrincipalSeriesError(Exception):
 def _zero(p: int) -> SymElem:
     """The zero of the coefficient ring at p, built once and shared.
 
-    Nothing mutates a SymElem after construction, so one instance can
-    stand for every zero value.  Most uses start the per-rho totals of
-    hecke_apply; the rest are PSVector.coefficient off the support and
-    ps_evaluate_rows off the cell (364, 34 and 10 of 408 in a default
-    `padicref run`).
+    Nothing mutates a SymElem, so one instance stands for every zero:
+    PSVector.coefficient off the support and ps_evaluate_rows off the cell
+    (34 and 10 of the 44 uses in a default `padicref run`).
     """
     return SymElem.rational(p, 0)
 
@@ -126,54 +119,61 @@ def ps_evaluate_rows(f: PSVector, rows) -> SymElem:
     return torus_character_value(f.satake, f.sigma, vals) * c
 
 
-def hecke_coset_matrices(p: int, m: int, r: int):
-    """The single-coset representatives (1_r m'; 0 1) t_{p,r}, as tuples
-    of int rows.
-
-    These are the block matrices (p 1_r, m'; 0, 1) with m' running over
-    residue matrices with entries in {0, ..., p-1}.
-    """
-    cols = m - r
-    bottom = tuple(tuple(int(k == r + i) for k in range(m)) for i in range(cols))
-    return [tuple(tuple(p * (k == i) for k in range(r)) + mp[i * cols:(i + 1) * cols]
-                  for i in range(r)) + bottom
-            for mp in product(range(p), repeat=r * cols)]
+def _right_pi(f: PSVector) -> PSVector:
+    """f * Pi: f_w -> chi(p at place w(0)) f_{w c}, c(j) = j + 1 mod m."""
+    m = f.size
+    chi = [torus_character_value(f.satake, f.sigma, [int(k == j) for k in range(m)])
+           for j in range(m)]
+    return PSVector(f.satake, f.sigma,
+                    {w[1:] + w[:1]: chi[w[0]] * c for w, c in f.coeffs.items()})
 
 
-@lru_cache(maxsize=None)
-def _hecke_cells(p: int, m: int, r: int) -> dict:
-    """{rho: Counter of (cell, vals)} over the single-coset matrices with
-    their rows permuted by rho, the Bruhat data hecke_apply sums over."""
-    cosets = hecke_coset_matrices(p, m, r)
-    return {rho: Counter(bruhat_cell_valuations(p, [rows[i] for i in inverse_perm(rho)])
-                         for rows in cosets)
-            for rho in all_perms(m)}
+def _right_s(f: PSVector, i: int) -> PSVector:
+    """f * T_{s_i}: f_w -> f_{w s_i} if w(i) < w(i+1), else (p-1) f_w + p f_{w s_i}."""
+    out = {}
+    for w, c in f.coeffs.items():
+        ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+        for v, d in [(ws, c)] if w[i] < w[i + 1] else [(w, c * (f.p - 1)), (ws, c * f.p)]:
+            out[v] = out[v] + d if v in out else d
+    return PSVector(f.satake, f.sigma, out)
 
 
 def hecke_apply(f: PSVector, r: int) -> PSVector:
-    """U_{p,r} f, reassembled from its values at Weyl representatives.
+    """U_{p,r} f = f * [Iw t Iw], t = t_{p,r}, by the Iwahori-Matsumoto
+    presentation (Publ. Math. IHES 25, 1965); m = 2n.
 
-    The value at rho, the sum of f over the rho-permuted single-coset
-    matrices, is the sum of count * value over their (cell, vals) groups.
+    Pi = (0 1_{m-1}; p 0) sends e_j to e_{j-1} and e_0 to p e_{m-1}, so Pi^r
+    scales e_0..e_{r-1} by p and moves e_j to e_{j-r}: t = P_r Pi^r, with
+    P_r: j -> j + r mod m.  Pi normalizes Iw, so l(Pi) = 0; t has
+    p^(r(m-r)) single cosets, so l(t) = r(m-r) = l(P_r), whose inversions
+    are the pairs a < m-r <= b.  When lengths add, Iw x Iw y Iw = Iw xy Iw
+    and the products of coset representatives meet each coset once, so
+    [Iw t Iw] = T_{P_r} T_Pi^r, and T_{P_r} = T_{s_1} ... T_{s_L} for any
+    reduced word.  The right action reverses products: (f * A) * B sums
+    f(g Y X) over Y in B and X in A, so it is f * [BA].  Hence Pi acts
+    first, then the letters from the last; the loop's letters, read
+    backwards, are r(m-r) with product P_r, so they are a reduced word.
+
+    Each rule is read off (f_w * x)(rho) = sum of f_w(rho X), rho Weyl.
+    rho Pi = d rho c^{-1}, d = diag with p at place rho(m-1): rho = w c
+    (``_right_pi``).  The cosets of s_i are u_a s_i Iw, u_a = 1 + a E_{i,i+1},
+    a mod p.  If rho(i) < rho(i+1), rho u_a rho^{-1} is in N(Z_p): the sum is
+    p f_w(rho s_i).  Else a = 0 gives f_w(rho s_i) and a unit a gives u_a s_i
+    = (1 + a^{-1} E_{i+1,i}) y, y in Iw, whose first factor rho carries into
+    N(Z_p): (p - 1) f_w(rho).  Take rho = w s_i and w (``_right_s``).
     """
     m = f.size
     if not 1 <= r <= m - 1:
         raise PrincipalSeriesError("Hecke index out of range")
-    coeffs = {}
-    for rho, groups in _hecke_cells(f.p, m, r).items():
-        total = _zero(f.p)
-        for (cell, vals), count in groups.items():
-            c = f.coeffs.get(cell)
-            if c is not None:
-                total = total + torus_character_value(f.satake, f.sigma, vals) * c * count
-        if not total.is_zero():
-            coeffs[rho] = total
-    return PSVector(f.satake, f.sigma, coeffs)
+    for _ in range(r):
+        f = _right_pi(f)
+    for k in range(r):
+        for i in range(m - r + k - 1, k - 1, -1):
+            f = _right_s(f, i)
+    return f
 
 
 def eigenvector_check(satake: SatakeParameter, sigma: tuple, r: int) -> bool:
     """U_{p,r} f^sigma = alpha_sigma(U_{p,r}) f^sigma, exactly."""
     f = PSVector.big_cell_vector(satake, sigma)
-    lhs = hecke_apply(f, r)
-    alpha = hecke_eigenvalue(Refinement(satake, sigma), r)
-    return lhs == f.scale(alpha)
+    return hecke_apply(f, r) == f.scale(hecke_eigenvalue(Refinement(satake, sigma), r))

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padiclin import (INF, PadicMatrix, iwahori_bruhat_decompose,
+from .padiclin import (INF, LinAlgError, PadicMatrix, iwahori_bruhat_decompose,
                        residue, unit_part, vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
@@ -207,15 +207,18 @@ def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
     w_n z^(2 beta) M_n(Z_p): its row r has valuation >= 2 beta r."""
     if beta < 1:
         raise ZetaError("depth must be >= 1")
-    if not k.in_glzp():
+    try:  # k is in GL_n(Z_p) exactly when k and k^{-1} are both integral
+        kinv = k.inverse()
+    except LinAlgError:
+        raise ZetaError("k is singular, so not in GL_n(Z_p)") from None
+    if not (k.is_integral() and kinv.is_integral()):
         raise ZetaError("k must lie in GL_n(Z_p)")
-    n = k.size
-    wlong = longest_perm(n)
+    wlong = longest_perm(k.size)
     if tuple(delta) != wlong:
         return False
     if iwahori_bruhat_decompose(k).w != wlong:
         return False
-    kx = k.inverse() * x
+    kx = kinv * x
     return all(vp(y, k.p) >= 2 * beta * r + vp(kx.den, k.p)
                for r, row in enumerate(kx.nums) for y in row)
 

@@ -34,6 +34,13 @@ class TestCritRange:
     def test_regular_weight(self):
         assert list(crit_range(PureWeight([2, 1, -1, -2]))) == [-1, 0, 1]
 
+    def test_half_integral_weight_is_refused_at_construction(self):
+        # pure and dominant, with purity weight 0, but not integral
+        with pytest.raises(BranchError):
+            PureWeight([Fraction(1, 2), Fraction(-1, 2)])
+        lam = PureWeight([Fraction(4), 0])
+        assert lam.entries == (4, 0) and {type(x) for x in (*lam.entries, lam.sw)} == {int}
+
     def test_alpha_weights(self):
         assert alpha_weight(2, 0).entries == (1, 1, 1, 1)
         assert alpha_weight(2, 1).entries == (1, 0, 0, -1)

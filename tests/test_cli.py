@@ -42,9 +42,9 @@ P5_ZETA_BODY_SHA256 = \
     "bed1af902d95bf141156697572cb3b6e02e35bda16fd3f708d6b1e339849d8ab"
 
 # the same for ``padicref run --n 3 --beta 2``, where the branching suites
-# loop over two depths
+# loop over two depths and hecke-eigen reaches GL(6)
 RANK3_BETA2_BODY_SHA256 = \
-    "7ef9cdbc096a3a2e6a1b6b1a14ee10b145e93538b991ddbc3e93c22e07d5a275"
+    "acb03112f89c776685f9f6d042f2ca9c6a2f3fde9492fcaf618ffec34c2d3919"
 
 # the same for ``padicref run --p 2 --beta 2``, the one report that reaches
 # the p = 2 family characters: wild base 5 and the +-1 Teichmueller lift
@@ -234,7 +234,9 @@ class TestAcceptedInput:
         code, out, _ = _run(["run", "--n", "3", "--beta", "2"], capsys)
         assert code == 0
         body = json.loads(out)["body"]
-        assert (body["passed"], body["failed"]) == (72, 0)
+        assert (body["passed"], body["failed"]) == (97, 0)
+        hecke = next(s for s in body["suites"] if s["name"] == "hecke-eigen")
+        assert sum(c["name"].startswith("eigen-n3-") for c in hecke["cases"]) == 5 * 5
         assert hashlib.sha256(_body(out) + b"\n").hexdigest() == RANK3_BETA2_BODY_SHA256
 
     def test_p2_beta2_body_matches_the_reference(self, capsys):
@@ -335,14 +337,12 @@ class TestNoRepeatedFactorization:
                 current[0] = suite
                 return fn(cfg, rng)
             monkeypatch.setitem(entry, "fn", tagged)
-        princhecke._hecke_cells.cache_clear()
         assert cli.run(cli.SuiteConfig())["body"]["ok"]
 
-        # each Weyl representative rho meets each coset matrix of each
-        # (2n, r) once: 2! * 3 + 4! * (3^3 + 3^4 + 3^3) = 3,246 at p = 3, and
-        # no sigma repeats one
-        hecke = inputs[("hecke-eigen", "bruhat_cell_valuations")]
-        assert len(hecke) == len(set(hecke)) == 2 * 3 + 24 * (27 + 81 + 27)
+        # U_{p,r} acts on the cell coefficients, so hecke-eigen values no
+        # matrix at all
+        assert ("hecke-eigen", "bruhat_cell_valuations") not in inputs
+        assert inputs[("zeta-iwahori", "bruhat_cell_valuations")]
         for suite in ("branching-support", "interp-diagram"):
             points = inputs[(suite, "_iw1_coordinates")]
             cells = inputs[(suite, "open_cell_factorize")]

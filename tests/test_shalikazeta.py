@@ -147,6 +147,16 @@ class TestCellSupport:
         assert not shalika_support_predicate(longest_perm(n), k, x, beta)
         assert not shalika_support_bruhat(longest_perm(n), k, x, beta)
 
+    def test_k_outside_gl_n_zp_is_refused(self):
+        # a singular k, and an integral k with det = 3 = 0 mod p, read off
+        # the inverse's integrality; neither escapes as a LinAlgError
+        p, n, beta = 3, 2, 1
+        x = PadicMatrix.longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
+        for k in ([[1, 2], [2, 4]], [[1, 1], [1, 4]]):
+            for delta in (longest_perm(n), tuple(range(n))):
+                with pytest.raises(ZetaError):
+                    shalika_support_predicate(delta, PadicMatrix(p, k), x, beta)
+
     def test_predicate_matches_cell_membership(self):
         rng = make_rng("support-samples")
         for p in (2, 3):
