@@ -30,7 +30,7 @@ from .famring import (FamilyRing, FamSeries, tame_order, teichmuller,
                       wild_base, wild_exponent)
 from .padiclin import (LinAlgError, PadicMatrix, lu_unit_lower,
                        open_cell_factorize, residue, vp)
-from .rootspin import GLWeight
+from .rootspin import is_pure
 
 
 class BranchError(Exception):
@@ -47,45 +47,42 @@ class PureWeight:
     __slots__ = ("entries", "sw")
 
     def __init__(self, entries):
-        weight = entries if isinstance(entries, GLWeight) else GLWeight(entries)
-        if not weight.is_dominant():
+        entries = tuple(entries)
+        if len(entries) % 2 or not is_pure(entries):
+            raise BranchError(f"weight {entries} is not pure")
+        if any(a < b for a, b in zip(entries, entries[1:])):
             raise BranchError("weight must be dominant")
-        sw = weight.purity_weight()
-        if any(x.denominator != 1 for x in weight.entries):
+        if any(Fraction(x).denominator != 1 for x in entries):
             raise BranchError("branching needs an integral weight")
-        self.entries, self.sw = tuple(map(int, weight.entries)), int(sw)
+        self.entries = tuple(map(int, entries))
+        self.sw = self.entries[0] + self.entries[-1]
 
     @property
     def n(self):
         return len(self.entries) // 2
 
-    def entry(self, i: int) -> int:
-        return self.entries[i]
-
-    def power(self, i: int, x, k: int) -> Fraction:
-        """lam_i(x)^k = x^(k lam_i), 1 <= i <= 2n."""
-        return Fraction(x) ** (k * self.entry(i - 1))
-
     def product(self, factors) -> Fraction:
-        """The product of lam_i(x)^k over the factors (i, x, k)."""
-        return math.prod((self.power(*f) for f in factors), start=Fraction(1))
+        """The product of lam_i(x)^k = x^(k lam_i) over the factors (i, x, k),
+        1 <= i <= 2n."""
+        return math.prod((Fraction(x) ** (k * self.entries[i - 1]) for i, x, k in factors),
+                         start=Fraction(1))
 
 
 def crit_range(lam: PureWeight):
     """Integers j with -lam_n <= j <= -lam_{n+1}."""
     n = lam.n
-    lo, hi = -lam.entry(n - 1), -lam.entry(n)
+    lo, hi = -lam.entries[n - 1], -lam.entries[n]
     return range(lo, hi + 1)
 
 
-def alpha_weight(n: int, i: int) -> GLWeight:
+def alpha_weight(n: int, i: int) -> tuple:
     """The basis weights: alpha_0 = (1,...,1), alpha_i = (1^i, 0..0, (-1)^i)
     for 1 <= i <= n-1, alpha_n = (1^n, 0^n)."""
     if i == 0:
-        return GLWeight([1] * (2 * n))
+        return (1,) * (2 * n)
     if i == n:
-        return GLWeight([1] * n + [0] * n)
-    return GLWeight([1] * i + [0] * (2 * n - 2 * i) + [-1] * i)
+        return (1,) * n + (0,) * n
+    return (1,) * i + (0,) * (2 * n - 2 * i) + (-1,) * i
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +103,7 @@ def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
         return Fraction(0)
     bbar = fac.bbar
     # (numerator, denominator, exponent) of each factor
-    factors = [(bbar.nums[i][i], bbar.den, lam.entry(i)) for i in range(bbar.size)]
+    factors = [(bbar.nums[i][i], bbar.den, lam.entries[i]) for i in range(bbar.size)]
     for d, e in zip(fac.dets, (-j, lam.sw + j)):
         if e:
             factors.append((d.numerator, d.denominator, e))
@@ -192,7 +189,7 @@ def specialization_points(p: int, lam: PureWeight) -> list:
     """The exact points T_i = b^e - 1, b = wild_base(p), at which a family
     specializes to lam: e = sw for T_0 and e = lam_i for T_i."""
     b = Fraction(wild_base(p))
-    return [b ** e - 1 for e in [lam.sw] + [lam.entry(i) for i in range(lam.n)]]
+    return [b ** e - 1 for e in (lam.sw, *lam.entries[:lam.n])]
 
 
 class FamilyWeight:
@@ -215,32 +212,27 @@ class FamilyWeight:
             raise BranchError("need n tame exponents")
         self._cprec = self.ring.exponent_precision()
 
-    def power(self, i: int, x, k: int) -> FamSeries:
-        """chi_{Omega,i}(x)^k for 1 <= i <= 2n and a unit x, in closed form:
+    def product(self, factors) -> FamSeries:
+        """The product of chi_{Omega,i}(x)^k over the factors (i, x, k), for
+        1 <= i <= 2n and units x, in closed form:
 
-            omega(x)^(k t) * prod over var of (1 + T_var)^(k e c(x)),
+            prod omega(x)^(k t) * prod over var of (1 + T_var)^(sum of k e c(x)),
 
         with omega the Teichmueller character and c(x) = wild_exponent(x).
         (t, {var: e}) is (t_i, {i: 1}) for i <= n; for i > n it is (t_sw -
         t_j, {0: 1, j: -1}) with j = 2n + 1 - i, by purity chi_i = sw *
-        chi_j^(-1).
+        chi_j^(-1).  It multiplies only the constant by at most n + 1
+        univariate series.
 
-        A negative exponent a is passed as a mod p^N, N the exponent
+        Each wild exponent a is passed as a mod p^N, N the exponent
         precision, and this is exact: (1 + T)^a * (1 + T)^(p^N - a) is
         (1 + T)^(p^N), whose coefficient of T^m for 1 <= m < degree has
         v_p(C(p^N, m)) = N - v_p(m) > M, since v_p(m) <=
         v_p((degree - 1)!).  So that product is 1 in the truncated ring, and
         (1 + T)^(p^N - a) is the inverse of (1 + T)^a, which is unique; and
-        as (1 + T)^a (1 + T)^b = (1 + T)^(a + b), product adds exponents.
+        as (1 + T)^a (1 + T)^b = (1 + T)^(a + b) in Z/p^M[[T]]/(deg >= D),
+        summing the exponents of the factors first is exact.
         """
-        return self.product([(i, x, k)])
-
-    def product(self, factors) -> FamSeries:
-        """The product of the power(i, x, k) over the factors (i, x, k), as
-        prod omega(x)^(k t) times, per var, (1 + T_var)^(sum of k e c(x)
-        mod p^N): exact, by (1 + T)^a (1 + T)^b = (1 + T)^(a + b) in
-        Z/p^M[[T]]/(deg >= D) and power's proof, and it multiplies only the
-        constant by at most n + 1 univariate series."""
         n, p, ring = self.n, self.p, self.ring
         order, cmod = tame_order(p), p ** self._cprec
         const, wild = 1, [0] * (n + 1)
@@ -275,7 +267,7 @@ class FamilyWeight:
         order = tame_order(self.p)
         if (lam.sw - self.tame_sw) % order:
             return False
-        return all((lam.entry(i) - self.tame[i]) % order == 0
+        return all((lam.entries[i] - self.tame[i]) % order == 0
                    for i in range(self.n))
 
     def specialize(self, x: FamSeries, lam: PureWeight) -> int:

@@ -151,7 +151,7 @@ def suite_weyl_transfer(cfg: SuiteConfig, rng: SplitMix64):
                 for i in range(n + 1):
                     mu = tuple(1 if k == i else 0 for k in range(n + 1))
                     lhs = rootspin.jmap_weight(w.act_weight(mu))
-                    rhs = rootspin.jmap_weight(mu).act(sig)
+                    rhs = rootspin.act_cochar_gl(rootspin.jmap_weight(mu), sig)
                     if lhs != rhs:
                         yield f"w={w} mu={mu}: {lhs} != {rhs}"
 
@@ -323,7 +323,7 @@ def suite_interp_diagram(cfg: SuiteConfig, rng: SplitMix64):
     for n in (1, 2):
         lam = _family_weight(p, n)
         omega = branchfam.FamilyWeight(p, n, cfg.family_prec, cfg.family_degree,
-                                       tame=[lam.entry(i) % order for i in range(n)],
+                                       tame=[e % order for e in lam.entries[:n]],
                                        tame_sw=lam.sw % order)
         js = list(branchfam.crit_range(lam))
         # (j, kappa_lambda, kappa_lambda_j, specialized family) per sample

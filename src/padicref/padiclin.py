@@ -292,8 +292,11 @@ class PadicMatrix:
         return self.is_integral() and self.det().numerator % self.p != 0
 
     def in_iwahori(self) -> bool:
-        """Upper triangular modulo p, inside GL(Z_p)."""
-        return self.in_glzp() and self._lower_in_pzp()
+        """Upper triangular modulo p, inside GL(Z_p).  An integral matrix
+        with p-divisible lower entries is upper triangular mod p, so its det
+        is the product of its diagonal mod p: no det is needed."""
+        return self.is_integral() and self._lower_in_pzp() \
+            and all(row[i] % self.p for i, row in enumerate(self.nums))
 
     def _lower_in_pzp(self) -> bool:
         # for an integral matrix, whose den is then a unit

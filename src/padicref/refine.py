@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .padiclin import vp
 from .perms import all_perms, block_perm, compose, longest_perm
-from .rootspin import GLWeight, RootDataError, jvee_cochar, jvee_weyl
+from .rootspin import RootDataError, jvee_cochar, jvee_weyl
 from .symring import SymElem
 
 
@@ -137,11 +137,11 @@ def u_p_eigenvalue(ref: Refinement) -> SymElem:
     return out
 
 
-def integral_eigenvalue(ref: Refinement, r: int, lam: GLWeight) -> SymElem:
+def integral_eigenvalue(ref: Refinement, r: int, lam: tuple) -> SymElem:
     """alpha^circ_{p,r} = p^(lam_1 + ... + lam_r) * alpha_{p,r}."""
-    if not lam.is_dominant():
+    if any(a < b for a, b in zip(lam, lam[1:])):
         raise RefineError("integral normalisation needs a dominant weight")
-    e = sum(lam.entries[:r])
+    e = sum(lam[:r])
     return SymElem.p_power(ref.p, e) * hecke_eigenvalue(ref, r)
 
 
@@ -277,12 +277,12 @@ def normalize_satake(ref: Refinement):
     return sat, c
 
 
-def noncritical_slope(ref: Refinement, lam: GLWeight, valuations: dict) -> bool:
+def noncritical_slope(ref: Refinement, lam: tuple, valuations: dict) -> bool:
     """v_p(alpha^circ_{p,r}) < lam_r - lam_{r+1} + 1 for 1 <= r <= 2n-1."""
     n2 = 2 * ref.n
     for r in range(1, n2):
         v = monomial_valuation(integral_eigenvalue(ref, r, lam), valuations, ref.p)
-        if not v < lam.entries[r - 1] - lam.entries[r] + 1:
+        if not v < lam[r - 1] - lam[r] + 1:
             return False
     return True
 

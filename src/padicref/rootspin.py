@@ -1,8 +1,9 @@
 """Root data and Weyl combinatorics for GL(2n) and GSpin(2n+1).
 
-Weights of the GL(2n) torus are integer (or half-integer) vectors of
-length 2n acted on by S_{2n} via (lam^sigma)_i = lam_{sigma(i)}.  A weight
-is pure when lam_i + lam_{2n+1-i} is a single constant sw.  On the GSpin
+Weights of the GL(2n) torus are int tuples of length 2n, on which S_{2n}
+acts by moving coordinates: sigma sends e_i to e_{sigma(i)}, so
+(sigma lam)_{sigma(i)} = lam_i (act_cochar_gl).  A weight is pure when
+lam_i + lam_{2n+1-i} is a single constant sw (is_pure).  On the GSpin
 side weights and cocharacters are coordinate tuples (c0, c1, ..., cn)
 in the bases f_0, ..., f_n and f_0^*, ..., f_n^*, with Weyl group
 {+-1}^n x| S_n: signed permutations (perm, signs), composed by
@@ -21,7 +22,6 @@ and also the induced map on cocharacters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .perms import all_perms, compose
@@ -36,47 +36,10 @@ class RootDataError(Exception):
 # weights
 
 
-class GLWeight:
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(Fraction(x) for x in entries)
-        if len(self.entries) % 2:
-            raise RootDataError("GL weight must have even length")
-
-    @property
-    def n(self):
-        return len(self.entries) // 2
-
-    def is_dominant(self) -> bool:
-        return all(a >= b for a, b in zip(self.entries, self.entries[1:]))
-
-    def is_pure(self) -> bool:
-        m = len(self.entries)
-        sums = {self.entries[i] + self.entries[m - 1 - i] for i in range(m // 2)}
-        return len(sums) == 1
-
-    def purity_weight(self) -> Fraction:
-        if not self.is_pure():
-            raise RootDataError(f"weight {self.entries} is not pure")
-        return self.entries[0] + self.entries[-1]
-
-    def act(self, sigma: tuple) -> "GLWeight":
-        return GLWeight(act_cochar_gl(self.entries, sigma))
-
-    def __eq__(self, other):
-        return isinstance(other, GLWeight) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"GLWeight{self.entries}"
-
-
-def regular_pure_weight(n: int) -> GLWeight:
-    """(2n-1, 2n-3, ..., 1-2n): distinct entries force faithfulness."""
-    return GLWeight([2 * n - 1 - 2 * k for k in range(2 * n)])
+def is_pure(lam: tuple) -> bool:
+    """lam_i + lam_{2n+1-i} is one constant over i (length 2n)."""
+    m = len(lam)
+    return len({lam[i] + lam[m - 1 - i] for i in range(m // 2)}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +118,16 @@ def all_weyl_gspin(n: int):
 # transfer maps
 
 
-def jmap_weight(mu: tuple) -> GLWeight:
+def jmap_weight(mu: tuple) -> tuple:
     """f_i -> e_i - e_{2n-i+1}, f_0 -> e_{n+1} + ... + e_{2n}."""
     n = len(mu) - 1
-    lam = [Fraction(0)] * (2 * n)
+    lam = [0] * (2 * n)
     for i in range(1, n + 1):
         lam[i - 1] += mu[i]
         lam[2 * n - i] -= mu[i]
     for k in range(n, 2 * n):
         lam[k] += mu[0]
-    return GLWeight(lam)
+    return tuple(lam)
 
 
 def jmap_weyl(omega: WeylGSpin) -> tuple:
@@ -179,24 +142,25 @@ def jmap_weyl(omega: WeylGSpin) -> tuple:
 
 
 def wg0_members(n: int) -> set:
-    """All sigma in S_{2n} preserving purity of a generic pure weight."""
+    """All sigma in S_{2n} preserving purity of a generic pure weight, the
+    regular (2n-1, 2n-3, ..., 1-2n): distinct entries force faithfulness."""
     if n > 4:
         raise RootDataError("exhaustive enumeration limited to n <= 4")
-    lam = regular_pure_weight(n)
-    return {sigma for sigma in all_perms(2 * n) if lam.act(sigma).is_pure()}
-
-
-@lru_cache(maxsize=None)
-def _jvee_table(n: int) -> dict:
-    return {jmap_weyl(w): w for w in all_weyl_gspin(n)}
+    lam = tuple(2 * n - 1 - 2 * k for k in range(2 * n))
+    return {sigma for sigma in all_perms(2 * n) if is_pure(act_cochar_gl(lam, sigma))}
 
 
 def jvee_weyl(sigma: tuple) -> WeylGSpin:
-    """Inverse of jmap_weyl; raises for sigma outside W_G^0."""
-    try:
-        return _jvee_table(len(sigma) // 2)[tuple(sigma)]
-    except KeyError:
-        raise RootDataError(f"{sigma} is not in W_G^0") from None
+    """Inverse of jmap_weyl, read off its formula with m = 2n - 1: sigma is in
+    W_G^0 exactly when sigma(m-i) = m - sigma(i) for every i < n, and then
+    signs[i] = +1, perm(i) = sigma(i) when sigma(i) < n, and signs[i] = -1,
+    perm(i) = m - sigma(i) otherwise; raises for sigma outside W_G^0."""
+    m, n = len(sigma) - 1, len(sigma) // 2
+    if len(sigma) % 2 or sorted(sigma) != list(range(m + 1)) \
+            or any(sigma[m - i] != m - sigma[i] for i in range(n)):
+        raise RootDataError(f"{sigma} is not in W_G^0")
+    return WeylGSpin(tuple(k if k < n else m - k for k in sigma[:n]),
+                     tuple(1 if k < n else -1 for k in sigma[:n]))
 
 
 def jvee_cochar(nu: tuple) -> tuple:

@@ -190,6 +190,26 @@ class TestStoredForm:
         assert PadicMatrix(p, [[Fraction(9, 2), 0], [0, Fraction(1, 3)]]) \
             .diagonal_valuations() == [2, -1]
 
+    def test_iwahori_test_needs_no_det(self):
+        # an integral matrix with p-divisible lower entries is upper
+        # triangular mod p, so its det is a unit exactly when its diagonal is
+        rng = make_rng("iwahori-det-free")
+        seen = []
+
+        def entry(p, i, j):
+            x = rng.randint(-2 * p, 2 * p)
+            if j < i and rng.randrange(5):  # below the diagonal, mostly in pZ_p
+                x *= p
+            return Fraction(x, rng.choice((1,) * 8 + (7, p)))
+
+        for _ in range(3000):
+            p = rng.choice((2, 3, 5))
+            size = rng.randint(1, 4)
+            g = PadicMatrix(p, [[entry(p, i, j) for j in range(size)] for i in range(size)])
+            assert g.in_iwahori() == (g.in_glzp() and g._lower_in_pzp())
+            seen.append(g.in_iwahori())
+        assert 300 < seen.count(True) < 2700
+
 
 class TestBruhat:
     def test_longest_weyl_is_its_own_cell(self):

@@ -11,7 +11,7 @@ from padicref.refine import (RefineError, Refinement, SatakeParameter,
                              noncritical_slope, normalize_satake,
                              shalika_admissible, spin_census, tau_element,
                              u_p_eigenvalue)
-from padicref.rootspin import GLWeight, wg0_members
+from padicref.rootspin import wg0_members
 from padicref.symring import SymElem
 
 
@@ -76,19 +76,21 @@ class TestEigenvalues:
     def test_integral_normalisation(self):
         sat = SatakeParameter.generic(3, 1)
         ref = Refinement(sat, (0, 1))
-        lam0 = GLWeight([0, 0])
+        lam0 = (0, 0)
         assert integral_eigenvalue(ref, 1, lam0) == hecke_eigenvalue(ref, 1)
         k = 5
-        lam = GLWeight([k, 0])
+        lam = (k, 0)
         assert integral_eigenvalue(ref, 1, lam) \
             == SymElem.rational(3, 3 ** k) * hecke_eigenvalue(ref, 1)
+        with pytest.raises(RefineError):
+            integral_eigenvalue(ref, 1, (0, k))
 
     def test_integral_valuation_nonnegative(self):
         # numeric specialization with valuations (-k-1/2, 1/2): both
         # refinements have non-negative normalised slope
         k = 4
         sat = SatakeParameter.generic(3, 1)
-        lam = GLWeight([k, 0])
+        lam = (k, 0)
         vals = {"X1": Fraction(-2 * k - 1, 2), "E": Fraction(0)}
         for sigma in all_perms(2):
             ref = Refinement(sat, sigma)
@@ -238,7 +240,7 @@ class TestNonCriticalSlope:
         # ordinary assignment: all normalised slopes vanish
         sat = SatakeParameter.generic(3, 2)
         ref = Refinement(sat, tau_element(2))
-        lam = GLWeight([2, 1, -1, -2])
+        lam = (2, 1, -1, -2)
         vals = {"X1": Fraction(7, 2), "X2": Fraction(3, 2), "E": Fraction(0)}
         for r in (1, 2, 3):
             assert monomial_valuation(integral_eigenvalue(ref, r, lam), vals, 3) == 0
@@ -251,7 +253,7 @@ class TestNonCriticalSlope:
         k = 4
         sat = SatakeParameter.generic(3, 1)
         ref = Refinement(sat, (0, 1))
-        lam = GLWeight([k, 0])
+        lam = (k, 0)
         # alpha^circ = p^k Y E / X1: slope = k + 1/2 + v(E) - v(X1)
         for target, expected in ((0, True), (k, True), (k + 1, False), (k + 2, False)):
             vals = {"X1": Fraction(1, 2), "E": Fraction(target - k)}

@@ -6,7 +6,7 @@ import pytest
 
 from padicref.perms import all_perms, compose
 from padicref.rootspin import (RootDataError, WeylGSpin,
-                               act_cochar_gl, all_weyl_gspin, delta_b,
+                               act_cochar_gl, all_weyl_gspin, delta_b, is_pure,
                                jmap_weight, jmap_weyl, jvee_cochar, jvee_weyl,
                                wg0_members)
 from padicref.symring import SymElem
@@ -26,10 +26,10 @@ def _pair(mu: tuple, cochar: tuple) -> Fraction:
 
 class TestWeights:
     def test_jmap_basis_examples(self):
-        assert jmap_weight((0, 1, 0)).entries == (1, 0, 0, -1)
+        assert jmap_weight((0, 1, 0)) == (1, 0, 0, -1)
         w = jmap_weight((1, 0))
-        assert w.entries == (0, 1)
-        assert w.purity_weight() == 1
+        assert w == (0, 1)
+        assert w[0] + w[-1] == 1
 
     def test_image_is_pure_with_unique_preimage(self):
         # exhaustive over small coordinates: every pure weight has exactly
@@ -41,10 +41,10 @@ class TestWeights:
                 rng_vals = range(-2, 3)
             for coords in product(rng_vals, repeat=n + 1):
                 lam = jmap_weight(coords)
-                assert lam.is_pure()
+                assert is_pure(lam)
                 # the preimage is read off: sw on f_0, the first n entries
-                assert (lam.purity_weight(), *lam.entries[:n]) == coords
-                seen.add(lam.entries)
+                assert (lam[0] + lam[-1], *lam[:n]) == coords
+                seen.add(lam)
             # distinct inputs give distinct images (injectivity)
             assert len(seen) == len(rng_vals) ** (n + 1)
 
@@ -107,7 +107,8 @@ class TestTransfer:
                 sig = jmap_weyl(w)
                 for i in range(n + 1):
                     mu = tuple(1 if k == i else 0 for k in range(n + 1))
-                    assert jmap_weight(w.act_weight(mu)) == jmap_weight(mu).act(sig)
+                    assert jmap_weight(w.act_weight(mu)) \
+                        == act_cochar_gl(jmap_weight(mu), sig)
 
     def test_dual_equivariance(self):
         for n in (1, 2, 3):
@@ -126,7 +127,7 @@ class TestTransfer:
                 mu = tuple(1 if k == i else 0 for k in range(n + 1))
                 for k in range(2 * n):
                     nu = tuple(1 if t == k else 0 for t in range(2 * n))
-                    gl_pair = sum(a * b for a, b in zip(jmap_weight(mu).entries, nu))
+                    gl_pair = sum(a * b for a, b in zip(jmap_weight(mu), nu))
                     assert _pair(mu, jvee_cochar(nu)) == gl_pair
 
     def test_jvee_rejects_outsiders(self):
@@ -139,6 +140,19 @@ class TestTransfer:
         for n in (1, 2, 3):
             for w in all_weyl_gspin(n):
                 assert jvee_weyl(jmap_weyl(w)) == w
+
+    def test_formula_inverts_the_table_on_all_of_s2n(self):
+        # every sigma of S_2n: the preimage under jmap_weyl if it has one,
+        # else a RootDataError
+        for n in (1, 2, 3, 4):
+            table = {jmap_weyl(w): w for w in all_weyl_gspin(n)}
+            for sigma in all_perms(2 * n):
+                if sigma in table:
+                    assert jvee_weyl(sigma) == table[sigma]
+                else:
+                    with pytest.raises(RootDataError):
+                        jvee_weyl(sigma)
+            assert len(table) == 2 ** n * math.factorial(n)
 
 
 class TestWG0:
