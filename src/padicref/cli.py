@@ -360,11 +360,11 @@ def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
 
         def ramified_failures():
             for beta in (1, 2):
+                scale = refine.hecke_eigenvalue(ref, n) ** (-beta)
                 for chi in chars[beta]:
                     for j in (-1, 0, 1):
                         lhs = shalikazeta.ep_factor(sat, chi, j)
-                        rhs = refine.hecke_eigenvalue(ref, n) ** (-beta) \
-                            * shalikazeta.qprime_factor(chi, j, n)
+                        rhs = scale * shalikazeta.qprime_factor(chi, j, n)
                         if lhs != rhs:
                             yield f"chi={chi.label} j={j}: {lhs} != {rhs}"
 

@@ -13,7 +13,9 @@ stored as int rows ``nums`` over one denominator ``den`` > 0 with
 gcd(den, every entry) = 1.  The form is unique: den clears every
 denominator, so the lcm L of the entries' denominators divides it, and
 den / L divides den and every entry, so den = L.  Equality and hashing
-are literal, and ``rows`` is a ``Fraction`` view derived on access.  The
+are literal, and ``rows`` is a ``Fraction`` view derived on access;
+``PadicMatrix.from_ints(p, den, nums)`` is the one canonicalizer, so a
+matrix assembled on int rows over one den is made canonical once.  The
 matrix carries the subgroup predicates and the two factorizations the
 local proofs run on:
 
@@ -32,9 +34,12 @@ decomposition is the core plus one LU, certified by one integer product,
 index checks and vp: i = w^{-1} ybar w, ybar unit lower triangular, so
 det i = 1 needs no det.  The cell and vp(diag b) are invariants of the
 double coset B(Q_p) g Iw, so every certified decomposition is an
-independent proof of the core's answer.  The open cell runs four
-eliminations, reads det h1 = det U det A and det h2 = sgn(w_n) det U
-det B off them, and is certified by four n x n block products.
+independent proof of the core's answer.  It is checked on the raw int
+rows of b and i: ``iwahori_bruhat_decompose`` makes them canonical on
+return, and ``certified_bruhat_cell`` returns only (w, vp(diag b)).  The
+open cell runs four eliminations, reads det h1 = det U det A and det h2 =
+sgn(w_n) det U det B off them, and is certified by four n x n block
+products.
 
 Haar measure normalizations are fixed once and for all here:
 vol(GL_n(Z_p)) = 1 for compact-group integrals, vol(M_n(Z_p)) = 1
@@ -185,26 +190,16 @@ class PadicMatrix:
             raise LinAlgError("matrix must be square")
 
     @classmethod
-    def _of(cls, p: int, den: int, nums) -> "PadicMatrix":
+    def from_ints(cls, p: int, den: int, nums) -> "PadicMatrix":
         """The matrix nums / den (int rows, int den != 0) in canonical form:
         both divided by gcd(den, every entry) and signed so that den > 0."""
         g = math.gcd(den, *chain.from_iterable(nums)) if den != 1 else 1
         g = -g if den < 0 else g
-        return cls._reordered(p, den // g, nums if g == 1 else [
-            tuple([x // g for x in row]) for row in nums])
-
-    @classmethod
-    def _reordered(cls, p: int, den: int, nums) -> "PadicMatrix":
-        """nums / den, canonical as given, so no gcd is taken: a canonical
-        matrix over den reordered, or moved by invertible int column ops."""
         out = object.__new__(cls)
-        out.p, out.size, out.den, out.nums = p, len(nums), den, tuple(map(tuple, nums))
+        out.p, out.size, out.den = p, len(nums), den // g
+        out.nums = tuple(map(tuple, nums)) if g == 1 else tuple(
+            tuple([x // g for x in row]) for row in nums)
         return out
-
-    def _over(self, den: int) -> tuple:
-        """The int rows of self over den, a multiple of self.den."""
-        k = den // self.den
-        return self.nums if k == 1 else tuple(tuple(k * x for x in row) for row in self.nums)
 
     @property
     def rows(self) -> tuple:
@@ -212,10 +207,6 @@ class PadicMatrix:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.nums)
 
     # -- constructors
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls.diagonal(p, [1] * n)
 
     @classmethod
     def diagonal(cls, p, entries):
@@ -232,24 +223,18 @@ class PadicMatrix:
         return cls.permutation(p, longest_perm(n))
 
     @classmethod
-    def from_blocks(cls, a: "PadicMatrix", b: "PadicMatrix",
-                    c: "PadicMatrix", d: "PadicMatrix") -> "PadicMatrix":
-        den = math.lcm(a.den, b.den, c.den, d.den)
-        ra, rb, rc, rd = (m._over(den) for m in (a, b, c, d))
-        return cls._of(a.p, den, [*map(tuple.__add__, ra, rb), *map(tuple.__add__, rc, rd)])
-
-    @classmethod
     def open_orbit_rep(cls, p, n) -> "PadicMatrix":
         """u = [[1_n, w_n], [0, 1_n]] in GL_{2n}(Z_p)."""
-        one, zero = cls.identity(p, n), cls.diagonal(p, [0] * n)
-        return cls.from_blocks(one, cls.longest_weyl(p, n), zero, one)
+        return cls.from_ints(p, 1, [[int(i == j or (i < n and i + j == 2 * n - 1))
+                                     for j in range(2 * n)] for i in range(2 * n)])
 
     # -- basic operations
 
     def __mul__(self, other: "PadicMatrix") -> "PadicMatrix":
         if self.size != other.size:
             raise LinAlgError("size mismatch")
-        return PadicMatrix._of(self.p, self.den * other.den, _imul(self.nums, other.nums))
+        return PadicMatrix.from_ints(self.p, self.den * other.den,
+                                     _imul(self.nums, other.nums))
 
     def __eq__(self, other):
         return (isinstance(other, PadicMatrix) and self.p == other.p
@@ -259,7 +244,7 @@ class PadicMatrix:
         return hash((self.p, self.den, self.nums))
 
     def transpose(self):
-        return PadicMatrix._reordered(self.p, self.den, tuple(zip(*self.nums)))
+        return PadicMatrix.from_ints(self.p, self.den, tuple(zip(*self.nums)))
 
     def det(self) -> Fraction:
         return Fraction(_eliminate([list(row) for row in self.nums], pivot=True),
@@ -270,10 +255,11 @@ class PadicMatrix:
         det, q, r = _inverse_rows(self.nums)
         if not det:
             raise LinAlgError("singular matrix")
-        return PadicMatrix._of(self.p, q, [[self.den * x for x in row] for row in r])
+        return PadicMatrix.from_ints(self.p, q, [[self.den * x for x in row] for row in r])
 
     def block(self, r0, r1, c0, c1) -> "PadicMatrix":
-        return PadicMatrix._of(self.p, self.den, [row[c0:c1] for row in self.nums[r0:r1]])
+        return PadicMatrix.from_ints(self.p, self.den,
+                                     [row[c0:c1] for row in self.nums[r0:r1]])
 
     def diagonal_entries(self) -> list:
         return [Fraction(self.nums[i][i], self.den) for i in range(self.size)]
@@ -295,25 +281,16 @@ class PadicMatrix:
         """Upper triangular modulo p, inside GL(Z_p).  An integral matrix
         with p-divisible lower entries is upper triangular mod p, so its det
         is the product of its diagonal mod p: no det is needed."""
-        return self.is_integral() and self._lower_in_pzp() \
+        return self.is_integral() and not any(
+            x % self.p for i, row in enumerate(self.nums) for x in row[:i]) \
             and all(row[i] % self.p for i, row in enumerate(self.nums))
-
-    def _lower_in_pzp(self) -> bool:
-        # for an integral matrix, whose den is then a unit
-        return not any(x % self.p for i, row in enumerate(self.nums) for x in row[:i])
-
-    def is_upper_triangular(self) -> bool:
-        return not any(any(row[:i]) for i, row in enumerate(self.nums))
-
-    def is_lower_triangular(self) -> bool:
-        return not any(any(row[i + 1:]) for i, row in enumerate(self.nums))
 
     def in_upper_unipotent(self, depth: int = 0) -> bool:
         """In N(Z_p), with above-diagonal entries in p^depth Z_p."""
         least = depth + vp(self.den, self.p)
-        return self.is_upper_triangular() and all(
-            row[i] == self.den and all(vp(x, self.p) >= least for x in row[i + 1:])
-            for i, row in enumerate(self.nums))
+        return all(not any(row[:i]) and row[i] == self.den
+                   and all(vp(x, self.p) >= least for x in row[i + 1:])
+                   for i, row in enumerate(self.nums))
 
     def in_h_zp(self) -> bool:
         """Block diagonal diag(h1, h2) with both blocks in GL_n(Z_p)."""
@@ -334,7 +311,21 @@ BruhatDecomposition = namedtuple("BruhatDecomposition", "b w i")
 
 
 def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
-    """g = b * w * i exactly; raises LinAlgError on singular input.
+    """g = b * w * i exactly, certified (_bruhat_rows); raises LinAlgError
+    on singular input.  Only here are b and i made canonical."""
+    w, _, du, b, dl, i = _bruhat_rows(g)
+    return BruhatDecomposition(PadicMatrix.from_ints(g.p, du, b), w,
+                               PadicMatrix.from_ints(g.p, dl, i))
+
+
+def certified_bruhat_cell(g: PadicMatrix):
+    """(w, vp(diag b)) of g = b * w * i, certified on int rows (_bruhat_rows)."""
+    return _bruhat_rows(g)[:2]
+
+
+def _bruhat_rows(g: PadicMatrix):
+    """(w, vp(diag b), du, b, dl, i) with g = (b / du) * w * (i / dl), b and
+    i int rows; LinAlgError unless certified.
 
     The cell w and the diagonal valuations of den * b come from
     bruhat_cell_valuations on the int rows den * g.  Since
@@ -342,37 +333,37 @@ def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     Nbar w): g * w^{-1} = b * ybar with ybar unit lower triangular and
     i = w^{-1} * ybar * w.  B ∩ Nbar = 1, so b and ybar are unique, and
     x = w0 (g w^{-1})^T w0 = L U, L = w0 ybar^T w0, U = w0 b^T w0, is the
-    entries of g moved: b and i are read off lu_unit_lower(x) by index.
+    entries of g moved: b and i are read off _lu_rows(x) by index.
 
-    The result is certified before it is returned: b upper triangular, i
+    The rows are certified before they are returned: b upper triangular, i
     integral with its entries below the diagonal in p Z_p, L (so ybar)
     unit lower triangular, which proves det i = det ybar = 1 with no
     elimination, the valuations of diag(b) equal to the core's less
     vp(den), and b * w * i equal to g on ints.  The certificate uses only
     multiplication and vp, and w and the valuations of diag(b) are
-    invariants of the double coset B(Q_p) g Iw, so a certified triple
-    proves the core's answer; a wrong answer from the core raises
-    LinAlgError.
+    invariants of the double coset B(Q_p) g Iw, so certified rows prove
+    the core's answer; a wrong answer from the core raises LinAlgError.
     """
     p, n = g.p, g.size
     w, vals = bruhat_cell_valuations(p, g.nums)
     # row w[k] of (g * w^{-1})^T is column k of g; w0 reverses rows and columns
     x = [col[::-1] for _, col in sorted(zip(w, zip(*g.nums)), reverse=True)]
-    lo, up = lu_unit_lower(PadicMatrix._reordered(p, g.den, x))
-    ln, last = lo.nums, n - 1
+    dl, lo, du, up = _lu_rows(x, g.den)
     # b = w0 U^T w0 and i = w^{-1} ybar w with ybar = w0 L^T w0
-    b = PadicMatrix._reordered(p, up.den, [col[::-1] for col in list(zip(*up.nums))[::-1]])
-    i_factor = PadicMatrix._reordered(p, lo.den, [
-        [ln[last - w[c]][last - w[r]] for c in range(n)] for r in range(n)])
-    # column j of b * w is column w[j] of b
-    bw = [[row[k] for k in w] for row in b.nums]
-    if not (b.is_upper_triangular() and lo.is_lower_triangular()
-            and all(ln[k][k] == lo.den for k in range(n))
-            and i_factor.is_integral() and i_factor._lower_in_pzp()
-            and b.diagonal_valuations() == [v - vp(g.den, p) for v in vals]
-            and _same(_imul(bw, i_factor.nums), b.den * i_factor.den, g.nums, g.den)):
+    b = [col[::-1] for col in list(zip(*up))[::-1]]
+    i = [[lo[n - 1 - w[c]][n - 1 - w[r]] for c in range(n)] for r in range(n)]
+    # column j of b * w is column w[j] of b; i / dl is integral when q | i
+    bw, q = [[row[k] for k in w] for row in b], p ** _split_int(dl, p)[0]
+    shift, ushift = vp(g.den, p), vp(du, p)
+    vals = tuple(v - shift for v in vals)
+    if any(any(row[:k]) for k, row in enumerate(b)) or not (
+            all(row[k] == dl and not any(row[k + 1:]) for k, row in enumerate(lo))
+            and not any(y % (q * p if c < r else q) for r, row in enumerate(i)
+                        for c, y in enumerate(row))
+            and tuple(vp(b[k][k], p) - ushift for k in range(n)) == vals
+            and _same(_imul(bw, i), du * dl, g.nums, g.den)):
         raise LinAlgError("Bruhat decomposition failed its certificate")
-    return BruhatDecomposition(b, w, i_factor)
+    return w, vals, du, b, dl, i
 
 
 def bruhat_cell_valuations(p: int, rows):
@@ -463,7 +454,7 @@ def _lu_rows(nums, den: int):
 def lu_unit_lower(mat: PadicMatrix):
     """mat = L * U with L unit lower triangular, no pivoting (_lu_rows)."""
     dl, lo, du, up = _lu_rows(mat.nums, mat.den)
-    return PadicMatrix._of(mat.p, dl, lo), PadicMatrix._of(mat.p, du, up)
+    return PadicMatrix.from_ints(mat.p, dl, lo), PadicMatrix.from_ints(mat.p, du, up)
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +504,18 @@ def open_cell_factorize(g: PadicMatrix):
     # U = up / du, so P = w_n U^{-1} w_n = pn / qu and Q = qn / (qa qu)
     pn = [[du * x for x in row[::-1]] for row in ru[::-1]]
     qn = _imul(ca, pn)
-    h1 = PadicMatrix._of(p, du * d, _imul(up, a[::-1])[::-1])
-    h2 = PadicMatrix._of(p, du * d, _imul(up, b[::-1]))
+    h1 = PadicMatrix.from_ints(p, du * d, _imul(up, a[::-1])[::-1])
+    h2 = PadicMatrix.from_ints(p, du * d, _imul(up, b[::-1]))
     den = math.lcm(qa * qu, dl)
     kp, kq, kr = den // qu, den // (qa * qu), den // dl
-    bbar = PadicMatrix._of(p, den, [[kp * x for x in row] + [0] * n for row in pn] + [
+    bbar = PadicMatrix.from_ints(p, den, [[kp * x for x in row] + [0] * n for row in pn] + [
         [kq * x for x in rq] + [kr * x for x in rl] for rq, rl in zip(qn, lo)])
     bp, bq = [row[:n] for row in bbar.nums[:n]], [row[:n] for row in bbar.nums[n:]]
     # a row of Q w_n + R is the row of Q reversed plus that of R
     bqr = [[x + y for x, y in zip(row[n - 1::-1], row[n:])] for row in bbar.nums[n:]]
     d1, d2 = bbar.den * h1.den, bbar.den * h2.den
-    if not (bbar.is_lower_triangular() and _same(_imul(bp, h1.nums), d1, a, d)
-            and _same(_imul(bp, h2.nums[::-1]), d2, b, d)
+    if any(any(row[i + 1:]) for i, row in enumerate(bbar.nums)) or not (
+            _same(_imul(bp, h1.nums), d1, a, d) and _same(_imul(bp, h2.nums[::-1]), d2, b, d)
             and _same(_imul(bq, h1.nums), d1, c, d) and _same(_imul(bqr, h2.nums), d2, e, d)):
         return None
     sign, scale = (-1) ** (n * (n - 1) // 2), (du * d) ** n

@@ -60,8 +60,8 @@ class SplitMix64:
 
     def padic_rational(self, p: int, vmin: int = -2, vmax: int = 2) -> Fraction:
         """A nonzero rational of the form p^v * unit with v in [vmin, vmax]."""
-        v = self.randint(vmin, vmax)
-        return Fraction(self.unit(p)) * Fraction(p) ** v
+        v, u = self.randint(vmin, vmax), self.unit(p)
+        return Fraction(u * p ** v) if v >= 0 else Fraction(u, p ** -v)
 
     def spawn(self, tag: str) -> "SplitMix64":
         """A child stream derived from this seed and a label.

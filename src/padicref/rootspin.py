@@ -194,8 +194,5 @@ def delta_b(p: int, valuations, half: bool = False) -> SymElem:
     through the Y generator.
     """
     vals = list(valuations)
-    m = len(vals)
-    exponent = -sum(Fraction(v) * (m + 1 - 2 * (k + 1)) for k, v in enumerate(vals))
-    if half:
-        exponent = exponent / 2
-    return SymElem.p_power(p, exponent)
+    exponent = -sum(v * (len(vals) - 1 - 2 * k) for k, v in enumerate(vals))
+    return SymElem.p_power(p, Fraction(exponent, 2) if half else exponent)

@@ -1,10 +1,14 @@
 """Seeded samplers of p-adic matrices for the suites and the tests.
 
 Each sampler draws from a ``rng.SplitMix64`` stream in a fixed order, so a
-seed fixes the matrices and, through them, the report body.
+seed fixes the matrices and, through them, the report body.  The draw
+order is part of each sampler's contract, however it assembles its matrix;
+the tests pin it against the product formulas.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .padiclin import PadicMatrix
 from .rng import DIGITS
@@ -34,22 +38,24 @@ def random_upper_zp(rng, p, n):
 
 
 def random_n_beta(rng, p, n, beta):
-    """An element of N^beta(Z_p) inside GL_{2n}."""
-    a = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
-                         for j in range(n)] for i in range(n)])
-    b = PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
-                         for j in range(n)] for i in range(n)])
-    y = [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)]
-    # w_n + p^beta y
-    top = PadicMatrix(p, [[int(i + j == n - 1) + p ** beta * y[i][j]
-                           for j in range(n)] for i in range(n)])
-    return PadicMatrix.from_blocks(a, top * b, PadicMatrix.diagonal(p, [0] * n), b)
+    """An element (a, (w_n + p^beta y) b; 0, b) of N^beta(Z_p) inside
+    GL_{2n}: a, b upper unipotent with entries in p^beta Z_p, y integral,
+    drawn in that order, row by row, and assembled on int rows."""
+    a, b = ([[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i else 0)
+              for j in range(n)] for i in range(n)] for _ in range(2))
+    top = [[int(i + j == n - 1) + p ** beta * rng.randrange(p ** 3) for j in range(n)]
+           for i in range(n)]
+    return PadicMatrix.from_ints(p, 1, [ra + [sum(map(mul, rt, col)) for col in zip(*b)]
+                                        for ra, rt in zip(a, top)] + [[0] * n + rb for rb in b])
 
 
 def random_iw_beta(rng, p, n2, beta):
-    """An element of Iw^beta = Nbar(pZ_p) T(Z_p) N^beta(Z_p)."""
-    n = n2 // 2
-    nbar = PadicMatrix(p, [[1 if i == j else (p * rng.randrange(p ** 2) if j < i else 0)
-                            for j in range(n2)] for i in range(n2)])
-    t = PadicMatrix.diagonal(p, [rng.unit(p) for _ in range(n2)])
-    return nbar * t * random_n_beta(rng, p, n, beta)
+    """An element nbar t g of Iw^beta = Nbar(pZ_p) T(Z_p) N^beta(Z_p), with
+    nbar, then the units of t, then g = random_n_beta drawn in that order."""
+    nbar = [[1 if i == j else (p * rng.randrange(p ** 2) if j < i else 0)
+             for j in range(n2)] for i in range(n2)]
+    t = [rng.unit(p) for _ in range(n2)]
+    nbar_t = [list(map(mul, row, t)) for row in nbar]  # column j times t_j
+    cols = list(zip(*random_n_beta(rng, p, n2 // 2, beta).nums))
+    return PadicMatrix.from_ints(p, 1, [[sum(map(mul, row, col)) for col in cols]
+                                        for row in nbar_t])

@@ -43,9 +43,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .padiclin import (INF, LinAlgError, PadicMatrix, iwahori_bruhat_decompose,
-                       residue, unit_part, vol_big_cell, vol_iwahori, vp)
+from .padiclin import (INF, LinAlgError, PadicMatrix, certified_bruhat_cell,
+                       iwahori_bruhat_decompose, residue, unit_part, vol_big_cell,
+                       vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
@@ -192,19 +194,38 @@ def z_matrix(p: int, n: int, power: int = 1) -> PadicMatrix:
 
 
 def shalika_argument(k: PadicMatrix, x: PadicMatrix, beta: int) -> PadicMatrix:
-    """(0 1; 1 0)(1 X; 0 1) diag(k, k) diag(w_n z^(2 beta), 1)."""
-    p, n = k.p, k.size
-    # w_n z^(2 beta): the entry p^(2 beta i) at (i, n-1-i), 0 elsewhere
-    wz = PadicMatrix(p, [[p ** (2 * beta * i) * (i + j == n - 1) for j in range(n)]
-                         for i in range(n)])
-    return PadicMatrix.from_blocks(PadicMatrix.diagonal(p, [0] * n), k, k * wz, x * k)
+    """(0 1; 1 0)(1 X; 0 1) diag(k, k) diag(w_n z^(2 beta), 1) = (0 k; k w_n
+    z^(2 beta) X k), on int rows over x.den k.den: column c of k w_n
+    z^(2 beta) is column n-1-c of k times p^(2 beta (n-1-c)), and X k is
+    one int product."""
+    p, n, d = k.p, k.size, x.den
+    scale = [d * p ** (2 * beta * (n - 1 - c)) for c in range(n)]
+    top = [[0] * n + [d * y for y in row] for row in k.nums]
+    bottom = [[row[n - 1 - c] * scale[c] for c in range(n)]
+              + [sum(map(mul, xr, col)) for col in zip(*k.nums)]
+              for row, xr in zip(k.nums, x.nums)]
+    return PadicMatrix.from_ints(p, d * k.den, top + bottom)
 
 
 def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
                               beta: int) -> bool:
     """Direct support conditions: delta is the longest element, k lies in
     the big Iwahori cell of GL_n(Z_p), and k^{-1} X lands in
-    w_n z^(2 beta) M_n(Z_p): its row r has valuation >= 2 beta r."""
+    w_n z^(2 beta) M_n(Z_p): its row r has valuation >= 2 beta r.
+
+    The cell of k is read mod p.  If k = b w i, b in B(Q_p), i in Iw, then
+    b = k i^{-1} w^{-1} lies in GL_n(Z_p), so in B(Z_p), and Iw reduces
+    into Bbar, the upper triangular group of GL_n(F_p): kbar = k mod p lies
+    in Bbar w Bbar.  Bruhat cells of GL_n(F_p) are disjoint, so the Iwahori
+    cell of k is the Bruhat cell of kbar (Iwahori-Matsumoto).  kbar = b w0
+    b' exactly when w0 kbar = (w0 b w0) b' is an LU factorization without
+    pivoting, i.e. when the leading i x i minors of w0 kbar, up to sign the
+    lower-left i x i corner minors of kbar, are nonzero; at i = n that is
+    det kbar, a unit.  k.nums = den k, den a unit, scales each minor by a
+    unit, so one elimination over F_p on its rows, reversed, decides: given
+    nonzero pivots before it, pivot i is nonzero exactly when the leading
+    (i+1)-minor is.
+    """
     if beta < 1:
         raise ZetaError("depth must be >= 1")
     try:  # k is in GL_n(Z_p) exactly when k and k^{-1} are both integral
@@ -213,22 +234,28 @@ def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
         raise ZetaError("k is singular, so not in GL_n(Z_p)") from None
     if not (k.is_integral() and kinv.is_integral()):
         raise ZetaError("k must lie in GL_n(Z_p)")
-    wlong = longest_perm(k.size)
-    if tuple(delta) != wlong:
+    p, n = k.p, k.size
+    if tuple(delta) != longest_perm(n):
         return False
-    if iwahori_bruhat_decompose(k).w != wlong:
-        return False
+    m = [[y % p for y in row] for row in k.nums[::-1]]
+    for i in range(n - 1):
+        if not m[i][i]:
+            return False
+        inv = pow(m[i][i], -1, p)
+        for r in range(i + 1, n):
+            f = m[r][i] * inv
+            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[i])]
     kx = kinv * x
-    return all(vp(y, k.p) >= 2 * beta * r + vp(kx.den, k.p)
+    return all(vp(y, p) >= 2 * beta * r + vp(kx.den, p)
                for r, row in enumerate(kx.nums) for y in row)
 
 
 def shalika_support_bruhat(delta: tuple, k: PadicMatrix, x: PadicMatrix,
                            beta: int) -> bool:
     """Independent membership test on the assembled 2n x 2n matrix: its
-    Bruhat cell must be (0 w_n; delta w_n 0) = nu_delta w_{2n}."""
+    certified Bruhat cell must be (0 w_n; delta w_n 0) = nu_delta w_{2n}."""
     n = k.size
-    cell = iwahori_bruhat_decompose(shalika_argument(k, x, beta)).w
+    cell = certified_bruhat_cell(shalika_argument(k, x, beta))[0]
     return cell == compose(block_perm(tuple(delta), n), longest_perm(2 * n))
 
 
@@ -658,18 +685,19 @@ def comparison_constant(satake: SatakeParameter, pairs):
     upsilon_b = SymElem.gen(p, "UB")
     scale_b = delta_b(p, range(2 * n - 1, -1, -1)) * u_p_eigenvalue(ref)
     scale_q = delta_b(p, [1] * n + [0] * n) * hecke_eigenvalue(ref, n)
-    routes = []
+    routes, closed = [], {}
     for chi, j in pairs:
         s_value = SymElem.p_power(p, Fraction(2 * j + 1, 2))
         beta = max(1, chi.beta)
+        if chi not in closed:  # both closed forms are free of j: once per character
+            closed[chi] = (zeta_iwahori_closed(w_value_closed(satake, beta, n), chi, beta, n,
+                                               satake.eta).value if chi.is_ramified else None,
+                           zeta_parahoric_closed(satake, chi, chi.beta).value)
+        zeta_i, zeta_p = closed[chi]
         if chi.is_ramified:
-            zeta_i = zeta_iwahori_closed(w_value_closed(satake, beta, n),
-                                         chi, beta, n, satake.eta).value
-            zeta_i = zeta_i.substitute({"S": s_value})
-            route_i = upsilon_b * scale_b ** (-beta) * zeta_i
+            route_i = upsilon_b * scale_b ** (-beta) * zeta_i.substitute({"S": s_value})
         else:
             route_i = upsilon_b * ep_factor(satake, chi, j)
-        zeta_p = zeta_parahoric_closed(satake, chi, chi.beta).value
         route_p = scale_q ** (-beta) * zeta_p.substitute({"S": s_value})
         if route_p.is_zero():
             raise ComparisonMismatch(f"the parahoric route vanishes at {(chi, j)}")

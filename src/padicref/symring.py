@@ -110,6 +110,11 @@ class CycNum:
         self._set(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def _set(self, order, nums, den):
+        if order == 1:  # a rational: its numerators sum, then gcd and sign
+            c = sum(nums)
+            g = -math.gcd(den, c) if den < 0 else math.gcd(den, c)
+            self.order, self.nums, self.den = 1, (c // g,), den // g
+            return
         deg, rows = _fold_table(order)
         if len(nums) > order:
             wrapped = [0] * order
@@ -137,6 +142,8 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, x) -> "CycNum":
+        if type(x) is int:
+            return cls._make(1, (x,), 1)
         x = Fraction(x)
         return cls._make(1, (x.numerator,), x.denominator)
 
@@ -217,6 +224,8 @@ class CycNum:
         return self + (-_as_cyc(other))
 
     def __mul__(self, other):
+        if type(other) is int:
+            return CycNum._make(self.order, [c * other for c in self.nums], self.den)
         a, x = (self, _as_cyc(other)) if self.order != 1 else (_as_cyc(other), self)
         if x.order != 1:
             a, b, _ = CycNum._pair(a, x)
@@ -387,7 +396,7 @@ def _norm_mono(p, exps: dict, coeff: CycNum):
     r = y % 2
     q = (y - r) // 2
     if q:
-        coeff = coeff * Fraction(p) ** q
+        coeff = coeff * (p ** q if q > 0 else Fraction(1, p ** -q))
     if r:
         e["Y"] = r
     else:
@@ -415,7 +424,7 @@ class SymElem:
 
     @classmethod
     def rational(cls, p, x) -> "SymElem":
-        return cls(p, _Poly.const(p, Fraction(x)))
+        return cls(p, _Poly.const(p, x if type(x) is int else Fraction(x)))
 
     @classmethod
     def from_cyc(cls, p, c: CycNum) -> "SymElem":
@@ -432,9 +441,11 @@ class SymElem:
     @classmethod
     def p_power(cls, p, e) -> "SymElem":
         """p^e for integer or half-integer e (halves go through Y)."""
+        if type(e) is int:
+            return cls.rational(p, p ** e if e >= 0 else Fraction(1, p ** -e))
         e = Fraction(e)
         if e.denominator == 1:
-            return cls.rational(p, Fraction(p) ** int(e))
+            return cls.p_power(p, int(e))
         if e.denominator != 2:
             raise SymringError(f"p^{e} is not representable (only half-integer exponents)")
         return cls.monomial(p, 1, {"Y": int(2 * e)})

@@ -9,6 +9,16 @@ def make_rng(tag: str) -> SplitMix64:
     return SplitMix64(0xC0FFEE).spawn(tag)
 
 
+def identity(p, n) -> PadicMatrix:
+    return PadicMatrix.diagonal(p, [1] * n)
+
+
+def blocks(a, b, c, d) -> PadicMatrix:
+    """The matrix (a b; c d) of four square blocks of one size."""
+    return PadicMatrix(a.p, [ra + rb for ra, rb in zip(a.rows, b.rows)]
+                       + [rc + rd for rc, rd in zip(c.rows, d.rows)])
+
+
 def random_upper_triangular_q(rng, p, n, vmin=-2, vmax=2):
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -41,6 +51,6 @@ def random_iwh1(rng, p, n):
         if not h2.in_glzp():
             continue
         zero = PadicMatrix.diagonal(p, [0] * n)
-        h = PadicMatrix.from_blocks(h1, zero, zero, h2)
+        h = blocks(h1, zero, zero, h2)
         if in_iwh_beta(h, 1):
             return h

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng, random_iwh1
+from conftest import identity, make_rng, random_iwh1
 from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
                                 LocPoly, PureWeight, alpha_weight,
                                 crit_range, in_iw_beta, in_iwh_beta, in_n_beta,
@@ -62,7 +62,7 @@ class TestMembership:
             assert in_n_beta(u, beta)
 
     def test_identity_not_in_n1(self):
-        assert not in_n_beta(PadicMatrix.identity(3, 4), 1)
+        assert not in_n_beta(identity(3, 4), 1)
 
     def test_congruent_to_u(self):
         rng = make_rng("membership")
@@ -172,7 +172,7 @@ class TestClassicalVectors:
 
     def test_all_j_vanish_off_the_open_cell(self):
         lam = PureWeight([2, 1, -1, -2])
-        for g in (PadicMatrix.identity(3, 4), PadicMatrix.longest_weyl(3, 4)):
+        for g in (identity(3, 4), PadicMatrix.longest_weyl(3, 4)):
             assert set(v_lambda_all(g, lam).values()) == {0}
 
 
@@ -197,7 +197,7 @@ class TestWCharacter:
     def test_outside_iw1_rejected(self):
         lam = PureWeight([1, 0])
         # in Iw but not Iw^1; not in Iw
-        for g in (PadicMatrix.identity(3, 2), PadicMatrix.diagonal(3, [3, 1])):
+        for g in (identity(3, 2), PadicMatrix.diagonal(3, [3, 1])):
             with pytest.raises(BranchError):
                 w_lambda(g, lam)
 
@@ -466,7 +466,7 @@ class TestDistributionMaps:
         lam, omega = family_fixture(3, 1)
         f = LocPoly.monomial(3, 0)
         # in Iw but not Iw^1: the Dirac integrates to zero
-        g = PadicMatrix.identity(3, 2)
+        g = identity(3, 2)
         assert kappa_family(dirac(g), f, omega) == omega.ring.zero()
         assert kappa_lambda(dirac(g), f, lam) == 0
         # not in Iw

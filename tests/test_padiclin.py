@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (make_rng, random_lower_triangular_q,
+from conftest import (blocks, identity, make_rng, random_lower_triangular_q,
                       random_upper_triangular_q)
 from padicref import padiclin
 from padicref.branchfam import PureWeight, v_lambda_all
 from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
-                               bruhat_cell_valuations, iwahori_bruhat_decompose,
+                               bruhat_cell_valuations, certified_bruhat_cell,
+                               iwahori_bruhat_decompose,
                                lu_unit_lower, open_cell_factorize, unit_part,
                                vol_big_cell, vol_iwahori, vp)
 from padicref.perms import all_perms, longest_perm
@@ -76,13 +77,12 @@ def _open_cell_point(rng, p, n, kind):
             h1, h2 = corner_zero(h1), wn * corner_zero(wn * h2)
         if h1.det() and h2.det():
             break
-    bbar = PadicMatrix.from_blocks(
+    bbar = blocks(
         random_lower_triangular_q(rng, p, n), zero,
         PadicMatrix(p, [[rng.padic_rational(p) / rng.choice((1, 7)) for _ in range(n)]
                         for _ in range(n)]),
         random_lower_triangular_q(rng, p, n))
-    h = PadicMatrix.from_blocks(h1 * PadicMatrix.diagonal(p, [Fraction(1, 7)] * n),
-                                zero, zero, h2)
+    h = blocks(h1 * PadicMatrix.diagonal(p, [Fraction(1, 7)] * n), zero, zero, h2)
     return bbar * PadicMatrix.open_orbit_rep(p, n) * h
 
 
@@ -143,7 +143,7 @@ class TestStoredForm:
                           random_lower_triangular_q(rng, p, size))
                 results = [g, h, g * h, g.inverse(), g.transpose(),
                            g.block(0, size // 2, 0, size // 2),
-                           PadicMatrix.from_blocks(g, h, h, g),
+                           PadicMatrix.open_orbit_rep(p, size),
                            *iwahori_bruhat_decompose(g)[::2], *lu_unit_lower(lo * up)]
                 fac = open_cell_factorize(random_n_beta(rng, p, size // 2, 1)
                                           * random_iw_beta(rng, p, size, 1))
@@ -165,7 +165,7 @@ class TestStoredForm:
             ints = [[int(x * d) for x in row] for row in rows]
             forms = [PadicMatrix(p, rows),
                      PadicMatrix(p, ints) * PadicMatrix.diagonal(p, [Fraction(1, d)] * size),
-                     PadicMatrix._of(p, k * d, [[k * x for x in row] for row in ints])]
+                     PadicMatrix.from_ints(p, k * d, [[k * x for x in row] for row in ints])]
             for m in forms:
                 _assert_canonical(m)
                 assert m == forms[0] and hash(m) == hash(forms[0])
@@ -176,7 +176,7 @@ class TestStoredForm:
         # failure witnesses of the report embed this text
         g = PadicMatrix(3, [[Fraction(1, 3), 2], [0, Fraction(-5, 2)]])
         assert repr(g) == "PadicMatrix(p=3, [['1/3', '2'], ['0', '-5/2']])"
-        assert repr(PadicMatrix.identity(2, 1)) == "PadicMatrix(p=2, [['1']])"
+        assert repr(identity(2, 1)) == "PadicMatrix(p=2, [['1']])"
 
     def test_predicates_read_the_ints(self):
         p = 3
@@ -206,7 +206,8 @@ class TestStoredForm:
             p = rng.choice((2, 3, 5))
             size = rng.randint(1, 4)
             g = PadicMatrix(p, [[entry(p, i, j) for j in range(size)] for i in range(size)])
-            assert g.in_iwahori() == (g.in_glzp() and g._lower_in_pzp())
+            lower_in_pzp = all(vp(x, p) >= 1 for i, row in enumerate(g.rows) for x in row[:i])
+            assert g.in_iwahori() == (g.in_glzp() and lower_in_pzp)
             seen.append(g.in_iwahori())
         assert 300 < seen.count(True) < 2700
 
@@ -216,8 +217,8 @@ class TestBruhat:
         g = PadicMatrix.longest_weyl(3, 4)
         dec = iwahori_bruhat_decompose(g)
         assert dec.w == longest_perm(4)
-        assert dec.b == PadicMatrix.identity(3, 4)
-        assert dec.i == PadicMatrix.identity(3, 4)
+        assert dec.b == identity(3, 4)
+        assert dec.i == identity(3, 4)
 
     def test_two_by_two_hand_check(self):
         # antidiag(1,1) * diag(p,1): cell is the transposition, torus (1, p)
@@ -303,26 +304,28 @@ class TestBruhat:
 
     def test_certificate_rejects_a_wrong_core(self, monkeypatch):
         # a wrong cell or a wrong valuation vector from the core must not
-        # come back as a decomposition
+        # come back as a decomposition, nor as a certified cell
         rng = make_rng("bruhat-certificate")
         for p, size in ((2, 2), (3, 3), (5, 3), (3, 4)):
             w, vals, rows = _planted(rng, p, size, "p-power")
             g = PadicMatrix(p, rows)
-            for wrong in all_perms(size):
-                if wrong == w:
-                    continue
-                monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
-                                    lambda p, rows, wrong=wrong: (wrong, vals))
-                with pytest.raises(LinAlgError):
-                    iwahori_bruhat_decompose(g)
-            for k in range(size):
-                shifted = vals[:k] + (vals[k] + 1,) + vals[k + 1:]
-                monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
-                                    lambda p, rows, shifted=shifted: (w, shifted))
-                with pytest.raises(LinAlgError):
-                    iwahori_bruhat_decompose(g)
-            monkeypatch.undo()
+            for entry in (iwahori_bruhat_decompose, certified_bruhat_cell):
+                for wrong in all_perms(size):
+                    if wrong == w:
+                        continue
+                    monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
+                                        lambda p, rows, wrong=wrong: (wrong, vals))
+                    with pytest.raises(LinAlgError):
+                        entry(g)
+                for k in range(size):
+                    shifted = vals[:k] + (vals[k] + 1,) + vals[k + 1:]
+                    monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
+                                        lambda p, rows, shifted=shifted: (w, shifted))
+                    with pytest.raises(LinAlgError):
+                        entry(g)
+                monkeypatch.undo()
             assert iwahori_bruhat_decompose(g).w == w
+            assert certified_bruhat_cell(g) == (w, vals)
 
     def test_certificate_rejects_a_wrong_lu_factor(self, monkeypatch):
         # det i = det ybar = 1 is proven, with no det, by the L factor that
@@ -330,26 +333,33 @@ class TestBruhat:
         # diagonal entry of L by s and that of U by 1/s: L U, b upper
         # triangular and b * w * i = g still hold, and the core is made to
         # report the valuations of that b.  s = p leaves i integral with
-        # det i = p, s = 1/p makes i non-integral; both must raise
+        # det i = p, s = 1/p makes i non-integral; both must raise, from
+        # either entry point
         rng = make_rng("bruhat-lu-certificate")
-        lu, core = padiclin.lu_unit_lower, padiclin.bruhat_cell_valuations
+        lu, core = padiclin._lu_rows, padiclin.bruhat_cell_valuations
+
+        def scaled_last(d, rows, s):
+            # rows / d with its last diagonal entry times s
+            out = [[x * s.denominator for x in row] for row in rows]
+            out[-1][-1] = rows[-1][-1] * s.numerator
+            return d * s.denominator, out
+
         for p, size in ((2, 2), (3, 3), (5, 3), (3, 4)):
             w, _, rows = _planted(rng, p, size, "p-power")
             g = PadicMatrix(p, rows)
             for s in (Fraction(p), Fraction(1, p)):
-                def wrong_lu(mat, s=s):
-                    lo, up = ([list(row) for row in m.rows] for m in lu(mat))
-                    lo[-1][-1] *= s
-                    up[-1][-1] /= s
-                    return PadicMatrix(mat.p, lo), PadicMatrix(mat.p, up)
+                def wrong_lu(nums, den, s=s):
+                    dl, lo, du, up = lu(nums, den)
+                    return (*scaled_last(dl, lo, s), *scaled_last(du, up, 1 / s))
 
                 def wrong_core(p, rows, s=s):
                     cell, vals = core(p, rows)
                     return cell, (vals[0] - vp(s, p),) + vals[1:]
-                monkeypatch.setattr(padiclin, "lu_unit_lower", wrong_lu)
+                monkeypatch.setattr(padiclin, "_lu_rows", wrong_lu)
                 monkeypatch.setattr(padiclin, "bruhat_cell_valuations", wrong_core)
-                with pytest.raises(LinAlgError):
-                    iwahori_bruhat_decompose(g)
+                for entry in (iwahori_bruhat_decompose, certified_bruhat_cell):
+                    with pytest.raises(LinAlgError):
+                        entry(g)
             monkeypatch.undo()
             assert iwahori_bruhat_decompose(g).w == w
 
@@ -366,12 +376,12 @@ class TestUnitFactorization:
     p^beta."""
 
     def test_zero_matrix(self):
-        one = PadicMatrix.identity(3, 2)  # X = 0
+        one = identity(3, 2)  # X = 0
         assert lu_unit_lower(one) == (one, one)
 
     def test_rank_one(self):
         r, s = lu_unit_lower(PadicMatrix(3, [[7]]))  # 1 + 3 * 2
-        assert r == PadicMatrix.identity(3, 1)
+        assert r == identity(3, 1)
         assert s == PadicMatrix(3, [[7]])
 
     def test_random_congruence(self):
@@ -387,7 +397,7 @@ class TestUnitFactorization:
                 for j in range(2)] for i in range(2)])
             r, s = lu_unit_lower(mat)
             assert r * s == mat
-            assert r.transpose().in_upper_unipotent() and s.is_upper_triangular()
+            assert r.transpose().in_upper_unipotent() and s.rows[1][0] == 0
             assert _congruent_identity(r, beta) and _congruent_identity(s, beta)
 
 
@@ -395,9 +405,9 @@ class TestOpenCell:
     def test_open_orbit_representative(self):
         u = PadicMatrix.open_orbit_rep(3, 2)
         fac = open_cell_factorize(u)
-        assert fac.bbar == PadicMatrix.identity(3, 4)
-        assert fac.h1 == PadicMatrix.identity(3, 2)
-        assert fac.h2 == PadicMatrix.identity(3, 2)
+        assert fac.bbar == identity(3, 4)
+        assert fac.h1 == identity(3, 2)
+        assert fac.h2 == identity(3, 2)
 
     def test_big_cell_congruence(self):
         # (1, w_n + p^beta X; 0, 1) factors with bbar, h = 1 mod p^beta
@@ -412,8 +422,7 @@ class TestOpenCell:
             top = PadicMatrix(p, [[wn.rows[i][j] + Fraction(p) ** beta * x.rows[i][j]
                                    for j in range(n)] for i in range(n)])
             zero = PadicMatrix(p, [[0] * n for _ in range(n)])
-            g = PadicMatrix.from_blocks(PadicMatrix.identity(p, n), top,
-                                        zero, PadicMatrix.identity(p, n))
+            g = blocks(identity(p, n), top, zero, identity(p, n))
             fac = open_cell_factorize(g)
             assert fac is not None
             assert all(_congruent_identity(m, beta) for m in (fac.bbar, fac.h1, fac.h2))
@@ -427,7 +436,7 @@ class TestOpenCell:
         sw = 0
         j = -1
         for _ in range(200):
-            bbar = PadicMatrix.from_blocks(
+            bbar = blocks(
                 random_lower_triangular_q(rng, p, n),
                 PadicMatrix(p, [[0] * n for _ in range(n)]),
                 PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
@@ -437,7 +446,7 @@ class TestOpenCell:
             h2 = random_glzp(rng, p, n)
             zero = PadicMatrix.diagonal(p, [0] * n)
             g = bbar * PadicMatrix.open_orbit_rep(p, n) \
-                * PadicMatrix.from_blocks(h1, zero, zero, h2)
+                * blocks(h1, zero, zero, h2)
             fac = open_cell_factorize(g)
             assert fac is not None
 
@@ -551,6 +560,43 @@ class TestWorkBound:
             iwahori_bruhat_decompose(g)
             assert counts["eliminate"] - before["eliminate"] <= 1
             assert counts["mul"] == before["mul"]
+
+
+def _ref_n_beta(rng, p, n, beta):
+    """random_n_beta by its product formula, (a, (w_n + p^beta y) b; 0, b)."""
+    a, b = (PadicMatrix(p, [[1 if i == j else (p ** beta * rng.randrange(p ** 2) if j > i
+                                               else 0) for j in range(n)] for i in range(n)])
+            for _ in range(2))
+    y = [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)]
+    top = PadicMatrix(p, [[int(i + j == n - 1) + p ** beta * y[i][j] for j in range(n)]
+                          for i in range(n)])
+    return blocks(a, top * b, PadicMatrix.diagonal(p, [0] * n), b)
+
+
+def _ref_iw_beta(rng, p, n2, beta):
+    """random_iw_beta by its product formula, nbar * t * random_n_beta."""
+    nbar = PadicMatrix(p, [[1 if i == j else (p * rng.randrange(p ** 2) if j < i else 0)
+                            for j in range(n2)] for i in range(n2)])
+    t = PadicMatrix.diagonal(p, [rng.unit(p) for _ in range(n2)])
+    return nbar * t * _ref_n_beta(rng, p, n2 // 2, beta)
+
+
+class TestIntRowSamplers:
+    """The samplers assemble int rows; the product formulas above are the
+    reference.  Equal rng states after every draw pin the draw order."""
+
+    @pytest.mark.parametrize("sampler, reference", [(random_n_beta, _ref_n_beta),
+                                                    (random_iw_beta, _ref_iw_beta)])
+    def test_matches_the_product_formula(self, sampler, reference):
+        for p in (2, 3, 5):
+            for n in (1, 2, 3):
+                for beta in (1, 2):
+                    size = n if sampler is random_n_beta else 2 * n
+                    rng, ref = make_rng(f"int-rows-{p}-{n}-{beta}"), \
+                        make_rng(f"int-rows-{p}-{n}-{beta}")
+                    for _ in range(5):
+                        assert sampler(rng, p, size, beta) == reference(ref, p, size, beta)
+                        assert rng.state == ref.state
 
 
 class TestMeasures:

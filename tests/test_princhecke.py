@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import make_rng
+from conftest import identity, make_rng
 from padicref.padiclin import PadicMatrix, bruhat_cell_valuations
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import (PSVector, _right_pi, _right_s, eigenvector_check,
@@ -23,7 +23,7 @@ class TestEvaluation:
     def test_vanishes_off_cell(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, (0, 1))
-        assert ps_evaluate_rows(f, PadicMatrix.identity(3, 2).rows).is_zero()
+        assert ps_evaluate_rows(f, identity(3, 2).rows).is_zero()
         g = PadicMatrix(3, [[1, 2], [3, 1]])  # identity cell
         assert ps_evaluate_rows(f, g.rows).is_zero()
 
@@ -34,7 +34,7 @@ class TestEvaluation:
         f = PSVector.big_cell_vector(sat, (0, 1))
         zero = ps_evaluate_rows(f, ((1, 2), (3, 1)))
         assert zero == SymElem.rational(3, 0)
-        assert ps_evaluate_rows(f, PadicMatrix.identity(3, 2).rows) is zero
+        assert ps_evaluate_rows(f, identity(3, 2).rows) is zero
         one = SymElem.rational(3, 1)
         assert zero + one == one and one + zero == one
         assert zero + zero == zero and zero * one == zero

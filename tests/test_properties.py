@@ -296,7 +296,7 @@ class TestEliminationCore:
         n, d = len(rows), math.lcm(*(x.denominator for row in rows for x in row))
         ints = [[int(x * d) for x in row] for row in rows]
         for m in (PadicMatrix(p, ints) * PadicMatrix.diagonal(p, [Fraction(1, d)] * n),
-                  PadicMatrix._of(p, k * d, [[k * x for x in row] for row in ints])):
+                  PadicMatrix.from_ints(p, k * d, [[k * x for x in row] for row in ints])):
             assert m == g and hash(m) == hash(g) and m.rows == tuple(map(tuple, rows))
         outs = [g, g * g, g.transpose()]
         for fn in (PadicMatrix.inverse, lu_unit_lower):

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng
+from conftest import blocks, identity, make_rng
 from padicref import cli, shalikazeta
-from padicref.padiclin import PadicMatrix, vp
+from padicref.padiclin import PadicMatrix, iwahori_bruhat_decompose, vp
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import PSVector
 from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
@@ -18,7 +18,7 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   borel_part_character,
                                   comparison_constant, ep_factor, gauss_sum,
                                   psi_orthogonality, qprime_factor,
-                                  shalika_support_bruhat,
+                                  shalika_argument, shalika_support_bruhat,
                                   shalika_support_predicate, w_value_closed,
                                   z_matrix, zeta_iwahori_closed,
                                   zeta_iwahori_oracle, zeta_parahoric_closed,
@@ -120,7 +120,29 @@ class TestGaussSums:
                 assert psi_orthogonality(p, beta, m)
 
 
+def _ref_shalika_argument(k, x, beta):
+    """shalika_argument by its product formula, (0 k; k w_n z^(2 beta) X k)."""
+    p, n = k.p, k.size
+    wz = PadicMatrix(p, [[p ** (2 * beta * i) * (i + j == n - 1) for j in range(n)]
+                         for i in range(n)])
+    return blocks(PadicMatrix.diagonal(p, [0] * n), k, k * wz, x * k)
+
+
 class TestCellSupport:
+    def test_argument_matches_the_product_formula(self):
+        rng = make_rng("shalika-argument")
+        for p in (2, 3, 5):
+            for n in (1, 2, 3):
+                for beta in (1, 2):
+                    for _ in range(10):
+                        k = random_glzp(rng, p, n)
+                        if rng.randrange(3) == 0:
+                            k = PadicMatrix(p, [[y / 7 for y in row] for row in k.rows])
+                        x = PadicMatrix(p, [[rng.padic_rational(p, -2, 2) / rng.choice((1, 7))
+                                             if rng.randrange(3) else 0
+                                             for _ in range(n)] for _ in range(n)])
+                        assert shalika_argument(k, x, beta) == _ref_shalika_argument(k, x, beta)
+
     def test_positive_example(self):
         # k the longest element, k^{-1} X in w_n z^{2 beta} M_n(Z_p)
         p, n, beta = 3, 2, 1
@@ -142,7 +164,7 @@ class TestCellSupport:
 
     def test_off_cell_k_fails(self):
         p, n, beta = 3, 2, 1
-        k = PadicMatrix.identity(p, n)  # identity cell, not the big one
+        k = identity(p, n)  # identity cell, not the big one
         x = PadicMatrix.longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
         assert not shalika_support_predicate(longest_perm(n), k, x, beta)
         assert not shalika_support_bruhat(longest_perm(n), k, x, beta)
@@ -170,6 +192,34 @@ class TestCellSupport:
                                              for _ in range(n)] for _ in range(n)])
                         assert shalika_support_predicate(delta, k, x, beta) \
                             == shalika_support_bruhat(delta, k, x, beta)
+
+    def test_mod_p_cell_criterion_matches_the_bruhat_cell(self):
+        # with X = 0 the predicate reads only the cell of k, by its lower-left
+        # corner minors mod p; compare with the certified decomposition of k
+        # and with the corner determinants.  k = u w i is planted with w = w0
+        # half the time, so about half the k have a p-divisible corner, and
+        # some k are divided by 7, a unit den
+        rng = make_rng("support-mod-p-cell")
+        seen, off_cell = set(), 0
+        for p in (2, 3, 5):
+            for n in (1, 2, 3, 4):
+                zero, w0 = PadicMatrix.diagonal(p, [0] * n), longest_perm(n)
+                for _ in range(40):
+                    w = w0 if rng.randrange(2) else rng.choice(all_perms(n))
+                    k = random_upper_zp(rng, p, n) * PadicMatrix.permutation(p, w) \
+                        * random_iwahori(rng, p, n)
+                    if rng.randrange(4) == 0:
+                        k = PadicMatrix(p, [[x / 7 for x in row] for row in k.rows])
+                    in_cell = iwahori_bruhat_decompose(k).w == w0
+                    units = all(vp(k.block(n - i, n, 0, i).det(), p) == 0 for i in range(1, n))
+                    assert shalika_support_predicate(w0, k, zero, 1) == in_cell == units
+                    seen.add((p, n, in_cell, k.den % 7 == 0))
+                    off_cell += not in_cell
+        assert 0.35 < off_cell / (3 * 3 * 40) < 0.6
+        for p in (2, 3, 5):
+            for n in (2, 3, 4):
+                assert {(p, n, True), (p, n, False)} <= {s[:3] for s in seen}
+        assert any(s[3] for s in seen) and any(s[3] and not s[2] for s in seen)
 
     def test_borel_character_value(self):
         rng = make_rng("support-borel")
@@ -199,8 +249,8 @@ class TestCellSupport:
         p, n, beta = 3, 2, 1
         thetas = [SymElem.gen(p, f"X{i + 1}") for i in range(2 * n)]
         with pytest.raises(ZetaError):
-            borel_part_character(thetas, PadicMatrix.identity(p, n),
-                                 PadicMatrix.identity(p, n), beta)
+            borel_part_character(thetas, identity(p, n),
+                                 identity(p, n), beta)
 
 
 class TestIntertwiningOracle:
@@ -208,7 +258,7 @@ class TestIntertwiningOracle:
         for p in (2, 3):
             sat = SatakeParameter.generic(p, 1)
             f = PSVector.big_cell_vector(sat, tau_element(1))
-            (value,) = ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, AT_ONE)
+            (value,) = ag_intertwine_value(f, identity(p, 2), 4, AT_ONE)
             assert value.is_one()
 
     def test_support_lemma(self):
@@ -505,7 +555,7 @@ class TestIntegerShellPoints:
                              ({(1, 1): 1}, {(0, 0): 1}, {(2, 1): 1}),
                              ({(1, 1): 1, (0, 0): 1, (2, 1): 1},)):
             with pytest.raises(ZetaError) as exc:
-                ag_intertwine_value(f, PadicMatrix.identity(p, 2), 4, combinations)
+                ag_intertwine_value(f, identity(p, 2), 4, combinations)
             assert not isinstance(exc.value, TruncationError)
 
 
@@ -538,7 +588,7 @@ class TestWValue:
     def test_matches_intertwining_oracle_at_rank_one(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
-        point = PadicMatrix.identity(3, 2)  # w_1 z^{2 beta} = 1 at n = 1
+        point = identity(3, 2)  # w_1 z^{2 beta} = 1 at n = 1
         assert ag_intertwine_value(f, point, 4, AT_ONE) == (w_value_closed(sat, 1, 1),)
 
 
