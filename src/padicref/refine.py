@@ -35,31 +35,27 @@ class RefineError(Exception):
 
 
 class SatakeParameter:
-    """theta: 2n unit values; eta: the Shalika central value.
+    """theta: 2n unit values; eta: the Shalika central value."""
 
-    With the Ash-Ginzburg flag set, theta_i * theta_{n+i} = eta holds
-    exactly for 1 <= i <= n (checked at construction).
-    """
+    __slots__ = ("p", "theta", "eta")
 
-    __slots__ = ("p", "theta", "eta", "ag")
-
-    def __init__(self, p: int, theta, eta: SymElem, ag: bool = True):
+    def __init__(self, p: int, theta, eta: SymElem):
         self.p = p
         self.theta = tuple(theta)
         self.eta = eta
-        self.ag = ag
         if len(self.theta) % 2:
             raise RefineError("need an even number of Satake values")
-        if ag:
-            n = len(self.theta) // 2
-            for i in range(n):
-                if self.theta[i] * self.theta[n + i] != eta:
-                    raise RefineError(
-                        f"Ash-Ginzburg relation fails at index {i + 1}")
 
     @property
     def n(self):
         return len(self.theta) // 2
+
+    @property
+    def ag(self) -> bool:
+        """Whether the Ash-Ginzburg relation theta_i * theta_{n+i} = eta holds
+        exactly for 1 <= i <= n."""
+        n = self.n
+        return all(self.theta[i] * self.theta[n + i] == self.eta for i in range(n))
 
     @classmethod
     def generic(cls, p: int, n: int) -> "SatakeParameter":
@@ -77,10 +73,8 @@ class SatakeParameter:
 
     def conjugate_by(self, c: tuple) -> "SatakeParameter":
         """Reindexed tuple theta'_j = theta_{c(j)} (no relation assumed)."""
-        theta = tuple(self.theta[c[j]] for j in range(len(c)))
-        n = self.n
-        ag = all(theta[i] * theta[n + i] == self.eta for i in range(n))
-        return SatakeParameter(self.p, theta, self.eta, ag=ag)
+        return SatakeParameter(self.p, tuple(self.theta[c[j]] for j in range(len(c))),
+                               self.eta)
 
     def __repr__(self):
         return f"SatakeParameter(n={self.n}, ag={self.ag})"

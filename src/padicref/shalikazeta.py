@@ -21,10 +21,12 @@ Brute-force oracles (n = 1): the Shalika intertwining
 ``ag_intertwine_value``, integrated exactly ball by ball over the balls of
 constancy of F(Y) = f[w(1 Y; 0 1) g] (translation by p^c Z_p, scaling by
 1 + p^e Z_p; psi^{-1}(a Y) integrates over a ball at once), so one sweep
-values finite combinations sum c_a W(diag(a, 1) g), one CycNum per nonzero
+values finite combinations sum zeta_d^(e_a) W(diag(a, 1) g), whose
+coefficients are given by their exponents e_a, one root_sum per nonzero
 ball; and shell-sum versions of both zeta integrals.  The Iwahori one
 takes ramified characters only and reads each zeta shell off one sweep at
-g0, as the combination {u p^v: chi(u) / phi(p^beta)} over the units u.
+g0, as the combination {u p^v: exps[u]} of chi's exponent table over the
+units u at d = chi's order, and divides by phi(p^beta) once.
 Truncations certify themselves: for each scalar, the twisted sums over the
 balls of the two outermost Y-shells must vanish exactly, and the Iwahori
 zeta tail must vanish exactly on four consecutive shells, else the
@@ -32,7 +34,8 @@ computation refuses to return.
 
 A twisting character is an exponent table, chi(a) = zeta_d^exps[a mod
 p^beta] for d its order, so a Gauss sum, each chi-average of the parahoric
-oracle and each ball of an Iwahori zeta shell is one ``CycNum.root_sum``,
+oracle and each ball of an Iwahori zeta shell is a sum of terms zeta_d^e
+zeta_m^a: one ``CycNum.root_sum`` over lcm(d, m) (``_root_pair_sum``),
 with no cyclotomic product.
 
 All zeta values are functions of p^s through the formal generator S.
@@ -142,28 +145,29 @@ class TwistCharacter:
             raise ZetaError("argument is not a unit")
         return self.exps[residue(a, self.p, self.beta)]
 
-    def of_unit(self, a) -> CycNum:
-        return CycNum.root_of_unity(self.order, self.exponent(a))
-
     def of(self, x) -> CycNum:
         """chi(x) for nonzero rational x; chi(p) = 1 throughout."""
-        return self.of_unit(unit_part(x, self.p))
+        return CycNum.root_of_unity(self.order, self.exponent(unit_part(x, self.p)))
 
     def __repr__(self):
         return f"TwistCharacter({self.label or (self.p, self.beta)})"
 
 
+def _root_pair_sum(d: int, m: int, pairs) -> CycNum:
+    """The sum of zeta_d^e zeta_m^a over the pairs (e, a), as one root_sum:
+    with L = lcm(d, m), each term is zeta_L^(e L / d + a L / m)."""
+    big = math.lcm(d, m)
+    return CycNum.root_sum(big, (e * (big // d) + a * (big // m) for e, a in pairs))
+
+
 def gauss_sum(chi: TwistCharacter) -> CycNum:
     """tau(chi) = sum over units c mod p^beta of chi(c) zeta_{p^beta}^c,
-    computed once per character object: with L = lcm(order, p^beta), each
-    term is zeta_L^(exps[c] L / order + c L / p^beta)."""
+    computed once per character object, as one ``_root_pair_sum``."""
     if chi.beta < 1:
         raise ZetaError("the trivial character has no Gauss sum here")
     if chi.tau is None:
-        m = chi.p ** chi.beta
-        big = math.lcm(chi.order, m)
-        chi.tau = CycNum.root_sum(big, (e * (big // chi.order) + c * (big // m)
-                                        for c, e in chi.exps.items()))
+        chi.tau = _root_pair_sum(chi.order, chi.p ** chi.beta,
+                                 ((e, c) for c, e in chi.exps.items()))
     return chi.tau
 
 
@@ -297,12 +301,12 @@ def _conjugation_level(g: PadicMatrix, elem: PadicMatrix) -> int:
                       if (v := vp(e.nums[i][j], g.p)) is not INF])
 
 
-def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
+def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int, order: int,
                         combinations) -> tuple:
     """The Shalika intertwining W, n = 1, at finite combinations of the
-    points diag(a, 1) g: for each dict {(u, v): c} of coefficients c (int,
-    Fraction or CycNum) at scalars a = u p^v, u an integer prime to p (else,
-    as for a = 0, ZetaError), the sum of c W(diag(a, 1) g), as a tuple.
+    points diag(a, 1) g: for each dict {(u, v): e} of integer exponents e at
+    scalars a = u p^v, u an integer prime to p (else, as for a = 0,
+    ZetaError), the sum of zeta_order^e W(diag(a, 1) g), as a tuple.
 
         W(h) = integral over k in Z_p^x, X in Q_p of
             f[w(1 X; 0 1)(k 0; 0 k) h] psi^{-1}(X) eta^{-1}(k),  w = (0 1; 1 0)
@@ -340,14 +344,15 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     shells, and else to 0, a nontrivial character integrated over a ball:
     every W is a finite exact sum over the balls where F is nonzero.  By
     linearity the scalars of one valuation v in a combination are integrated
-    at once: a nonzero ball gives F(Y_k) vol(ball) times one CycNum, the sum
-    of c psi^{-1}(u p^v Y_k), whose roots of unity all have the order p^m /
-    gcd(k, p^m), m = max(shells - v, 0).  Yet each scalar certifies the
-    truncation on its own, whatever the rest of its combination: its sums
-    over the balls of the shells -shells and -shells + 1 must vanish, else
-    TruncationError.  F itself need not vanish there: where the bottom row
-    of g has a unit ratio, w(1 Y; 0 1) g lies in the big cell for every
-    large |Y|.
+    at once: a nonzero ball gives F(Y_k) vol(ball) times the sum of
+    zeta_order^e psi^{-1}(u p^v Y_k), a sum of roots of unity of order
+    dividing L = lcm(order, p^m / q), q = gcd(k, p^m), m = max(shells - v,
+    0), so one count vector of exponents (``_root_pair_sum``).  Yet each
+    scalar certifies the truncation on its own, whatever the rest of its
+    combination: its sums (e = 0, order 1) over the balls of the shells
+    -shells and -shells + 1 must vanish, else TruncationError.  F itself
+    need not vanish there: where the bottom row of g has a unit ratio,
+    w(1 Y; 0 1) g lies in the big cell for every large |Y|.
 
     Each ball is valued on ints: with g = (top; bottom) / D in the stored
     form of PadicMatrix, z w(1 Y_k; 0 1) g for the central scalar z =
@@ -384,15 +389,15 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
                 (k, r, val * unscale * Fraction(p) ** (shells - r)))
     zero = SymElem.rational(p, 0)
 
-    def twisted(balls, v, terms):
-        # the integral of F(Y) sum c psi^{-1}(u p^v Y) over the terms (u, c):
-        # F(Y_k) vol(ball) sum c zeta_(p^m / q)^(-u k / q), q = gcd(k, p^m)
+    def twisted(balls, v, order, terms):
+        # the integral of F(Y) sum zeta_order^e psi^{-1}(u p^v Y) over the terms
+        # (u, e): F(Y_k) vol(ball) sum zeta_order^e zeta_(p^m / q)^(-u k / q),
+        # q = gcd(k, p^m)
         total, pm = zero, p ** max(shells - v, 0)
-        units, coeffs = zip(*terms)
         for k, r, val in balls:
             if v + r >= shells:
                 q = math.gcd(k, pm)
-                coeff = CycNum.root_sum(pm // q, [-u * k // q for u in units], coeffs)
+                coeff = _root_pair_sum(order, pm // q, ((e, -u * k // q) for u, e in terms))
                 if not coeff.is_zero():
                     total = total + val * coeff
         return total
@@ -401,13 +406,13 @@ def ag_intertwine_value(f: PSVector, g: PadicMatrix, shells: int,
     values = []
     for combination in combinations:
         by_valuation = {}
-        for (u, v), coeff in combination.items():
-            if not all(twisted(rim, v, ((u, 1),)).is_zero() for rim in rims):
+        for (u, v), e in combination.items():
+            if not all(twisted(rim, v, 1, ((u, 0),)).is_zero() for rim in rims):
                 raise TruncationError("outermost Y-shells do not vanish; increase shells")
-            by_valuation.setdefault(v, []).append((u, coeff))
+            by_valuation.setdefault(v, []).append((u, e))
         total = zero
         for v, terms in by_valuation.items():
-            value = twisted(inner, v, terms)
+            value = twisted(inner, v, order, terms)
             if not value.is_zero():
                 total = total + value * step ** v
         values.append(total)
@@ -542,11 +547,12 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
     # depends on u mod p^beta only, like chi, and averaging over those is exact
     units = tuple(_units(p, beta))
     v_min = -beta - 2
-    # one sweep at g0 gives every zeta shell v, the average of
-    # W(diag(u p^v, 1) g0) chi(u) over the units u, as one combination
-    coeffs = {u: chi.of_unit(u) * Fraction(1, len(units)) for u in units}
-    shell = ag_intertwine_value(f, g0, shells, [{(u, v): x for u, x in coeffs.items()}
-                                                for v in range(v_min, 5 + shells)])
+    # one sweep at g0 gives every zeta shell v, phi(p^beta) times the average
+    # of W(diag(u p^v, 1) g0) chi(u) over the units u, as one combination of
+    # chi's exponents
+    shell = ag_intertwine_value(f, g0, shells, chi.order,
+                                [{(u, v): chi.exps[u] for u in units}
+                                 for v in range(v_min, 5 + shells)])
 
     for v in (v_min, v_min + 1):
         if not shell[v - v_min].is_zero():
@@ -561,7 +567,7 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
         zeros = zeros + 1 if value.is_zero() else 0
         total = total + value * s_inv ** v
         if v >= 3 and zeros >= 4:
-            return ZetaResult(total)
+            return ZetaResult(total * Fraction(1, len(units)))
     raise TruncationError("the zeta tail does not vanish; increase shells")
 
 
@@ -577,10 +583,11 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
             theta_2 |.|^(s-1) (t) chi(t p^{-beta}) psi(-t p^{-beta}) dt
 
     with the additive measure normalised so each sphere {v(t) = k} has
-    volume p^{-k}.  Shells below v = beta are finite exact sums; from
-    v = beta on, psi is trivial on the shell, so the integrand is constant
-    on units and the tail is an exact geometric series of ratio
-    theta_2 / p^s.
+    volume p^{-k}.  The factor chi(det w_1) is chi(1) = 1, as w_1 is the
+    1 x 1 identity, so it is not formed.  Shells below v = beta are finite
+    exact sums; from v = beta on, psi is trivial on the shell, so the
+    integrand is constant on units and the tail is an exact geometric
+    series of ratio theta_2 / p^s.
     """
     if satake.n != 1:
         raise ZetaError("the parahoric oracle is implemented for n = 1")
@@ -595,10 +602,8 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
     def shell(v: int) -> CycNum:
         # the average of chi(u) psi(-u p^(v - beta)) over the units u: one root_sum
         units = tuple(_units(p, max(chi.beta, beta - v, 1)))
-        psi_mod = p ** (beta - v)
-        big = math.lcm(chi.order, psi_mod)
-        total = CycNum.root_sum(big, (chi.exponent(u) * (big // chi.order)
-                                      - u * (big // psi_mod) for u in units))
+        total = _root_pair_sum(chi.order, p ** (beta - v),
+                               ((chi.exponent(u), -u) for u in units))
         return total * Fraction(1, len(units))
 
     # shell v has weight theta_2^v (p^{-s} p)^v p^{-v} = ratio^v
@@ -610,7 +615,6 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
     total = total + geometric_tail(SymElem.from_cyc(p, shell(beta)) * ratio ** beta,
                                    ratio)
     prefactor = SymElem.gen(p, "S", beta) * SymElem.monomial(p, 1, {"Y": -beta})
-    prefactor = prefactor * SymElem.from_cyc(p, chi.of(perm_sign(longest_perm(1))))
     return ZetaResult(prefactor * total)
 
 

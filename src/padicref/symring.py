@@ -9,11 +9,11 @@ Two layers:
   divided out, so the form is unique and equality is literal equality.
   Different orders coexist and are promoted to a common field (lcm of the
   orders) on contact; a rational factor (int, Fraction or order 1) only
-  scales the numerators, with no promotion.  A sum of roots of unity, with
-  coefficients or without, is one ``root_sum``: one integer vector, reduced
-  once.  Only nonzero rationals invert:
-  identities between values that carry Gauss sums are checked by
-  cross-multiplication, so no irrational value is ever divided by.
+  scales the numerators, with no promotion.  A sum of roots of unity is
+  one ``root_sum`` over their exponents: one count vector, reduced once.
+  Only nonzero rationals invert: identities between values that carry
+  Gauss sums are checked by cross-multiplication, so no irrational value
+  is ever divided by.
 
 * ``SymElem`` -- fractions of Laurent polynomials over CycNum in named
   formal generators.  The generator ``Y`` carries the single relation
@@ -152,25 +152,13 @@ class CycNum:
         return cls._make(order, [0] * (power % order) + [1], 1)
 
     @classmethod
-    def root_sum(cls, order: int, exponents, coeffs=None) -> "CycNum":
-        """The sum of c zeta_order^e over the exponents e, with multiplicity,
-        for c = 1 or the matching entry of ``coeffs`` (rationals or CycNums),
-        in Q(zeta_L), L = lcm(order, orders of the c): the numerators of each
-        c are shifted into one integer vector, reduced once."""
-        if coeffs is None:
-            counts = [0] * order
-            for e in exponents:
-                counts[e % order] += 1
-            return cls._make(order, counts, 1)
-        coeffs = [_as_cyc(c) for c in coeffs]
-        big = math.lcm(order, *(c.order for c in coeffs))
-        den = math.lcm(*(c.den for c in coeffs))
-        vec = [0] * big
-        for e, c in zip(exponents, coeffs):
-            step, shift, scale = big // c.order, e * (big // order), den // c.den
-            for i, x in enumerate(c.nums):
-                vec[(i * step + shift) % big] += x * scale
-        return cls._make(big, vec, den)
+    def root_sum(cls, order: int, exponents) -> "CycNum":
+        """The sum of zeta_order^e over the exponents e, with multiplicity:
+        the count of each e mod order is one integer vector, reduced once."""
+        counts = [0] * order
+        for e in exponents:
+            counts[e % order] += 1
+        return cls._make(order, counts, 1)
 
     # -- coercion
 

@@ -31,9 +31,12 @@ AWAITING_REPORT_CASES = (
     ("src/padicref/refine.py", "normalize_satake"),
     ("src/padicref/refine.py", "shalika_admissible"),
 )
-# each memoized function or property of the package, with why it pays;
-# a new memo joins this list with its reason or is not added
+# each memoized function, property or attribute of the package, with why it
+# pays; a new memo joins this list with its reason or is not added
 MEMOS = {
+    "branchfam.FiniteDistribution._w":
+        "w at each base point, once per weight, serves every test function "
+        "that kappa_family and kappa_lambda integrate at that weight",
     "branchfam.FiniteDistribution.cells":
         "each base point's open-cell factorization serves every j of kappa_lambda_j",
     "branchfam.FiniteDistribution.coords":
@@ -45,6 +48,11 @@ MEMOS = {
         "the rows of x^k mod Phi_m, read each time a CycNum of order m is built",
     "symring.cyclotomic_poly":
         "Phi_m is built from every Phi_d with d | m, recursively",
+    "shalikazeta.TwistCharacter.tau":
+        "one Gauss sum per character serves gauss_power at every rank",
+    "shalikazeta.TwistCharacter.tau_powers":
+        "tau(chi)^n serves both closed forms, ep_factor and qprime_factor, "
+        "which euler-factors calls at every j",
 }
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
@@ -215,10 +223,14 @@ def test_environment_guard():
 
 
 def memoized(source: str) -> list:
-    """Qualified names of the functions and methods decorated with
-    ``lru_cache``, ``cache`` or ``cached_property``, bare or as attributes
-    of ``functools``, called with arguments or not."""
+    """Qualified names of the memos of a module: the functions and methods
+    decorated with ``lru_cache``, ``cache`` or ``cached_property``, bare or
+    as attributes of ``functools``, called with arguments or not, and the
+    attribute memos ``if x.a is None: x.a = ...`` and ``if k not in x.a:
+    x.a[k] = ...``, each named C.a for the class C whose methods set
+    ``self.a``."""
     memos = {"lru_cache", "cache", "cached_property"}
+    tree = ast.parse(source)
     out = []
 
     def visit(body, prefix):
@@ -231,7 +243,28 @@ def memoized(source: str) -> list:
                     out.append(prefix + node.name)
                 visit(node.body, f"{prefix}{node.name}.")
 
-    visit(ast.parse(source).body, "")
+    visit(tree.body, "")
+    owners = {node.attr: cls.name
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) == "self"}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and len(node.test.ops) == 1):
+            continue
+        test = node.test
+        (op,), (right,) = test.ops, test.comparators
+        if isinstance(op, ast.Is) and isinstance(right, ast.Constant) and right.value is None:
+            attr, target = test.left, ast.unparse(test.left)
+        elif isinstance(op, ast.NotIn):
+            attr, target = right, f"{ast.unparse(right)}[{ast.unparse(test.left)}]"
+        else:
+            continue
+        if isinstance(attr, ast.Attribute) and any(
+                isinstance(stmt, ast.Assign) and target in map(ast.unparse, stmt.targets)
+                for stmt in node.body):
+            out.append(f"{owners.get(attr.attr, '?')}.{attr.attr}")
     return sorted(out)
 
 
@@ -250,8 +283,18 @@ def test_memo_guard():
               "class K:\n    @cached_property\n    def d(self):\n        return 1\n"
               "    @property\n    def e(self):\n        return 2\n"
               "    def f(self):\n        @functools.cache\n"
-              "        def g():\n            return 3\n        return g\n")
-    assert memoized(source) == ["K.d", "K.f.g", "a", "b", "c"]
+              "        def g():\n            return 3\n        return g\n"
+              "    def __init__(self):\n        self.t = None\n        self.m = {}\n"
+              "    def h(self):\n        if self.t is None:\n            self.t = 4\n"
+              "        return self.t\n"
+              "def use(x, k, table):\n    if k not in x.m:\n        x.m[k] = 5\n"
+              "    if x.t is None:\n        raise ValueError(k)\n"
+              "    if k in x.m:\n        x.m[k] = 6\n"
+              "    if k not in table:\n        table[k] = 7\n"
+              "    return x.m[k]\n")
+    # a test that stores nothing, an `in` test and a memo in a local dict
+    # are not attribute memos
+    assert memoized(source) == ["K.d", "K.f.g", "K.m", "K.t", "a", "b", "c"]
 
 
 def _names(tree, bare: bool = True) -> Counter:

@@ -27,9 +27,10 @@ class TestSatake:
             assert sat.theta[i] * sat.theta[2 + i] == sat.eta
 
     def test_relation_enforced(self):
+        # the flag is read off theta and eta: X1 X2 != E
         p = 3
-        with pytest.raises(RefineError):
-            SatakeParameter(p, [sym(p, "X1"), sym(p, "X2")], sym(p, "E"), ag=True)
+        assert not SatakeParameter(p, [sym(p, "X1"), sym(p, "X2")], sym(p, "E")).ag
+        assert SatakeParameter(p, [sym(p, "X1"), sym(p, "E") / sym(p, "X1")], sym(p, "E")).ag
 
 
 class TestEigenvalues:
@@ -112,7 +113,7 @@ class TestSpin:
     def test_requires_regular(self):
         p = 3
         x = sym(p, "X1")
-        sat = SatakeParameter(p, [x, x], x * x, ag=True)
+        sat = SatakeParameter(p, [x, x], x * x)
         with pytest.raises(RefineError):
             is_spin(Refinement(sat, (0, 1)))
 
@@ -186,7 +187,7 @@ class TestShalikaAdmissible:
     def test_free_symbols_have_none(self):
         p = 3
         theta = [SymElem.gen(p, f"X{i + 1}") for i in range(4)]
-        free = SatakeParameter(p, theta, SymElem.gen(p, "E"), ag=False)
+        free = SatakeParameter(p, theta, SymElem.gen(p, "E"))
         assert shalika_admissible(free.theta, free.eta) is None
 
     def test_asgari_shahidi_convention(self):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
 from padicref.princhecke import ps_evaluate_rows
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   TwistCharacter, ZetaError,
-                                  _conjugation_level, _units,
+                                  _conjugation_level, _root_pair_sum, _units,
                                   ag_intertwine_value,
                                   borel_part_character,
                                   comparison_constant, ep_factor, gauss_sum,
@@ -26,8 +27,9 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
 from padicref.symring import CycNum, SymElem, geometric_tail
 
 
-# the scalar a = 1 as the one-term combination {(u, v): c} of u p^v = 1, c = 1
-AT_ONE = ({(1, 0): 1},)
+# the scalar a = 1 as the one-term combination {(u, v): e} of u p^v = 1 with
+# the exponent e = 0, at order 1: the coefficient zeta_1^0 = 1
+AT_ONE = ({(1, 0): 0},)
 
 
 def _conjugate(chi: TwistCharacter) -> TwistCharacter:
@@ -61,12 +63,12 @@ class TestCharacters:
                 for b in range(1, m):
                     if b % 3 == 0:
                         continue
-                    assert chi.of_unit(a) * chi.of_unit(b) == chi.of_unit(a * b % m)
+                    assert chi.of(a) * chi.of(b) == chi.of(a * b % m)
 
     def test_chi_of_p_is_one(self):
         chi = TwistCharacter.enumerate_conductor(3, 1)[0]
-        assert chi.of(Fraction(3)) == chi.of_unit(1)
-        assert chi.of(Fraction(2, 3)) == chi.of_unit(2)
+        assert chi.of(Fraction(3)) == chi.of(1)
+        assert chi.of(Fraction(2, 3)) == chi.of(2)
 
 
 class TestGaussSums:
@@ -78,7 +80,7 @@ class TestGaussSums:
     def test_mod_four(self):
         chi = TwistCharacter.enumerate_conductor(2, 2)[0]
         z = CycNum.root_of_unity(4)
-        assert chi.of_unit(3) == -1
+        assert chi.of(3) == -1
         assert gauss_sum(chi) == z - z ** 3
 
     def test_magnitude(self):
@@ -86,7 +88,7 @@ class TestGaussSums:
         for p, beta in ((3, 1), (3, 2), (2, 2), (5, 1), (5, 2), (7, 1), (7, 2)):
             for chi in TwistCharacter.enumerate_conductor(p, beta):
                 assert gauss_sum(chi) * gauss_sum(_conjugate(chi)) \
-                    == chi.of_unit(-1 % p ** beta) * CycNum.from_rational(p ** beta)
+                    == chi.of(-1 % p ** beta) * CycNum.from_rational(p ** beta)
 
     def test_no_cyclotomic_product(self, monkeypatch):
         # each Gauss sum is one count vector of exponents, reduced once
@@ -101,6 +103,20 @@ class TestGaussSums:
             for chi in TwistCharacter.enumerate_conductor(p, beta):
                 gauss_sum(chi)
         assert products == []
+
+    def test_root_pair_sum_is_the_sum_of_products(self):
+        # the one formula behind Gauss sums, parahoric shells and Iwahori
+        # balls: sum zeta_d^e zeta_m^a over the pairs (e, a), one root_sum at
+        # lcm(d, m), against the products of two roots added one by one
+        rng = make_rng("root-pair-sum")
+        for d, m in ((1, 9), (2, 4), (6, 9), (4, 25), (20, 5), (3, 1), (1, 1)):
+            for _ in range(4):
+                pairs = [(rng.randint(-2 * d, 2 * d), rng.randint(-2 * m, 2 * m))
+                         for _ in range(rng.randint(0, 8))]
+                total = sum((CycNum.root_of_unity(d, e) * CycNum.root_of_unity(m, a)
+                             for e, a in pairs), CycNum.from_rational(0))
+                value = _root_pair_sum(d, m, pairs)
+                assert value.order == math.lcm(d, m) and value == total
 
     def test_computed_once_per_character(self):
         chi = TwistCharacter.enumerate_conductor(5, 2)[3]
@@ -258,14 +274,14 @@ class TestIntertwiningOracle:
         for p in (2, 3):
             sat = SatakeParameter.generic(p, 1)
             f = PSVector.big_cell_vector(sat, tau_element(1))
-            (value,) = ag_intertwine_value(f, identity(p, 2), 4, AT_ONE)
+            (value,) = ag_intertwine_value(f, identity(p, 2), 4, 1, AT_ONE)
             assert value.is_one()
 
     def test_support_lemma(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         g = PadicMatrix.diagonal(3, [Fraction(1, 3), 1])
-        assert ag_intertwine_value(f, g, 4, AT_ONE)[0].is_zero()
+        assert ag_intertwine_value(f, g, 4, 1, AT_ONE)[0].is_zero()
 
     def test_shalika_equivariance(self):
         rng = make_rng("ag-equivariance")
@@ -273,14 +289,14 @@ class TestIntertwiningOracle:
         sat = SatakeParameter.generic(p, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         g = PadicMatrix(p, [[2, 1], [3, 1]])
-        (base,) = ag_intertwine_value(f, g, 5, AT_ONE)
+        (base,) = ag_intertwine_value(f, g, 5, 1, AT_ONE)
         eta = SymElem.gen(p, "E")
         for _ in range(6):
             a = Fraction(rng.unit(p)) * Fraction(p) ** rng.randint(-1, 1)
             x = Fraction(rng.randrange(p ** 3)) - 1
             (lhs,) = ag_intertwine_value(
                 f, PadicMatrix.diagonal(p, [a, a])
-                * PadicMatrix(p, [[1, x], [0, 1]]) * g, 5, AT_ONE)
+                * PadicMatrix(p, [[1, x], [0, 1]]) * g, 5, 1, AT_ONE)
             den = x.denominator
             psi = SymElem.from_cyc(p, CycNum.root_of_unity(den, x.numerator % den)) \
                 if den > 1 else SymElem.rational(p, 1)
@@ -295,11 +311,11 @@ class TestIntertwiningOracle:
         g = PadicMatrix.diagonal(3, [Fraction(2, 9), 1]) \
             * PadicMatrix(3, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(3, [9, 1])
         with pytest.raises(TruncationError):
-            ag_intertwine_value(f, g, 2, AT_ONE)
-        (value,) = ag_intertwine_value(f, g, 4, AT_ONE)
+            ag_intertwine_value(f, g, 2, 1, AT_ONE)
+        (value,) = ag_intertwine_value(f, g, 4, 1, AT_ONE)
         assert not value.is_zero()
         with pytest.raises(TruncationError):
-            ag_intertwine_value(f, g, 1, AT_ONE)
+            ag_intertwine_value(f, g, 1, 1, AT_ONE)
 
     def test_uncertified_truncation_raises_per_unit(self):
         # the same point for scalars u p^v of every unit and three
@@ -316,7 +332,7 @@ class TestIntertwiningOracle:
             u, v = a
             return ag_intertwine_value(
                 f, PadicMatrix.diagonal(p, [Fraction(u) * Fraction(p) ** v, 1]) * g,
-                shells, AT_ONE)[0]
+                shells, 1, AT_ONE)[0]
 
         refusing = []
         for a in scalars:
@@ -325,40 +341,40 @@ class TestIntertwiningOracle:
             except TruncationError:
                 refusing.append(a)
                 with pytest.raises(TruncationError):
-                    ag_intertwine_value(f, g, 2, ({a: 1},))
+                    ag_intertwine_value(f, g, 2, 1, ({a: 0},))
             else:
-                assert ag_intertwine_value(f, g, 2, ({a: 1},)) == (alone(a, 2),)
+                assert ag_intertwine_value(f, g, 2, 1, ({a: 0},)) == (alone(a, 2),)
         assert refusing and len(refusing) < len(scalars)
         for a in refusing:
             with pytest.raises(TruncationError):
-                ag_intertwine_value(f, g, 2, AT_ONE + ({a: 1},))
-        assert ag_intertwine_value(f, g, 4, tuple({a: 1} for a in scalars)) \
+                ag_intertwine_value(f, g, 2, 1, AT_ONE + ({a: 0},))
+        assert ag_intertwine_value(f, g, 4, 1, tuple({a: 0} for a in scalars)) \
             == tuple(alone(a, 4) for a in scalars)
 
     def test_a_refusing_scalar_refuses_its_combination(self):
         # at the point of the per-unit test with shells = 2, the scalars
         # u 3^-1 certify and u 3^0 refuse; each scalar certifies its own rims,
         # so a combination holding one refusing scalar refuses as a whole,
-        # even 1 - 10, whose two terms have equal rim sums (10 = 1 mod
-        # 3^shells) that cancel in the combination
+        # even 1 - 10 (exponents 0 and 1 at order 2), whose two terms have
+        # equal rim sums (10 = 1 mod 3^shells) that cancel in the combination
         p = 3
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
         g0 = PadicMatrix(p, [[1, -1], [0, 1]]) * PadicMatrix.diagonal(p, [9, 1])
         g = PadicMatrix.diagonal(p, [Fraction(1, 9), 1]) * g0
-        certified = {(u, -1): u for u in _units(p, 2)}
-        (value,) = ag_intertwine_value(f, g, 2, (certified,))
-        assert value == sum((c * ag_intertwine_value(f, g, 2, ({a: 1},))[0]
-                             for a, c in certified.items()), SymElem.rational(p, 0))
-        for combination in ({**certified, (2, 0): 1}, {(1, 0): 1, (10, 0): -1}):
+        certified = {(u, -1): u for u in _units(p, 2)}  # the signs (-1)^u
+        (value,) = ag_intertwine_value(f, g, 2, 2, (certified,))
+        assert value == sum(((-1) ** e * ag_intertwine_value(f, g, 2, 1, ({a: 0},))[0]
+                             for a, e in certified.items()), SymElem.rational(p, 0))
+        for combination in ({**certified, (2, 0): 0}, {(1, 0): 0, (10, 0): 1}):
             with pytest.raises(TruncationError):
-                ag_intertwine_value(f, g, 2, (certified, combination))
+                ag_intertwine_value(f, g, 2, 2, (certified, combination))
         # with more shells all certify, W depends on u mod 3^e(g) = 9 only,
         # and a combination over two valuations is the sum of its terms
         one, ten, both, mixed, two = ag_intertwine_value(
-            f, g, 4, ({(1, 0): 1}, {(10, 0): 1}, {(1, 0): 1, (10, 0): -1},
-                      {(1, 0): 1, (2, 1): 3}, {(2, 1): 1}))
+            f, g, 4, 2, ({(1, 0): 0}, {(10, 0): 0}, {(1, 0): 0, (10, 0): 1},
+                         {(1, 0): 0, (2, 1): 1}, {(2, 1): 0}))
         assert one == ten and not one.is_zero() and both.is_zero()
-        assert mixed == one + 3 * two and not two.is_zero()
+        assert mixed == one - two and not two.is_zero()
 
     def test_certificate_is_on_twisted_sums(self):
         # the bottom row of g has the unit ratio 7, so F(Y) =
@@ -371,7 +387,7 @@ class TestIntertwiningOracle:
         for y in (Fraction(1, p ** shells), Fraction(2, p ** (shells - 1))):
             assert not ps_evaluate_rows(
                 f, (bottom, (top[0] + y * bottom[0], top[1] + y * bottom[1]))).is_zero()
-        assert ag_intertwine_value(f, g, shells, AT_ONE) \
+        assert ag_intertwine_value(f, g, shells, 1, AT_ONE) \
             == (_fraction_intertwine(f, g, shells),)
 
 
@@ -421,7 +437,7 @@ class TestIntegerShellPoints:
                                               [p, Fraction(3, 7)]]))
                 shells = beta + 2
                 for g in points:
-                    assert ag_intertwine_value(f, g, shells, AT_ONE) \
+                    assert ag_intertwine_value(f, g, shells, 1, AT_ONE) \
                         == (_fraction_intertwine(f, g, shells),)
 
     def test_twisted_sweep_matches_the_fraction_reference(self):
@@ -444,7 +460,7 @@ class TestIntegerShellPoints:
                 shells = beta + 2
                 scalars = [(u, v) for v in range(-beta - 2, 2) for u in units]
                 assert ag_intertwine_value(
-                    f, g0, shells, tuple({a: 1} for a in scalars)) == tuple(
+                    f, g0, shells, 1, tuple({a: 0} for a in scalars)) == tuple(
                     _fraction_intertwine(
                         f, PadicMatrix.diagonal(p, [Fraction(u) * Fraction(p) ** v, 1]) * g0,
                         shells)
@@ -472,13 +488,13 @@ class TestIntegerShellPoints:
                                  [p + 1, Fraction(5, p ** 2)]]), 4),
                 (PadicMatrix.diagonal(p, [Fraction(1, p ** 2), 1]) * shift, 2)]
             scalars = (1, p ** 2 - 1)
-            combinations = tuple({(a, 0): 1} for a in scalars)
+            combinations = tuple({(a, 0): 0} for a in scalars)
             refused = nonzero = 0
             for g, shells in points:
                 for w in all_perms(2):
                     for sigma in all_perms(2):
                         f = PSVector.cell_vector(sat, sigma, w)
-                        swept = outcome(ag_intertwine_value, f, g, shells, combinations)
+                        swept = outcome(ag_intertwine_value, f, g, shells, 1, combinations)
                         reference = tuple(
                             outcome(_fraction_intertwine, f,
                                     PadicMatrix.diagonal(p, [a, 1]) * g, shells)
@@ -509,7 +525,7 @@ class TestIntegerShellPoints:
             calls.append(args)
             return ps_evaluate_rows(*args)
         monkeypatch.setattr(shalikazeta, "ps_evaluate_rows", counted)
-        ag_intertwine_value(f, g0, shells, AT_ONE)
+        ag_intertwine_value(f, g0, shells, 1, AT_ONE)
         phi = [0] + [(p - 1) * p ** (r - 1) for r in range(1, e + 1)]
         assert (c, e) == (2, 2)
         assert len(calls) == 1 + sum(phi[min(e, n - j)] for j in range(n)) == 33
@@ -521,10 +537,10 @@ class TestIntegerShellPoints:
         # where psi is integrated.  Over each ball at once that builds one
         # root_sum; one per point of the balls would be sum p^(shells - r)
         # = 78 roots, above the bound 3 * 10 nonzero values
-        p, shells, at_p3 = 3, 6, ({(1, 3): 1},)
+        p, shells, at_p3 = 3, 6, ({(1, 3): 0},)
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
         g = PadicMatrix(p, [[Fraction(1, 7), Fraction(2, 3)], [3, Fraction(3, 7)]])
-        (expected,) = ag_intertwine_value(f, g, shells + 1, at_p3)
+        (expected,) = ag_intertwine_value(f, g, shells + 1, 1, at_p3)
         roots, nonzero = [], []
         root_of_unity, root_sum = CycNum.root_of_unity, CycNum.root_sum
 
@@ -532,9 +548,9 @@ class TestIntegerShellPoints:
             roots.append((order, power))
             return root_of_unity(order, power)
 
-        def counted_sum(order, exponents, coeffs=None):
+        def counted_sum(order, exponents):
             roots.append((order, exponents))
-            return root_sum(order, exponents, coeffs)
+            return root_sum(order, exponents)
 
         def counted_value(*args):
             value = ps_evaluate_rows(*args)
@@ -543,7 +559,7 @@ class TestIntegerShellPoints:
         monkeypatch.setattr(CycNum, "root_of_unity", staticmethod(counted_root))
         monkeypatch.setattr(CycNum, "root_sum", staticmethod(counted_sum))
         monkeypatch.setattr(shalikazeta, "ps_evaluate_rows", counted_value)
-        assert ag_intertwine_value(f, g, shells, at_p3) == (expected,)
+        assert ag_intertwine_value(f, g, shells, 1, at_p3) == (expected,)
         # one scalar: two rim sums and the inner sum
         assert 0 < len(roots) and 0 < sum(nonzero) and len(roots) <= 3 * sum(nonzero)
 
@@ -551,11 +567,11 @@ class TestIntegerShellPoints:
         p = 3
         f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
         # u = 0 is the scalar 0, alone, beside others, or inside a combination
-        for combinations in (({(0, 0): 1},), ({(1, 0): 1}, {(Fraction(0), 0): 1}),
-                             ({(1, 1): 1}, {(0, 0): 1}, {(2, 1): 1}),
-                             ({(1, 1): 1, (0, 0): 1, (2, 1): 1},)):
+        for combinations in (({(0, 0): 0},), ({(1, 0): 0}, {(Fraction(0), 0): 0}),
+                             ({(1, 1): 0}, {(0, 0): 0}, {(2, 1): 0}),
+                             ({(1, 1): 0, (0, 0): 0, (2, 1): 0},)):
             with pytest.raises(ZetaError) as exc:
-                ag_intertwine_value(f, identity(p, 2), 4, combinations)
+                ag_intertwine_value(f, identity(p, 2), 4, 1, combinations)
             assert not isinstance(exc.value, TruncationError)
 
 
@@ -589,7 +605,7 @@ class TestWValue:
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, tau_element(1))
         point = identity(3, 2)  # w_1 z^{2 beta} = 1 at n = 1
-        assert ag_intertwine_value(f, point, 4, AT_ONE) == (w_value_closed(sat, 1, 1),)
+        assert ag_intertwine_value(f, point, 4, 1, AT_ONE) == (w_value_closed(sat, 1, 1),)
 
 
 class TestZetaClosedForms:
@@ -601,7 +617,7 @@ class TestZetaClosedForms:
         res = zeta_iwahori_closed(SymElem.rational(p, 1), chi, 1, 1, sat.eta)
         expected = SymElem.rational(p, Fraction(1, 1 - Fraction(1, 3))) \
             * Fraction(1, 3) * SymElem.gen(p, "S") * SymElem.gen(p, "Y") ** -1 \
-            * SymElem.from_cyc(p, gauss_sum(chi) * chi.of_unit(2))
+            * SymElem.from_cyc(p, gauss_sum(chi) * chi.of(2))
         assert res.value == expected
 
     def test_iwahori_scales_linearly(self):
@@ -635,7 +651,7 @@ class TestZetaClosedForms:
         q = SymElem.rational(p, Fraction(1, p) * Fraction(p, p - 1)) \
             * SymElem.from_cyc(p, gauss_sum(chi))
         expected = s * SymElem.gen(p, "Y") ** -1 \
-            * SymElem.from_cyc(p, chi.of_unit(-1 % p)) * q
+            * SymElem.from_cyc(p, chi.of(-1 % p)) * q
         assert res.value == expected
 
 
@@ -683,9 +699,10 @@ class TestZetaOracles:
                 assert _conjugation_level(g0, PadicMatrix(p, [[1, 0], [0, 0]])) == beta
 
     def test_combinations_match_the_per_scalar_route(self):
-        # each zeta shell's combination {(u, v): chi(u)} at g0 against the
-        # sum of chi(u) W(diag(u p^v, 1) g0) over one-term combinations, for
-        # every character of conductor p^beta and every shell of the oracle
+        # each zeta shell's combination {(u, v): exps[u]} of chi's exponents
+        # at chi's order, at g0, against the sum of chi(u) W(diag(u p^v, 1) g0)
+        # over one-term combinations, chi(u) a CycNum root of unity, for every
+        # character of conductor p^beta and every shell of the oracle
         shells, nonzero = 4, 0
         for p in (2, 3, 5):
             f = PSVector.big_cell_vector(SatakeParameter.generic(p, 1), tau_element(1))
@@ -695,22 +712,23 @@ class TestZetaOracles:
                 units, shell_range = tuple(_units(p, beta)), range(-beta - 2, 5 + shells)
                 scalars = [(u, v) for v in shell_range for u in units]
                 single = dict(zip(scalars, ag_intertwine_value(
-                    f, g0, shells, tuple({a: 1} for a in scalars))))
+                    f, g0, shells, 1, tuple({a: 0} for a in scalars))))
                 for chi in TwistCharacter.enumerate_conductor(p, beta):
                     combined = ag_intertwine_value(
-                        f, g0, shells, tuple({(u, v): chi.of_unit(u) for u in units}
-                                             for v in shell_range))
+                        f, g0, shells, chi.order,
+                        tuple({(u, v): chi.exps[u] for u in units} for v in shell_range))
                     for v, value in zip(shell_range, combined):
-                        assert value == sum((single[u, v] * chi.of_unit(u) for u in units),
+                        assert value == sum((single[u, v] * chi.of(u) for u in units),
                                             SymElem.rational(p, 0))
                         nonzero += not value.is_zero()
         assert nonzero == 25
 
     def test_oracle_product_bound(self):
         # each zeta shell is one combination, so an oracle makes one SymElem
-        # product per nonzero ball and shell, not one per unit: the 20 units
-        # of conductor 25 cost what the 6 of conductor 9 cost (a product per
-        # unit and shell in the average takes 157 and 423)
+        # product per nonzero ball and shell, not one per unit, and one more
+        # that divides the sum by phi(p^beta): the 20 units of conductor 25
+        # cost what the 6 of conductor 9 cost (a product per unit and shell
+        # in the average takes 157 and 423)
         product = SymElem.__mul__
 
         def products(p):
@@ -726,7 +744,7 @@ class TestZetaOracles:
                 patch.setattr(SymElem, "__rmul__", counted)
                 zeta_iwahori_oracle(f, chi, 2, 4)
             return len(calls)
-        assert products(3) == products(5) == 18
+        assert products(3) == products(5) == 19
 
     def test_iwahori_oracle_refuses_an_unramified_character(self):
         p = 3
@@ -750,8 +768,9 @@ class TestZetaOracles:
 class TestCertifyTail:
     """The Iwahori oracle's tail certificate on synthetic shell values: the
     intertwining is patched to return W(diag(u p^v, 1) g0) = chi(u)^{-1} w(v)
-    for each scalar a = u p^v, summed over each combination with its
-    coefficients, so zeta shell v is exactly w(v)."""
+    for each scalar a = u p^v, summed over each combination with the
+    coefficients zeta_order^e, so the combination of zeta shell v is
+    phi(p^beta) w(v), and the shell, divided by phi(p^beta), is exactly w(v)."""
 
     p, beta = 3, 1
 
@@ -760,12 +779,13 @@ class TestCertifyTail:
         chi = TwistCharacter.enumerate_conductor(p, self.beta)[0]
         calls = []
 
-        def fake(f, g, shells, combinations):
+        def fake(f, g, shells, order, combinations):
             calls.append(sorted({v for combination in combinations for _, v in combination}))
             m = p ** self.beta
             return tuple(
-                sum((w(v) * c * SymElem.from_cyc(p, chi.of_unit(pow(u, -1, m)))
-                     for (u, v), c in combination.items()), SymElem.rational(p, 0))
+                sum((w(v) * SymElem.from_cyc(p, CycNum.root_of_unity(order, e)
+                                             * chi.of(pow(u, -1, m)))
+                     for (u, v), e in combination.items()), SymElem.rational(p, 0))
                 for combination in combinations)
 
         monkeypatch.setattr(shalikazeta, "ag_intertwine_value", fake)
@@ -832,7 +852,7 @@ class TestInterpolationFactors:
         # at j = 0
         p = 3
         sat = SatakeParameter(p, [SymElem.gen(p, "X1"), SymElem.gen(p, "Y")],
-                              SymElem.gen(p, "E"), ag=False)
+                              SymElem.gen(p, "E"))
         with pytest.raises(ZetaError):
             ep_factor(sat, TwistCharacter.trivial(p), 0)
 

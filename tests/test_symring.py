@@ -42,27 +42,6 @@ class TestCycNum:
             assert value.order == order and value == total
             assert CycNum.root_sum(order, []).is_zero()
 
-    def test_root_sum_with_coefficients(self):
-        # coefficients that are ints, Fractions and CycNums of other orders,
-        # against multiplying and adding one term at a time; the sum lives
-        # at the lcm of order and the coefficients' orders
-        rng = make_rng("root-sum-coeffs")
-        for order in (1, 2, 3, 4, 9, 12, 25, 27):
-            for _ in range(6):
-                exponents, coeffs = [], []
-                for _ in range(rng.randint(0, 6)):
-                    exponents.append(rng.randint(-2 * order, 2 * order))
-                    kind, m = rng.randint(0, 2), rng.choice((1, 2, 3, 4, 6, 9))
-                    coeffs.append(rng.randint(-4, 4) if kind == 0 else
-                                  Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if kind == 1
-                                  else CycNum(m, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                                                  for _ in range(len(cyclotomic_poly(m)) - 1)]))
-                total = CycNum(order, [])  # zero, stored at the order
-                for e, c in zip(exponents, coeffs):
-                    total = total + CycNum.root_of_unity(order, e) * c
-                value = CycNum.root_sum(order, exponents, coeffs)
-                assert (value.order, value.nums, value.den) == (total.order, total.nums, total.den)
-
     def test_inverse_fuzz(self):
         # rationals invert; an irrational value is refused
         rng = make_rng("cyc-inv")
