@@ -63,9 +63,19 @@ class PureWeight:
 
     def product(self, factors) -> Fraction:
         """The product of lam_i(x)^k = x^(k lam_i) over the factors (i, x, k),
-        1 <= i <= 2n."""
-        return math.prod((Fraction(x) ** (k * self.entries[i - 1]) for i, x, k in factors),
-                         start=Fraction(1))
+        1 <= i <= 2n, x an int or a Fraction."""
+        return _power_product((x.numerator, x.denominator, k * self.entries[i - 1])
+                              for i, x, k in factors)
+
+
+def _power_product(factors) -> Fraction:
+    """The product of (a / b)^e over the int triples (a, b, e), multiplied
+    on int numerators and denominators and made one Fraction at the end."""
+    num = den = 1
+    for a, b, e in factors:
+        a, b = (a, b) if e > 0 else (b, a)
+        num, den = num * a ** abs(e), den * b ** abs(e)
+    return Fraction(num, den)
 
 
 def crit_range(lam: PureWeight):
@@ -73,16 +83,6 @@ def crit_range(lam: PureWeight):
     n = lam.n
     lo, hi = -lam.entries[n - 1], -lam.entries[n]
     return range(lo, hi + 1)
-
-
-def alpha_weight(n: int, i: int) -> tuple:
-    """The basis weights: alpha_0 = (1,...,1), alpha_i = (1^i, 0..0, (-1)^i)
-    for 1 <= i <= n-1, alpha_n = (1^n, 0^n)."""
-    if i == 0:
-        return (1,) * (2 * n)
-    if i == n:
-        return (1,) * n + (0,) * n
-    return (1,) * i + (0,) * (2 * n - 2 * i) + (-1,) * i
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +104,8 @@ def v_lambda_j(fac, lam: PureWeight, j: int) -> Fraction:
     bbar = fac.bbar
     # (numerator, denominator, exponent) of each factor
     factors = [(bbar.nums[i][i], bbar.den, lam.entries[i]) for i in range(bbar.size)]
-    for d, e in zip(fac.dets, (-j, lam.sw + j)):
-        if e:
-            factors.append((d.numerator, d.denominator, e))
-    num = den = 1
-    for a, b, e in factors:
-        a, b = (a, b) if e > 0 else (b, a)
-        num, den = num * a ** abs(e), den * b ** abs(e)
-    return Fraction(num, den)
+    return _power_product(factors + [(d.numerator, d.denominator, e)
+                                     for d, e in zip(fac.dets, (-j, lam.sw + j))])
 
 
 def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
@@ -122,21 +116,29 @@ def v_lambda_all(g: PadicMatrix, lam: PureWeight) -> dict:
 
 
 def v_basis_values(g: PadicMatrix):
-    """(v_(0), [v_(1), ..., v_(n-1)], v_(n)1, v_(n)2) at g.
+    """(v_(0), [v_(1), ..., v_(n-1)], v_(n)1, v_(n)2) at g, on one open-cell
+    factorization; None off the open cell.
 
-    These are v_{alpha_0, -1} = det, v_{alpha_i, 0} for 0 < i < n, and
-    v_{alpha_n, -1}, v_{alpha_n, 0}, all on one open-cell factorization.
-    Returns None off the open cell.
+    These are v_lambda_j at the basis weights alpha_0 = (1^2n), alpha_i =
+    (1^i, 0^(2n-2i), (-1)^i) for 0 < i < n and alpha_n = (1^n, 0^n), whose
+    purity weights are 2, 0 and 1, each at the j given, read in closed form
+    off the diagonal b_1, ..., b_2n of bbar and (d1, d2) = (det h1, det h2):
+    v_{alpha_0, -1} = b_1 ... b_2n d1 d2 (= det g), v_{alpha_i, 0} = (b_1
+    ... b_i) / (b_2n+1-i ... b_2n), v_{alpha_n, -1} = b_1 ... b_n d1 and
+    v_{alpha_n, 0} = b_1 ... b_n d2.
     """
-    n = g.size // 2
     fac = open_cell_factorize(g)
     if fac is None:
         return None
-    alpha = [PureWeight(alpha_weight(n, i)) for i in range(n + 1)]
-    return (v_lambda_j(fac, alpha[0], -1),
-            [v_lambda_j(fac, alpha[i], 0) for i in range(1, n)],
-            v_lambda_j(fac, alpha[n], -1),
-            v_lambda_j(fac, alpha[n], 0))
+    n, (d1, d2) = g.size // 2, fac.dets
+    den = fac.bbar.den ** n
+    diag = [row[i] for i, row in enumerate(fac.bbar.nums)]
+    head, tail = math.prod(diag[:n]), math.prod(diag[n:])
+    return (Fraction(head * tail * d1.numerator * d2.numerator,
+                     den * den * d1.denominator * d2.denominator),
+            [Fraction(math.prod(diag[:i]), math.prod(diag[2 * n - i:])) for i in range(1, n)],
+            Fraction(head * d1.numerator, den * d1.denominator),
+            Fraction(head * d2.numerator, den * d2.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +148,32 @@ def v_basis_values(g: PadicMatrix):
 def in_n_beta(g: PadicMatrix, beta: int) -> bool:
     """g in N(p^beta Z_p) * u: unipotent upper congruent to u mod p^beta.
     g u^{-1} = (A, B - A w_n; C, D - C w_n) by column moves, on the int rows."""
-    n, d, least = g.size // 2, g.den, max(beta, 0) + vp(g.den, g.p)
+    n, d, q = g.size // 2, g.den, g.p ** (max(beta, 0) + vp(g.den, g.p))
     m = [row[:n] + tuple([row[n + j] - row[n - 1 - j] for j in range(n)]) for row in g.nums]
-    return all(x == d * (i == j) if i >= j else vp(x, g.p) >= least
+    return all(x == d * (i == j) if i >= j else not x % q
                for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def iwahori_coordinates(g: PadicMatrix):
-    """(nbar, t, n) with g = nbar * t * n, nbar lower unipotent with
-    p-divisible entries, t diagonal units, n upper unipotent."""
+    """(nbar, t, n) with g = nbar * diag(t) * n: nbar lower unipotent with
+    p-divisible entries, t the list of the torus's diagonal units, n upper
+    unipotent.
+
+    All three are read off one lu_unit_lower, g = L U on int rows: nbar = L,
+    whose entries below the diagonal are checked to lie in p Z_p, t =
+    diag(U), and n = t^{-1} U, whose row i is row i of U's int rows over
+    its diagonal entry; n is assembled over the lcm of those entries and
+    made canonical once."""
     if not g.in_iwahori():
         raise BranchError("element is not in the Iwahori subgroup")
     lo, up = lu_unit_lower(g)
-    if not lo.transpose().in_upper_unipotent(depth=1):
+    q = g.p ** (1 + vp(lo.den, g.p))
+    if any(x % q for i, row in enumerate(lo.nums) for x in row[:i]):
         raise BranchError("Iwahori factorization failed on the lower part")
-    t = up.diagonal_entries()
-    return lo, PadicMatrix.diagonal(g.p, t), PadicMatrix.diagonal(g.p, [1 / x for x in t]) * up
+    diag = [row[i] for i, row in enumerate(up.nums)]
+    den = math.lcm(*diag)
+    return lo, [Fraction(x, up.den) for x in diag], PadicMatrix.from_ints(
+        g.p, den, [[x * (den // d) for x in row] for row, d in zip(up.nums, diag)])
 
 
 def in_iw_beta(g: PadicMatrix, beta: int) -> bool:
@@ -287,9 +299,12 @@ class FamilyWeight:
 def _iw1_coordinates(g: PadicMatrix):
     """(torus diagonal, v_(0), [v_(1..n-1)], v_(n)1, v_(n)2) for g in Iw^1.
 
-    g = nbar * t * n is factored once: the diagonal is that of t, and the
-    v values are v_basis_values at n.  Returns None off Iw^1; raises
-    BranchError if the open-cell factorization of n fails inside Iw^1.
+    g = nbar * diag(t) * n is factored once, by one lu_unit_lower
+    (iwahori_coordinates): the diagonal is t, and the v values are
+    v_basis_values at n, in closed form on one open-cell factorization.  No
+    PadicMatrix is multiplied and no weight is built.  Returns None off
+    Iw^1; raises BranchError if the open-cell factorization of n fails
+    inside Iw^1.
     """
     try:
         _, t, nmat = iwahori_coordinates(g)
@@ -300,7 +315,7 @@ def _iw1_coordinates(g: PadicMatrix):
     base = v_basis_values(nmat)
     if base is None:
         raise BranchError("open-cell factorization failed inside Iw^1")
-    return (t.diagonal_entries(), *base)
+    return (t, *base)
 
 
 def _w_at(coords, weight):

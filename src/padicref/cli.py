@@ -33,8 +33,8 @@ from . import (branchfam, famring, padiclin, princhecke, refine, rootspin,
 from .padiclin import PadicMatrix
 from .perms import all_perms, compose, longest_perm
 from .rng import SplitMix64
-from .sampling import (random_glzp, random_iw_beta, random_iwahori,
-                       random_n_beta, random_upper_zp)
+from .sampling import (random_glzp, random_iw_beta, random_n_beta,
+                       random_shalika_positive)
 from .symring import SymElem
 
 SCHEMA_VERSION = 1
@@ -188,7 +188,7 @@ def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     p = cfg.p
     for n in (1, 2):
-        w0, wn = longest_perm(n), PadicMatrix.longest_weyl(p, n)
+        w0 = longest_perm(n)
         thetas = [SymElem.gen(p, f"X{i + 1}") for i in range(2 * n)]
         for beta in (1, cfg.beta):
             count = max(20, cfg.samples // 4)
@@ -207,10 +207,7 @@ def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
             # constructed positives, with the Borel character identity
             def positive_failures():
                 for _ in range(max(10, count // 8)):
-                    k = random_upper_zp(rng, p, n) * wn * random_iwahori(rng, p, n)
-                    arb = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
-                                          for _ in range(n)])
-                    x = k * wn * shalikazeta.z_matrix(p, n, 2 * beta) * arb
+                    k, x = random_shalika_positive(rng, p, n, beta)
                     if not (shalikazeta.shalika_support_predicate(w0, k, x, beta)
                             and shalikazeta.shalika_support_bruhat(w0, k, x, beta)):
                         yield f"k={k} x={x} off the support"

@@ -28,18 +28,21 @@ local proofs run on:
 Everything runs on the int rows.  ``bruhat_cell_valuations``, the Bruhat
 core, returns the cell and the diagonal valuations of b.  ``_eliminate``
 is fraction-free (Bareiss) elimination, with exact integer divisions;
-``det``, ``inverse``, the LU and both factorizations read their results
-off it, and matrix products are integer dot products.  The full Bruhat
-decomposition is the core plus one LU, certified by one integer product,
-index checks and vp: i = w^{-1} ybar w, ybar unit lower triangular, so
-det i = 1 needs no det.  The cell and vp(diag b) are invariants of the
+``inverse``, the LU and both factorizations read their results off it,
+and matrix products are integer dot products.  ``in_glzp`` and the cell
+of a matrix mod p need no det: ``unit_pivots_mod_p`` eliminates once
+over F_p.  The full Bruhat decomposition is the core plus one LU,
+certified by one integer product, index checks and vp: i = w^{-1} ybar
+w, ybar unit lower triangular, so det i = 1 needs no det.  The cell and vp(diag b) are invariants of the
 double coset B(Q_p) g Iw, so every certified decomposition is an
 independent proof of the core's answer.  It is checked on the raw int
 rows of b and i: ``iwahori_bruhat_decompose`` makes them canonical on
 return, and ``certified_bruhat_cell`` returns only (w, vp(diag b)).  The
-open cell runs four eliminations, reads det h1 = det U det A and det h2 =
-sgn(w_n) det U det B off them, and is certified by four n x n block
-products.
+open cell runs three eliminations (two Jordan solves and one LU step on
+augmented rows), one n x 2n product for h1 and h2 and one 2n x 2n product
+that certifies bbar * u * diag(h1, h2) = g; it reads det h1 = det U det A
+and det h2 = sgn(w_n) det U det B off the pivots, and makes its three
+factors canonical only on return.
 
 Haar measure normalizations are fixed once and for all here:
 vol(GL_n(Z_p)) = 1 for compact-group integrals, vol(M_n(Z_p)) = 1
@@ -53,8 +56,6 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-
-from .perms import longest_perm
 
 INF = math.inf
 
@@ -157,13 +158,24 @@ def _eliminate(m, pivot: bool, jordan: bool = False) -> int:
     return sign * prev
 
 
-def _inverse_rows(nums):
-    """(det nums, q, r), with nums^{-1} = r / q unless det = 0; q, the last
-    pivot, is det up to the sign of the row swaps."""
-    n = len(nums)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(nums)]
-    det = _eliminate(m, pivot=True, jordan=True)
-    return det, m[-1][n - 1], [row[n:] for row in m]
+def unit_pivots_mod_p(nums, p: int, pivot: bool) -> bool:
+    """One elimination over F_p of the n x n int rows nums: with pivot (row
+    swaps), True exactly when det nums is prime to p; without, exactly when
+    every leading minor is (pivot k is nonzero exactly when the leading
+    (k+1)-minor is, given nonzero pivots before it)."""
+    m, n = [[x % p for x in row] for row in nums], len(nums)
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None) if pivot else None
+            if swap is None:
+                return False
+            m[k], m[swap] = m[swap], m[k]
+        inv = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] * inv
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[k])]
+    return True
 
 
 def _imul(x, y) -> list:
@@ -214,15 +226,6 @@ class PadicMatrix:
         return cls(p, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def permutation(cls, p, w: tuple):
-        n = len(w)
-        return cls(p, [[int(w[j] == i) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def longest_weyl(cls, p, n):
-        return cls.permutation(p, longest_perm(n))
-
-    @classmethod
     def open_orbit_rep(cls, p, n) -> "PadicMatrix":
         """u = [[1_n, w_n], [0, 1_n]] in GL_{2n}(Z_p)."""
         return cls.from_ints(p, 1, [[int(i == j or (i < n and i + j == 2 * n - 1))
@@ -243,19 +246,15 @@ class PadicMatrix:
     def __hash__(self):
         return hash((self.p, self.den, self.nums))
 
-    def transpose(self):
-        return PadicMatrix.from_ints(self.p, self.den, tuple(zip(*self.nums)))
-
-    def det(self) -> Fraction:
-        return Fraction(_eliminate([list(row) for row in self.nums], pivot=True),
-                        self.den ** self.size)
-
     def inverse(self) -> "PadicMatrix":
-        # self = nums / den, so self^{-1} = den * r / q
-        det, q, r = _inverse_rows(self.nums)
-        if not det:
+        # the Jordan elimination of (nums | 1) leaves q nums^{-1} on the right,
+        # q its last pivot; self = nums / den, so self^{-1} = den * that / q
+        n = self.size
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.nums)]
+        if not _eliminate(m, pivot=True, jordan=True):
             raise LinAlgError("singular matrix")
-        return PadicMatrix.from_ints(self.p, q, [[self.den * x for x in row] for row in r])
+        return PadicMatrix.from_ints(self.p, m[-1][n - 1],
+                                     [[self.den * x for x in row[n:]] for row in m])
 
     def block(self, r0, r1, c0, c1) -> "PadicMatrix":
         return PadicMatrix.from_ints(self.p, self.den,
@@ -274,8 +273,10 @@ class PadicMatrix:
         return self.den % self.p != 0
 
     def in_glzp(self) -> bool:
-        # den is a unit when integral, so vp(det) = vp of its numerator
-        return self.is_integral() and self.det().numerator % self.p != 0
+        """Integral with a unit det.  den is then a unit, so det = det(nums) /
+        den^n is a unit exactly when nums is invertible mod p: one
+        elimination over F_p, no det."""
+        return self.is_integral() and unit_pivots_mod_p(self.nums, self.p, pivot=True)
 
     def in_iwahori(self) -> bool:
         """Upper triangular modulo p, inside GL(Z_p).  An integral matrix
@@ -284,13 +285,6 @@ class PadicMatrix:
         return self.is_integral() and not any(
             x % self.p for i, row in enumerate(self.nums) for x in row[:i]) \
             and all(row[i] % self.p for i, row in enumerate(self.nums))
-
-    def in_upper_unipotent(self, depth: int = 0) -> bool:
-        """In N(Z_p), with above-diagonal entries in p^depth Z_p."""
-        least = depth + vp(self.den, self.p)
-        return all(not any(row[:i]) and row[i] == self.den
-                   and all(vp(x, self.p) >= least for x in row[i + 1:])
-                   for i, row in enumerate(self.nums))
 
     def in_h_zp(self) -> bool:
         """Block diagonal diag(h1, h2) with both blocks in GL_n(Z_p)."""
@@ -470,57 +464,81 @@ def open_cell_factorize(g: PadicMatrix):
 
     With g = (A B; C D) in n x n blocks and bbar = (P 0; Q R), P and R
     lower triangular, R unipotent: A = P h1, B = P w_n h2, C = Q h1 and
-    D = (Q w_n + R) h2.  So S = D - C A^{-1} B = R h2, and M = S B^{-1} w_n
-    = R U with U = w_n P^{-1} w_n upper triangular: the unique LU of M
-    gives R and U, then h1 = w_n U w_n A, h2 = U w_n B, P = w_n U^{-1} w_n
-    and Q = C A^{-1} P, on the int rows of the blocks with four Bareiss
-    eliminations (A^{-1}, B^{-1}, the LU, U^{-1}); only the returned
-    factors are made canonical.  They give det h1 = det U det A and
-    det h2 = sgn(w_n) det U det B (det U = det l0, l0 = P^{-1}).
+    D = (Q w_n + R) h2.  So X = C A^{-1} = Q P^{-1}, the Schur complement
+    is S = D - X B = R h2, and M = S B^{-1} w_n = (D B^{-1} - X) w_n = R U
+    with U = w_n P^{-1} w_n upper triangular: R and U are the unique LU of
+    M, h1 = w_n U w_n A, h2 = U w_n B, P = w_n U^{-1} w_n and Q = X P.
 
-    The certificate, on the returned factors: bbar lower triangular (so
-    are P and R), and P h1 = A, P (w_n h2) = B, Q h1 = C and
-    (Q w_n + R) h2 = D by four n x n int products, i.e. bbar * u *
-    diag(h1, h2) = g.  Off the cell (A or B singular, no LU, a failed
-    certificate) the distinguished None is returned.
+    Three Bareiss eliminations give all of it, and no product of blocks
+    precedes the factors; the first two run on the int rows of transposed
+    blocks, which are the columns of g (A^T | C^T the first n, B^T | D^T
+    the last n):
+
+    * the Jordan solve of A^T | C^T gives det A and qa X^T (qa its last
+      pivot), and that of B^T | D^T gives det B and qb B^{-T} D^T; as
+      (M w_n)^T = B^{-T} D^T - X^T, Y = qa qb M^T is w_n times qa times
+      the second right part less qb times the first;
+    * the forward elimination of Y | Z, Z = w_n (qa 1 | qa X^T), with
+      pivots p_k (p_{-1} = 1), reads as in _eliminate: Y = L V with L unit
+      lower, and Y = U^T (qa qb R^T), so L = U^T diag(U)^{-1}, V = qa qb
+      diag(U) R^T and p_k / p_{k-1} = qa qb diag(U)_k.  Hence R[j][k] =
+      m[k][j] / p_k and U[k][i] = m[i][k] / (qa qb p_{k-1}) for i >= k,
+      and row k of the right part, p_{k-1} (L^{-1} Z)[k], is p_k / (qa
+      qb) (U^{-T} Z)[k].  P^T = w_n U^{-T} w_n and Q^T = P^T X^T, so
+      column j of (P; Q) is qb m[n-1-j][n:] / p_{n-1-j}: every column of
+      bbar is over one p_k;
+    * h1 and h2 are one product, U w_n (A B): its left half is w_n h1, its
+      right half h2; det h1 = det U det A and det h2 = sgn(w_n) det U det
+      B, det U = p_{n-1} / (qa qb)^n.
+
+    bbar is assembled lower triangular with R unipotent: its entries above
+    the diagonal are written as zeros and R's diagonal as 1, never read
+    off the elimination.  The certificate runs on these raw int rows,
+    before the factors are made canonical on return: bbar * k = g by one 2n
+    x 2n int product, k = u diag(h1, h2) = (h1 w_n h2; 0 h2), which checks
+    every entry of every factor.  Off the cell (A or B singular, a zero
+    pivot of Y, a failed certificate) the distinguished None is returned.
     """
     if g.size % 2:
         raise LinAlgError("open cell factorization needs even size")
     p, n, d = g.p, g.size // 2, g.den
-    a, b = [row[:n] for row in g.nums[:n]], [row[n:] for row in g.nums[:n]]
-    c, e = [row[:n] for row in g.nums[n:]], [row[n:] for row in g.nums[n:]]
-    (det_a, qa, ra), (det_b, qb, rb) = _inverse_rows(a), _inverse_rows(b)
+    cols = list(zip(*g.nums))
+    ta, tb = list(map(list, cols[:n])), list(map(list, cols[n:]))
+    det_a, det_b = _eliminate(ta, pivot=True, jordan=True), \
+        _eliminate(tb, pivot=True, jordan=True)
     if not (det_a and det_b):
         return None
-    # A^{-1} = d ra / qa and B^{-1} = d rb / qb, so C A^{-1} = ca / qa,
-    # S = s / (qa d) and M = (s rb with its columns reversed) / (qa qb)
-    ca = _imul(c, ra)
-    s = [[qa * x - y for x, y in zip(re, rs)] for re, rs in zip(e, _imul(ca, b))]
-    try:
-        dl, lo, du, up = _lu_rows([row[::-1] for row in _imul(s, rb)], qa * qb)
-    except LinAlgError:
+    qa, qb = ta[-1][n - 1], tb[-1][n - 1]
+    # row k: qa qb M^T, then row n-1-k of (qa 1 | qa X^T)
+    m = [[qa * y - qb * x for y, x in zip(rb[n:], ra[n:])] + [0] * (n - 1 - k) + [qa] + [0] * k
+         + ra[n:] for k, (rb, ra) in enumerate(zip(tb[::-1], ta[::-1]))]
+    det_y = _eliminate(m, pivot=False)
+    if not det_y:
         return None
-    det_u, qu, ru = _inverse_rows(up)
-    # U = up / du, so P = w_n U^{-1} w_n = pn / qu and Q = qn / (qa qu)
-    pn = [[du * x for x in row[::-1]] for row in ru[::-1]]
-    qn = _imul(ca, pn)
-    h1 = PadicMatrix.from_ints(p, du * d, _imul(up, a[::-1])[::-1])
-    h2 = PadicMatrix.from_ints(p, du * d, _imul(up, b[::-1]))
-    den = math.lcm(qa * qu, dl)
-    kp, kq, kr = den // qu, den // (qa * qu), den // dl
-    bbar = PadicMatrix.from_ints(p, den, [[kp * x for x in row] + [0] * n for row in pn] + [
-        [kq * x for x in rq] + [kr * x for x in rl] for rq, rl in zip(qn, lo)])
-    bp, bq = [row[:n] for row in bbar.nums[:n]], [row[:n] for row in bbar.nums[n:]]
-    # a row of Q w_n + R is the row of Q reversed plus that of R
-    bqr = [[x + y for x, y in zip(row[n - 1::-1], row[n:])] for row in bbar.nums[n:]]
-    d1, d2 = bbar.den * h1.den, bbar.den * h2.den
-    if any(any(row[i + 1:]) for i, row in enumerate(bbar.nums)) or not (
-            _same(_imul(bp, h1.nums), d1, a, d) and _same(_imul(bp, h2.nums[::-1]), d2, b, d)
-            and _same(_imul(bq, h1.nums), d1, c, d) and _same(_imul(bqr, h2.nums), d2, e, d)):
+    piv, s = [1] + [m[k][k] for k in range(n)], qa * qb
+    den, lu = math.lcm(*piv[1:]), math.lcm(*piv[:n])
+    # bbar by columns: (P; Q)[:, n-1-k] = qb m[k][n:] / p_k, R[:, k] = m[k][:n] / p_k
+    left, right = [], []
+    for k, row in enumerate(m):
+        f, j = den // piv[k + 1], n - 1 - k
+        fq = qb * f
+        left.append([0] * j + [fq * x for x in row[n + j:]])
+        right.append([0] * (n + k) + [den] + [f * x for x in row[k + 1:n]])
+    bbar = list(zip(*left[::-1], *right))
+    up = [[0] * k + [m[i][k] * (lu // piv[k]) for i in range(k, n)] for k in range(n)]
+    uw = _imul(up, g.nums[n - 1::-1])  # (w_n h1 | h2) * du d, du = s lu
+    du = s * lu
+    c = den * du
+    if _imul(bbar, uw[::-1] + [[0] * n + row[n:] for row in uw]) != [
+            [c * x for x in row] for row in g.nums]:
         return None
-    sign, scale = (-1) ** (n * (n - 1) // 2), (du * d) ** n
-    return OpenCellFactorization(bbar, h1, h2, (Fraction(det_u * det_a, scale),
-                                                Fraction(sign * det_u * det_b, scale)))
+    scale = (s * d) ** n
+    return OpenCellFactorization(
+        PadicMatrix.from_ints(p, den, bbar),
+        PadicMatrix.from_ints(p, du * d, [row[:n] for row in uw[::-1]]),
+        PadicMatrix.from_ints(p, du * d, [row[n:] for row in uw]),
+        (Fraction(det_y * det_a, scale),
+         Fraction((-1) ** (n * (n - 1) // 2) * det_y * det_b, scale)))
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,15 @@ def all_refinements(satake: SatakeParameter):
 
 
 def hecke_eigenvalue(ref: Refinement, r: int) -> SymElem:
-    """alpha_{p,r} as an exact monomial (Y carries the half p-powers)."""
+    """alpha_{p,r} as an exact monomial (Y carries the half p-powers): the
+    product over 1 <= j <= r of Y^(2n - 2j + 1) theta_sigma(2n-j), taken
+    as the one factor Y^(r(2n-r)), since those Y exponents sum to r(2n - r),
+    times the r thetas."""
     n2 = 2 * ref.n
     if not 1 <= r <= n2 - 1:
         raise RefineError("Hecke index out of range")
-    out = SymElem.rational(ref.p, 1)
+    out = SymElem.monomial(ref.p, 1, {"Y": r * (n2 - r)})
     for j in range(1, r + 1):
-        out = out * SymElem.monomial(ref.p, 1, {"Y": n2 - 2 * j + 1})
         out = out * ref.satake.theta[ref.sigma[n2 - j]]
     return out
 

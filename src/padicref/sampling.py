@@ -16,8 +16,8 @@ from .rng import DIGITS
 
 def random_glzp(rng, p, n):
     while True:
-        m = PadicMatrix(p, [[rng.randrange(p ** DIGITS) for _ in range(n)]
-                            for _ in range(n)])
+        m = PadicMatrix.from_ints(p, 1, [[rng.randrange(p ** DIGITS) for _ in range(n)]
+                                         for _ in range(n)])
         if m.in_glzp():
             return m
 
@@ -59,3 +59,17 @@ def random_iw_beta(rng, p, n2, beta):
     cols = list(zip(*random_n_beta(rng, p, n2 // 2, beta).nums))
     return PadicMatrix.from_ints(p, 1, [[sum(map(mul, row, col)) for col in cols]
                                         for row in nbar_t])
+
+
+def random_shalika_positive(rng, p, n, beta):
+    """(k, x) on the support of the Shalika integrand at delta = w_n: k = u
+    w_n i and x = k w_n z^(2 beta) a, with u = random_upper_zp, i =
+    random_iwahori and a integral with entries below p^3, drawn in that
+    order.  On int rows: a row of u w_n is a row of u reversed, and column c
+    of k w_n z^(2 beta) is column n-1-c of k times p^(2 beta (n-1-c))."""
+    u, i = random_upper_zp(rng, p, n).nums, random_iwahori(rng, p, n).nums
+    a = [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)]
+    k = [[sum(map(mul, row[::-1], col)) for col in zip(*i)] for row in u]
+    kwz = [[row[n - 1 - c] * p ** (2 * beta * (n - 1 - c)) for c in range(n)] for row in k]
+    return PadicMatrix.from_ints(p, 1, k), PadicMatrix.from_ints(
+        p, 1, [[sum(map(mul, row, col)) for col in zip(*a)] for row in kwz])

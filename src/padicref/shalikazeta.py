@@ -49,8 +49,8 @@ from fractions import Fraction
 from operator import mul
 
 from .padiclin import (INF, LinAlgError, PadicMatrix, certified_bruhat_cell,
-                       iwahori_bruhat_decompose, residue, unit_part, vol_big_cell,
-                       vol_iwahori, vp)
+                       iwahori_bruhat_decompose, residue, unit_part, unit_pivots_mod_p,
+                       vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm, perm_sign
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
@@ -191,12 +191,6 @@ def psi_orthogonality(p: int, beta: int, mult: int) -> bool:
 # cell support of the Shalika integrand
 
 
-def z_matrix(p: int, n: int, power: int = 1) -> PadicMatrix:
-    """z = diag(p^(n-1), ..., p, 1), raised to the given power."""
-    return PadicMatrix.diagonal(p, [Fraction(p) ** ((n - 1 - i) * power)
-                                    for i in range(n)])
-
-
 def shalika_argument(k: PadicMatrix, x: PadicMatrix, beta: int) -> PadicMatrix:
     """(0 1; 1 0)(1 X; 0 1) diag(k, k) diag(w_n z^(2 beta), 1) = (0 k; k w_n
     z^(2 beta) X k), on int rows over x.den k.den: column c of k w_n
@@ -226,9 +220,8 @@ def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
     pivoting, i.e. when the leading i x i minors of w0 kbar, up to sign the
     lower-left i x i corner minors of kbar, are nonzero; at i = n that is
     det kbar, a unit.  k.nums = den k, den a unit, scales each minor by a
-    unit, so one elimination over F_p on its rows, reversed, decides: given
-    nonzero pivots before it, pivot i is nonzero exactly when the leading
-    (i+1)-minor is.
+    unit, so one elimination over F_p on its rows, reversed, without
+    pivoting decides (padiclin.unit_pivots_mod_p).
     """
     if beta < 1:
         raise ZetaError("depth must be >= 1")
@@ -241,14 +234,8 @@ def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
     p, n = k.p, k.size
     if tuple(delta) != longest_perm(n):
         return False
-    m = [[y % p for y in row] for row in k.nums[::-1]]
-    for i in range(n - 1):
-        if not m[i][i]:
-            return False
-        inv = pow(m[i][i], -1, p)
-        for r in range(i + 1, n):
-            f = m[r][i] * inv
-            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[i])]
+    if not unit_pivots_mod_p(k.nums[::-1], p, pivot=False):
+        return False
     kx = kinv * x
     return all(vp(y, p) >= 2 * beta * r + vp(kx.den, p)
                for r, row in enumerate(kx.nums) for y in row)

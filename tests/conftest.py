@@ -1,7 +1,11 @@
 """Test-only deterministic samplers; the shared ones are in padicref.sampling."""
 
+from fractions import Fraction
+
+from padicref import padiclin
 from padicref.branchfam import in_iwh_beta
 from padicref.padiclin import PadicMatrix
+from padicref.perms import longest_perm
 from padicref.rng import SplitMix64
 
 
@@ -11,6 +15,28 @@ def make_rng(tag: str) -> SplitMix64:
 
 def identity(p, n) -> PadicMatrix:
     return PadicMatrix.diagonal(p, [1] * n)
+
+
+def det(m: PadicMatrix) -> Fraction:
+    """det m, by fraction-free elimination of its int rows."""
+    return Fraction(padiclin._eliminate([list(row) for row in m.nums], pivot=True),
+                    m.den ** m.size)
+
+
+def permutation_matrix(p, w) -> PadicMatrix:
+    """The matrix of the permutation w, sending basis vector j to w[j]."""
+    n = len(w)
+    return PadicMatrix.from_ints(p, 1, [[int(w[j] == i) for j in range(n)] for i in range(n)])
+
+
+def longest_weyl(p, n) -> PadicMatrix:
+    """The permutation matrix of the longest Weyl element w_n."""
+    return permutation_matrix(p, longest_perm(n))
+
+
+def z_matrix(p, n, power=1) -> PadicMatrix:
+    """z = diag(p^(n-1), ..., p, 1), raised to the given power."""
+    return PadicMatrix.diagonal(p, [p ** ((n - 1 - i) * power) for i in range(n)])
 
 
 def blocks(a, b, c, d) -> PadicMatrix:
@@ -39,7 +65,7 @@ def random_lower_triangular_q(rng, p, n):
 
 def random_iwh1(rng, p, n):
     """An element of Iw_H^1 inside GL_{2n}."""
-    wn = PadicMatrix.longest_weyl(p, n)
+    wn = longest_weyl(p, n)
     while True:
         h1 = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
                              for _ in range(n)])

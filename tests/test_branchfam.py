@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import identity, make_rng, random_iwh1
+from conftest import det, identity, longest_weyl, make_rng, random_iwh1
 from padicref.branchfam import (BranchError, FamilyWeight, FiniteDistribution,
-                                LocPoly, PureWeight, alpha_weight,
+                                LocPoly, PureWeight,
                                 crit_range, in_iw_beta, in_iwh_beta, in_n_beta,
                                 iwahori_coordinates, kappa_family, kappa_lambda,
                                 kappa_lambda_j, v_basis_values, v_lambda_all,
@@ -22,6 +22,16 @@ def v_at(g, lam, j):
 
 def dirac(g):
     return FiniteDistribution([(1, g)])
+
+
+def alpha_weight(n, i):
+    """The basis weights: alpha_0 = (1,...,1), alpha_i = (1^i, 0..0, (-1)^i)
+    for 1 <= i <= n-1, alpha_n = (1^n, 0^n)."""
+    if i == 0:
+        return (1,) * (2 * n)
+    if i == n:
+        return (1,) * n + (0,) * n
+    return (1,) * i + (0,) * (2 * n - 2 * i) + (-1,) * i
 
 
 class TestCritRange:
@@ -77,13 +87,18 @@ class TestMembership:
         for _ in range(30):
             g = random_iw_beta(rng, 3, 4, 1)
             nbar, t, n = iwahori_coordinates(g)
-            assert nbar * t * n == g
+            assert nbar * PadicMatrix.diagonal(3, t) * n == g
+            # n upper unipotent, nbar lower unipotent with p-divisible entries
+            assert all(x == (i == j) for i, row in enumerate(n.rows) for j, x in enumerate(row)
+                       if j <= i)
+            assert all(x == (i == j) if j >= i else vp(x, 3) >= 1
+                       for i, row in enumerate(nbar.rows) for j, x in enumerate(row))
 
     def test_iwh_membership(self):
         rng = make_rng("iwh")
         h = random_iwh1(rng, 3, 2)
         assert in_iwh_beta(h, 1)
-        assert not in_iwh_beta(PadicMatrix.longest_weyl(3, 4), 1)
+        assert not in_iwh_beta(longest_weyl(3, 4), 1)
 
 
 class TestClassicalVectors:
@@ -133,9 +148,25 @@ class TestClassicalVectors:
             h1, h2 = h.block(0, 2, 0, 2), h.block(2, 4, 2, 4)
             for j in crit_range(lam):
                 lhs = v_at(g * h, lam, j)
-                rhs = Fraction(h1.det()) ** (-j) * Fraction(h2.det()) ** (sw + j) \
+                rhs = Fraction(det(h1)) ** (-j) * Fraction(det(h2)) ** (sw + j) \
                     * v_at(g, lam, j)
                 assert lhs == rhs
+
+    def test_basis_values_are_the_basis_vectors(self):
+        # the closed forms of v_basis_values against v_lambda_j at the basis
+        # weights, on and off N^beta, at n = 1, 2, 3
+        rng = make_rng("branch-basis")
+        for p in (2, 3):
+            for n in (1, 2, 3):
+                alpha = [PureWeight(alpha_weight(n, i)) for i in range(n + 1)]
+                samples = [random_n_beta(rng, p, n, 1) for _ in range(4)] \
+                    + [random_iw_beta(rng, p, 2 * n, 1) for _ in range(4)]
+                for g in samples:
+                    v0, mids, vn1, vn2 = v_basis_values(g)
+                    assert v0 == v_at(g, alpha[0], -1) == det(g)
+                    assert mids == [v_at(g, alpha[i], 0) for i in range(1, n)]
+                    assert (vn1, vn2) == (v_at(g, alpha[n], -1), v_at(g, alpha[n], 0))
+        assert v_basis_values(identity(3, 4)) is None
 
     def test_product_formula(self):
         # the weight-j vector is the predicted product of the basis vectors
@@ -172,7 +203,7 @@ class TestClassicalVectors:
 
     def test_all_j_vanish_off_the_open_cell(self):
         lam = PureWeight([2, 1, -1, -2])
-        for g in (identity(3, 4), PadicMatrix.longest_weyl(3, 4)):
+        for g in (identity(3, 4), longest_weyl(3, 4)):
             assert set(v_lambda_all(g, lam).values()) == {0}
 
 
@@ -364,7 +395,7 @@ class TestFamilyWeight:
         for _ in range(6):
             g = random_iw_beta(rng, 3, 4, 1)
             h = random_iwh1(rng, 3, 2)
-            det2 = h.block(2, 4, 2, 4).det()
+            det2 = det(h.block(2, 4, 2, 4))
             factor = chi_sw(omega, det2)
             assert w_family(g * h, omega) == factor * w_family(g, omega)
 
@@ -437,8 +468,8 @@ class TestDistributionMaps:
         for _ in range(5):
             g = random_iw_beta(rng, 3, 4, 1)
             h = random_iwh1(rng, 3, 2)
-            det1 = h.block(0, 2, 0, 2).det()
-            det2 = h.block(2, 4, 2, 4).det()
+            det1 = det(h.block(0, 2, 0, 2))
+            det2 = det(h.block(2, 4, 2, 4))
             lhs = chi_sw(omega, det2) \
                 * kappa_family(dirac(g), f.translated(Fraction(det2) / Fraction(det1)), omega)
             assert lhs == kappa_family(dirac(g * h), f, omega)

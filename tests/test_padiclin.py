@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (blocks, identity, make_rng, random_lower_triangular_q,
-                      random_upper_triangular_q)
-from padicref import padiclin
-from padicref.branchfam import PureWeight, v_lambda_all
+from conftest import (blocks, det, identity, longest_weyl, make_rng, permutation_matrix,
+                     random_lower_triangular_q, random_upper_triangular_q, z_matrix)
+from padicref import branchfam, padiclin
+from padicref.branchfam import PureWeight, v_lambda_all, w_lambda
 from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                bruhat_cell_valuations, certified_bruhat_cell,
                                iwahori_bruhat_decompose,
@@ -14,7 +14,7 @@ from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                vol_big_cell, vol_iwahori, vp)
 from padicref.perms import all_perms, longest_perm
 from padicref.sampling import (random_glzp, random_iw_beta, random_iwahori,
-                               random_n_beta)
+                               random_n_beta, random_shalika_positive, random_upper_zp)
 
 
 def _planted(rng, p, size, kind):
@@ -27,7 +27,7 @@ def _planted(rng, p, size, kind):
         b = PadicMatrix(p, [[x / 7 if rng.randrange(2) else x for x in row]
                             for row in b.rows])
     w = rng.choice(all_perms(size))
-    g = b * PadicMatrix.permutation(p, w) * random_iwahori(rng, p, size)
+    g = b * permutation_matrix(p, w) * random_iwahori(rng, p, size)
     rows = g.rows
     if kind == "int":
         rows = [[int(x) for x in row] for row in rows]
@@ -35,18 +35,21 @@ def _planted(rng, p, size, kind):
 
 
 def _wrong_lu(p, which):
-    """The int LU factorization with one entry of factor ``which`` (0: the
-    unit lower L, 1: the upper U) moved by p, keeping both shapes and every
-    congruence mod p."""
-    real = padiclin._lu_rows
+    """The forward (LU) elimination of the int rows m with one entry of its
+    result moved by p times the first pivot (which 0: a multiplier, an
+    entry of the unit lower factor; 1: an entry of the upper part), keeping
+    every congruence mod p.  The open cell runs its LU step this way."""
+    real = padiclin._eliminate
 
-    def wrong(nums, den):
-        dl, lo, du, up = real(nums, den)
-        if which:
-            up[0][-1] += p * du
-        else:
-            lo[-1][0] += p * dl
-        return dl, lo, du, up
+    def wrong(m, pivot, jordan=False):
+        det = real(m, pivot, jordan)
+        if not pivot:
+            n = len(m)
+            if which:
+                m[0][n - 1] += p * m[0][0]
+            else:
+                m[n - 1][0] += p * m[0][0]
+        return det
 
     return wrong
 
@@ -65,7 +68,7 @@ def _open_cell_point(rng, p, n, kind):
     B = P w_n h2."""
     if kind == "int":
         return random_n_beta(rng, p, n, 1) * random_iw_beta(rng, p, 2 * n, 1)
-    zero, wn = PadicMatrix.diagonal(p, [0] * n), PadicMatrix.longest_weyl(p, n)
+    zero, wn = PadicMatrix.diagonal(p, [0] * n), longest_weyl(p, n)
 
     def corner_zero(h):
         return PadicMatrix(p, [[0 if i == j == 0 else x for j, x in enumerate(row)]
@@ -75,7 +78,7 @@ def _open_cell_point(rng, p, n, kind):
         h1, h2 = random_glzp(rng, p, n), random_glzp(rng, p, n)
         if kind == "swap":
             h1, h2 = corner_zero(h1), wn * corner_zero(wn * h2)
-        if h1.det() and h2.det():
+        if det(h1) and det(h2):
             break
     bbar = blocks(
         random_lower_triangular_q(rng, p, n), zero,
@@ -136,12 +139,12 @@ class TestStoredForm:
         for p in (2, 3):
             for size in (2, 4):
                 g = random_upper_triangular_q(rng, p, size) \
-                    * PadicMatrix.permutation(p, rng.choice(all_perms(size))) \
+                    * permutation_matrix(p, rng.choice(all_perms(size))) \
                     * random_lower_triangular_q(rng, p, size)
                 h = random_glzp(rng, p, size)
                 up, lo = (random_upper_triangular_q(rng, p, size),
                           random_lower_triangular_q(rng, p, size))
-                results = [g, h, g * h, g.inverse(), g.transpose(),
+                results = [g, h, g * h, g.inverse(),
                            g.block(0, size // 2, 0, size // 2),
                            PadicMatrix.open_orbit_rep(p, size),
                            *iwahori_bruhat_decompose(g)[::2], *lu_unit_lower(lo * up)]
@@ -184,11 +187,34 @@ class TestStoredForm:
         assert half.is_integral() and half.in_glzp() and half.in_iwahori()
         third = PadicMatrix(p, [[1, Fraction(1, 3)], [0, 1]])
         assert not third.is_integral() and not third.in_glzp()
-        assert third.in_upper_unipotent(depth=-1) and not third.in_upper_unipotent()
-        assert PadicMatrix(p, [[1, 9], [0, 1]]).in_upper_unipotent(depth=2)
         assert PadicMatrix(p, [[Fraction(5, 2), 0], [0, 1]]).diagonal_valuations() == [0, 0]
         assert PadicMatrix(p, [[Fraction(9, 2), 0], [0, Fraction(1, 3)]]) \
             .diagonal_valuations() == [2, -1]
+
+    def test_glzp_test_matches_the_det_definition(self, monkeypatch):
+        # in GL_n(Z_p) means integral with a unit det; in_glzp reads it off
+        # nums mod p by one elimination over F_p, and runs no Bareiss step
+        rng = make_rng("glzp-det")
+        cases = []
+        for _ in range(1500):
+            p, size = rng.choice((2, 3, 5)), rng.randint(1, 4)
+            rows = [[rng.randint(-3 * p, 3 * p) for _ in range(size)] for _ in range(size)]
+            kind = rng.choice(("int", "den", "singular"))
+            if kind == "singular":  # the last row a combination of the others mod p
+                c = [rng.randrange(p) for _ in range(size - 1)]
+                rows[-1] = [sum(ci * row[j] for ci, row in zip(c, rows)) + p * rng.randint(-2, 2)
+                            for j in range(size)]
+            den = rng.choice((p, p * p, 7 * p)) if kind == "den" else rng.choice((1, 7))
+            g = PadicMatrix.from_ints(p, den, rows)
+            cases.append((kind, g, g.is_integral() and vp(det(g), p) == 0))
+        seen = {(kind, want) for kind, _, want in cases}
+        assert {("int", True), ("int", False), ("den", False), ("singular", False)} <= seen
+        assert ("singular", True) not in seen
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("in_glzp ran a Bareiss elimination")
+        monkeypatch.setattr(padiclin, "_eliminate", refuse)
+        assert [g.in_glzp() for _, g, _ in cases] == [want for _, _, want in cases]
 
     def test_iwahori_test_needs_no_det(self):
         # an integral matrix with p-divisible lower entries is upper
@@ -214,7 +240,7 @@ class TestStoredForm:
 
 class TestBruhat:
     def test_longest_weyl_is_its_own_cell(self):
-        g = PadicMatrix.longest_weyl(3, 4)
+        g = longest_weyl(3, 4)
         dec = iwahori_bruhat_decompose(g)
         assert dec.w == longest_perm(4)
         assert dec.b == identity(3, 4)
@@ -245,7 +271,7 @@ class TestBruhat:
                 p = 3 if rng.randrange(2) else 2
                 w = rng.choice(perms)
                 g = random_upper_triangular_q(rng, p, size) \
-                    * PadicMatrix.permutation(p, w) * random_iwahori(rng, p, size)
+                    * permutation_matrix(p, w) * random_iwahori(rng, p, size)
                 assert iwahori_bruhat_decompose(g).w == w
 
     def test_cell_constant_on_orbits(self):
@@ -254,7 +280,7 @@ class TestBruhat:
             p = 3
             w = rng.choice(all_perms(4))
             g = random_upper_triangular_q(rng, p, 4) \
-                * PadicMatrix.permutation(p, w) * random_iwahori(rng, p, 4)
+                * permutation_matrix(p, w) * random_iwahori(rng, p, 4)
             left = random_upper_triangular_q(rng, p, 4)
             right = random_iwahori(rng, p, 4)
             assert iwahori_bruhat_decompose(left * g).w == w
@@ -293,7 +319,7 @@ class TestBruhat:
 
             rows = [[entry() for _ in range(size)] for _ in range(size)]
             m = PadicMatrix(p, rows)
-            if m.det() == 0:
+            if det(m) == 0:
                 continue
             dec = iwahori_bruhat_decompose(m)
             cell, vals = bruhat_cell_valuations(p, rows)
@@ -393,11 +419,11 @@ class TestUnitFactorization:
                                 for _ in range(2)])
             mat = PadicMatrix(p, [[
                 (1 if i == j else 0) + Fraction(p) ** beta
-                * (x * PadicMatrix.longest_weyl(p, 2)).rows[i][j]
+                * (x * longest_weyl(p, 2)).rows[i][j]
                 for j in range(2)] for i in range(2)])
             r, s = lu_unit_lower(mat)
             assert r * s == mat
-            assert r.transpose().in_upper_unipotent() and s.rows[1][0] == 0
+            assert r.rows[0] == (1, 0) and r.rows[1][1] == 1 and s.rows[1][0] == 0
             assert _congruent_identity(r, beta) and _congruent_identity(s, beta)
 
 
@@ -416,7 +442,7 @@ class TestOpenCell:
             p = 3 if rng.randrange(2) else 2
             beta = rng.randint(1, 2)
             n = 2
-            wn = PadicMatrix.longest_weyl(p, n)
+            wn = longest_weyl(p, n)
             x = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)]
                                 for _ in range(n)])
             top = PadicMatrix(p, [[wn.rows[i][j] + Fraction(p) ** beta * x.rows[i][j]
@@ -454,18 +480,18 @@ class TestOpenCell:
                 out = Fraction(1)
                 for k, d in enumerate(bb.diagonal_entries()):
                     out *= Fraction(d) ** lam[k]
-                return out * Fraction(a1.det()) ** (-j) * Fraction(a2.det()) ** (sw + j)
+                return out * Fraction(det(a1)) ** (-j) * Fraction(det(a2)) ** (sw + j)
 
             assert value(fac.bbar, fac.h1, fac.h2) == value(bbar, h1, h2)
 
     def test_certificate_rejects_a_wrong_ul_factor(self, monkeypatch):
-        # a wrong factor of the UL step (the LU of its reversal) must give
-        # None, never a wrong factorization
+        # a wrong factor of the LU step (of qa qb M^T) must give None, never
+        # a wrong factorization
         rng = make_rng("open-certificate")
         for p, n in ((2, 2), (3, 2), (2, 3)):
             g = random_n_beta(rng, p, n, 1) * random_iw_beta(rng, p, 2 * n, 1)
             for which in (0, 1):
-                monkeypatch.setattr(padiclin, "_lu_rows", _wrong_lu(p, which))
+                monkeypatch.setattr(padiclin, "_eliminate", _wrong_lu(p, which))
                 assert open_cell_factorize(g) is None
             monkeypatch.undo()
             assert open_cell_factorize(g) is not None
@@ -487,7 +513,7 @@ class TestOpenCell:
                         if kind == "swap":
                             assert g.nums[0][0] == 0 == g.nums[0][n]
                         fac = open_cell_factorize(g)
-                        assert fac.dets == (fac.h1.det(), fac.h2.det())
+                        assert fac.dets == (det(fac.h1), det(fac.h2))
 
     def test_off_cell_is_distinguished_outcome(self):
         # block antidiagonal matrices have singular A-block: not in the cell
@@ -511,16 +537,17 @@ class TestOpenCell:
             value = Fraction(1)
             for k, d in enumerate(fac.bbar.diagonal_entries()):
                 value *= Fraction(d) ** lam[k]
-            value *= Fraction(fac.h1.det()) ** 1 * Fraction(fac.h2.det()) ** (0 - 1)
+            value *= Fraction(det(fac.h1)) ** 1 * Fraction(det(fac.h2)) ** (0 - 1)
             assert vp(value - 1, p) >= beta
 
 
 class TestWorkBound:
     """Eliminations and PadicMatrix products per sampled point, counted on
-    fixed seeded samples: the open cell with its determinants runs four
-    eliminations (A^{-1}, B^{-1}, the LU step, U^{-1}) and the Bruhat
+    fixed seeded samples: the open cell with its determinants runs three
+    eliminations (the solves with A^T and B^T, the LU step) and the Bruhat
     decomposition one (its LU), and neither multiplies PadicMatrix values:
-    both certificates are integer products."""
+    both certificates are integer products.  An Iw^1 point adds one LU (its
+    Iwahori coordinates) and builds no weight."""
 
     def _count(self, monkeypatch):
         counts = {"eliminate": 0, "mul": 0}
@@ -547,8 +574,34 @@ class TestWorkBound:
             before = dict(counts)
             # one factorization, its determinants and every v_lambda_j
             assert all(v != 0 for v in v_lambda_all(g, lam[n]).values())
-            assert counts["eliminate"] - before["eliminate"] <= 4
+            assert counts["eliminate"] - before["eliminate"] <= 3
             assert counts["mul"] == before["mul"]
+
+    def test_iw1_point_work_bound(self, monkeypatch):
+        # w at an Iw^1 point: one lu_unit_lower (g = nbar t n), one open cell
+        # (of n), so four eliminations, no PadicMatrix product and no weight
+        rng = make_rng("iw1-work")
+        lam = {1: PureWeight([4, 0]), 2: PureWeight([2, 1, -1, -2]),
+               3: PureWeight([3, 2, 1, -1, -2, -3])}
+        points = [(n, random_iw_beta(rng, p, 2 * n, 1))
+                  for p in (2, 3) for n in (1, 2, 3) for _ in range(3)]
+        counts = self._count(monkeypatch)
+        counts.update(lu=0, cell=0, weight=0)
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(branchfam, "lu_unit_lower", counted("lu", branchfam.lu_unit_lower))
+        monkeypatch.setattr(branchfam, "open_cell_factorize",
+                            counted("cell", branchfam.open_cell_factorize))
+        monkeypatch.setattr(PureWeight, "__init__", counted("weight", PureWeight.__init__))
+        for n, g in points:
+            before = dict(counts)
+            assert w_lambda(g, lam[n]) != 0
+            assert {key: counts[key] - before[key] for key in counts} == \
+                {"eliminate": 4, "mul": 0, "lu": 1, "cell": 1, "weight": 0}
 
     def test_bruhat_work_bound(self, monkeypatch):
         rng = make_rng("bruhat-work")
@@ -581,6 +634,15 @@ def _ref_iw_beta(rng, p, n2, beta):
     return nbar * t * _ref_n_beta(rng, p, n2 // 2, beta)
 
 
+def _ref_shalika_positive(rng, p, n, beta):
+    """random_shalika_positive by its product formula: k = u w_n i and x = k
+    w_n z^(2 beta) a."""
+    wn = longest_weyl(p, n)
+    k = random_upper_zp(rng, p, n) * wn * random_iwahori(rng, p, n)
+    a = PadicMatrix(p, [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)])
+    return k, k * wn * z_matrix(p, n, 2 * beta) * a
+
+
 class TestIntRowSamplers:
     """The samplers assemble int rows; the product formulas above are the
     reference.  Equal rng states after every draw pin the draw order."""
@@ -596,6 +658,17 @@ class TestIntRowSamplers:
                         make_rng(f"int-rows-{p}-{n}-{beta}")
                     for _ in range(5):
                         assert sampler(rng, p, size, beta) == reference(ref, p, size, beta)
+                        assert rng.state == ref.state
+
+    def test_shalika_positive_matches_the_product_formula(self):
+        for p in (2, 3, 5):
+            for n in (1, 2, 3):
+                for beta in (1, 2):
+                    rng, ref = make_rng(f"positive-{p}-{n}-{beta}"), \
+                        make_rng(f"positive-{p}-{n}-{beta}")
+                    for _ in range(5):
+                        assert random_shalika_positive(rng, p, n, beta) == \
+                            _ref_shalika_positive(ref, p, n, beta)
                         assert rng.state == ref.state
 
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import identity, make_rng
+from conftest import identity, longest_weyl, make_rng, permutation_matrix
 from padicref.padiclin import PadicMatrix, bruhat_cell_valuations
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import (PSVector, _right_pi, _right_s, eigenvector_check,
@@ -18,7 +18,7 @@ class TestEvaluation:
     def test_normalisation_at_weyl_point(self):
         sat = SatakeParameter.generic(3, 1)
         f = PSVector.big_cell_vector(sat, (0, 1))
-        assert ps_evaluate_rows(f, PadicMatrix.longest_weyl(3, 2).rows).is_one()
+        assert ps_evaluate_rows(f, longest_weyl(3, 2).rows).is_one()
 
     def test_vanishes_off_cell(self):
         sat = SatakeParameter.generic(3, 1)
@@ -49,7 +49,7 @@ class TestEvaluation:
         for p in (2, 3):
             for n in (1, 2):
                 sat = SatakeParameter.generic(p, n)
-                w = PadicMatrix.longest_weyl(p, 2 * n)
+                w = longest_weyl(p, 2 * n)
                 for sigma in all_perms(2 * n)[: 6]:
                     f = PSVector.big_cell_vector(sat, sigma)
                     for r in range(1, 2 * n):
@@ -63,7 +63,7 @@ class TestEvaluation:
         sat = SatakeParameter.generic(2, 2)
         f = PSVector.cell_vector(sat, (0, 1, 2, 3), (1, 0, 3, 2)) \
             + PSVector.big_cell_vector(sat, (0, 1, 2, 3)).scale(SymElem.gen(2, "X1"))
-        base = PadicMatrix.permutation(2, (2, 0, 3, 1)) \
+        base = permutation_matrix(2, (2, 0, 3, 1)) \
             * PadicMatrix.diagonal(2, [2, 2, 1, 1])
         reference = ps_evaluate_rows(f, base.rows)
         for _ in range(25):
@@ -241,7 +241,7 @@ class TestPresentationRules:
                 s = tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, m))
                 cosets = [(PadicMatrix(p, [[int(k == j) + a * ((j, k) == (i, i + 1))
                                             for k in range(m)] for j in range(m)])
-                           * PadicMatrix.permutation(p, s)).nums for a in range(p)]
+                           * permutation_matrix(p, s)).nums for a in range(p)]
                 g = _right_s(f, i)
                 for rho in all_perms(m):
                     expected = SymElem.rational(p, 0)

@@ -50,6 +50,20 @@ class TestEigenvalues:
             * sat.theta[longest_perm(4)[3]] * sat.theta[longest_perm(4)[2]]
         assert hecke_eigenvalue(ref, 2) == expected
 
+    def test_one_y_factor_is_the_per_j_product(self):
+        # the definition, one factor Y^(2n - 2j + 1) theta_sigma(2n-j) per j,
+        # against the single Y^(r(2n-r)) prefactor, for every sigma and r
+        for n in (1, 2, 3):
+            sat, n2 = SatakeParameter.generic(5, n), 2 * n
+            for sigma in all_perms(n2):
+                ref = Refinement(sat, sigma)
+                for r in range(1, n2):
+                    expected = SymElem.rational(5, 1)
+                    for j in range(1, r + 1):
+                        expected = expected * SymElem.monomial(5, 1, {"Y": n2 - 2 * j + 1}) \
+                            * sat.theta[sigma[n2 - j]]
+                    assert hecke_eigenvalue(ref, r) == expected
+
     def test_u_p_is_the_product(self):
         sat = SatakeParameter.generic(2, 2)
         for sigma in [(0, 1, 2, 3), (2, 3, 1, 0)]:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import blocks, identity, make_rng
+from conftest import (blocks, det, identity, longest_weyl, make_rng, permutation_matrix,
+                     z_matrix)
 from padicref import cli, shalikazeta
 from padicref.padiclin import PadicMatrix, iwahori_bruhat_decompose, vp
 from padicref.perms import all_perms, longest_perm
@@ -21,7 +22,7 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   psi_orthogonality, qprime_factor,
                                   shalika_argument, shalika_support_bruhat,
                                   shalika_support_predicate, w_value_closed,
-                                  z_matrix, zeta_iwahori_closed,
+                                  zeta_iwahori_closed,
                                   zeta_iwahori_oracle, zeta_parahoric_closed,
                                   zeta_parahoric_oracle)
 from padicref.symring import CycNum, SymElem, geometric_tail
@@ -162,7 +163,7 @@ class TestCellSupport:
     def test_positive_example(self):
         # k the longest element, k^{-1} X in w_n z^{2 beta} M_n(Z_p)
         p, n, beta = 3, 2, 1
-        wn = PadicMatrix.longest_weyl(p, n)
+        wn = longest_weyl(p, n)
         k = wn
         x = k * wn * z_matrix(p, n, 2 * beta) * PadicMatrix(p, [[1, 2], [0, 4]])
         assert shalika_support_predicate(longest_perm(n), k, x, beta)
@@ -181,7 +182,7 @@ class TestCellSupport:
     def test_off_cell_k_fails(self):
         p, n, beta = 3, 2, 1
         k = identity(p, n)  # identity cell, not the big one
-        x = PadicMatrix.longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
+        x = longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
         assert not shalika_support_predicate(longest_perm(n), k, x, beta)
         assert not shalika_support_bruhat(longest_perm(n), k, x, beta)
 
@@ -189,7 +190,7 @@ class TestCellSupport:
         # a singular k, and an integral k with det = 3 = 0 mod p, read off
         # the inverse's integrality; neither escapes as a LinAlgError
         p, n, beta = 3, 2, 1
-        x = PadicMatrix.longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
+        x = longest_weyl(p, n) * z_matrix(p, n, 2 * beta)
         for k in ([[1, 2], [2, 4]], [[1, 1], [1, 4]]):
             for delta in (longest_perm(n), tuple(range(n))):
                 with pytest.raises(ZetaError):
@@ -222,12 +223,12 @@ class TestCellSupport:
                 zero, w0 = PadicMatrix.diagonal(p, [0] * n), longest_perm(n)
                 for _ in range(40):
                     w = w0 if rng.randrange(2) else rng.choice(all_perms(n))
-                    k = random_upper_zp(rng, p, n) * PadicMatrix.permutation(p, w) \
+                    k = random_upper_zp(rng, p, n) * permutation_matrix(p, w) \
                         * random_iwahori(rng, p, n)
                     if rng.randrange(4) == 0:
                         k = PadicMatrix(p, [[x / 7 for x in row] for row in k.rows])
                     in_cell = iwahori_bruhat_decompose(k).w == w0
-                    units = all(vp(k.block(n - i, n, 0, i).det(), p) == 0 for i in range(1, n))
+                    units = all(vp(det(k.block(n - i, n, 0, i)), p) == 0 for i in range(1, n))
                     assert shalika_support_predicate(w0, k, zero, 1) == in_cell == units
                     seen.add((p, n, in_cell, k.den % 7 == 0))
                     off_cell += not in_cell
@@ -241,7 +242,7 @@ class TestCellSupport:
         rng = make_rng("support-borel")
         p, n = 3, 2
         thetas = [SymElem.gen(p, f"X{i + 1}") for i in range(2 * n)]
-        wn = PadicMatrix.longest_weyl(p, n)
+        wn = longest_weyl(p, n)
         for beta in (1, 2):
             expected = SymElem.rational(p, 1)
             zv = z_matrix(p, n, 2 * beta).diagonal_valuations()
@@ -257,7 +258,7 @@ class TestCellSupport:
     def test_trivial_character_gives_one(self):
         p, n, beta = 3, 2, 1
         ones = [SymElem.rational(p, 1)] * (2 * n)
-        wn = PadicMatrix.longest_weyl(p, n)
+        wn = longest_weyl(p, n)
         x = wn * z_matrix(p, n, 2 * beta)
         assert borel_part_character(ones, wn, wn * x, beta).is_one()
 
