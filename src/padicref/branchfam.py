@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 from .famring import (FamilyRing, FamSeries, tame_order, teichmuller,
                       wild_base, wild_exponent)
@@ -397,9 +396,9 @@ class LocPoly:
 class FiniteDistribution:
     """A finite linear combination of Dirac evaluations at Iwahori points.
 
-    Each base point is factored once, on first use, for all the maps
-    below: its open-cell factorization with its dets (cells), its Iw^1
-    coordinates (coords, None off Iw^1), and w there once per weight.
+    Each base point is factored once, at construction, for all the maps
+    below: its open-cell factorization with its dets (cells) and its Iw^1
+    coordinates (coords, None off Iw^1); w there is formed once per weight.
     """
 
     def __init__(self, terms):
@@ -408,14 +407,8 @@ class FiniteDistribution:
         for _, g in self.terms:
             if not g.in_iwahori():
                 raise BranchError("Dirac base point must lie in the Iwahori")
-
-    @cached_property
-    def cells(self) -> list:
-        return [open_cell_factorize(g) for _, g in self.terms]
-
-    @cached_property
-    def coords(self) -> list:
-        return [_iw1_coordinates(g) for _, g in self.terms]
+        self.cells = [open_cell_factorize(g) for _, g in self.terms]
+        self.coords = [_iw1_coordinates(g) for _, g in self.terms]
 
     def w_values(self, weight) -> list:
         if weight not in self._w:

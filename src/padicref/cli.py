@@ -62,7 +62,7 @@ class SuiteConfig:
     n: int = 2                 # census/transfer/Hecke rank bound (1..3)
     p: int = 3                 # ambient prime (2, 3, 5)
     beta: int = 1              # twist depth (1..2)
-    shells: int = 4            # oracle truncation margin
+    shells: int = 4            # Iwahori oracle margin; the exact parahoric one ignores it
     samples: int = 200         # per-configuration sample counts
     seed: int = 20240801       # 64-bit sampling seed
     family_prec: int = 8       # p-adic precision exponent M
@@ -599,7 +599,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _structured_error("output", str(exc))
     return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

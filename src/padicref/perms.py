@@ -1,7 +1,9 @@
 """Permutations as image tuples (0-indexed): w maps j to w[j].
 
 The matrix of w has a 1 in row w[j], column j, so matrix products match
-``compose(a, b)`` = "apply b first, then a".
+``compose(a, b)`` = "apply b first, then a".  The one sign the local
+theory reads is sgn(w_n) = (-1)^(n(n-1)/2) of the longest element, so that
+formula stands where it is used and there is no general sign function.
 """
 
 from __future__ import annotations
@@ -16,23 +18,6 @@ def longest_perm(n: int) -> tuple:
 def compose(a: tuple, b: tuple) -> tuple:
     """a after b: (a∘b)(j) = a[b[j]]."""
     return tuple(a[x] for x in b)
-
-
-def perm_sign(a: tuple) -> int:
-    seen = [False] * len(a)
-    sign = 1
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def all_perms(n: int):

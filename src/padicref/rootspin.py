@@ -21,6 +21,7 @@ and also the induced map on cocharacters.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -46,6 +47,7 @@ def is_pure(lam: tuple) -> bool:
 # the GSpin Weyl group
 
 
+@dataclass(frozen=True, slots=True)
 class WeylGSpin:
     """(perm, signs): apply the sign changes first, then the permutation.
 
@@ -61,15 +63,8 @@ class WeylGSpin:
         f_i^* -> f_0^* - f_{perm(i-1)+1}^*           if signs[i-1] = -1.
     """
 
-    __slots__ = ("perm", "signs")
-
-    def __init__(self, perm: tuple, signs: tuple):
-        self.perm = tuple(perm)
-        self.signs = tuple(signs)
-        if len(self.perm) != len(self.signs):
-            raise RootDataError("permutation/sign length mismatch")
-        if any(s not in (1, -1) for s in self.signs):
-            raise RootDataError("signs must be +-1")
+    perm: tuple
+    signs: tuple
 
     @property
     def n(self):
@@ -94,16 +89,6 @@ class WeylGSpin:
         return WeylGSpin(compose(self.perm, other.perm),
                          tuple(s * self.signs[k]
                                for k, s in zip(other.perm, other.signs)))
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylGSpin) and self.perm == other.perm
-                and self.signs == other.signs)
-
-    def __hash__(self):
-        return hash((self.perm, self.signs))
-
-    def __repr__(self):
-        return f"WeylGSpin(perm={self.perm}, signs={self.signs})"
 
 
 def all_weyl_gspin(n: int):

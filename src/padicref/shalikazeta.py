@@ -51,7 +51,7 @@ from operator import mul
 from .padiclin import (INF, LinAlgError, PadicMatrix, certified_bruhat_cell,
                        iwahori_bruhat_decompose, residue, unit_part, unit_pivots_mod_p,
                        vol_big_cell, vol_iwahori, vp)
-from .perms import block_perm, compose, longest_perm, perm_sign
+from .perms import block_perm, compose, longest_perm
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
 from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
                      tau_element, u_p_eigenvalue)
@@ -435,8 +435,9 @@ def w_value_closed(satake: SatakeParameter, beta: int, n: int) -> SymElem:
 
 
 def chi_det_minus_wn(chi: TwistCharacter, n: int) -> CycNum:
-    sign = (-1) ** n * perm_sign(longest_perm(n))
-    return chi.of(sign)
+    """chi(det(-w_n)): det(-w_n) = (-1)^n sgn(w_n), and the reversal w_n of
+    n points has n(n-1)/2 inversions, so det(-w_n) = (-1)^(n(n+1)/2)."""
+    return chi.of((-1) ** (n * (n + 1) // 2))
 
 
 def zeta_iwahori_closed(w_base: SymElem, chi: TwistCharacter, beta: int,
@@ -574,7 +575,8 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
     1 x 1 identity, so it is not formed.  Shells below v = beta are finite
     exact sums; from v = beta on, psi is trivial on the shell, so the
     integrand is constant on units and the tail is an exact geometric
-    series of ratio theta_2 / p^s.
+    series of ratio theta_2 / p^s.  The value is therefore exact and never
+    depends on shells, which is only checked to be at least 1.
     """
     if satake.n != 1:
         raise ZetaError("the parahoric oracle is implemented for n = 1")

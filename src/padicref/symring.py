@@ -20,11 +20,12 @@ Two layers:
   Y^2 = p (it plays the role of p^(1/2)); everything else (``S`` for p^s,
   ``X1..X2n`` for Satake values, ``E`` for the Shalika central value,
   auxiliary unit symbols) is free.  Denominators are kept factored as
-  products of terms (1 - unit monomial), sorted by repr; all come from
-  ``geometric_tail``, so they stay sparse and equality can be decided by
-  cross-multiplication.  A constant factor scales the coefficients and
-  keeps the keys.  Powers and substitution take unit monomials only,
-  which is all the local theory needs (S -> p^(j + 1/2)).
+  products of terms (1 - unit monomial), unordered; all come from
+  ``geometric_tail``, so they stay sparse, equality is decided by
+  cross-multiplication and factors are matched by ``==``.  Only
+  ``__repr__`` orders them, sorted by repr.  A constant factor scales the
+  coefficients and keeps the keys.  Powers and substitution take unit
+  monomials only, which is all the local theory needs (S -> p^(j + 1/2)).
 """
 
 from __future__ import annotations
@@ -469,9 +470,7 @@ class SymElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        den = self.den + other.den  # already sorted when one factor has none
-        return SymElem(self.p, self.num * other.num,
-                       _sorted_factors(den) if self.den and other.den else den)
+        return SymElem(self.p, self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
@@ -480,15 +479,16 @@ class SymElem:
 
     def __add__(self, other):
         other = self._check(other)
-        # common denominator: multiset max of the two factor lists
-        common = _multiset_max(self.den, other.den)
+        # common denominator: self's factors and the unmatched ones of other
+        only_a = _multiset_diff(self.den, other.den)
+        only_b = _multiset_diff(other.den, self.den)
         num_a = self.num
-        for f in _multiset_diff(common, self.den):
+        for f in only_b:
             num_a = num_a * f
         num_b = other.num
-        for f in _multiset_diff(common, other.den):
+        for f in only_a:
             num_b = num_b * f
-        return SymElem(self.p, num_a + num_b, common)
+        return SymElem(self.p, num_a + num_b, self.den + tuple(only_b))
 
     __radd__ = __add__
 
@@ -539,7 +539,7 @@ class SymElem:
     def __repr__(self):
         if not self.den:
             return repr(self.num)
-        dens = " * ".join(f"({f})" for f in self.den)
+        dens = " * ".join(f"({f})" for f in sorted(self.den, key=repr))
         return f"({self.num}) / [{dens}]"
 
     # -- substitution
@@ -580,15 +580,6 @@ def _subst(poly: _Poly, vals: dict) -> _Poly:
     return out
 
 
-def _sorted_factors(factors):
-    return tuple(sorted(factors, key=repr))
-
-
-def _multiset_max(a, b):
-    """Multiset maximum of two factor tuples, by polynomial equality."""
-    return _sorted_factors(list(a) + _multiset_diff(b, a))
-
-
 def _multiset_diff(a, b):
     """Factors of a not matched by factors of b."""
     out = list(a)
@@ -608,5 +599,4 @@ def geometric_tail(first_term: SymElem, ratio: SymElem) -> SymElem:
     if ratio == SymElem.rational(ratio.p, 1):
         raise DivergentSeries("divergent formal series: ratio = 1")
     factor = _Poly.const(ratio.p, 1) - ratio.num
-    return SymElem(first_term.p, first_term.num,
-                   _sorted_factors(first_term.den + (factor,)))
+    return SymElem(first_term.p, first_term.num, first_term.den + (factor,))

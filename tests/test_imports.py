@@ -37,10 +37,6 @@ MEMOS = {
     "branchfam.FiniteDistribution._w":
         "w at each base point, once per weight, serves every test function "
         "that kappa_family and kappa_lambda integrate at that weight",
-    "branchfam.FiniteDistribution.cells":
-        "each base point's open-cell factorization serves every j of kappa_lambda_j",
-    "branchfam.FiniteDistribution.coords":
-        "each base point's Iw^1 coordinates serve every weight and test function",
     "princhecke._zero":
         "one zero per prime: on oracle-p3b2, 32 of the 33 ps_evaluate_rows "
         "calls are off the cell and return it",

@@ -68,6 +68,23 @@ class TestWeylGSpin:
                         assert c.act_weight(mu) == a.act_weight(b.act_weight(mu))
                         assert c.act_cochar(nu) == a.act_cochar(b.act_cochar(nu))
 
+    def test_products_are_hashable_group_elements(self):
+        # equal products hash alike: keyed by a * b, the dict has one key
+        # per element of the group
+        for n in (1, 2, 3):
+            elems = all_weyl_gspin(n)
+            products = {a * b: (a, b) for a in elems for b in elems}
+            assert all(type(c) is WeylGSpin for c in products)
+            assert len(products) == 2 ** n * math.factorial(n)
+            assert set(products) == set(elems)
+
+    def test_repr(self):
+        assert repr(WeylGSpin((1, 0), (1, -1))) \
+            == "WeylGSpin(perm=(1, 0), signs=(1, -1))"
+        for n in (1, 2, 3):
+            for w in all_weyl_gspin(n):
+                assert repr(w) == f"WeylGSpin(perm={w.perm}, signs={w.signs})"
+
     def test_pairing_invariance(self):
         for w in all_weyl_gspin(2):
             for i in range(3):

@@ -17,7 +17,7 @@ from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   TwistCharacter, ZetaError,
                                   _conjugation_level, _root_pair_sum, _units,
                                   ag_intertwine_value,
-                                  borel_part_character,
+                                  borel_part_character, chi_det_minus_wn,
                                   comparison_constant, ep_factor, gauss_sum,
                                   psi_orthogonality, qprime_factor,
                                   shalika_argument, shalika_support_bruhat,
@@ -654,6 +654,30 @@ class TestZetaClosedForms:
         expected = s * SymElem.gen(p, "Y") ** -1 \
             * SymElem.from_cyc(p, chi.of(-1 % p)) * q
         assert res.value == expected
+
+    def test_chi_det_minus_wn_is_chi_of_the_determinant(self):
+        # every character of conductor 4, 3, 9, 5 and 25, against the det of
+        # the matrix -w_n
+        for p, beta in ((2, 2), (3, 1), (3, 2), (5, 1), (5, 2)):
+            for chi in TwistCharacter.enumerate_conductor(p, beta):
+                for n in range(1, 7):
+                    minus_wn = PadicMatrix.diagonal(p, [-1] * n) \
+                        * permutation_matrix(p, longest_perm(n))
+                    assert chi_det_minus_wn(chi, n) == chi.of(det(minus_wn))
+
+    def test_unramified_n2_text(self):
+        # the n = 2 unramified parahoric closed form and e_p at j = 0; the
+        # X1 <-> X2 swap rebuilds the denominator factors in the other order
+        sat = SatakeParameter.generic(3, 2)
+        x1, x2 = sat.theta[:2]
+        z = zeta_parahoric_closed(sat, TwistCharacter.trivial(3), 0).value
+        swapped = z.substitute({"X1": x2, "X2": x1})
+        assert swapped == z and repr(swapped) == repr(z) == (
+            "(-1/12*E*S*X1^-1 + -1/12*E*S*X2^-1 + 1/4*E^2*X1^-1*X2^-1 + 1/36*S^2)"
+            " / [(1 + -1*E*S^-1*X1^-1) * (1 + -1*E*S^-1*X2^-1)]")
+        assert repr(ep_factor(sat, TwistCharacter.trivial(3), 0)) == (
+            "(1 + 1/3*E^-2*X1*X2 + -1/3*E^-1*X1*Y + -1/3*E^-1*X2*Y)"
+            " / [(1 + -1/3*E*X1^-1*Y) * (1 + -1/3*E*X2^-1*Y)]")
 
 
 class TestZetaOracles:

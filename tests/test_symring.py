@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -266,6 +267,23 @@ class TestSymElem:
         assert len((a * b).den) == 2
         assert repr(a * b) == repr(b * a)
         assert repr(a + b) == repr(b + a)
+        # one fraction over three denominator factors, whose factors are
+        # made in every order by geometric_tail chains, products and sums
+        ratios = (x1 / s, x2 * s * Fraction(1, 9), e / (x1 * x2))
+        one, num = SymElem.rational(3, 1), y + x1 * 2
+        tails = [geometric_tail(one, r) for r in ratios]
+        results = []
+        for order in permutations(range(3)):
+            chain = num
+            for i in order:
+                chain = geometric_tail(chain, ratios[i])
+            a, b, c = (tails[i] for i in order)
+            results += [chain, num * a * b * c, y * a * b * c + x1 * 2 * c * b * a,
+                        geometric_tail(y, ratios[order[0]]) * b * c
+                        + geometric_tail(x1 * 2, ratios[order[1]]) * c * a]
+        assert all(len(r.den) == 3 for r in results)
+        assert all(r == results[0] for r in results)
+        assert {repr(r) for r in results} == {repr(results[0])}
 
     def test_ring_axioms_random(self):
         rng = make_rng("symring-axioms")
