@@ -121,14 +121,15 @@ def _case(name, inputs, expected, failures=()):
 def suite_spin_enum(cfg: SuiteConfig, rng: SplitMix64):
     cases = []
     for n in range(1, cfg.n + 1):
-        refs, spin = refine.spin_census(cfg.p, n)
+        sat = refine.SatakeParameter.generic(cfg.p, n)
+        refs, spin = all_perms(2 * n), refine.spin_census(sat)
         census = (len(refs), len(spin)) == (math.factorial(2 * n), 2 ** n * math.factorial(n))
         cases.append(_case(f"census-n{n}", f"n={n}", "paper",
                            () if census else [f"got {len(refs)}/{len(spin)}"]))
         cases.append(_case(
             f"gspin-exact-n{n}", f"n={n}", "paper",
-            (f"sigma={r.sigma} spin={r in spin}" for r in refs
-             if (refine.gspin_factorization(r) is not None) != (r in spin))))
+            (f"sigma={s} spin={s in spin}" for s in refs
+             if (refine.gspin_factorization(sat, s) is not None) != (s in spin))))
     return cases
 
 
@@ -353,11 +354,11 @@ def suite_euler_factors(cfg: SuiteConfig, rng: SplitMix64):
              for beta in (1, 2)}
     for n in (1, 2):
         sat = refine.SatakeParameter.generic(p, n)
-        ref = refine.Refinement(sat, refine.tau_element(n))
+        alpha_n = refine.hecke_eigenvalue(sat, refine.tau_element(n), n)
 
         def ramified_failures():
             for beta in (1, 2):
-                scale = refine.hecke_eigenvalue(ref, n) ** (-beta)
+                scale = alpha_n ** (-beta)
                 for chi in chars[beta]:
                     for j in (-1, 0, 1):
                         lhs = shalikazeta.ep_factor(sat, chi, j)
@@ -580,9 +581,9 @@ def main(argv=None) -> int:
             return 0
         cfg = _config_from_args(args)
         if args.command == "enumerate":
-            refs, spin = refine.spin_census(cfg.p, cfg.n)
-            cells = sorted(list(r.sigma) for r in spin)
-            doc, ok = {"n": cfg.n, "p": cfg.p, "refinements": len(refs),
+            spin = refine.spin_census(refine.SatakeParameter.generic(cfg.p, cfg.n))
+            cells = sorted(map(list, spin))
+            doc, ok = {"n": cfg.n, "p": cfg.p, "refinements": math.factorial(2 * cfg.n),
                        "spin": len(cells), "spin_cells": cells}, True
         elif args.command == "zeta":
             doc = _zeta(cfg, args.kind, args.oracle)

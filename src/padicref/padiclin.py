@@ -178,7 +178,7 @@ def unit_pivots_mod_p(nums, p: int, pivot: bool) -> bool:
     return True
 
 
-def _imul(x, y) -> list:
+def imul(x, y) -> list:
     """The product of the int matrices x and y, given by rows."""
     cols = tuple(zip(*y))
     return [[sum(map(mul, row, col)) for col in cols] for row in x]
@@ -237,7 +237,7 @@ class PadicMatrix:
         if self.size != other.size:
             raise LinAlgError("size mismatch")
         return PadicMatrix.from_ints(self.p, self.den * other.den,
-                                     _imul(self.nums, other.nums))
+                                     imul(self.nums, other.nums))
 
     def __eq__(self, other):
         return (isinstance(other, PadicMatrix) and self.p == other.p
@@ -355,7 +355,7 @@ def _bruhat_rows(g: PadicMatrix):
             and not any(y % (q * p if c < r else q) for r, row in enumerate(i)
                         for c, y in enumerate(row))
             and tuple(vp(b[k][k], p) - ushift for k in range(n)) == vals
-            and _same(_imul(bw, i), du * dl, g.nums, g.den)):
+            and _same(imul(bw, i), du * dl, g.nums, g.den)):
         raise LinAlgError("Bruhat decomposition failed its certificate")
     return w, vals, du, b, dl, i
 
@@ -526,10 +526,10 @@ def open_cell_factorize(g: PadicMatrix):
         right.append([0] * (n + k) + [den] + [f * x for x in row[k + 1:n]])
     bbar = list(zip(*left[::-1], *right))
     up = [[0] * k + [m[i][k] * (lu // piv[k]) for i in range(k, n)] for k in range(n)]
-    uw = _imul(up, g.nums[n - 1::-1])  # (w_n h1 | h2) * du d, du = s lu
+    uw = imul(up, g.nums[n - 1::-1])  # (w_n h1 | h2) * du d, du = s lu
     du = s * lu
     c = den * du
-    if _imul(bbar, uw[::-1] + [[0] * n + row[n:] for row in uw]) != [
+    if imul(bbar, uw[::-1] + [[0] * n + row[n:] for row in uw]) != [
             [c * x for x in row] for row in g.nums]:
         return None
     scale = (s * d) ** n

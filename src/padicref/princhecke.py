@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .padiclin import bruhat_cell_valuations
 from .perms import block_perm, compose, longest_perm
-from .refine import Refinement, SatakeParameter, hecke_eigenvalue
+from .refine import SatakeParameter, hecke_eigenvalue
 from .rootspin import delta_b
 from .symring import SymElem
 
@@ -177,4 +177,4 @@ def hecke_apply(f: PSVector, r: int) -> PSVector:
 def eigenvector_check(satake: SatakeParameter, sigma: tuple, r: int) -> bool:
     """U_{p,r} f^sigma = alpha_sigma(U_{p,r}) f^sigma, exactly."""
     f = PSVector.big_cell_vector(satake, sigma)
-    return hecke_apply(f, r) == f.scale(hecke_eigenvalue(Refinement(satake, sigma), r))
+    return hecke_apply(f, r) == f.scale(hecke_eigenvalue(satake, sigma, r))

@@ -2,7 +2,8 @@
 
 A refinement of an unramified principal series with regular Satake
 parameter theta = (theta_1, ..., theta_2n) is labelled by a permutation
-sigma; its Hecke eigenvalues are
+sigma in S_2n, and is that sigma: the functions below take the pair
+(satake, sigma), as PSVector does.  Its Hecke eigenvalues are
 
     alpha_{p,r} = prod_{j=1}^{r} p^{(2n-2j+1)/2} * theta_{sigma(2n+1-j)}(p).
 
@@ -80,65 +81,39 @@ class SatakeParameter:
         return f"SatakeParameter(n={self.n}, ag={self.ag})"
 
 
-class Refinement:
-    """A Satake parameter together with the labelling Weyl element."""
-
-    __slots__ = ("satake", "sigma")
-
-    def __init__(self, satake: SatakeParameter, sigma: tuple):
-        self.satake = satake
-        self.sigma = tuple(sigma)
-        if len(self.sigma) != 2 * satake.n:
-            raise RefineError("Weyl element has wrong size")
-
-    @property
-    def p(self):
-        return self.satake.p
-
-    @property
-    def n(self):
-        return self.satake.n
-
-    def __repr__(self):
-        return f"Refinement(sigma={self.sigma})"
-
-
-def all_refinements(satake: SatakeParameter):
-    return [Refinement(satake, sigma) for sigma in all_perms(2 * satake.n)]
-
-
 # ---------------------------------------------------------------------------
 # eigenvalues
 
 
-def hecke_eigenvalue(ref: Refinement, r: int) -> SymElem:
+def hecke_eigenvalue(satake: SatakeParameter, sigma: tuple, r: int) -> SymElem:
     """alpha_{p,r} as an exact monomial (Y carries the half p-powers): the
     product over 1 <= j <= r of Y^(2n - 2j + 1) theta_sigma(2n-j), taken
     as the one factor Y^(r(2n-r)), since those Y exponents sum to r(2n - r),
     times the r thetas."""
-    n2 = 2 * ref.n
+    n2 = 2 * satake.n
     if not 1 <= r <= n2 - 1:
         raise RefineError("Hecke index out of range")
-    out = SymElem.monomial(ref.p, 1, {"Y": r * (n2 - r)})
+    out = SymElem.monomial(satake.p, 1, {"Y": r * (n2 - r)})
     for j in range(1, r + 1):
-        out = out * ref.satake.theta[ref.sigma[n2 - j]]
+        out = out * satake.theta[sigma[n2 - j]]
     return out
 
 
-def u_p_eigenvalue(ref: Refinement) -> SymElem:
+def u_p_eigenvalue(satake: SatakeParameter, sigma: tuple) -> SymElem:
     """alpha_p = alpha_{p,1} ... alpha_{p,2n-1}."""
-    out = SymElem.rational(ref.p, 1)
-    for r in range(1, 2 * ref.n):
-        out = out * hecke_eigenvalue(ref, r)
+    out = SymElem.rational(satake.p, 1)
+    for r in range(1, 2 * satake.n):
+        out = out * hecke_eigenvalue(satake, sigma, r)
     return out
 
 
-def integral_eigenvalue(ref: Refinement, r: int, lam: tuple) -> SymElem:
+def integral_eigenvalue(satake: SatakeParameter, sigma: tuple, r: int,
+                        lam: tuple) -> SymElem:
     """alpha^circ_{p,r} = p^(lam_1 + ... + lam_r) * alpha_{p,r}."""
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise RefineError("integral normalisation needs a dominant weight")
     e = sum(lam[:r])
-    return SymElem.p_power(ref.p, e) * hecke_eigenvalue(ref, r)
+    return SymElem.p_power(satake.p, e) * hecke_eigenvalue(satake, sigma, r)
 
 
 def monomial_valuation(e: SymElem, vals: dict, p: int) -> Fraction:
@@ -162,14 +137,14 @@ def monomial_valuation(e: SymElem, vals: dict, p: int) -> Fraction:
 # spin classification
 
 
-def is_spin(ref: Refinement) -> bool:
+def is_spin(satake: SatakeParameter, sigma: tuple) -> bool:
     """alpha_{p,n+s} = eta^s alpha_{p,n-s} for all 0 <= s <= n-1."""
-    if not ref.satake.is_regular():
+    if not satake.is_regular():
         raise RefineError("spin classification needs a regular Satake parameter")
-    n = ref.n
-    eta = ref.satake.eta
+    n, eta = satake.n, satake.eta
     for s in range(1, n):
-        if hecke_eigenvalue(ref, n + s) != eta ** s * hecke_eigenvalue(ref, n - s):
+        if (hecke_eigenvalue(satake, sigma, n + s)
+                != eta ** s * hecke_eigenvalue(satake, sigma, n - s)):
             return False
     return True
 
@@ -179,7 +154,7 @@ def tau_element(n: int) -> tuple:
     return block_perm(longest_perm(n), n)
 
 
-def delta_theta_tau(ref: Refinement) -> tuple:
+def delta_theta_tau(sigma: tuple) -> tuple:
     """Pattern relative to the Asgari-Shahidi reordering theta^tau: the
     permutation c with theta^tau[c(i)] = theta[sigma(i)].
 
@@ -187,16 +162,16 @@ def delta_theta_tau(ref: Refinement) -> tuple:
     tau o c = sigma, and tau = diag(1_n, w_n) is an involution, so
     c = tau o sigma.
     """
-    return compose(tau_element(ref.n), ref.sigma)
+    return compose(tau_element(len(sigma) // 2), sigma)
 
 
-def gspin_factorization(ref: Refinement):
-    """{r: alpha_{p,r}} for 1 <= r <= 2n-1 when ref's pattern is in W_G^0,
-    else None.
+def gspin_factorization(satake: SatakeParameter, sigma: tuple):
+    """{r: alpha_{p,r}} for 1 <= r <= 2n-1 when the pattern of sigma is in
+    W_G^0, else None.
 
-    GSpin membership is decided on the Weyl side: ref factors through
-    GSpin(2n+1) exactly when delta_theta_tau(ref) * w_2n has a preimage
-    omega under jmap_weyl.  The eigenvalues are then certified through the
+    GSpin membership is decided on the Weyl side: (satake, sigma) factors
+    through GSpin(2n+1) exactly when delta_theta_tau(sigma) * w_2n has a
+    preimage omega under jmap_weyl.  The eigenvalues are then certified through the
     transfer: for each 1 <= r <= 2n-1 the cocharacter of U_{p,r} is pushed
     through jvee, acted on by omega, and paired against the GSpin Satake
     values (y_0 = eta, y_i = theta_i), with the p-power prefactor
@@ -204,23 +179,23 @@ def gspin_factorization(ref: Refinement):
     each result is alpha_{p,r}.  Spin itself is the eigenvalue relation
     tested by is_spin, and the report compares the two classifications.
     """
-    n, n2 = ref.n, 2 * ref.n
+    n, n2 = satake.n, 2 * satake.n
     try:
-        omega = jvee_weyl(compose(delta_theta_tau(ref), longest_perm(n2)))
+        omega = jvee_weyl(compose(delta_theta_tau(sigma), longest_perm(n2)))
     except RootDataError:
         return None
-    ys = (ref.satake.eta,) + ref.satake.theta[:n]
+    ys = (satake.eta,) + satake.theta[:n]
     values = {}
     for r in range(1, n2):
         nu = tuple(1 if k < r else 0 for k in range(n2))
         c = omega.act_cochar(jvee_cochar(nu))
-        value = SymElem.monomial(ref.p, 1, {"Y": r * (n2 - r)})
+        value = SymElem.monomial(satake.p, 1, {"Y": r * (n2 - r)})
         for y, e in zip(ys, c):
             if e:
                 value = value * y ** int(e)
-        if value != hecke_eigenvalue(ref, r):
+        if value != hecke_eigenvalue(satake, sigma, r):
             raise RefineError(f"the transfer of U_p,{r} disagrees with "
-                              f"alpha_p,{r} at sigma={ref.sigma}")
+                              f"alpha_p,{r} at sigma={sigma}")
         values[r] = value
     return values
 
@@ -252,39 +227,37 @@ def shalika_admissible(theta, eta: SymElem):
     return match(tuple(range(m)))
 
 
-def normalize_satake(ref: Refinement):
+def normalize_satake(satake: SatakeParameter, sigma: tuple):
     """Reorder theta so that the refinement's pattern becomes tau.
 
     Returns (satake', conjugator); satake' is a Weyl conjugate of the
-    input satisfying the Ash-Ginzburg relation, and the refinement
-    (satake', tau) has the same eigenvalues as ref.
+    input satisfying the Ash-Ginzburg relation, and (satake', tau) has the
+    eigenvalues of (satake, sigma).
     """
-    if not is_spin(ref):
+    if not is_spin(satake, sigma):
         raise RefineError("only spin refinements can be tau-normalized")
-    tau = tau_element(ref.n)
-    c = compose(ref.sigma, tau)
-    sat = ref.satake.conjugate_by(c)
+    tau = tau_element(satake.n)
+    c = compose(sigma, tau)
+    sat = satake.conjugate_by(c)
     if not sat.ag:
         raise RefineError("normalization failed to restore the Shalika relation")
-    new_ref = Refinement(sat, tau)
-    for r in range(1, 2 * ref.n):
-        if hecke_eigenvalue(new_ref, r) != hecke_eigenvalue(ref, r):
+    for r in range(1, 2 * satake.n):
+        if hecke_eigenvalue(sat, tau, r) != hecke_eigenvalue(satake, sigma, r):
             raise RefineError("normalization changed the eigenvalues")
     return sat, c
 
 
-def noncritical_slope(ref: Refinement, lam: tuple, valuations: dict) -> bool:
+def noncritical_slope(satake: SatakeParameter, sigma: tuple, lam: tuple,
+                      valuations: dict) -> bool:
     """v_p(alpha^circ_{p,r}) < lam_r - lam_{r+1} + 1 for 1 <= r <= 2n-1."""
-    n2 = 2 * ref.n
-    for r in range(1, n2):
-        v = monomial_valuation(integral_eigenvalue(ref, r, lam), valuations, ref.p)
+    for r in range(1, 2 * satake.n):
+        v = monomial_valuation(integral_eigenvalue(satake, sigma, r, lam),
+                               valuations, satake.p)
         if not v < lam[r - 1] - lam[r] + 1:
             return False
     return True
 
 
-def spin_census(p: int, n: int):
-    """(refinements, spin refinements) of the generic Satake parameter of
-    rank n at p."""
-    refs = all_refinements(SatakeParameter.generic(p, n))
-    return refs, [ref for ref in refs if is_spin(ref)]
+def spin_census(satake: SatakeParameter):
+    """The spin refinements sigma of satake, in all_perms order."""
+    return [sigma for sigma in all_perms(2 * satake.n) if is_spin(satake, sigma)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .padiclin import PadicMatrix
+from .padiclin import PadicMatrix, imul
 from .rng import DIGITS
 
 
@@ -45,8 +45,8 @@ def random_n_beta(rng, p, n, beta):
               for j in range(n)] for i in range(n)] for _ in range(2))
     top = [[int(i + j == n - 1) + p ** beta * rng.randrange(p ** 3) for j in range(n)]
            for i in range(n)]
-    return PadicMatrix.from_ints(p, 1, [ra + [sum(map(mul, rt, col)) for col in zip(*b)]
-                                        for ra, rt in zip(a, top)] + [[0] * n + rb for rb in b])
+    return PadicMatrix.from_ints(p, 1, [ra + rt for ra, rt in zip(a, imul(top, b))]
+                                 + [[0] * n + rb for rb in b])
 
 
 def random_iw_beta(rng, p, n2, beta):
@@ -56,9 +56,7 @@ def random_iw_beta(rng, p, n2, beta):
              for j in range(n2)] for i in range(n2)]
     t = [rng.unit(p) for _ in range(n2)]
     nbar_t = [list(map(mul, row, t)) for row in nbar]  # column j times t_j
-    cols = list(zip(*random_n_beta(rng, p, n2 // 2, beta).nums))
-    return PadicMatrix.from_ints(p, 1, [[sum(map(mul, row, col)) for col in cols]
-                                        for row in nbar_t])
+    return PadicMatrix.from_ints(p, 1, imul(nbar_t, random_n_beta(rng, p, n2 // 2, beta).nums))
 
 
 def random_shalika_positive(rng, p, n, beta):
@@ -69,7 +67,6 @@ def random_shalika_positive(rng, p, n, beta):
     of k w_n z^(2 beta) is column n-1-c of k times p^(2 beta (n-1-c))."""
     u, i = random_upper_zp(rng, p, n).nums, random_iwahori(rng, p, n).nums
     a = [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)]
-    k = [[sum(map(mul, row[::-1], col)) for col in zip(*i)] for row in u]
+    k = imul([row[::-1] for row in u], i)
     kwz = [[row[n - 1 - c] * p ** (2 * beta * (n - 1 - c)) for c in range(n)] for row in k]
-    return PadicMatrix.from_ints(p, 1, k), PadicMatrix.from_ints(
-        p, 1, [[sum(map(mul, row, col)) for col in zip(*a)] for row in kwz])
+    return PadicMatrix.from_ints(p, 1, k), PadicMatrix.from_ints(p, 1, imul(kwz, a))

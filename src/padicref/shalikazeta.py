@@ -46,15 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from .padiclin import (INF, LinAlgError, PadicMatrix, certified_bruhat_cell,
+from .padiclin import (INF, LinAlgError, PadicMatrix, certified_bruhat_cell, imul,
                        iwahori_bruhat_decompose, residue, unit_part, unit_pivots_mod_p,
                        vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
-from .refine import (Refinement, SatakeParameter, hecke_eigenvalue, is_spin,
-                     tau_element, u_p_eigenvalue)
+from .refine import (SatakeParameter, hecke_eigenvalue, is_spin, tau_element,
+                     u_p_eigenvalue)
 from .rootspin import delta_b
 from .symring import CycNum, SymElem, geometric_tail
 
@@ -199,9 +198,8 @@ def shalika_argument(k: PadicMatrix, x: PadicMatrix, beta: int) -> PadicMatrix:
     p, n, d = k.p, k.size, x.den
     scale = [d * p ** (2 * beta * (n - 1 - c)) for c in range(n)]
     top = [[0] * n + [d * y for y in row] for row in k.nums]
-    bottom = [[row[n - 1 - c] * scale[c] for c in range(n)]
-              + [sum(map(mul, xr, col)) for col in zip(*k.nums)]
-              for row, xr in zip(k.nums, x.nums)]
+    bottom = [[row[n - 1 - c] * scale[c] for c in range(n)] + xk
+              for row, xk in zip(k.nums, imul(x.nums, k.nums))]
     return PadicMatrix.from_ints(p, d * k.den, top + bottom)
 
 
@@ -422,15 +420,15 @@ def w_value_closed(satake: SatakeParameter, beta: int, n: int) -> SymElem:
     if satake.n != n:
         raise ZetaError("size mismatch")
     p = satake.p
-    ref = Refinement(satake, tau_element(n))
-    if not (satake.ag and is_spin(ref)):
+    tau = tau_element(n)
+    if not (satake.ag and is_spin(satake, tau)):
         raise ZetaError("w_value_closed needs a tau-normalized spin parameter")
     upsilon2 = vol_big_cell(p, n)
     tp_vals = list(range(2 * n - 1, -1, -1))
     value = SymElem.rational(p, upsilon2 * Fraction(p) ** (beta * n * n))
     value = value * delta_b(p, tp_vals) ** beta
     value = value * satake.eta ** (-beta * (n * (n - 1) // 2))
-    value = value * (u_p_eigenvalue(ref) / hecke_eigenvalue(ref, n)) ** beta
+    value = value * (u_p_eigenvalue(satake, tau) / hecke_eigenvalue(satake, tau, n)) ** beta
     return value
 
 
@@ -460,8 +458,8 @@ def zeta_iwahori_closed(w_base: SymElem, chi: TwistCharacter, beta: int,
     value = value * SymElem.p_power(p, Fraction(-beta * (n * n + n), 2))
     value = value * SymElem.gen(p, "S", beta * n) \
         * SymElem.monomial(p, 1, {"Y": -beta * n})
-    value = value * SymElem.from_cyc(p, gauss_power(chi, n))
-    value = value * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
+    value = value * SymElem.rational(p, gauss_power(chi, n))
+    value = value * SymElem.rational(p, chi_det_minus_wn(chi, n))
     value = value * w_base
     return ZetaResult(value)
 
@@ -492,11 +490,11 @@ def zeta_parahoric_closed(satake: SatakeParameter, chi: TwistCharacter,
     beta = max(1, beta_prime)
     c = SymElem.gen(p, "S", beta * n) \
         * SymElem.p_power(p, Fraction(-beta * n * n, 2)) \
-        * SymElem.from_cyc(p, chi_det_minus_wn(chi, n))
+        * SymElem.rational(p, chi_det_minus_wn(chi, n))
     if chi.is_ramified:
         c = c * SymElem.rational(p, Fraction(p) ** (-beta * n)
                                  * Fraction(p, p - 1) ** n) \
-            * SymElem.from_cyc(p, gauss_power(chi, n))
+            * SymElem.rational(p, gauss_power(chi, n))
         return ZetaResult(c)
     bottoms = [theta * SymElem.gen(p, "S", -1) for theta in satake.theta[n:]]
     return ZetaResult(_euler_quotient(c * Fraction(1, 1 - p) ** n,
@@ -533,13 +531,12 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
         p, [Fraction(p) ** beta, 1])
     # g0^-1 E11 g0 = (1 -p^-beta; 0 0), so e(g0) = beta: W(diag(u p^v, 1) g0)
     # depends on u mod p^beta only, like chi, and averaging over those is exact
-    units = tuple(_units(p, beta))
     v_min = -beta - 2
     # one sweep at g0 gives every zeta shell v, phi(p^beta) times the average
-    # of W(diag(u p^v, 1) g0) chi(u) over the units u, as one combination of
-    # chi's exponents
+    # of W(diag(u p^v, 1) g0) chi(u) over the units u mod p^beta, which are
+    # the keys of chi's exponent table, as one combination of its exponents
     shell = ag_intertwine_value(f, g0, shells, chi.order,
-                                [{(u, v): chi.exps[u] for u in units}
+                                [{(u, v): e for u, e in chi.exps.items()}
                                  for v in range(v_min, 5 + shells)])
 
     for v in (v_min, v_min + 1):
@@ -555,7 +552,7 @@ def zeta_iwahori_oracle(f: PSVector, chi: TwistCharacter, beta: int,
         zeros = zeros + 1 if value.is_zero() else 0
         total = total + value * s_inv ** v
         if v >= 3 and zeros >= 4:
-            return ZetaResult(total * Fraction(1, len(units)))
+            return ZetaResult(total * Fraction(1, len(chi.exps)))
     raise TruncationError("the zeta tail does not vanish; increase shells")
 
 
@@ -599,9 +596,9 @@ def zeta_parahoric_oracle(satake: SatakeParameter, chi: TwistCharacter,
     ratio = satake.theta[1] * SymElem.gen(p, "S", -1)
     total = SymElem.rational(p, 0)
     for v in range(beta):
-        total = total + SymElem.from_cyc(p, shell(v)) * ratio ** v
+        total = total + SymElem.rational(p, shell(v)) * ratio ** v
     # from v = beta on psi is trivial: shell(beta) starts a geometric tail
-    total = total + geometric_tail(SymElem.from_cyc(p, shell(beta)) * ratio ** beta,
+    total = total + geometric_tail(SymElem.rational(p, shell(beta)) * ratio ** beta,
                                    ratio)
     prefactor = SymElem.gen(p, "S", beta) * SymElem.monomial(p, 1, {"Y": -beta})
     return ZetaResult(prefactor * total)
@@ -621,12 +618,11 @@ def ep_factor(satake: SatakeParameter, chi: TwistCharacter, j: int) -> SymElem:
     with a_i = theta_i(p) / p^(j + 1/2).
     """
     p, n = satake.p, satake.n
-    ref = Refinement(satake, tau_element(n))
     if chi.is_ramified:
         beta = chi.beta
         top = SymElem.p_power(p, n * j + (n * n - n) // 2)
-        return (top / hecke_eigenvalue(ref, n)) ** beta \
-            * SymElem.from_cyc(p, gauss_power(chi, n))
+        return (top / hecke_eigenvalue(satake, tau_element(n), n)) ** beta \
+            * SymElem.rational(p, gauss_power(chi, n))
     a = [theta * SymElem.p_power(p, Fraction(-2 * j - 1, 2))
          for theta in satake.theta[n:]]
     if any(ai.is_one() for ai in a):
@@ -642,7 +638,7 @@ def qprime_factor(chi: TwistCharacter, j: int, n: int) -> SymElem:
         raise ZetaError("Q' is the ramified-twist factor")
     p, beta = chi.p, chi.beta
     return SymElem.p_power(p, beta * (n * j + (n * n - n) // 2)) \
-        * SymElem.from_cyc(p, gauss_power(chi, n))
+        * SymElem.rational(p, gauss_power(chi, n))
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +670,10 @@ def comparison_constant(satake: SatakeParameter, pairs):
         route_p = (delta_B(t_Q) alpha_{p,n})^(-beta) Z_par.
     """
     p, n = satake.p, satake.n
-    ref = Refinement(satake, tau_element(n))
+    tau = tau_element(n)
     upsilon_b = SymElem.gen(p, "UB")
-    scale_b = delta_b(p, range(2 * n - 1, -1, -1)) * u_p_eigenvalue(ref)
-    scale_q = delta_b(p, [1] * n + [0] * n) * hecke_eigenvalue(ref, n)
+    scale_b = delta_b(p, range(2 * n - 1, -1, -1)) * u_p_eigenvalue(satake, tau)
+    scale_q = delta_b(p, [1] * n + [0] * n) * hecke_eigenvalue(satake, tau, n)
     routes, closed = [], {}
     for chi, j in pairs:
         s_value = SymElem.p_power(p, Fraction(2 * j + 1, 2))

@@ -413,11 +413,8 @@ class SymElem:
 
     @classmethod
     def rational(cls, p, x) -> "SymElem":
-        return cls(p, _Poly.const(p, x if type(x) is int else Fraction(x)))
-
-    @classmethod
-    def from_cyc(cls, p, c: CycNum) -> "SymElem":
-        return cls(p, _Poly.const(p, c))
+        """The constant x: an int, a Fraction or a CycNum."""
+        return cls(p, _Poly.const(p, x))
 
     @classmethod
     def gen(cls, p, name: str, exp: int = 1) -> "SymElem":
@@ -458,10 +455,8 @@ class SymElem:
     # -- arithmetic
 
     def _check(self, other) -> "SymElem":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, CycNum)):
             other = SymElem.rational(self.p, other)
-        elif isinstance(other, CycNum):
-            other = SymElem.from_cyc(self.p, other)
         if not isinstance(other, SymElem):
             raise TypeError(f"cannot combine SymElem with {type(other)}")
         if other.p != self.p:

@@ -428,8 +428,8 @@ class TestWitnesses:
     def test_gspin_membership(self, monkeypatch, capsys):
         # reject one spin pattern on the Weyl side: gspin-exact must see it
         sat = refine.SatakeParameter.generic(3, 2)
-        ref = next(r for r in refine.all_refinements(sat) if refine.is_spin(r))
-        pattern = compose(refine.delta_theta_tau(ref), longest_perm(4))
+        first = refine.spin_census(sat)[0]
+        pattern = compose(refine.delta_theta_tau(first), longest_perm(4))
         right = refine.jvee_weyl
 
         def rejecting(sigma):
@@ -440,7 +440,7 @@ class TestWitnesses:
         monkeypatch.setattr(refine, "jvee_weyl", rejecting)
         cases = self._failing(["run", "--suites", "spin-enum"], capsys)
         assert [c["name"] for c in cases] == ["gspin-exact-n2"]
-        assert cases[0]["witness"] == f"sigma={ref.sigma} spin=True"
+        assert cases[0]["witness"] == f"sigma={first} spin=True"
 
     def test_ramified_ratio(self, monkeypatch, capsys):
         right = shalikazeta.qprime_factor

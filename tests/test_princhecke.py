@@ -9,7 +9,7 @@ from padicref.padiclin import PadicMatrix, bruhat_cell_valuations
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import (PSVector, _right_pi, _right_s, eigenvector_check,
                                  hecke_apply, ps_evaluate_rows, torus_character_value)
-from padicref.refine import Refinement, SatakeParameter, hecke_eigenvalue, tau_element
+from padicref.refine import SatakeParameter, hecke_eigenvalue, tau_element
 from padicref.sampling import random_iwahori
 from padicref.symring import SymElem
 
@@ -56,7 +56,7 @@ class TestEvaluation:
                         t_p_r = PadicMatrix.diagonal(p, [p] * r + [1] * (2 * n - r))
                         tprime = w * t_p_r * w
                         val = ps_evaluate_rows(f, (tprime * w).rows)
-                        assert val == hecke_eigenvalue(Refinement(sat, sigma), r)
+                        assert val == hecke_eigenvalue(sat, sigma, r)
 
     def test_right_iwahori_invariance(self):
         rng = make_rng("ps-invariance")

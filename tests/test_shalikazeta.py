@@ -9,8 +9,7 @@ from padicref import cli, shalikazeta
 from padicref.padiclin import PadicMatrix, iwahori_bruhat_decompose, vp
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import PSVector
-from padicref.refine import (Refinement, SatakeParameter, hecke_eigenvalue,
-                             tau_element)
+from padicref.refine import SatakeParameter, hecke_eigenvalue, tau_element
 from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
 from padicref.princhecke import ps_evaluate_rows
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
@@ -299,7 +298,7 @@ class TestIntertwiningOracle:
                 f, PadicMatrix.diagonal(p, [a, a])
                 * PadicMatrix(p, [[1, x], [0, 1]]) * g, 5, 1, AT_ONE)
             den = x.denominator
-            psi = SymElem.from_cyc(p, CycNum.root_of_unity(den, x.numerator % den)) \
+            psi = SymElem.rational(p, CycNum.root_of_unity(den, x.numerator % den)) \
                 if den > 1 else SymElem.rational(p, 1)
             assert lhs == eta ** int(vp(a, p)) * psi * base
 
@@ -618,7 +617,7 @@ class TestZetaClosedForms:
         res = zeta_iwahori_closed(SymElem.rational(p, 1), chi, 1, 1, sat.eta)
         expected = SymElem.rational(p, Fraction(1, 1 - Fraction(1, 3))) \
             * Fraction(1, 3) * SymElem.gen(p, "S") * SymElem.gen(p, "Y") ** -1 \
-            * SymElem.from_cyc(p, gauss_sum(chi) * chi.of(2))
+            * SymElem.rational(p, gauss_sum(chi) * chi.of(2))
         assert res.value == expected
 
     def test_iwahori_scales_linearly(self):
@@ -650,9 +649,9 @@ class TestZetaClosedForms:
         chi = TwistCharacter.enumerate_conductor(p, 1)[0]
         res = zeta_parahoric_closed(sat, chi, 1)
         q = SymElem.rational(p, Fraction(1, p) * Fraction(p, p - 1)) \
-            * SymElem.from_cyc(p, gauss_sum(chi))
+            * SymElem.rational(p, gauss_sum(chi))
         expected = s * SymElem.gen(p, "Y") ** -1 \
-            * SymElem.from_cyc(p, chi.of(-1 % p)) * q
+            * SymElem.rational(p, chi.of(-1 % p)) * q
         assert res.value == expected
 
     def test_chi_det_minus_wn_is_chi_of_the_determinant(self):
@@ -808,7 +807,7 @@ class TestCertifyTail:
             calls.append(sorted({v for combination in combinations for _, v in combination}))
             m = p ** self.beta
             return tuple(
-                sum((w(v) * SymElem.from_cyc(p, CycNum.root_of_unity(order, e)
+                sum((w(v) * SymElem.rational(p, CycNum.root_of_unity(order, e)
                                              * chi.of(pow(u, -1, m)))
                      for (u, v), e in combination.items()), SymElem.rational(p, 0))
                 for combination in combinations)
@@ -843,12 +842,12 @@ class TestInterpolationFactors:
     def test_ramified_over_qprime(self):
         for n in (1, 2):
             sat = SatakeParameter.generic(3, n)
-            ref = Refinement(sat, tau_element(n))
+            alpha_n = hecke_eigenvalue(sat, tau_element(n), n)
             for beta in (1, 2):
                 for chi in TwistCharacter.enumerate_conductor(3, beta):
                     for j in (-1, 0, 2):
                         assert ep_factor(sat, chi, j) \
-                            == hecke_eigenvalue(ref, n) ** (-beta) * qprime_factor(chi, j, n)
+                            == alpha_n ** (-beta) * qprime_factor(chi, j, n)
 
     def test_gauss_power_once_per_character_and_rank(self, monkeypatch):
         # ep_factor and qprime_factor read one tau(chi)^n: the euler-factors
