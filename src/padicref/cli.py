@@ -30,11 +30,10 @@ from fractions import Fraction
 
 from . import (branchfam, famring, padiclin, princhecke, refine, rootspin,
                shalikazeta)
-from .padiclin import PadicMatrix
 from .perms import all_perms, compose, longest_perm
 from .rng import SplitMix64
 from .sampling import (random_glzp, random_iw_beta, random_n_beta,
-                       random_shalika_positive)
+                       random_shalika_positive, random_sparse_qp)
 from .symring import SymElem
 
 SCHEMA_VERSION = 1
@@ -198,9 +197,7 @@ def suite_cell_support(cfg: SuiteConfig, rng: SplitMix64):
                 for _ in range(count):
                     delta = rng.choice(all_perms(n))
                     k = random_glzp(rng, p, n)
-                    x = PadicMatrix(p, [[rng.padic_rational(p, -2, 2)
-                                         if rng.randrange(3) else 0
-                                         for _ in range(n)] for _ in range(n)])
+                    x = random_sparse_qp(rng, p, n)
                     a = shalikazeta.shalika_support_predicate(delta, k, x, beta)
                     if a != shalikazeta.shalika_support_bruhat(delta, k, x, beta):
                         yield f"delta={delta} k={k} x={x} predicate={a}"

@@ -31,17 +31,16 @@ is fraction-free (Bareiss) elimination, with exact integer divisions;
 ``inverse``, the LU and both factorizations read their results off it,
 and matrix products are integer dot products.  ``in_glzp`` and the cell
 of a matrix mod p need no det: ``unit_pivots_mod_p`` eliminates once
-over F_p.  The full Bruhat decomposition is the core plus one LU,
-certified by one integer product, index checks and vp: i = w^{-1} ybar
-w, ybar unit lower triangular, so det i = 1 needs no det.  The cell and vp(diag b) are invariants of the
-double coset B(Q_p) g Iw, so every certified decomposition is an
-independent proof of the core's answer.  It is checked on the raw int
-rows of b and i: ``iwahori_bruhat_decompose`` makes them canonical on
-return, and ``certified_bruhat_cell`` returns only (w, vp(diag b)).  The
-open cell runs three eliminations (two Jordan solves and one LU step on
-augmented rows), one n x 2n product for h1 and h2 and one 2n x 2n product
-that certifies bbar * u * diag(h1, h2) = g; it reads det h1 = det U det A
-and det h2 = sgn(w_n) det U det B off the pivots, and makes its three
+over F_p.  The cell and vp(diag b) are determined by g, and each Bruhat
+path certifies the core's answer by one integer product, index checks
+and vp: ``certified_bruhat_cell`` by the core's own column operations
+(in Iw), with no LU and no factor, and ``iwahori_bruhat_decompose`` by
+one LU, whose b and i it makes canonical on return (i = w^{-1} ybar w,
+ybar unit lower triangular, so det i = 1 needs no det).  The open cell
+runs three eliminations (two Jordan solves and one LU step on augmented
+rows), one n x 2n product for h1 and h2 and one 2n x 2n product that
+certifies bbar * u * diag(h1, h2) = g; it reads det h1 = det U det A and
+det h2 = sgn(w_n) det U det B off the pivots, and makes its three
 factors canonical only on return.
 
 Haar measure normalizations are fixed once and for all here:
@@ -158,6 +157,16 @@ def _eliminate(m, pivot: bool, jordan: bool = False) -> int:
     return sign * prev
 
 
+def jordan_solve(a, b):
+    """(q, q * a^{-1} * b) on int rows, a n x n and b with n rows: the
+    Jordan elimination of (a | b) leaves the right part, q = +-det a its
+    last pivot (_eliminate); LinAlgError when a is singular."""
+    n, m = len(a), [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    if not _eliminate(m, pivot=True, jordan=True):
+        raise LinAlgError("singular matrix")
+    return m[-1][n - 1], [row[n:] for row in m]
+
+
 def unit_pivots_mod_p(nums, p: int, pivot: bool) -> bool:
     """One elimination over F_p of the n x n int rows nums: with pivot (row
     swaps), True exactly when det nums is prime to p; without, exactly when
@@ -182,11 +191,6 @@ def imul(x, y) -> list:
     """The product of the int matrices x and y, given by rows."""
     cols = tuple(zip(*y))
     return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
-def _same(x, dx: int, y, dy: int) -> bool:
-    """x / dx == y / dy for int rows x, y and nonzero ints dx, dy."""
-    return all(dy * a == dx * b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
 
 
 class PadicMatrix:
@@ -247,14 +251,10 @@ class PadicMatrix:
         return hash((self.p, self.den, self.nums))
 
     def inverse(self) -> "PadicMatrix":
-        # the Jordan elimination of (nums | 1) leaves q nums^{-1} on the right,
-        # q its last pivot; self = nums / den, so self^{-1} = den * that / q
+        # self = nums / den, so self^{-1} = den * (q nums^{-1}) / q
         n = self.size
-        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.nums)]
-        if not _eliminate(m, pivot=True, jordan=True):
-            raise LinAlgError("singular matrix")
-        return PadicMatrix.from_ints(self.p, m[-1][n - 1],
-                                     [[self.den * x for x in row[n:]] for row in m])
+        q, right = jordan_solve(self.nums, [[int(i == j) for j in range(n)] for i in range(n)])
+        return PadicMatrix.from_ints(self.p, q, [[self.den * x for x in row] for row in right])
 
     def block(self, r0, r1, c0, c1) -> "PadicMatrix":
         return PadicMatrix.from_ints(self.p, self.den,
@@ -306,20 +306,43 @@ BruhatDecomposition = namedtuple("BruhatDecomposition", "b w i")
 
 def iwahori_bruhat_decompose(g: PadicMatrix) -> BruhatDecomposition:
     """g = b * w * i exactly, certified (_bruhat_rows); raises LinAlgError
-    on singular input.  Only here are b and i made canonical."""
+    on singular input.  b and i are made canonical only here."""
     w, _, du, b, dl, i = _bruhat_rows(g)
     return BruhatDecomposition(PadicMatrix.from_ints(g.p, du, b), w,
                                PadicMatrix.from_ints(g.p, dl, i))
 
 
 def certified_bruhat_cell(g: PadicMatrix):
-    """(w, vp(diag b)) of g = b * w * i, certified on int rows (_bruhat_rows)."""
-    return _bruhat_rows(g)[:2]
+    """(w, vp(diag b)) of g = b * w * i, certified on int rows by the core's
+    own column operations, with no LU; LinAlgError unless certified.
+
+    For g = nums / den the core leaves in ops the product I of its column
+    operations; P = nums * I (not the core's rows) is checked: w is a
+    permutation; I is in Iw (diagonal prime to p, entries below it in p Z);
+    P[r][j] = 0 for r > w[j], so b' = P w^{-1} is upper triangular (column
+    j of b' w is column w[j] of b'); vp(b'[w[j]][w[j]]) = vp(P[w[j]][j]) is
+    the core's valuation at w[j] (vp(0) = inf).  So g = (b' / den) w I^{-1},
+    I^{-1} in Iw.  The answer is unique: b w i = b2 w2 i2 forces w = w2
+    (Iwahori-Matsumoto, Publ. Math. IHES 25, 1965), and b^{-1} b2 = w i
+    i2^{-1} w^{-1} lies in B(Q_p) and GL_n(Z_p), so has a unit diagonal.
+    """
+    p, n = g.p, g.size
+    ops = [[int(r == c) for c in range(n)] for r in range(n)]
+    w, vals = bruhat_cell_valuations(p, g.nums, ops=ops)
+    prod = imul(g.nums, ops)
+    if not (sorted(w) == list(range(n))
+            and all(row[r] % p and not any(x % p for x in row[:r])
+                    for r, row in enumerate(ops))
+            and not any(prod[r][j] for j in range(n) for r in range(w[j] + 1, n))
+            and all(vp(prod[w[j]][j], p) == vals[w[j]] for j in range(n))):
+        raise LinAlgError("Bruhat cell failed its certificate")
+    shift = vp(g.den, p)
+    return w, tuple(v - shift for v in vals)
 
 
 def _bruhat_rows(g: PadicMatrix):
     """(w, vp(diag b), du, b, dl, i) with g = (b / du) * w * (i / dl), b and
-    i int rows; LinAlgError unless certified.
+    i int rows, for iwahori_bruhat_decompose; LinAlgError unless certified.
 
     The cell w and the diagonal valuations of den * b come from
     bruhat_cell_valuations on the int rows den * g.  Since
@@ -335,8 +358,8 @@ def _bruhat_rows(g: PadicMatrix):
     elimination, the valuations of diag(b) equal to the core's less
     vp(den), and b * w * i equal to g on ints.  The certificate uses only
     multiplication and vp, and w and the valuations of diag(b) are
-    invariants of the double coset B(Q_p) g Iw, so certified rows prove
-    the core's answer; a wrong answer from the core raises LinAlgError.
+    determined by g (certified_bruhat_cell), so certified rows prove the
+    core's answer; a wrong answer from the core raises LinAlgError.
     """
     p, n = g.p, g.size
     w, vals = bruhat_cell_valuations(p, g.nums)
@@ -355,14 +378,16 @@ def _bruhat_rows(g: PadicMatrix):
             and not any(y % (q * p if c < r else q) for r, row in enumerate(i)
                         for c, y in enumerate(row))
             and tuple(vp(b[k][k], p) - ushift for k in range(n)) == vals
-            and _same(imul(bw, i), du * dl, g.nums, g.den)):
+            and [[g.den * x for x in row] for row in imul(bw, i)]
+            == [[du * dl * x for x in row] for row in g.nums]):
         raise LinAlgError("Bruhat decomposition failed its certificate")
     return w, vals, du, b, dl, i
 
 
-def bruhat_cell_valuations(p: int, rows):
+def bruhat_cell_valuations(p: int, rows, ops=None):
     """(cell, diagonal valuations of the Borel part), without assembling
-    the factors.  Entries are ints or Fractions.
+    the factors.  Entries are ints or Fractions; ops, n int rows equal to
+    1 on entry, ends as I below when given (certified_bruhat_cell).
 
     One bottom-up elimination on Python ints that keeps only the pivot
     data.  Rows with a Fraction entry are first multiplied by D, the lcm
@@ -381,9 +406,8 @@ def bruhat_cell_valuations(p: int, rows):
       column and the pivot columns of the rows below it, so D * g * I =
       b * w with b upper triangular and the pivots on its diagonal.
 
-    iwahori_bruhat_decompose certifies this answer on every call; it is
-    the innermost loop of the integration oracles, through
-    principal-series evaluation.
+    It is the innermost loop of the integration oracles, which pass no ops,
+    through principal-series evaluation.
     """
     n = len(rows)
     shift = 0
@@ -409,13 +433,13 @@ def bruhat_cell_valuations(p: int, rows):
         cell[j] = i
         vals[i] = v - shift
         pv = p ** v
+        above = m[:i] if ops is None else m[:i] + ops
         for k in free:
             if not row[k]:
                 continue
             c = row[k] // pv
             row[k] = 0
-            for r in range(i):
-                mr = m[r]
+            for mr in above:
                 if mr[j]:
                     mr[k] = a * mr[k] - c * mr[j]
                 elif a != 1:

@@ -120,11 +120,9 @@ def ps_evaluate_rows(f: PSVector, rows) -> SymElem:
     return torus_character_value(f.satake, f.sigma, vals) * c
 
 
-def _right_pi(f: PSVector) -> PSVector:
-    """f * Pi: f_w -> chi(p at place w(0)) f_{w c}, c(j) = j + 1 mod m."""
-    m = f.size
-    chi = [torus_character_value(f.satake, f.sigma, [int(k == j) for k in range(m)])
-           for j in range(m)]
+def _right_pi(f: PSVector, chi: list) -> PSVector:
+    """f * Pi: f_w -> chi[w(0)] f_{w c}, c(j) = j + 1 mod m, where chi[j] =
+    (delta_B^(1/2) theta^sigma)(p at place j), built once by hecke_apply."""
     return PSVector(f.satake, f.sigma,
                     {w[1:] + w[:1]: chi[w[0]] * c for w, c in f.coeffs.items()})
 
@@ -166,8 +164,10 @@ def hecke_apply(f: PSVector, r: int) -> PSVector:
     m = f.size
     if not 1 <= r <= m - 1:
         raise PrincipalSeriesError("Hecke index out of range")
+    chi = [torus_character_value(f.satake, f.sigma, [int(k == j) for k in range(m)])
+           for j in range(m)]
     for _ in range(r):
-        f = _right_pi(f)
+        f = _right_pi(f, chi)
     for k in range(r):
         for i in range(m - r + k - 1, k - 1, -1):
             f = _right_s(f, i)

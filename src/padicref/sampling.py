@@ -37,6 +37,15 @@ def random_upper_zp(rng, p, n):
                            for i in range(n)])
 
 
+def random_sparse_qp(rng, p, n):
+    """n x n, each entry, row by row, rng.padic_rational(p, -2, 2) if
+    rng.randrange(3) else 0, drawn in that order (randrange, then the
+    exponent, then the unit) and assembled on int rows over p^2."""
+    return PadicMatrix.from_ints(p, p * p, [[p ** (rng.randint(-2, 2) + 2) * rng.unit(p)
+                                             if rng.randrange(3) else 0 for _ in range(n)]
+                                            for _ in range(n)])
+
+
 def random_n_beta(rng, p, n, beta):
     """An element (a, (w_n + p^beta y) b; 0, b) of N^beta(Z_p) inside
     GL_{2n}: a, b upper unipotent with entries in p^beta Z_p, y integral,

@@ -47,9 +47,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padiclin import (INF, LinAlgError, PadicMatrix, certified_bruhat_cell, imul,
-                       iwahori_bruhat_decompose, residue, unit_part, unit_pivots_mod_p,
-                       vol_big_cell, vol_iwahori, vp)
+from .padiclin import (INF, PadicMatrix, certified_bruhat_cell, imul,
+                       iwahori_bruhat_decompose, jordan_solve, residue, unit_part,
+                       unit_pivots_mod_p, vol_big_cell, vol_iwahori, vp)
 from .perms import block_perm, compose, longest_perm
 from .princhecke import PSVector, ps_evaluate_rows, torus_character_value
 from .refine import (SatakeParameter, hecke_eigenvalue, is_spin, tau_element,
@@ -219,24 +219,22 @@ def shalika_support_predicate(delta: tuple, k: PadicMatrix, x: PadicMatrix,
     lower-left i x i corner minors of kbar, are nonzero; at i = n that is
     det kbar, a unit.  k.nums = den k, den a unit, scales each minor by a
     unit, so one elimination over F_p on its rows, reversed, without
-    pivoting decides (padiclin.unit_pivots_mod_p).
+    pivoting decides (padiclin.unit_pivots_mod_p).  k^{-1} X = k.den (q
+    k.nums^{-1} x.nums) / (q x.den), k.den and q = +-det k.nums units, so
+    one jordan_solve of (k.nums | x.nums) gives its row valuations.
     """
     if beta < 1:
         raise ZetaError("depth must be >= 1")
-    try:  # k is in GL_n(Z_p) exactly when k and k^{-1} are both integral
-        kinv = k.inverse()
-    except LinAlgError:
-        raise ZetaError("k is singular, so not in GL_n(Z_p)") from None
-    if not (k.is_integral() and kinv.is_integral()):
+    if not k.in_glzp():  # a singular k too
         raise ZetaError("k must lie in GL_n(Z_p)")
     p, n = k.p, k.size
     if tuple(delta) != longest_perm(n):
         return False
     if not unit_pivots_mod_p(k.nums[::-1], p, pivot=False):
         return False
-    kx = kinv * x
-    return all(vp(y, p) >= 2 * beta * r + vp(kx.den, p)
-               for r, row in enumerate(kx.nums) for y in row)
+    least = vp(x.den, p)
+    return all(vp(y, p) >= 2 * beta * r + least
+               for r, row in enumerate(jordan_solve(k.nums, x.nums)[1]) for y in row)
 
 
 def shalika_support_bruhat(delta: tuple, k: PadicMatrix, x: PadicMatrix,

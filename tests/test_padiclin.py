@@ -14,7 +14,8 @@ from padicref.padiclin import (INF, LinAlgError, PadicMatrix,
                                vol_big_cell, vol_iwahori, vp)
 from padicref.perms import all_perms, longest_perm
 from padicref.sampling import (random_glzp, random_iw_beta, random_iwahori,
-                               random_n_beta, random_shalika_positive, random_upper_zp)
+                               random_n_beta, random_shalika_positive, random_sparse_qp,
+                               random_upper_zp)
 
 
 def _planted(rng, p, size, kind):
@@ -258,8 +259,9 @@ class TestBruhat:
         assert bruhat_cell_valuations(3, [[1, 0], [3, 1]]) == ((0, 1), (0, 0))
 
     def test_singular_input(self):
-        with pytest.raises(LinAlgError):
-            iwahori_bruhat_decompose(PadicMatrix(3, [[1, 1], [1, 1]]))
+        for entry in (iwahori_bruhat_decompose, certified_bruhat_cell):
+            with pytest.raises(LinAlgError):
+                entry(PadicMatrix(3, [[1, 1], [1, 1]]))
 
     def test_round_trip_sampling(self):
         # constructive sampling oracle: b * w * i recovers w
@@ -289,8 +291,9 @@ class TestBruhat:
     def test_light_path_matches_full(self):
         # Planted inputs g = b * w * i (b upper triangular, i in Iw): the
         # core must return w and vp(diag b), which needs no elimination to
-        # know, and the full path must agree.  Then 400 random inputs,
-        # where every invertible one must get a certified decomposition.
+        # know, and the full path and the certified cell must agree.  Then
+        # 400 random inputs, where every invertible one must get a certified
+        # decomposition and a certified cell.
         # Both cover p-power Fractions, plain int rows and denominators
         # with a unit factor 7, at sizes 2..6 and p = 2, 3, 5.
         planted = make_rng("bruhat-planted")
@@ -302,6 +305,7 @@ class TestBruhat:
                     dec = iwahori_bruhat_decompose(PadicMatrix(p, rows))
                     assert dec.w == w
                     assert dec.b.diagonal_valuations() == list(vals)
+                    assert certified_bruhat_cell(PadicMatrix(p, rows)) == (w, vals)
         rng = make_rng("bruhat-light")
         seen = set()
         for _ in range(400):
@@ -325,6 +329,7 @@ class TestBruhat:
             cell, vals = bruhat_cell_valuations(p, rows)
             assert cell == dec.w
             assert list(vals) == [int(v) for v in dec.b.diagonal_valuations()]
+            assert certified_bruhat_cell(m) == (cell, vals)
             seen.add((p, size, kind))
         assert len(seen) == 3 * 5 * 3
 
@@ -340,13 +345,14 @@ class TestBruhat:
                     if wrong == w:
                         continue
                     monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
-                                        lambda p, rows, wrong=wrong: (wrong, vals))
+                                        lambda p, rows, ops=None, wrong=wrong: (wrong, vals))
                     with pytest.raises(LinAlgError):
                         entry(g)
                 for k in range(size):
                     shifted = vals[:k] + (vals[k] + 1,) + vals[k + 1:]
                     monkeypatch.setattr(padiclin, "bruhat_cell_valuations",
-                                        lambda p, rows, shifted=shifted: (w, shifted))
+                                        lambda p, rows, ops=None, shifted=shifted:
+                                        (w, shifted))
                     with pytest.raises(LinAlgError):
                         entry(g)
                 monkeypatch.undo()
@@ -359,8 +365,9 @@ class TestBruhat:
         # diagonal entry of L by s and that of U by 1/s: L U, b upper
         # triangular and b * w * i = g still hold, and the core is made to
         # report the valuations of that b.  s = p leaves i integral with
-        # det i = p, s = 1/p makes i non-integral; both must raise, from
-        # either entry point
+        # det i = p, s = 1/p makes i non-integral; both must raise.  Only
+        # the decomposition reads an LU; the certified cell is tested
+        # against wrong column operations below
         rng = make_rng("bruhat-lu-certificate")
         lu, core = padiclin._lu_rows, padiclin.bruhat_cell_valuations
 
@@ -383,11 +390,65 @@ class TestBruhat:
                     return cell, (vals[0] - vp(s, p),) + vals[1:]
                 monkeypatch.setattr(padiclin, "_lu_rows", wrong_lu)
                 monkeypatch.setattr(padiclin, "bruhat_cell_valuations", wrong_core)
-                for entry in (iwahori_bruhat_decompose, certified_bruhat_cell):
-                    with pytest.raises(LinAlgError):
-                        entry(g)
+                with pytest.raises(LinAlgError):
+                    iwahori_bruhat_decompose(g)
             monkeypatch.undo()
             assert iwahori_bruhat_decompose(g).w == w
+
+    def test_cell_certificate_rejects_planted_errors(self, monkeypatch):
+        # the core runs with its column operations kept, then its answer or
+        # its operations I are changed by one planted error: a wrong cell
+        # (seen by the zero pattern and the valuations), and four that one
+        # check alone sees: a shifted valuation; column 0 of I times p with
+        # its valuation shifted to match (P stays b' w, but I is not in Iw);
+        # one wrong multiplier, p times the bottom pivot column subtracted
+        # from another column (I stays in Iw, but b' = P w^{-1} gets an
+        # entry below its diagonal); and column j of I added to column k,
+        # j < k with cell[j] > cell[k], with cell[k] set to cell[j] (I stays
+        # in Iw and P matches the cell, which is no permutation)
+        rng = make_rng("bruhat-cell-certificate")
+        core = padiclin.bruhat_cell_valuations
+
+        def not_a_permutation(p, cell, vals, ops):
+            j, k = next((j, k) for k in range(len(cell)) for j in range(k)
+                        if cell[j] > cell[k])
+            for row in ops:
+                row[k] += row[j]
+            return cell[:k] + (cell[j],) + cell[k + 1:], vals
+
+        def other_cell(p, cell, vals, ops):
+            return cell[1:] + cell[:1], vals
+
+        def shifted_valuation(p, cell, vals, ops):
+            return cell, vals[:-1] + (vals[-1] + 1,)
+
+        def op_outside_iw(p, cell, vals, ops):
+            for row in ops:
+                row[0] *= p
+            return cell, tuple(v + (i == cell[0]) for i, v in enumerate(vals))
+
+        def wrong_multiplier(p, cell, vals, ops):
+            j = cell.index(len(cell) - 1)
+            k = (j + 1) % len(cell)
+            for row in ops:
+                row[k] -= p * row[j]
+            return cell, vals
+
+        for p, size, kind in ((2, 2, "int"), (3, 3, "p-power"), (5, 3, "unit-7"),
+                              (3, 4, "int"), (2, 5, "p-power"), (3, 6, "unit-7")):
+            w = tuple(range(size))
+            while w == tuple(range(size)):  # off the identity cell: w has an inversion
+                w, vals, rows = _planted(rng, p, size, kind)
+            g = PadicMatrix(p, rows)
+            for error in (other_cell, shifted_valuation, op_outside_iw, wrong_multiplier,
+                          not_a_permutation):
+                def patched(p, rows, ops=None, error=error):
+                    return error(p, *core(p, rows, ops=ops), ops)
+                monkeypatch.setattr(padiclin, "bruhat_cell_valuations", patched)
+                with pytest.raises(LinAlgError):
+                    certified_bruhat_cell(g)
+            monkeypatch.undo()
+            assert certified_bruhat_cell(g) == (w, vals)
 
     def test_light_path_singular_input(self):
         with pytest.raises(LinAlgError):
@@ -603,6 +664,31 @@ class TestWorkBound:
             assert {key: counts[key] - before[key] for key in counts} == \
                 {"eliminate": 4, "mul": 0, "lu": 1, "cell": 1, "weight": 0}
 
+    def test_certified_cell_work_bound(self, monkeypatch):
+        # the certified cell reads no LU: one core call with its column
+        # operations, then exactly one int product and no elimination
+        rng = make_rng("bruhat-cell-work")
+        points = [PadicMatrix(p, _planted(rng, p, size, kind)[2])
+                  for p in (2, 3) for size in (2, 4, 6) for kind in ("int", "p-power")]
+        counts = self._count(monkeypatch)
+        counts.update(lu=0, imul=0)
+        lu, imul = padiclin._lu_rows, padiclin.imul
+
+        def counted_lu(*args):
+            counts["lu"] += 1
+            return lu(*args)
+
+        def counted_imul(*args):
+            counts["imul"] += 1
+            return imul(*args)
+        monkeypatch.setattr(padiclin, "_lu_rows", counted_lu)
+        monkeypatch.setattr(padiclin, "imul", counted_imul)
+        for g in points:
+            before = dict(counts)
+            certified_bruhat_cell(g)
+            assert {key: counts[key] - before[key] for key in counts} == \
+                {"eliminate": 0, "mul": 0, "lu": 0, "imul": 1}
+
     def test_bruhat_work_bound(self, monkeypatch):
         rng = make_rng("bruhat-work")
         points = [PadicMatrix(p, _planted(rng, p, size, kind)[2])
@@ -644,8 +730,9 @@ def _ref_shalika_positive(rng, p, n, beta):
 
 
 class TestIntRowSamplers:
-    """The samplers assemble int rows; the product formulas above are the
-    reference.  Equal rng states after every draw pin the draw order."""
+    """The samplers assemble int rows; the product formulas above, or the
+    entrywise draws, are the reference.  Equal rng states after every draw
+    pin the draw order."""
 
     @pytest.mark.parametrize("sampler, reference", [(random_n_beta, _ref_n_beta),
                                                     (random_iw_beta, _ref_iw_beta)])
@@ -670,6 +757,20 @@ class TestIntRowSamplers:
                         assert random_shalika_positive(rng, p, n, beta) == \
                             _ref_shalika_positive(ref, p, n, beta)
                         assert rng.state == ref.state
+
+    def test_sparse_qp_matches_the_entrywise_draws(self):
+        # 500 draws, each against the entry-by-entry Fraction expression
+        draws = 0
+        for p in (2, 3, 5):
+            for n in (1, 2, 3, 4):
+                rng, ref = make_rng(f"sparse-{p}-{n}"), make_rng(f"sparse-{p}-{n}")
+                for _ in range(42):
+                    assert random_sparse_qp(rng, p, n) == PadicMatrix(p, [[
+                        ref.padic_rational(p, -2, 2) if ref.randrange(3) else 0
+                        for _ in range(n)] for _ in range(n)])
+                    assert rng.state == ref.state
+                    draws += 1
+        assert draws >= 500
 
 
 class TestMeasures:

@@ -228,7 +228,9 @@ class TestPresentationRules:
             m = f.size
             pi = [tuple(int(k == i + 1) for k in range(m)) for i in range(m - 1)]
             pi.append(tuple(p * (k == 0) for k in range(m)))
-            g = _right_pi(f)
+            chi = [torus_character_value(f.satake, f.sigma, [int(k == j) for k in range(m)])
+                   for j in range(m)]
+            g = _right_pi(f, chi)
             for rho in all_perms(m):
                 assert g.coefficient(rho) == ps_evaluate_rows(f, permuted(rho, pi))
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from conftest import (blocks, det, identity, longest_weyl, make_rng, permutation_matrix,
                      z_matrix)
 from padicref import cli, shalikazeta
-from padicref.padiclin import PadicMatrix, iwahori_bruhat_decompose, vp
+from padicref.padiclin import (LinAlgError, PadicMatrix, iwahori_bruhat_decompose,
+                               unit_pivots_mod_p, vp)
 from padicref.perms import all_perms, longest_perm
 from padicref.princhecke import PSVector
 from padicref.refine import SatakeParameter, hecke_eigenvalue, tau_element
-from padicref.sampling import random_glzp, random_iwahori, random_upper_zp
+from padicref.sampling import (random_glzp, random_iwahori, random_shalika_positive,
+                               random_sparse_qp, random_upper_zp)
 from padicref.princhecke import ps_evaluate_rows
 from padicref.shalikazeta import (ComparisonMismatch, TruncationError,
                                   TwistCharacter, ZetaError,
@@ -194,6 +197,67 @@ class TestCellSupport:
             for delta in (longest_perm(n), tuple(range(n))):
                 with pytest.raises(ZetaError):
                     shalika_support_predicate(delta, PadicMatrix(p, k), x, beta)
+
+    def test_predicate_matches_the_inverse_definition(self):
+        # k in GL_n(Z_p) exactly when k and k^{-1} are integral, and k^{-1} X
+        # by the inverse and one PadicMatrix product; the predicate reads both
+        # off in_glzp and one Jordan solve.  k is a constructed positive (half
+        # of them with one entry of row r of k^{-1} X moved to valuation
+        # 2 beta r - 1), a random integral matrix (often of det divisible by
+        # p), a singular one, or one of these divided by 7 (a unit) or by p
+        def reference(delta, k, x, beta):
+            try:
+                kinv = k.inverse()
+            except LinAlgError:
+                raise ZetaError("singular") from None
+            if not (k.is_integral() and kinv.is_integral()):
+                raise ZetaError("outside GL_n(Z_p)")
+            p, n = k.p, k.size
+            if tuple(delta) != longest_perm(n) \
+                    or not unit_pivots_mod_p(k.nums[::-1], p, pivot=False):
+                return False
+            kx = kinv * x
+            return all(vp(y, p) >= 2 * beta * r + vp(kx.den, p)
+                       for r, row in enumerate(kx.nums) for y in row)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ZetaError:
+                return "refused"
+
+        rng = make_rng("support-inverse-definition")
+        seen = Counter()
+        for p in (2, 3, 5):
+            for n in (1, 2, 3):
+                for beta in (1, 2):
+                    for _ in range(60):
+                        kind = rng.randrange(4)
+                        if kind == 0:
+                            k, x = random_shalika_positive(rng, p, n, beta)
+                            if rng.randrange(2):  # k^{-1} X + p^(2 beta r - 1) E_rc
+                                r, c = rng.randrange(n), rng.randrange(n)
+                                t = Fraction(p) ** (2 * beta * r - 1)
+                                x = PadicMatrix(p, [[y + t * kr[r] * (j == c)
+                                                     for j, y in enumerate(xr)]
+                                                    for xr, kr in zip(x.rows, k.rows)])
+                        else:
+                            k = PadicMatrix(p, [[rng.randrange(p ** 2) for _ in range(n)]
+                                                for _ in range(n)])
+                            if kind == 1:  # row 0 a multiple of the last row
+                                k = PadicMatrix(p, [[rng.randrange(3) * y for y in k.nums[-1]]]
+                                                + list(k.nums[1:]))
+                            x = random_sparse_qp(rng, p, n)
+                        if rng.randrange(4) == 0:
+                            k = PadicMatrix(p, [[y / rng.choice((7, p)) for y in row]
+                                                for row in k.rows])
+                        delta = longest_perm(n) if rng.randrange(4) else rng.choice(all_perms(n))
+                        got = outcome(shalika_support_predicate, delta, k, x, beta)
+                        assert got == outcome(reference, delta, k, x, beta)
+                        seen[got, det(k) == 0] += 1
+        assert sum(seen.values()) >= 1000
+        assert {(True, False), (False, False), ("refused", False), ("refused", True)} \
+            <= set(seen)
 
     def test_predicate_matches_cell_membership(self):
         rng = make_rng("support-samples")
